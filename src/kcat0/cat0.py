@@ -25,8 +25,6 @@ from .metric import (
     exact_geodesic,
     geodesic_approx,
     midpoint_search,
-    DiscretePath,
-    curve_length,
     Geodesic,
 )
 from .points import as_point, point_to_json
@@ -137,22 +135,7 @@ def _geodesic_or_approx(D: ConvexDomain, a: np.ndarray, b: np.ndarray) -> Geodes
     if g is not None:
         return g
     path, length = geodesic_approx(D, a, b)
-    nodes = path.nodes
-
-    cum = [0.0]
-    for k in range(nodes.shape[0] - 1):
-        cum.append(cum[-1] + curve_length(D, DiscretePath(nodes[k:k + 2]), 4).midpoint)
-    cum = np.asarray(cum)
-    total = cum[-1]
-
-    def point_at(t: float) -> np.ndarray:
-        s = t * total
-        k = int(np.searchsorted(cum, s) - 1)
-        k = min(max(k, 0), nodes.shape[0] - 2)
-        frac = (s - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
-        return nodes[k] + frac * (nodes[k + 1] - nodes[k])
-
-    return Geodesic(point_at, length.midpoint, exact=False)
+    return Geodesic(path.length_parametrization(D), length.midpoint, exact=False)
 
 
 def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,

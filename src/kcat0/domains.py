@@ -1,8 +1,9 @@
 """Convex domain catalog for C^d with boundary-distance oracles.
 
 Domains are immutable trees built from catalog nodes (disks, half-planes,
-sectors, balls, polydisks, products, affine images, intersections) plus
-smooth convex graph domains ``{r < 0}``.  Every node answers:
+sectors, balls, products of any number of factors, affine images,
+intersections) plus smooth convex graph domains ``{r < 0}``.  A polydisk
+is the product of its coordinate disks.  Every node answers:
 
 * ``contains(z)``          strict interior membership,
 * ``delta(z)``             Euclidean distance to the boundary,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -263,7 +265,6 @@ class ConvexDomain:
     """Abstract base for catalog nodes and graph domains."""
 
     dimension: int
-    catalog: bool = True
 
     # -- membership ---------------------------------------------------------
 
@@ -427,6 +428,8 @@ class HalfPlane(ConvexDomain):
 
     def support_upper(self, a):
         a = as_point(a, 1)
+        if a[0] == 0:
+            return 0.0
         u = a[0] / abs(a[0])
         if abs(u + self.inward_normal) < 1e-12:
             return (self.boundary_point * np.conj(a[0])).real
@@ -492,6 +495,8 @@ class Sector(ConvexDomain):
 
     def support_upper(self, a):
         a = as_point(a, 1)
+        if a[0] == 0:
+            return 0.0
         theta = float(np.angle(a[0]))
         rel = (theta - self.alpha) % _TWO_PI
         if rel < self.opening:
@@ -591,131 +596,83 @@ class Ball(ConvexDomain):
                 "radius": self.radius}
 
 
-class Polydisk(ConvexDomain):
+class Product(ConvexDomain):
+    """Cartesian product of any number of factors, in coordinate order."""
+
+    def __init__(self, *factors: ConvexDomain):
+        if not factors:
+            raise InvalidDomain("a product needs at least one factor")
+        self.factors = tuple(factors)
+        ends = np.cumsum([f.dimension for f in self.factors])
+        self.dimension = int(ends[-1])
+        # basic slices give views, and split runs on every path-objective
+        # evaluation
+        self._slices = tuple(slice(int(e) - f.dimension, int(e))
+                             for f, e in zip(self.factors, ends))
+
+    def split(self, z: np.ndarray) -> list[np.ndarray]:
+        """One view per factor along the last axis (a point or rows of points)."""
+        return [z[..., s] for s in self._slices]
+
+    def _contains(self, z):
+        return all(f._contains(zf) for f, zf in zip(self.factors, self.split(z)))
+
+    def contains_batch(self, Z):
+        return reduce(np.logical_and, [f.contains_batch(Zf)
+                                       for f, Zf in zip(self.factors, self.split(Z))])
+
+    def _delta(self, z):
+        return min(f._delta(zf) for f, zf in zip(self.factors, self.split(z)))
+
+    def _slice_set(self, p, v):
+        return intersection([f._slice_set(pf, vf) for f, pf, vf
+                             in zip(self.factors, self.split(p), self.split(v))
+                             if np.any(vf)])
+
+    def delta_dir_batch(self, Z, V):
+        # a factor measures in units of |V_f|; the slice is the intersection
+        # of the factor slices, so take the least parameter-plane distance
+        out = np.full(Z.shape[0], np.inf)
+        for f, Zf, Vf in zip(self.factors, self.split(Z), self.split(V)):
+            moving = np.any(Vf != 0, axis=1)
+            if moving.any():
+                Zm, Vm = Zf[moving], Vf[moving]
+                out[moving] = np.minimum(out[moving], f.delta_dir_batch(Zm, Vm)
+                                         / np.linalg.norm(Vm, axis=1))
+        return out * np.linalg.norm(V, axis=1)
+
+    @property
+    def c_proper(self):
+        return all(f.c_proper for f in self.factors)
+
+    def anchor(self):
+        return np.concatenate([f.anchor() for f in self.factors])
+
+    def support_upper(self, a):
+        a = as_point(a, self.dimension)
+        return sum(f.support_upper(af) for f, af in zip(self.factors, self.split(a)))
+
+    def to_spec(self):
+        # the wire format is binary: three or more factors nest to the right
+        if len(self.factors) == 1:
+            return self.factors[0].to_spec()
+        return {"type": "product", "left": self.factors[0].to_spec(),
+                "right": Product(*self.factors[1:]).to_spec()}
+
+
+class Polydisk(Product):
+    """The product of the disks |z_j - centers_j| < radii_j."""
+
     def __init__(self, centers, radii):
         self.centers = as_point(centers)
         self.radii = np.asarray(radii, dtype=float)
         if self.radii.shape != self.centers.shape or np.any(self.radii <= 0):
             raise InvalidDomain("polydisk needs one positive radius per center")
-        self.dimension = self.centers.shape[0]
-
-    def _contains(self, z):
-        return bool(np.all(np.abs(z - self.centers) < self.radii))
-
-    def contains_batch(self, Z):
-        return np.all(np.abs(Z - self.centers[None, :]) < self.radii[None, :], axis=1)
-
-    def _delta(self, z):
-        return float(np.min(self.radii - np.abs(z - self.centers)))
-
-    def _slice_set(self, p, v):
-        disks = []
-        for j in range(self.dimension):
-            if v[j] == 0:
-                continue  # coordinate pinned at p_j, already inside
-            disks.append(Disk((self.centers[j] - p[j]) / v[j], self.radii[j] / abs(v[j])))
-        return intersection(disks)
-
-    def delta_dir_batch(self, Z, V):
-        # per coordinate: disk slice distance, +inf when v_j = 0
-        W = Z - self.centers[None, :]
-        out = np.full(Z.shape[0], np.inf)
-        for j in range(self.dimension):
-            vj = V[:, j]
-            mask = vj != 0
-            if not mask.any():
-                continue
-            cj = (self.centers[j] - Z[mask, j]) / vj[mask]
-            rj = self.radii[j] / np.abs(vj[mask])
-            dj = (rj - np.abs(cj)) * np.abs(vj[mask])
-            out[mask] = np.minimum(out[mask], dj)
-        return out
-
-    @property
-    def c_proper(self):
-        return True
-
-    def anchor(self):
-        return self.centers.copy()
-
-    def support_upper(self, a):
-        a = as_point(a, self.dimension)
-        return float(np.sum((self.centers * np.conj(a)).real + self.radii * np.abs(a)))
+        super().__init__(*(Disk(c, r) for c, r in zip(self.centers, self.radii)))
 
     def to_spec(self):
         return {"type": "polydisk", "centers": point_to_json(self.centers),
                 "radii": [float(r) for r in self.radii]}
-
-
-class Product(ConvexDomain):
-    def __init__(self, left: ConvexDomain, right: ConvexDomain):
-        self.left = left
-        self.right = right
-        self.dimension = left.dimension + right.dimension
-        self.catalog = left.catalog and right.catalog
-
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d1 = self.left.dimension
-        return z[:d1], z[d1:]
-
-    def _contains(self, z):
-        z1, z2 = self.split(z)
-        return self.left._contains(z1) and self.right._contains(z2)
-
-    def contains_batch(self, Z):
-        d1 = self.left.dimension
-        return self.left.contains_batch(Z[:, :d1]) & self.right.contains_batch(Z[:, d1:])
-
-    def _delta(self, z):
-        z1, z2 = self.split(z)
-        return min(self.left._delta(z1), self.right._delta(z2))
-
-    def _slice_set(self, p, v):
-        d1 = self.left.dimension
-        p1, p2 = p[:d1], p[d1:]
-        v1, v2 = v[:d1], v[d1:]
-        pieces = []
-        if np.any(v1):
-            pieces.append(self.left.slice(p1, v1).planar)
-        if np.any(v2):
-            pieces.append(self.right.slice(p2, v2).planar)
-        return intersection(pieces)
-
-    def delta_dir_batch(self, Z, V):
-        d1 = self.left.dimension
-        out = np.full(Z.shape[0], np.inf)
-        m1 = np.any(V[:, :d1] != 0, axis=1)
-        m2 = np.any(V[:, d1:] != 0, axis=1)
-        if m1.any():
-            out[m1] = self.left.delta_dir_batch(Z[m1, :d1], V[m1, :d1])
-        if m2.any():
-            out[m2] = np.minimum(out[m2], self.right.delta_dir_batch(Z[m2, d1:], V[m2, d1:]))
-        return out
-
-    @property
-    def c_proper(self):
-        return self.left.c_proper and self.right.c_proper
-
-    def anchor(self):
-        return np.concatenate([self.left.anchor(), self.right.anchor()])
-
-    def support_upper(self, a):
-        a = as_point(a, self.dimension)
-        d1 = self.left.dimension
-        return self.left.support_upper(a[:d1]) + self.right.support_upper(a[d1:])
-
-    def factors(self) -> list[ConvexDomain]:
-        out = []
-        for part in (self.left, self.right):
-            if isinstance(part, Product):
-                out.extend(part.factors())
-            else:
-                out.append(part)
-        return out
-
-    def to_spec(self):
-        return {"type": "product", "left": self.left.to_spec(),
-                "right": self.right.to_spec()}
 
 
 class AffineImage(ConvexDomain):
@@ -732,7 +689,6 @@ class AffineImage(ConvexDomain):
         self.inner = inner
         self.inverse = np.linalg.inv(A)
         self.dimension = inner.dimension
-        self.catalog = inner.catalog
         # conformal factor when A is a scalar multiple of a unitary matrix
         gram = A.conj().T @ A
         s2 = gram[0, 0].real
@@ -800,7 +756,6 @@ class Intersection(ConvexDomain):
             raise DimensionMismatch("intersection members must share a dimension")
         self.members = members
         self.dimension = d
-        self.catalog = all(m.catalog for m in members)
 
     def _contains(self, z):
         return all(m._contains(z) for m in self.members)
@@ -929,8 +884,6 @@ class Graph(ConvexDomain):
     reach for oracle-defined boundaries.
     """
 
-    catalog = False
-
     def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True,
                  bounding_radius: float | None = None):
         self.r = r
@@ -1049,8 +1002,6 @@ class PlanarOracle(ConvexDomain):
     Produced by slicing non-catalog domains; boundary distances fall back
     to ray shooting over a direction grid with golden-section refinement.
     """
-
-    catalog = False
 
     def __init__(self, member: Callable[[complex], bool], label: str = "oracle",
                  anchor_hint: complex | None = None):

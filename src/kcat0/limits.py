@@ -259,10 +259,10 @@ def scaling_lemma32(D: ConvexDomain) -> ScalingSequence:
     alpha, beta = _cone_hull_angles(S)
     cone = sector(0.0, alpha, beta)
 
-    if isinstance(D, Product) and D.left.dimension == 1:
-        claimed: ConvexDomain = Product(cone, D.right)
-    elif d == 1:
-        claimed = cone
+    if d == 1:
+        claimed: ConvexDomain = cone
+    elif isinstance(D, Product) and D.factors[0].dimension == 1:
+        claimed = Product(cone, *D.factors[1:])
     else:
         # inclusion side only: cone times the unit polydisk in the
         # remaining coordinates

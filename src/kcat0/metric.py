@@ -1,12 +1,12 @@
 """Kobayashi distance engine on C^d.
 
-Catalog compositions (charted planar domains, balls, polydisks, products,
-affine images) evaluate exactly.  Everything else gets a certified
-sandwich: lower bounds from holomorphic contractions (factor projections,
-member inclusions, supporting half-planes), upper bounds from the planar
-slice through the two points and from an optimized discrete path.  The
-public contract for non-catalog domains is always a ``DistanceInterval``,
-never a point estimate.
+Catalog compositions (charted planar domains, balls, products of any
+number of factors, affine images) evaluate exactly.  Everything else gets
+a certified sandwich: lower bounds from holomorphic contractions (factor
+projections, member inclusions, supporting half-planes), upper bounds from
+the planar slice through the two points and from an optimized discrete
+path.  The public contract for non-catalog domains is always a
+``DistanceInterval``, never a point estimate.
 
 Infinitesimal bounds on general convex domains use the standard two-sided
 estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,6 @@ from .domains import (
     HalfPlane,
     Intersection,
     PlanarOracle,
-    Polydisk,
     Product,
     Sector,
 )
@@ -119,6 +119,28 @@ class DiscretePath:
                 bad = block[np.argmin(ok)]
                 raise OutsideDomain(f"path point {bad} leaves the domain")
 
+    def length_parametrization(self, D: ConvexDomain) -> Callable[[float], np.ndarray]:
+        """Map a fraction t in [0, 1] of the path's metric length to its point.
+
+        Segment lengths are 4-point quadrature midpoints; within a segment
+        the point is interpolated linearly.
+        """
+        nodes = self.nodes
+        if nodes.shape[0] == 1:
+            return lambda t: nodes[0]
+        cum = np.concatenate([[0.0], np.cumsum(
+            [curve_length(D, DiscretePath(nodes[k:k + 2]), 4).midpoint
+             for k in range(nodes.shape[0] - 1)])])
+
+        def point_at(t: float) -> np.ndarray:
+            s = t * cum[-1]
+            k = int(np.searchsorted(cum, s) - 1)
+            k = min(max(k, 0), nodes.shape[0] - 2)
+            frac = (s - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
+            return nodes[k] + frac * (nodes[k + 1] - nodes[k])
+
+        return point_at
+
 
 @dataclass
 class Geodesic:
@@ -160,17 +182,10 @@ def metric_bounds_batch(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
         pair = np.abs(np.sum(vs * np.conj(zs), axis=1)) ** 2
         k = np.sqrt(np.sum(np.abs(vs) ** 2, axis=1) * one + pair) / one
         return k, k.copy()
-    if isinstance(D, Polydisk):
-        lo = np.zeros(Z.shape[0])
-        for j in range(D.dimension):
-            k = np.abs(V[:, j]) * D.radii[j] / (D.radii[j] ** 2 - np.abs(Z[:, j] - D.centers[j]) ** 2)
-            lo = np.maximum(lo, k)
-        return lo, lo.copy()
     if isinstance(D, Product):
-        d1 = D.left.dimension
-        lo1, hi1 = metric_bounds_batch(D.left, Z[:, :d1], V[:, :d1])
-        lo2, hi2 = metric_bounds_batch(D.right, Z[:, d1:], V[:, d1:])
-        return np.maximum(lo1, lo2), np.maximum(hi1, hi2)
+        los, his = zip(*[metric_bounds_batch(f, Zf, Vf)
+                         for f, Zf, Vf in zip(D.factors, D.split(Z), D.split(V))])
+        return reduce(np.maximum, los), reduce(np.maximum, his)
     if isinstance(D, AffineImage):
         W = (Z - D.offset[None, :]) @ D.inverse.T
         U = V @ D.inverse.T
@@ -202,29 +217,19 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
 
 
 def _exact_tag(D: ConvexDomain) -> str:
-    if isinstance(D, (Polydisk, Product)):
+    if isinstance(D, Product):
         return "product-max"
     if isinstance(D, AffineImage):
         return "affine-invariance"
     return "exact-chart"
 
 
-def _has_exact_metric(D: ConvexDomain) -> bool:
-    if isinstance(D, (Disk, HalfPlane, Sector, Ball, Polydisk)):
-        return True
-    if isinstance(D, Product):
-        return _has_exact_metric(D.left) and _has_exact_metric(D.right)
-    if isinstance(D, AffineImage):
-        return _has_exact_metric(D.inner)
-    return False
-
-
 def _has_fast_delta_dir(D: ConvexDomain) -> bool:
     """True when directional boundary distances come in closed form."""
-    if isinstance(D, (Disk, HalfPlane, Sector, Ball, Polydisk)):
+    if isinstance(D, (Disk, HalfPlane, Sector, Ball)):
         return True
     if isinstance(D, Product):
-        return _has_fast_delta_dir(D.left) and _has_fast_delta_dir(D.right)
+        return all(_has_fast_delta_dir(f) for f in D.factors)
     if isinstance(D, AffineImage):
         return _has_fast_delta_dir(D.inner)
     if isinstance(D, Intersection):
@@ -279,21 +284,12 @@ def exact_distance(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> DistanceInt
         return DistanceInterval.exact(val, "exact-chart")
     if isinstance(D, Ball):
         return DistanceInterval.exact(_ball_distance(D, x, y), "exact-chart")
-    if isinstance(D, Polydisk):
-        val = 0.0
-        for j in range(D.dimension):
-            dj = planar.disk_distance((x[j] - D.centers[j]) / D.radii[j],
-                                      (y[j] - D.centers[j]) / D.radii[j])
-            val = max(val, dj)
-        return DistanceInterval.exact(val, "product-max")
     if isinstance(D, Product):
-        x1, x2 = D.split(x)
-        y1, y2 = D.split(y)
-        left = exact_distance(D.left, x1, y1)
-        right = exact_distance(D.right, x2, y2)
-        if left is None or right is None:
+        parts = [exact_distance(f, xf, yf)
+                 for f, xf, yf in zip(D.factors, D.split(x), D.split(y))]
+        if None in parts:
             return None
-        return interval_max(left, right).with_tags("product-max")
+        return reduce(interval_max, parts).with_tags("product-max")
     if isinstance(D, AffineImage):
         inner = exact_distance(D.inner, D.pull_back(x), D.pull_back(y))
         return None if inner is None else inner.with_tags("affine-invariance")
@@ -353,25 +349,12 @@ def exact_geodesic(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> Geodesic | 
             return D.center + D.radius * ball_mobius(unit_x, r * u)
 
         return Geodesic(point_at, length)
-    if isinstance(D, Polydisk):
-        charts = [planar.chart(Disk(D.centers[j], D.radii[j])) for j in range(D.dimension)]
-
-        def point_at(t: float) -> np.ndarray:
-            out = np.empty(D.dimension, dtype=complex)
-            for j, ch in enumerate(charts):
-                a, b = ch.forward(complex(x[j])), ch.forward(complex(y[j]))
-                out[j] = ch.inverse(planar.disk_geodesic(a, b, t))
-            return out
-
-        return Geodesic(point_at, length)
     if isinstance(D, Product):
-        x1, x2 = D.split(x)
-        y1, y2 = D.split(y)
-        g1 = exact_geodesic(D.left, x1, y1)
-        g2 = exact_geodesic(D.right, x2, y2)
-        if g1 is None or g2 is None:
+        parts = [exact_geodesic(f, xf, yf)
+                 for f, xf, yf in zip(D.factors, D.split(x), D.split(y))]
+        if None in parts:
             return None
-        return Geodesic(lambda t: np.concatenate([g1(t), g2(t)]), length)
+        return Geodesic(lambda t: np.concatenate([g(t) for g in parts]), length)
     if isinstance(D, AffineImage):
         inner = exact_geodesic(D.inner, D.pull_back(x), D.pull_back(y))
         if inner is None:
@@ -430,12 +413,14 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
 
     Returns (value, exact_flag, tags).
     """
-    sl = D.slice(x, y - x)
-    S = sl.planar
+    S = D.slice(x, y - x).planar
     ch = planar.exact_chart(S)
     if ch is not None:
-        val = planar.disk_distance(ch.forward(0.0), ch.forward(1.0))
-        return val, True, {"slice-upper"}
+        # a chart can overflow on a thin far-off wedge; then use the oracle
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0, u1 = ch.forward(0.0), ch.forward(1.0)
+        if abs(u0) < 1 and abs(u1) < 1:
+            return planar.disk_distance(u0, u1), True, {"slice-upper"}
     val = _oracle_upper(S, 0.0 + 0.0j, 1.0 + 0.0j)
     return val, False, {"slice-upper", "delta-bound"}
 
@@ -481,20 +466,13 @@ def _polydisk_slack(D: ConvexDomain, centers: np.ndarray,
     if isinstance(D, Ball):
         reach = np.abs(centers - D.center) + radii
         return D.radius - math.sqrt(float(np.sum(reach ** 2)))
-    if isinstance(D, Polydisk):
-        return float(np.min(D.radii - (np.abs(centers - D.centers) + radii)))
     if isinstance(D, Product):
-        d1 = D.left.dimension
-        s1 = _polydisk_slack(D.left, centers[:d1], radii[:d1])
-        s2 = _polydisk_slack(D.right, centers[d1:], radii[d1:])
-        if s1 is None or s2 is None:
-            return None
-        return min(s1, s2)
+        slacks = [_polydisk_slack(f, c, r)
+                  for f, c, r in zip(D.factors, D.split(centers), D.split(radii))]
+        return None if None in slacks else min(slacks)
     if isinstance(D, Intersection):
         slacks = [_polydisk_slack(m, centers, radii) for m in D.members]
-        if any(s is None for s in slacks):
-            return None
-        return min(slacks)
+        return None if None in slacks else min(slacks)
     if isinstance(D, AffineImage):
         diag = np.diag(D.matrix)
         if not np.allclose(D.matrix, np.diag(diag)):
@@ -599,11 +577,8 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
         return inner.with_tags("affine-invariance")
 
     if isinstance(D, Product):
-        x1, x2 = D.split(x)
-        y1, y2 = D.split(y)
-        left = distance(D.left, x1, y1, optimize_path=optimize_path)
-        right = distance(D.right, x2, y2, optimize_path=optimize_path)
-        lows.append(max(left.lo, right.lo))
+        lows.append(max(distance(f, xf, yf, optimize_path=optimize_path).lo
+                        for f, xf, yf in zip(D.factors, D.split(x), D.split(y))))
         tags.add("projection-lower")
 
     if isinstance(D, Intersection):
@@ -688,16 +663,8 @@ def _metric_hi_smooth(D: ConvexDomain, Z: np.ndarray, V: np.ndarray,
     landscape away from the max kinks.
     """
     if isinstance(D, Product):
-        d1 = D.left.dimension
-        h1 = _metric_hi_smooth(D.left, Z[:, :d1], V[:, :d1], p)
-        h2 = _metric_hi_smooth(D.right, Z[:, d1:], V[:, d1:], p)
-        return (h1 ** p + h2 ** p) ** (1.0 / p)
-    if isinstance(D, Polydisk):
-        acc = np.zeros(Z.shape[0])
-        for j in range(D.dimension):
-            k = np.abs(V[:, j]) * D.radii[j] / (D.radii[j] ** 2 - np.abs(Z[:, j] - D.centers[j]) ** 2)
-            acc += k ** p
-        return acc ** (1.0 / p)
+        return sum(_metric_hi_smooth(f, Zf, Vf, p) ** p
+                   for f, Zf, Vf in zip(D.factors, D.split(Z), D.split(V))) ** (1.0 / p)
     if isinstance(D, AffineImage):
         W = (Z - D.offset[None, :]) @ D.inverse.T
         U = V @ D.inverse.T
@@ -810,9 +777,9 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
 def _exact_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Midpoint of a catalog geodesic with the product tie-break rule.
 
-    In a max-metric product the midpoint is not unique: when one factor
-    separation is at most half the other, that factor is held constant at
-    its starting value, otherwise both factor midpoints are used.
+    In a max-metric product the midpoint is not unique: a factor whose
+    separation is at most half the largest one is held constant at its
+    starting value; every other factor moves to its own midpoint.
     """
     if D.dimension == 1:
         ch = planar.exact_chart(D)
@@ -822,14 +789,8 @@ def _exact_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray
     if isinstance(D, Ball):
         g = exact_geodesic(D, x, y)
         return g(0.5)
-    if isinstance(D, (Product, Polydisk)):
-        if isinstance(D, Polydisk):
-            parts = [(as_point([x[j]]), as_point([y[j]]), Disk(D.centers[j], D.radii[j]))
-                     for j in range(D.dimension)]
-        else:
-            x1, x2 = D.split(x)
-            y1, y2 = D.split(y)
-            parts = [(x1, y1, D.left), (x2, y2, D.right)]
+    if isinstance(D, Product):
+        parts = list(zip(D.split(x), D.split(y), D.factors))
         dists = []
         for (px, py, f) in parts:
             e = exact_distance(f, px, py)
@@ -888,7 +849,7 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
 
     tol = MIDPOINT_TOL_NUMERIC if tol is None else tol
     path, _ = geodesic_approx(D, x, y)
-    m0 = _half_length_point(D, path)
+    m0 = path.length_parametrization(D)(0.5)
     d_xy = distance(D, x, y, optimize_path=False).midpoint
 
     # midpoints of max-type metrics are non-unique; a small pull toward the
@@ -917,20 +878,3 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
         raise MidpointNotCertified(
             f"midpoint not certified: residual {residual:.3e} > tol {tol:.3e}")
     return m, residual
-
-
-def _half_length_point(D: ConvexDomain, path: DiscretePath) -> np.ndarray:
-    """Point splitting the discrete path into halves of equal metric length."""
-    nodes = path.nodes
-    if nodes.shape[0] == 1:
-        return nodes[0]
-    seg_lengths = []
-    for k in range(nodes.shape[0] - 1):
-        seg = DiscretePath(nodes[k:k + 2])
-        seg_lengths.append(curve_length(D, seg, 4).midpoint)
-    cum = np.concatenate([[0.0], np.cumsum(seg_lengths)])
-    half = 0.5 * cum[-1]
-    k = int(np.searchsorted(cum, half) - 1)
-    k = min(max(k, 0), nodes.shape[0] - 2)
-    frac = (half - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
-    return nodes[k] + frac * (nodes[k + 1] - nodes[k])

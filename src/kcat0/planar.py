@@ -82,7 +82,7 @@ def disk_distance(z: complex, w: complex) -> float:
     arguments gives bit-identical results.
     """
     z, w = complex(z), complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
+    if not (abs(z) < 1 and abs(w) < 1):  # also rejects nan from an overflowed chart
         raise OutsideDomain("disk_distance arguments must be interior to the unit disk")
     num = abs(z - w)
     prod = abs(z) * abs(w)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ class TestDeltaDir:
         for k in range(10):
             assert batch[k] == pytest.approx(D.delta_dir(Z[k], V[k]), abs=1e-12)
 
+    @pytest.mark.parametrize("D", [
+        Polydisk([0.5, -1j], [1.0, 2.0]),
+        Product(upper_half_plane(), sector(0.0, 0.2, 1.2)),
+    ], ids=lambda D: type(D).__name__)
+    def test_product_batch_matches_scalar(self, D, rng):
+        # unequal factor speeds: each factor's own distance is in |V_f| units
+        Z = np.array([sample_in(D, rng, scale=1.5) for _ in range(20)])
+        V = (rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))) * [1.0, 1e-2]
+        batch = D.delta_dir_batch(Z, V)
+        for k in range(20):
+            assert batch[k] == pytest.approx(D.delta_dir(Z[k], V[k]), rel=1e-12)
+
 
 class TestSlices:
     def test_product_structural_slice_has_exact_tag(self):
@@ -196,6 +209,21 @@ class TestSlices:
         for _ in range(20):
             t = complex(rng.normal(), rng.normal())
             assert sl.contains_param(t) == D.contains(p + t * v)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("D", [
+        Disk(0.3, 2.0),
+        HalfPlane(0.0, 1.0),
+        sector(0.0, 0.0, 1.0),
+        ball2(),
+        Polydisk([0.5, -1j], [1.0, 2.0]),
+        Product(HalfPlane(0.0, 1.0), sector(1.0, 0.0, 1.0)),
+    ], ids=lambda D: type(D).__name__)
+    def test_zero_functional(self, D):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert D.support_upper(np.zeros(D.dimension)) == 0.0
 
 
 class TestSectorFactory:
@@ -233,6 +261,14 @@ class TestJson:
             z = rng.normal(size=4)
             z = z[:2] + 1j * z[2:]
             assert D.contains(z) == D2.contains(z)
+
+    @pytest.mark.parametrize("D", [
+        Product(unit_disk(), upper_half_plane(), Ball([0.1, 0.2j], 2.0)),
+        Polydisk([0.1, -0.2j, 0.3], [1.0, 2.0, 0.5]),
+    ], ids=lambda D: type(D).__name__)
+    def test_product_round_trip(self, D):
+        spec = domain_to_json(D)
+        assert domain_to_json(domain_from_json(spec)) == spec
 
     def test_graph_polynomial_round_trip(self):
         poly = RealPolynomial(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0,

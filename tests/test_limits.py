@@ -91,7 +91,7 @@ class TestLemma32:
         halfdisk = intersection([Disk(1.0, 1.0), HalfPlane(0.0, 1.0)])
         D = Product(halfdisk, unit_disk())
         seq = scaling_lemma32(D)
-        left = seq.claimed_limit.left
+        left = seq.claimed_limit.factors[0]
         assert isinstance(left, HalfPlane)  # opening pi canonicalizes
         assert left.inward_normal == pytest.approx(1.0, abs=1e-6)
 

@@ -21,13 +21,20 @@ from kcat0 import (
     infinitesimal,
     intersection,
     midpoint_search,
+    right_half_plane,
     sector,
     unit_disk,
     upper_half_plane,
 )
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
-from kcat0.metric import ball_mobius
-from kcat0.planar import planar_distance
+from kcat0.metric import (
+    _exact_midpoint,
+    _polydisk_slack,
+    ball_mobius,
+    exact_distance,
+    metric_bounds_batch,
+)
+from kcat0.planar import disk_distance, planar_distance
 
 from conftest import sample_in
 
@@ -90,6 +97,14 @@ class TestCurveLength:
         nodes = np.stack([1j * ts, np.zeros_like(ts, dtype=complex)], axis=1)
         iv = curve_length(P, DiscretePath(nodes))
         assert iv.lo == pytest.approx(0.5 * math.log(4.0), abs=1e-7)
+
+    def test_length_parametrization(self):
+        # on the vertical segment from i to 4i, K(i, i s) = ln(s) / 2
+        path = DiscretePath(1j * np.linspace(1.0, 4.0, 64)[:, None])
+        point_at = path.length_parametrization(upper_half_plane())
+        assert point_at(0.0)[0] == 1j
+        for t in (0.25, 0.5, 1.0):
+            assert point_at(t)[0] == pytest.approx(1j * 4.0 ** t, abs=1e-3)
 
     def test_node_outside_raises(self):
         nodes = np.array([[0.0], [1.5]], dtype=complex)
@@ -180,6 +195,70 @@ class TestDistance:
             expected = planar_distance(S, z1[0], z2[0])
             assert iv.lo == pytest.approx(expected, abs=1e-9)
             assert iv.hi == pytest.approx(expected, abs=1e-9)
+
+    def test_thin_wedge_slice_stays_finite(self):
+        # the slice is a wedge of opening 0.0073 rad with its vertex about
+        # 316 away; its power-map chart overflows at both endpoints
+        D = Product(right_half_plane(), right_half_plane())
+        x = [1.09116942 + 0.63170711j, 2.38725662 - 0.994523j]
+        y = [2.04379537 + 0.45931089j, 0.39343915 - 0.64868876j]
+        iv = distance(D, x, y, force_sandwich=True)
+        assert math.isfinite(iv.hi)
+        assert iv.lo <= 0.9121521085194589 <= iv.hi
+        assert "delta-bound" in iv.methods
+        with pytest.raises(OutsideDomain):
+            disk_distance(complex(math.nan, 0.0), 0.0)
+
+
+def _polydisk_and_product(d):
+    centers = np.array([0.1 + 0.2j, -0.3, 0.5j])[:d]
+    radii = np.array([1.0, 2.0, 0.5])[:d]
+    return (Polydisk(centers, radii),
+            Product(*(Disk(c, r) for c, r in zip(centers, radii))))
+
+
+class TestPolydiskIsProductOfDisks:
+    # in unit coordinates of each disk: separations 1.39, 0.20 and 1.10, so
+    # the middle coordinate is held fixed by the midpoint tie-break
+    X_UNIT = np.array([-0.6, 0.1, 0.0])
+    Y_UNIT = np.array([0.6, -0.1, 0.8j])
+
+    def points(self, P):
+        return (P.centers + P.radii * self.X_UNIT[:P.dimension],
+                P.centers + P.radii * self.Y_UNIT[:P.dimension])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_values(self, d, rng):
+        P, Q = _polydisk_and_product(d)
+        x, y = self.points(P)
+        assert exact_distance(P, x, y) == exact_distance(Q, x, y)
+        assert exact_distance(P, x, y).lo == max(
+            disk_distance(a, b) for a, b in zip(self.X_UNIT[:d], self.Y_UNIT[:d]))
+        Z = np.array([sample_in(P, rng) for _ in range(20)])
+        V = rng.normal(size=(20, d)) + 1j * rng.normal(size=(20, d))
+        for a, b in zip(metric_bounds_batch(P, Z, V), metric_bounds_batch(Q, Z, V)):
+            assert np.array_equal(a, b)
+        W = P.centers + 1.3 * P.radii * (rng.normal(size=(50, d)) + 1j * rng.normal(size=(50, d)))
+        assert np.array_equal(P.contains_batch(W), Q.contains_batch(W))
+        for _ in range(10):
+            c = 0.2 * (rng.normal(size=d) + 1j * rng.normal(size=d))
+            r = rng.uniform(0.1, 0.6, size=d)
+            assert _polydisk_slack(P, c, r) == _polydisk_slack(Q, c, r)
+        assert np.array_equal(_exact_midpoint(P, x, y), _exact_midpoint(Q, x, y))
+
+    def test_midpoint_holds_the_slack_coordinate(self):
+        P, _ = _polydisk_and_product(3)
+        x, y = self.points(P)
+        m = _exact_midpoint(P, x, y)
+        assert m[1] == x[1]
+        half = 0.5 * distance(P, x, y).lo
+        assert distance(P, x, m).lo == pytest.approx(half, abs=1e-12)
+        assert distance(P, m, y).lo == pytest.approx(half, abs=1e-12)
+
+    @pytest.mark.parametrize("x, y", [([0.5, 0.0], [-0.5, 0.0]), ([0.5, 0.0], [0.0, 0.5])])
+    def test_forced_sandwich_on_unit_bidisk_is_tight_below(self, x, y):
+        P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
+        assert distance(P, x, y, force_sandwich=True).lo == distance(P, x, y).lo
 
 
 class TestGeodesicApprox:
