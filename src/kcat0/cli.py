@@ -76,6 +76,16 @@ def load_domain(args) -> object:
     raise KCat0Error("provide --builtin or --domain")
 
 
+def point_option(flag: str, text: str | None):
+    """Parse a point option; bad or missing input names the flag."""
+    if text is None:
+        raise KCat0Error(f"{flag} is required")
+    try:
+        return parse_point(text)
+    except ValueError as exc:
+        raise KCat0Error(f"{flag}: {exc}") from None
+
+
 def write_report(report, args) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and hasattr(report, "to_csv"):
@@ -93,22 +103,22 @@ def write_report(report, args) -> None:
 def cmd_certify(args) -> int:
     if args.mode == "midpoint":
         D = load_domain(args)
-        cert = cat0.midpoint_defect(D, parse_point(args.x), parse_point(args.y),
-                                    parse_point(args.z), tol=args.tol)
+        cert = cat0.midpoint_defect(D, point_option("--x", args.x), point_option("--y", args.y),
+                                    point_option("--z", args.z), tol=args.tol)
         write_report(cert, args)
         return EXIT_VIOLATION if cert.verdict == "violation-certified" else EXIT_OK
     if args.mode == "product":
         left = builtin_domain(args.left)
         right = builtin_domain(args.right)
-        base = parse_point(args.base) if args.base else None
-        cert = cat0.product_certificate(left, right, parse_point(args.x),
-                                        parse_point(args.y), seed=args.seed, base=base)
+        base = point_option("--base", args.base) if args.base else None
+        cert = cat0.product_certificate(left, right, point_option("--x", args.x),
+                                        point_option("--y", args.y), seed=args.seed, base=base)
         write_report(cert, args)
         return EXIT_VIOLATION if cert.verdict == "violation-certified" else EXIT_OK
     if args.mode == "comparison":
         D = load_domain(args)
-        report = cat0.comparison_test(D, parse_point(args.a), parse_point(args.b),
-                                      parse_point(args.c),
+        report = cat0.comparison_test(D, point_option("--a", args.a), point_option("--b", args.b),
+                                      point_option("--c", args.c),
                                       sample_count=args.samples, seed=args.seed)
         write_report(report, args)
         return EXIT_VIOLATION if report.max_slack > args.tol else EXIT_OK
@@ -117,7 +127,8 @@ def cmd_certify(args) -> int:
 
 def cmd_distance(args) -> int:
     D = load_domain(args)
-    interval = metric.distance(D, parse_point(args.from_), parse_point(args.to))
+    interval = metric.distance(D, point_option("--from", args.from_),
+                               point_option("--to", args.to))
     report = {
         "schema": "kcat0/1",
         "kind": "distance",
@@ -128,7 +139,6 @@ def cmd_distance(args) -> int:
                      "tol": interval.width},
     }
     write_report(report, args)
-    sys.stdout.write(f"{interval.midpoint:.6f}\n")
     return EXIT_OK
 
 
@@ -163,7 +173,7 @@ def cmd_linetype(args) -> int:
             raise KCat0Error(
                 f"malformed polynomial JSON at {args.polynomial}:{exc.lineno}:{exc.colno}: {exc.msg}")
         r = DefiningFunction.from_polynomial(RealPolynomial.from_json(data))
-    result = convexity.line_type(r, parse_point(args.point), cap=args.cap)
+    result = convexity.line_type(r, point_option("--point", args.point), cap=args.cap)
     write_report(result, args)
     return EXIT_OK
 
@@ -172,8 +182,7 @@ def cmd_limits(args) -> int:
     if args.experiment == "dilation-disk":
         seq = limits.dilation_sequence(unit_disk(), unit_disk(),
                                        factor=lambda n: 1.0 + 1.0 / n)
-        pairs = [(parse_point(p.split(":")[0]), parse_point(p.split(":")[1]))
-                 for p in args.pairs] if args.pairs else [([0.0], [0.5])]
+        pairs = [_pair_option(p) for p in args.pairs] if args.pairs else [([0.0], [0.5])]
         table = limits.convergence_check(seq, unit_disk(), pairs, args.n)
         write_report(table, args)
         return EXIT_OK
@@ -198,6 +207,13 @@ def cmd_limits(args) -> int:
         write_report(result, args)
         return EXIT_OK
     raise KCat0Error(f"unknown limits experiment {args.experiment!r}")
+
+
+def _pair_option(text: str):
+    ends = text.split(":")
+    if len(ends) != 2:
+        raise KCat0Error(f"--pairs: expected 'from:to', got {text!r}")
+    return point_option("--pairs", ends[0]), point_option("--pairs", ends[1])
 
 
 def cmd_example36(args) -> int:

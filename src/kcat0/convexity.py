@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain, DefiningFunction, RealPolynomial
+from .domains import ConvexDomain, DefiningFunction, RealPolynomial, ray_boundary_batch
 from .errors import DegenerateInput, EmptyWindow, InvalidDomain, OrderNotResolved
 from .points import as_point, point_to_json
 
@@ -167,15 +167,12 @@ def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarr
 
 def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12):
     """Points marching toward boundary pieces inside the window."""
-    from .domains import ray_boundary
-
     anchor = D.anchor()
+    # 1-d norms: np.linalg.norm(axis=1) can differ from them in the last bit
+    raw = np.array([x / np.linalg.norm(x) for x in rng.normal(size=(rays, 2 * D.dimension))])
+    dirs = raw[:, :D.dimension] + 1j * raw[:, D.dimension:]
     probes = []
-    for _ in range(rays):
-        raw = rng.normal(size=2 * D.dimension)
-        raw /= np.linalg.norm(raw)
-        u = raw[: D.dimension] + 1j * raw[D.dimension:]
-        t_dom = ray_boundary(lambda w: D.contains(w), anchor, u)
+    for u, t_dom in zip(dirs, ray_boundary_batch(D.contains_batch, anchor, dirs)):
         if not math.isfinite(t_dom):
             continue
         b = anchor + t_dom * u

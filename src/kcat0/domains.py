@@ -15,6 +15,11 @@ is the product of its coordinate disks.  Every node answers:
                            direction), used to build certified
                            half-plane bounds.
 
+Domains known only through membership (graph domains and their slices)
+answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
+and it hands each batched membership call all the rays still running.
+A graph slice is a ``PlanarOracle`` over a batched membership oracle.
+
 All values are immutable after construction and all queries are pure, so
 instances are safe to share between threads.
 """
@@ -48,8 +53,9 @@ def _real_view(z: np.ndarray) -> np.ndarray:
 
 
 def _from_real(x: np.ndarray) -> np.ndarray:
-    d = x.shape[0] // 2
-    return x[:d] + 1j * x[d:]
+    """Complex points from (real parts, imaginary parts) along the last axis."""
+    d = x.shape[-1] // 2
+    return x[..., :d] + 1j * x[..., d:]
 
 
 def _wrap_angle(a: float) -> float:
@@ -62,75 +68,50 @@ def _wrap_angle(a: float) -> float:
     return a
 
 
-def ray_boundary(inside: Callable[[np.ndarray], bool], start: np.ndarray,
-                 direction: np.ndarray, t_max: float = 1e12,
-                 rtol: float = 1e-13) -> float:
-    """Distance along ``start + t*direction`` to the boundary of ``{inside}``.
-
-    ``start`` must satisfy ``inside``; returns ``inf`` when the whole ray
-    stays inside up to ``t_max``.  Plain bracketing plus bisection; the
-    oracle is the only thing we assume about the set.
-    """
-    t = 1.0
-    # shrink first in case the boundary is very close
-    while not inside(start + t * direction):
-        t *= 0.5
-        if t < 1e-300:
-            return 0.0
-    lo = t
-    hi = t
-    while inside(start + hi * direction):
-        hi *= 2.0
-        if hi > t_max:
-            return math.inf
-    lo = hi / 2.0
-    for _ in range(200):
-        if hi - lo <= rtol * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if inside(start + mid * direction):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
                        start: np.ndarray, directions: np.ndarray,
-                       t_max: float = 1e9) -> np.ndarray:
-    """Vectorized ray shooting: one boundary parameter per direction row."""
-    n = directions.shape[0]
-    t = np.ones(n)
-    pts = start[None, :] + t[:, None] * directions
-    ins = contains_batch(pts)
-    # shrink rows starting outside
-    for _ in range(80):
-        if ins.all():
-            break
-        t[~ins] *= 0.5
-        pts = start[None, :] + t[:, None] * directions
-        ins = contains_batch(pts)
-    lo = t.copy()
-    hi = t.copy()
-    alive = np.ones(n, dtype=bool)
-    for _ in range(64):
-        pts = start[None, :] + hi[:, None] * directions
-        ins = contains_batch(pts)
-        grow = ins & alive
-        if not grow.any():
-            break
-        lo[grow] = hi[grow]
+                       t_max: float = 1e12) -> np.ndarray:
+    """Distance along ``start + t*directions[k]`` to the boundary, per row.
+
+    ``contains_batch`` maps rows of points to a bool array; ``start`` must
+    be inside.  Each row halves t = 1 until it is inside (0.0 below 1e-300),
+    doubles until it leaves (``inf`` beyond ``t_max``), then bisects until
+    the bracket is within 1e-13 relative (at most 200 steps) and returns
+    its midpoint.  Every membership call gets only the rows still running.
+    """
+    out = np.empty(directions.shape[0])
+
+    def inside(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.asarray(contains_batch(start + t[:, None] * directions[rows]), dtype=bool)
+
+    t = np.ones(directions.shape[0])
+    run = np.arange(directions.shape[0])
+    while run.size:  # shrink first in case the boundary is very close
+        run = run[~inside(run, t[run])]
+        t[run] *= 0.5
+        out[run[t[run] < 1e-300]] = 0.0
+        run = run[t[run] >= 1e-300]
+    run = np.flatnonzero(t >= 1e-300)
+    hi = 2.0 * t  # t is inside, so doubling starts from 2t
+    grow = run[hi[run] <= t_max]
+    while grow.size:
+        grow = grow[inside(grow, hi[grow])]
         hi[grow] *= 2.0
-        alive &= hi <= t_max
-    unbounded = hi > t_max
-    for _ in range(90):
+        grow = grow[hi[grow] <= t_max]
+    out[run[hi[run] > t_max]] = math.inf
+    run = run[hi[run] <= t_max]
+    lo, hi, dirs = hi[run] / 2.0, hi[run], directions[run]
+    for _ in range(200):
+        going = hi - lo > 1e-13 * np.maximum(1.0, hi)
+        if not going.all():  # drop converged rows
+            out[run[~going]] = 0.5 * (lo[~going] + hi[~going])
+            run, lo, hi, dirs = run[going], lo[going], hi[going], dirs[going]
+        if not run.size:
+            break
         mid = 0.5 * (lo + hi)
-        pts = start[None, :] + mid[:, None] * directions
-        ins = contains_batch(pts)
-        lo = np.where(ins, mid, lo)
-        hi = np.where(ins, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[unbounded] = np.inf
+        ins = contains_batch(start + mid[:, None] * dirs)
+        lo, hi = np.where(ins, mid, lo), np.where(ins, hi, mid)
+    out[run] = 0.5 * (lo + hi)
     return out
 
 
@@ -892,6 +873,7 @@ class Graph(ConvexDomain):
         self._c_proper = bool(c_proper)
         self.bounding_radius = bounding_radius
         self._support_cache: dict[bytes, float] = {}
+        self._probe_cache: float | None = None
         if r.value(self._interior) >= 0:
             raise InvalidDomain("declared interior point has r >= 0")
 
@@ -901,7 +883,7 @@ class Graph(ConvexDomain):
     def contains_batch(self, Z):
         if self.r.polynomial is not None:
             return self.r.polynomial.evaluate_batch(Z) < 0
-        return np.array([self.r.value(z) for z in Z]) < 0
+        return np.array([float(self.r.evaluate(z)) for z in Z]) < 0
 
     def _delta(self, z):
         from scipy.optimize import minimize as _minimize
@@ -911,7 +893,7 @@ class Graph(ConvexDomain):
         if not np.any(gz):
             gz = self._interior - z if np.any(self._interior - z) else as_point([1.0] * self.dimension)
         u = gz / np.linalg.norm(gz)
-        t0 = ray_boundary(lambda w: self.r.value(w) < 0, z, u)
+        t0 = ray_boundary_batch(self.contains_batch, z, u[None, :])[0]
         x0 = z + t0 * u
 
         def objective(xr):
@@ -933,17 +915,13 @@ class Graph(ConvexDomain):
             if norm > 0:
                 # polish along the optimal direction: second order in the
                 # direction error, so this recovers ~1e-12 accuracy
-                t = ray_boundary(lambda w: self.r.value(w) < 0, z, direction / norm)
+                t = ray_boundary_batch(self.contains_batch, z, (direction / norm)[None, :])[0]
                 best = min(best, t)
-        return best
+        return float(best)
 
     def _slice_set(self, p, v):
-        r = self.r
-
-        def member(t: complex) -> bool:
-            return r.value(p + t * v) < 0
-
-        return PlanarOracle(member, label="graph-slice")
+        return PlanarOracle(lambda T: self.contains_batch(p + T[:, None] * v),
+                            label="graph-slice")
 
     @property
     def c_proper(self):
@@ -976,16 +954,18 @@ class Graph(ConvexDomain):
         return out
 
     def _probe_radius(self) -> float:
-        rng = np.random.default_rng(_FALLBACK_SEED)
-        worst = 0.0
-        for _ in range(4 * self.dimension):
-            u = rng.normal(size=2 * self.dimension)
-            u = _from_real(u / np.linalg.norm(u))
-            t = ray_boundary(lambda w: self.r.value(w) < 0, self._interior, u, t_max=1e6)
-            if not math.isfinite(t):
-                return math.inf
-            worst = max(worst, t)
-        return float(np.linalg.norm(self._interior)) + 2.0 * worst
+        """Estimated radius of a ball about 0 holding the domain, from 4d
+        probe rays (``inf`` when one is unbounded); computed once."""
+        if self._probe_cache is None:
+            d = self.dimension
+            U = np.random.default_rng(_FALLBACK_SEED).normal(size=(4 * d, 2 * d))
+            # 1-d norms: np.linalg.norm(axis=1) can differ from them in the last bit
+            U = np.array([u / np.linalg.norm(u) for u in U])
+            ts = ray_boundary_batch(self.contains_batch, self._interior, _from_real(U),
+                                    t_max=1e6)
+            self._probe_cache = (float(np.linalg.norm(self._interior)) + 2.0 * float(ts.max())
+                                 if np.isfinite(ts).all() else math.inf)
+        return self._probe_cache
 
     def to_spec(self):
         if self.r.polynomial is None:
@@ -997,93 +977,76 @@ class Graph(ConvexDomain):
 
 
 class PlanarOracle(ConvexDomain):
-    """Planar convex set known only through a membership oracle.
+    """Planar convex set known only through a batched membership oracle.
 
-    Produced by slicing non-catalog domains; boundary distances fall back
-    to ray shooting over a direction grid with golden-section refinement.
+    ``member_batch`` maps a complex array of points to a bool array.
+    Produced by slicing non-catalog domains; boundary distances come from
+    ``ray_boundary_batch`` over a direction grid with golden-section
+    refinement of the angle.
     """
 
-    def __init__(self, member: Callable[[complex], bool], label: str = "oracle",
-                 anchor_hint: complex | None = None):
-        self.member = member
+    def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
+                 label: str = "oracle"):
+        self.member_batch = member_batch
         self.label = label
         self.dimension = 1
-        self._anchor_hint = anchor_hint
         self._anchor_cache: complex | None = None
         self._boundary_cache: dict[int, np.ndarray] = {}
 
     def _contains(self, z):
-        return bool(self.member(complex(z[0])))
+        return bool(self.member_batch(np.asarray(z[:1], dtype=complex))[0])
 
     def contains_batch(self, Z):
-        return np.array([bool(self.member(complex(z))) for z in Z[:, 0]])
+        return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
+
+    def _rays(self, z: np.ndarray, angles: np.ndarray, t_max: float = 1e12) -> np.ndarray:
+        return ray_boundary_batch(self.contains_batch, z, np.exp(1j * angles)[:, None], t_max)
 
     def _delta(self, z):
-        z0 = complex(z[0])
-        inside = lambda w: self.member(complex(w[0]))
         grid = np.linspace(0.0, _TWO_PI, 96, endpoint=False)
-        ts = np.array([ray_boundary(inside, np.array([z0]), np.array([np.exp(1j * a)]))
-                       for a in grid])
+        ts = self._rays(z, grid)
         finite = np.isfinite(ts)
         if not finite.any():
             return math.inf
-        order = np.argsort(np.where(finite, ts, np.inf))
-
-        def t_of(a: float) -> float:
-            return ray_boundary(inside, np.array([z0]), np.array([np.exp(1j * a)]))
-
-        best = math.inf
-        for k in order[:3]:
-            a0 = grid[k]
-            lo, hi = a0 - grid[1], a0 + grid[1]
-            for _ in range(60):  # golden-section on the angle
-                m1 = lo + 0.381966011250105 * (hi - lo)
-                m2 = hi - 0.381966011250105 * (hi - lo)
-                if t_of(m1) <= t_of(m2):
-                    hi = m2
-                else:
-                    lo = m1
-            best = min(best, t_of(0.5 * (lo + hi)))
-        return best
+        # golden-section on the angle around the three shortest grid rays,
+        # all three brackets advancing together
+        a0 = grid[np.argsort(np.where(finite, ts, np.inf))[:3]]
+        lo, hi = a0 - grid[1], a0 + grid[1]
+        for _ in range(60):
+            m1 = lo + 0.381966011250105 * (hi - lo)
+            m2 = hi - 0.381966011250105 * (hi - lo)
+            t = self._rays(z, np.concatenate([m1, m2]))
+            left = t[:3] <= t[3:]
+            lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+        return float(np.min(self._rays(z, 0.5 * (lo + hi))))
 
     def _slice_set(self, p, v):
-        member = self.member
-        return PlanarOracle(lambda t: member(complex(p[0] + t * v[0])), label=self.label)
+        member_batch = self.member_batch
+        return PlanarOracle(lambda T: member_batch(p[0] + T * v[0]), label=self.label)
 
     @property
     def c_proper(self):
         return True  # oracle sets arise as slices of C-proper domains
 
     def anchor(self):
-        if self._anchor_cache is not None:
-            return as_point([self._anchor_cache])
-        if self._anchor_hint is not None and self.member(self._anchor_hint):
-            self._anchor_cache = self._anchor_hint
-            return as_point([self._anchor_cache])
-        for radius in np.geomspace(1e-3, 1e3, 25):
-            for a in np.linspace(0.0, _TWO_PI, 64, endpoint=False):
-                cand = radius * np.exp(1j * a)
-                if self.member(cand):
-                    self._anchor_cache = complex(cand)
-                    return as_point([self._anchor_cache])
-        if self.member(0.0):
-            self._anchor_cache = 0.0
-            return as_point([0.0])
-        raise EmptyWindow(f"could not find an interior point of {self.label}")
+        if self._anchor_cache is None:
+            rings = np.geomspace(1e-3, 1e3, 25)[:, None] * np.exp(
+                1j * np.linspace(0.0, _TWO_PI, 64, endpoint=False))
+            candidates = np.append(rings.ravel(), 0.0)
+            found = np.flatnonzero(self.member_batch(candidates))
+            if not found.size:
+                raise EmptyWindow(f"could not find an interior point of {self.label}")
+            self._anchor_cache = complex(candidates[found[0]])
+        return as_point([self._anchor_cache])
 
     def boundary_points(self, n: int = 256) -> np.ndarray:
-        if n in self._boundary_cache:
-            return self._boundary_cache[n]
-        z0 = self.anchor()[0]
-        inside = lambda w: self.member(complex(w[0]))
-        out = []
-        for a in np.linspace(0.0, _TWO_PI, n, endpoint=False):
-            t = ray_boundary(inside, np.array([z0]), np.array([np.exp(1j * a)]), t_max=1e8)
-            if math.isfinite(t):
-                out.append(z0 + t * np.exp(1j * a))
-        result = np.asarray(out, dtype=complex)
-        self._boundary_cache[n] = result
-        return result
+        if n not in self._boundary_cache:
+            z0 = self.anchor()
+            angles = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+            ts = self._rays(z0, angles, t_max=1e8)
+            finite = np.isfinite(ts)
+            self._boundary_cache[n] = z0[0] + ts[finite] * np.exp(1j * angles[finite])
+        return self._boundary_cache[n]
 
     def support_upper(self, a):
         a = as_point(a, 1)
@@ -1103,19 +1066,18 @@ def _delta_numeric(D: ConvexDomain, z: np.ndarray) -> float:
     """Boundary distance by direction search; used when no closed form exists."""
     from scipy.optimize import minimize as _minimize
 
-    inside = lambda w: D._contains(w)
     rng = np.random.default_rng(_FALLBACK_SEED)
     n = 128 if D.dimension == 1 else 512
     dirs = rng.normal(size=(n, 2 * D.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ts = np.array([ray_boundary(inside, z, _from_real(u)) for u in dirs])
+    ts = ray_boundary_batch(D.contains_batch, z, _from_real(dirs))
     order = np.argsort(ts)
 
     def t_of(x):
         nx = np.linalg.norm(x)
         if nx == 0:
             return math.inf
-        return ray_boundary(inside, z, _from_real(x / nx))
+        return ray_boundary_batch(D.contains_batch, z, _from_real(x / nx)[None, :])[0]
 
     best = float(ts[order[0]])
     for k in order[:4]:
@@ -1157,30 +1119,37 @@ def domain_to_json(D: ConvexDomain) -> dict:
 
 
 def domain_from_json(data: dict) -> ConvexDomain:
-    kind = data["type"]
-    if kind == "disk":
-        return Disk(complex(*data["center"]), data["radius"])
-    if kind == "halfplane":
-        return HalfPlane(complex(*data["boundary_point"]), complex(*data["inward_normal"]))
-    if kind == "sector":
-        return sector(complex(*data["vertex"]), data["alpha"], data["beta"])
-    if kind == "ball":
-        return Ball(point_from_json(data["center"]), data["radius"])
-    if kind == "polydisk":
-        return Polydisk(point_from_json(data["centers"]), data["radii"])
-    if kind == "product":
-        return Product(domain_from_json(data["left"]), domain_from_json(data["right"]))
-    if kind == "affine_image":
-        inner = domain_from_json(data["inner"])
-        d = inner.dimension
-        flat = [complex(re_, im_) for re_, im_ in data["matrix"]]
-        A = np.array(flat, dtype=complex).reshape(d, d)
-        return AffineImage(A, point_from_json(data["offset"]), inner)
-    if kind == "intersection":
-        return intersection([domain_from_json(m) for m in data["members"]])
-    if kind == "graph":
-        poly = RealPolynomial.from_json(data["polynomial"])
-        return Graph(DefiningFunction.from_polynomial(poly),
-                     point_from_json(data["interior_point"]),
-                     c_proper=data.get("c_proper", True))
+    if not isinstance(data, dict):
+        raise InvalidDomain(f"a domain node must be a JSON object, got {type(data).__name__}")
+    kind = data.get("type")
+    try:
+        if kind == "disk":
+            return Disk(complex(*data["center"]), data["radius"])
+        if kind == "halfplane":
+            return HalfPlane(complex(*data["boundary_point"]), complex(*data["inward_normal"]))
+        if kind == "sector":
+            return sector(complex(*data["vertex"]), data["alpha"], data["beta"])
+        if kind == "ball":
+            return Ball(point_from_json(data["center"]), data["radius"])
+        if kind == "polydisk":
+            return Polydisk(point_from_json(data["centers"]), data["radii"])
+        if kind == "product":
+            return Product(domain_from_json(data["left"]), domain_from_json(data["right"]))
+        if kind == "affine_image":
+            inner = domain_from_json(data["inner"])
+            d = inner.dimension
+            flat = [complex(re_, im_) for re_, im_ in data["matrix"]]
+            A = np.array(flat, dtype=complex).reshape(d, d)
+            return AffineImage(A, point_from_json(data["offset"]), inner)
+        if kind == "intersection":
+            return intersection([domain_from_json(m) for m in data["members"]])
+        if kind == "graph":
+            poly = RealPolynomial.from_json(data["polynomial"])
+            return Graph(DefiningFunction.from_polynomial(poly),
+                         point_from_json(data["interior_point"]),
+                         c_proper=data.get("c_proper", True))
+    except KeyError as exc:
+        raise InvalidDomain(f"{kind!r} domain node is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidDomain(f"{kind!r} domain node has a value of the wrong shape: {exc}") from None
     raise InvalidDomain(f"unknown domain type {kind!r}")

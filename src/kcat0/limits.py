@@ -147,7 +147,7 @@ def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.nda
     def inside(Z: np.ndarray) -> np.ndarray:
         return D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) < R)
 
-    ts = ray_boundary_batch(inside, anchor, directions)
+    ts = ray_boundary_batch(inside, anchor, directions, t_max=1e9)
     ts = np.where(np.isfinite(ts), ts, 0.0)
     return anchor[None, :] + ts[:, None] * directions
 

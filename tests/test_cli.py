@@ -72,6 +72,48 @@ class TestDistance:
         assert code == 1
         assert ":1:" in err  # line/column diagnostic
 
+    def test_stdout_is_one_json_document(self, capsys):
+        code, out, _ = run(["distance", "--builtin", "disk",
+                            "--from", "0", "--to", "0.5"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["distance"]["value"] == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["distance", "--builtin", "disk", "--from", "abc", "--to", "0.5"],
+         "error: --from: cannot parse complex literal 'abc'\n"),
+        (["distance", "--builtin", "disk", "--from", "0", "--to", "1+"],
+         "error: --to: cannot parse complex literal '1+'\n"),
+        (["certify", "--builtin", "disk", "--x", "0", "--y", "0.5", "--z", "zz"],
+         "error: --z: cannot parse complex literal 'zz'\n"),
+        (["certify", "--builtin", "disk", "--x", "0", "--y", "0.5"],
+         "error: --z is required\n"),
+        (["linetype", "--builtin-r", "quartic", "--point", "0,q"],
+         "error: --point: cannot parse complex literal 'q'\n"),
+        (["limits", "--experiment", "dilation-disk", "--n", "10", "--pairs", "0:x"],
+         "error: --pairs: cannot parse complex literal 'x'\n"),
+        (["limits", "--experiment", "dilation-disk", "--n", "10", "--pairs", "0.5"],
+         "error: --pairs: expected 'from:to', got '0.5'\n"),
+    ], ids=["from", "to", "z", "missing-z", "point", "pairs", "pairs-colon"])
+    def test_bad_point_is_one_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("spec, message", [
+        ('{"type": "disk"}', "error: 'disk' domain node is missing key 'center'\n"),
+        ('{"type": "disk", "center": 5, "radius": 1}',
+         "error: 'disk' domain node has a value of the wrong shape: "
+         "complex() argument after * must be an iterable, not int\n"),
+    ], ids=["missing-key", "wrong-shape"])
+    def test_schema_invalid_domain_is_one_line(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "dom.json"
+        path.write_text(spec)
+        code, out, err = run(["distance", "--domain", str(path),
+                              "--from", "0", "--to", "0.5"], capsys)
+        assert (code, out, err) == (1, "", message)
+
 
 class TestOtherCommands:
     def test_mconvex_polydisk_diverges(self, tmp_path, capsys):

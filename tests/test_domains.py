@@ -26,6 +26,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
+from kcat0.domains import ray_boundary_batch
 from kcat0.errors import DimensionMismatch, InvalidDomain, OutsideDomain
 
 from conftest import sample_in
@@ -278,3 +279,135 @@ class TestJson:
         G2 = domain_from_json(domain_to_json(G))
         assert G2.contains([0.5, 0.0])
         assert not G2.contains([0.9, 0.9])
+
+
+def _scalar_ray_boundary(inside, start, direction, t_max=1e12, rtol=1e-13):
+    """The scalar ray shooter that ray_boundary_batch replaced, kept as a reference."""
+    t = 1.0
+    while not inside(start + t * direction):
+        t *= 0.5
+        if t < 1e-300:
+            return 0.0
+    hi = t
+    while inside(start + hi * direction):
+        hi *= 2.0
+        if hi > t_max:
+            return math.inf
+    lo = hi / 2.0
+    for _ in range(200):
+        if hi - lo <= rtol * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if inside(start + mid * direction):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_ELLIPSOID = {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0,
+              (0, 0, 0, 2): 2.0, (0, 0, 0, 0): -1.0}
+
+
+def _ellipsoid_graph():
+    poly = RealPolynomial(2, _ELLIPSOID)
+    return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
+
+
+class TestRayShooting:
+    @pytest.mark.parametrize("D, start, t_max", [
+        (Disk(0.2, 1.5), [0.1j], 1e12),
+        (HalfPlane(0.0, 1j), [0.5j], 1e12),
+        (HalfPlane(0.0, 1j), [0.5j], 20.0),
+        (HalfPlane(0.0, 1j), [0.5], 1e12),
+        (_ellipsoid_graph(), [0.1, -0.2j], 1e12),
+    ], ids=["disk", "halfplane", "halfplane-t_max", "halfplane-boundary-start",
+            "ellipsoid-graph"])
+    def test_batch_equals_scalar(self, D, start, t_max, rng):
+        start = np.asarray(start, dtype=complex)
+        d = D.dimension
+        raw = rng.normal(size=(40, 2 * d))
+        dirs = raw[:, :d] + 1j * raw[:, d:]
+        dirs[0] = 1j  # inward: the half-plane never ends this way
+        dirs[1] = -1e-9j  # meets the half-plane's boundary at t = 5e8
+        ts = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max)
+        expect = [_scalar_ray_boundary(lambda w: D.contains(w), start, u, t_max=t_max)
+                  for u in dirs]
+        assert ts.tolist() == expect
+        if isinstance(D, HalfPlane):
+            assert ts[0] == math.inf
+            assert (ts[1] == math.inf) == (t_max < 5e8)
+            assert (0.0 in expect) == (start[0] == 0.5)
+
+    def test_graph_values_unchanged(self):
+        G = _ellipsoid_graph()
+        assert G._probe_radius() == 1.9140304992648112
+        S = G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]).planar
+        assert S.delta([0.05]) == 0.6899111631639983
+        assert S.support_upper([1 + 1j]) == 1.0519052134924742
+        assert S.boundary_points(512)[7] == 0.7521391498530944 + 0.06468423611831195j
+        assert G.delta([0.2, 0.1j]) == 0.5820396435630357
+
+    def test_delta_is_a_python_float(self):
+        G = _ellipsoid_graph()
+        assert type(G.delta([0.2, 0.1j])) is float
+        assert type(G.slice([0.1, 0.2j], [1, 0.3]).planar.delta([0.05])) is float
+
+    def test_probe_radius_is_computed_once(self):
+        poly = RealPolynomial(2, _ELLIPSOID)
+        calls = []
+
+        def r(z):
+            calls.append(1)
+            return poly(z)
+
+        G = Graph(DefiningFunction(2, r), interior_point=[0.0, 0.0])
+        a = [1.0, 0.5j]
+        G.support_upper(a)  # the first miss computes the radius
+        G._support_cache.clear()
+        calls.clear()
+        G.support_upper(a)  # a second miss runs SLSQP only
+        slsqp = len(calls)
+        G._probe_cache = None
+        calls.clear()
+        G._probe_radius()
+        rays = len(calls)
+        assert rays > 0
+        G._support_cache.clear()
+        G._probe_cache = None
+        calls.clear()
+        G.support_upper(a)
+        assert len(calls) == slsqp + rays
+
+    def test_callable_contains_batch_matches_value(self, rng):
+        r = lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)
+        G = Graph(DefiningFunction(2, r), interior_point=[0.0, 0.0])
+        raw = rng.normal(size=(60, 4)) * 0.7
+        Z = raw[:, :2] + 1j * raw[:, 2:]
+        assert G.contains_batch(Z).tolist() == [G.r.value(z) < 0 for z in Z]
+
+
+class TestJsonErrors:
+    def test_missing_key_names_node_and_key(self):
+        with pytest.raises(InvalidDomain, match="'disk'.*'center'"):
+            domain_from_json({"type": "disk"})
+
+    def test_missing_key_in_nested_node(self):
+        spec = {"type": "product", "left": {"type": "disk", "center": [0, 0], "radius": 1},
+                "right": {"type": "ball", "center": [[0, 0]]}}
+        with pytest.raises(InvalidDomain, match="'ball'.*'radius'"):
+            domain_from_json(spec)
+
+    def test_node_must_be_an_object(self):
+        with pytest.raises(InvalidDomain, match="JSON object, got list"):
+            domain_from_json({"type": "product", "left": [1, 2], "right": {}})
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "disk", "center": 5, "radius": 1},
+        {"type": "ball", "center": [[0, "x"]], "radius": 1},
+        {"type": "affine_image", "inner": {"type": "disk", "center": [0, 0], "radius": 1},
+         "matrix": [[1, 0], [2, 0]], "offset": [[0, 0]]},
+    ], ids=["disk-center", "ball-center", "affine-matrix"])
+    def test_wrong_shape_names_node(self, spec):
+        with pytest.raises(InvalidDomain, match=f"'{spec['type']}' domain node has a value of the wrong shape"):
+            domain_from_json(spec)
