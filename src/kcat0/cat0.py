@@ -184,25 +184,6 @@ def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,
     return ComparisonReport(a, b, c, d_ab, d_ac, d_bc, samples, float(max_slack))
 
 
-def _unit_speed_ray(D: ConvexDomain, w: np.ndarray):
-    """gamma(rho) with K(w, gamma(rho)) = arctanh(rho), rho in [0, 1)."""
-    from . import planar
-    from .metric import ball_mobius
-    from .domains import Ball
-
-    if D.dimension == 1:
-        ch = planar.exact_chart(D)
-        if ch is not None:
-            ch = ch.compose_mobius_at(complex(w[0]))
-            return lambda rho: as_point([ch.inverse(rho)])
-    if isinstance(D, Ball):
-        unit_w = (w - D.center) / D.radius
-        e1 = np.zeros(D.dimension, dtype=complex)
-        e1[0] = 1.0
-        return lambda rho: D.center + D.radius * ball_mobius(unit_w, rho * e1)
-    raise KCat0Error("product_certificate needs a charted planar domain or a ball")
-
-
 def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
                         seed: int = 0, base=None) -> Cat0Certificate:
     """CAT(0) violation certificate for the product D1 x D2.
@@ -227,7 +208,9 @@ def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
                          "resolvable range of the bounded factor")
     m, _ = midpoint_search(D1, x, y)
 
-    ray = _unit_speed_ray(D2, w)
+    ray = D2.unit_speed_ray(w)
+    if ray is None:
+        raise KCat0Error("product_certificate needs a charted planar domain or a ball")
 
     def dist_at(rho: float) -> float:
         return distance(D2, w, ray(rho)).midpoint

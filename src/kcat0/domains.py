@@ -15,6 +15,12 @@ is the product of its coordinate disks.  Every node answers:
                            direction), used to build certified
                            half-plane bounds.
 
+and answers for the Kobayashi geometry in ``metric`` from its own closed
+forms (the defaults being the planar chart path and the generic convex
+estimate): ``chart``, ``metric_bounds``, ``exact_distance``,
+``exact_geodesic``, ``exact_midpoint``, ``unit_speed_ray``,
+``polydisk_slack`` and the sandwich's reductions.
+
 Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
 and it hands each batched membership call all the rays still running.
@@ -33,12 +39,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import planar
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     EmptyWindow,
     InvalidDomain,
     OutsideDomain,
 )
+from .interval import DistanceInterval
+from .planar import ConformalChart
 from .points import as_point, point_from_json, point_to_json
 
 _TWO_PI = 2.0 * math.pi
@@ -302,7 +312,7 @@ class ConvexDomain:
         # the exact-chart tag marks structural catalog slices only; derived
         # exact treatments (lens reductions) do not set it
         return PlanarSlice(base=p, direction=v, planar=planar,
-                           exact_chart=isinstance(planar, (Disk, HalfPlane, Sector)))
+                           exact_chart=planar.catalog_chart)
 
     def _slice_set(self, p: np.ndarray, v: np.ndarray) -> "ConvexDomain":
         raise NotImplementedError
@@ -326,6 +336,79 @@ class ConvexDomain:
 
     def __repr__(self) -> str:  # compact structural form, good for reports
         return f"{type(self).__name__}(d={self.dimension})"
+
+    # -- Kobayashi geometry (defaults; catalog nodes override them) ----------
+
+    exact_tag = "exact-chart"   # method tag of a closed-form metric value
+    fast_delta_dir = False      # directional boundary distances in closed form
+    catalog_chart = False       # a planar catalog node with its own chart
+
+    def chart(self) -> ConformalChart | None:
+        """Conformal chart onto the unit disk, or None."""
+        return None
+
+    def metric_bounds(self, Z: np.ndarray, V: np.ndarray):
+        """Bounds (lo, hi) on the infinitesimal metric at rows Z on rows V."""
+        zero = ~np.any(V != 0, axis=1)
+        norms = np.linalg.norm(V, axis=1)
+        delta = np.ones(Z.shape[0])
+        if (~zero).any():
+            delta[~zero] = self.delta_dir_batch(Z[~zero], V[~zero])
+        hi = np.where(zero, 0.0, norms / delta)
+        return 0.5 * hi, hi
+
+    def metric_hi_smooth(self, Z: np.ndarray, V: np.ndarray, p: float) -> np.ndarray:
+        """Upper metric with max-type combinations softened to a p-norm, which
+        dominates the max (so lengths stay upper bounds) and gives the path
+        optimizer a landscape without max kinks."""
+        return self.metric_bounds(Z, V)[1]
+
+    def exact_distance(self, x: np.ndarray, y: np.ndarray) -> DistanceInterval | None:
+        """Structurally exact Kobayashi distance, or None."""
+        ch = self.chart()
+        if ch is None:
+            return None
+        val = planar.disk_distance(ch.forward(complex(x[0])), ch.forward(complex(y[0])))
+        return DistanceInterval.exact(val, "exact-chart")
+
+    def exact_geodesic(self, x: np.ndarray, y: np.ndarray) -> Callable | None:
+        """t -> point at t in [0, 1] of the constant-speed geodesic, or None."""
+        ch = self.chart()
+        if ch is None:
+            return None
+        if np.array_equal(x, y):
+            return lambda t: x.copy()
+        a, b = ch.forward(complex(x[0])), ch.forward(complex(y[0]))
+        return lambda t: as_point([ch.inverse(planar.disk_geodesic(a, b, t))])
+
+    def exact_midpoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        """Midpoint of the exact geodesic, or None."""
+        g = self.exact_geodesic(x, y)
+        return None if g is None else g(0.5)
+
+    def unit_speed_ray(self, w: np.ndarray) -> Callable | None:
+        """rho -> the point at distance arctanh(rho) from w on a geodesic ray, or None."""
+        ch = self.chart()
+        if ch is None:
+            return None
+        ch = ch.compose_mobius_at(complex(w[0]))
+        return lambda rho: as_point([ch.inverse(rho)])
+
+    def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> float | None:
+        """Margin by which the closed polydisk with these centers/radii sits
+        inside (positive: strictly), or None where no structural test exists."""
+        return None
+
+    def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
+                         optimize_path: bool | None) -> float | None:
+        """Lower bound for K(x, y) from ``distance`` on the domains this one
+        maps into holomorphically (factors, members), or None."""
+        return None
+
+    def preimage_pair(self, x: np.ndarray, y: np.ndarray):
+        """(inner, x', y') when this node is a biholomorphic image of ``inner``
+        carrying x', y' to x, y; else None."""
+        return None
 
 
 def _hdot(z: np.ndarray, a: np.ndarray) -> complex:
@@ -371,6 +454,23 @@ class Disk(ConvexDomain):
         return {"type": "disk",
                 "center": [self.center.real, self.center.imag],
                 "radius": self.radius}
+
+    fast_delta_dir = True
+    catalog_chart = True
+
+    def chart(self):
+        c, r = self.center, self.radius
+        return ConformalChart(lambda z: (z - c) / r,
+                              lambda z: 1.0 / r,
+                              lambda u: c + r * u,
+                              "disk")
+
+    def metric_bounds(self, Z, V):
+        k = np.abs(V[:, 0]) * self.radius / (self.radius ** 2 - np.abs(Z[:, 0] - self.center) ** 2)
+        return k, k.copy()
+
+    def polydisk_slack(self, centers, radii):
+        return self.radius - (abs(centers[0] - self.center) + radii[0])
 
 
 class HalfPlane(ConvexDomain):
@@ -420,6 +520,33 @@ class HalfPlane(ConvexDomain):
         return {"type": "halfplane",
                 "boundary_point": [self.boundary_point.real, self.boundary_point.imag],
                 "inward_normal": [self.inward_normal.real, self.inward_normal.imag]}
+
+    fast_delta_dir = True
+    catalog_chart = True
+
+    def chart(self):
+        p, n = self.boundary_point, self.inward_normal
+        cf, cd, ci = planar.cayley()
+
+        def forward(z):
+            return cf(1j * (z - p) * np.conj(n))
+
+        def derivative(z):
+            return cd(1j * (z - p) * np.conj(n)) * 1j * np.conj(n)
+
+        def inverse(u):
+            return p + (-1j * ci(u)) * n
+
+        return ConformalChart(forward, derivative, inverse, "halfplane")
+
+    def metric_bounds(self, Z, V):
+        dist = ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
+        k = np.abs(V[:, 0]) / (2.0 * dist)
+        return k, k.copy()
+
+    def polydisk_slack(self, centers, radii):
+        margin = ((centers[0] - self.boundary_point) * np.conj(self.inward_normal)).real
+        return margin - radii[0]
 
 
 class Sector(ConvexDomain):
@@ -495,6 +622,45 @@ class Sector(ConvexDomain):
                 "vertex": [self.vertex.real, self.vertex.imag],
                 "alpha": self.alpha, "beta": self.beta}
 
+    fast_delta_dir = True
+    catalog_chart = True
+
+    def chart(self):
+        V, alpha = self.vertex, self.alpha
+        q = math.pi / self.opening
+        rot = np.exp(-1j * alpha)
+        cf, cd, ci = planar.cayley()
+
+        # branch cut stays outside: after rotation the sector is
+        # {arg in (0, theta)} with theta < pi, inside the principal branch
+        def forward(z):
+            w = (z - V) * rot
+            s = np.exp(q * np.log(w))
+            return cf(s)
+
+        def derivative(z):
+            w = (z - V) * rot
+            s = np.exp(q * np.log(w))
+            return cd(s) * q * np.exp((q - 1) * np.log(w)) * rot
+
+        def inverse(u):
+            s = ci(u)
+            w = np.exp(np.log(s) / q)
+            return V + w / rot
+
+        return ConformalChart(forward, derivative, inverse, "sector")
+
+    def metric_bounds(self, Z, V):
+        ch = self.chart()
+        u = ch.forward(Z[:, 0])
+        k = np.abs(ch.derivative(Z[:, 0]) * V[:, 0]) / (1.0 - np.abs(u) ** 2)
+        return k, k.copy()
+
+    def polydisk_slack(self, centers, radii):
+        if not self._contains(centers[:1]):
+            return -abs(centers[0] - self.vertex) - radii[0]
+        return self._delta(centers[:1]) - radii[0]
+
 
 def sector(vertex: complex = 0.0, alpha: float = 0.0, beta: float = math.pi / 2) -> ConvexDomain:
     """Sector factory; an opening of exactly pi becomes a HalfPlane."""
@@ -539,8 +705,8 @@ class Ball(ConvexDomain):
     def _delta(self, z):
         return self.radius - float(np.linalg.norm(z - self.center))
 
-    def _slice_disk(self, p, v):
-        """The slice of a ball is always a disk in the parameter plane."""
+    def _slice_set(self, p, v):
+        # the slice of a ball is always a disk in the parameter plane
         w = p - self.center
         nv2 = float(np.vdot(v, v).real)
         wv = _hdot(w, v)  # <w, v>
@@ -549,9 +715,6 @@ class Ball(ConvexDomain):
         if rho2 <= 0:
             raise OutsideDomain("complex line does not meet the ball")
         return Disk(center, math.sqrt(rho2))
-
-    def _slice_set(self, p, v):
-        return self._slice_disk(p, v)
 
     def delta_dir_batch(self, Z, V):
         W = Z - self.center[None, :]
@@ -576,6 +739,68 @@ class Ball(ConvexDomain):
         return {"type": "ball", "center": point_to_json(self.center),
                 "radius": self.radius}
 
+    fast_delta_dir = True
+
+    def metric_bounds(self, Z, V):
+        zs = (Z - self.center[None, :]) / self.radius
+        vs = V / self.radius
+        one = 1.0 - np.sum(np.abs(zs) ** 2, axis=1)
+        pair = np.abs(np.sum(vs * np.conj(zs), axis=1)) ** 2
+        k = np.sqrt(np.sum(np.abs(vs) ** 2, axis=1) * one + pair) / one
+        return k, k.copy()
+
+    def exact_distance(self, x, y):
+        if self.dimension == 1:
+            return None  # planar nodes are exact through a chart only
+        zs = (x - self.center) / self.radius
+        ws = (y - self.center) / self.radius
+        num = (1 - float(np.sum(np.abs(zs) ** 2))) * (1 - float(np.sum(np.abs(ws) ** 2)))
+        # the pairing is accumulated in real arithmetic so that swapping the
+        # arguments flips only the sign of the imaginary part, keeping the
+        # distance bit-for-bit symmetric
+        re = float(np.sum(zs.real * ws.real + zs.imag * ws.imag))
+        im = float(np.sum(zs.imag * ws.real - zs.real * ws.imag))
+        den = (1.0 - re) ** 2 + im * im
+        arg = max(0.0, 1.0 - num / den)
+        return DistanceInterval.exact(float(np.arctanh(math.sqrt(min(arg, 1.0 - 1e-17)))),
+                                      "exact-chart")
+
+    def exact_geodesic(self, x, y):
+        if self.dimension == 1:
+            return None
+        if np.array_equal(x, y):
+            return lambda t: x.copy()
+        unit_x = (x - self.center) / self.radius
+        w = ball_mobius(unit_x, (y - self.center) / self.radius)
+        rho = float(np.linalg.norm(w))
+        u = w / rho
+        return lambda t: self.center + self.radius * ball_mobius(
+            unit_x, math.tanh(t * math.atanh(rho)) * u)
+
+    def unit_speed_ray(self, w):
+        unit_w = (w - self.center) / self.radius
+        e1 = np.zeros(self.dimension, dtype=complex)
+        e1[0] = 1.0
+        return lambda rho: self.center + self.radius * ball_mobius(unit_w, rho * e1)
+
+    def polydisk_slack(self, centers, radii):
+        reach = np.abs(centers - self.center) + radii
+        return self.radius - math.sqrt(float(np.sum(reach ** 2)))
+
+
+def ball_mobius(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Involutive automorphism of the unit ball exchanging 0 and a."""
+    a = np.asarray(a, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    na2 = float(np.sum(np.abs(a) ** 2))
+    if na2 == 0:
+        return -z
+    za = complex(np.sum(z * np.conj(a)))
+    pz = (za / na2) * a
+    qz = z - pz
+    s = math.sqrt(max(0.0, 1.0 - na2))
+    return (a - pz - s * qz) / (1.0 - za)
+
 
 class Product(ConvexDomain):
     """Cartesian product of any number of factors, in coordinate order."""
@@ -590,6 +815,7 @@ class Product(ConvexDomain):
         # evaluation
         self._slices = tuple(slice(int(e) - f.dimension, int(e))
                              for f, e in zip(self.factors, ends))
+        self.fast_delta_dir = all(f.fast_delta_dir for f in self.factors)
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         """One view per factor along the last axis (a point or rows of points)."""
@@ -640,6 +866,59 @@ class Product(ConvexDomain):
         return {"type": "product", "left": self.factors[0].to_spec(),
                 "right": Product(*self.factors[1:]).to_spec()}
 
+    # the Kobayashi metric of a product is the max over its factors
+    exact_tag = "product-max"
+
+    def metric_bounds(self, Z, V):
+        los, his = zip(*[f.metric_bounds(Zf, Vf)
+                         for f, Zf, Vf in zip(self.factors, self.split(Z), self.split(V))])
+        return reduce(np.maximum, los), reduce(np.maximum, his)
+
+    def metric_hi_smooth(self, Z, V, p):
+        return sum(f.metric_hi_smooth(Zf, Vf, p) ** p
+                   for f, Zf, Vf in zip(self.factors, self.split(Z), self.split(V))) ** (1.0 / p)
+
+    def exact_distance(self, x, y):
+        if self.dimension == 1:
+            return None  # planar nodes are exact through a chart only
+        parts = [f.exact_distance(xf, yf)
+                 for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
+        if None in parts:
+            return None
+        return DistanceInterval(max(p.lo for p in parts), max(p.hi for p in parts),
+                                frozenset({"product-max"}).union(*(p.methods for p in parts)))
+
+    def exact_geodesic(self, x, y):
+        parts = [f.exact_geodesic(xf, yf)
+                 for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
+        if None in parts:
+            return None
+        return lambda t: np.concatenate([g(t) for g in parts])
+
+    def exact_midpoint(self, x, y):
+        """Midpoint with the tie-break rule: in a max-metric product a factor
+        whose separation is at most half the largest one is held at its start;
+        every other factor moves to its own midpoint."""
+        parts = list(zip(self.factors, self.split(x), self.split(y)))
+        dists = [f.exact_distance(px, py) for f, px, py in parts]
+        if self.dimension == 1 or None in dists:
+            return None
+        top = max(e.lo for e in dists)
+        return np.concatenate([
+            px.copy() if e.lo <= 0.5 * top and e.lo < top  # hold the slack factor
+            else f.exact_midpoint(px, py)
+            for (f, px, py), e in zip(parts, dists)])
+
+    def polydisk_slack(self, centers, radii):
+        slacks = [f.polydisk_slack(c, r)
+                  for f, c, r in zip(self.factors, self.split(centers), self.split(radii))]
+        return None if None in slacks else min(slacks)
+
+    def projection_lower(self, x, y, distance, optimize_path):
+        # each coordinate projection is a holomorphic contraction
+        return max(distance(f, xf, yf, optimize_path=optimize_path).lo
+                   for f, xf, yf in zip(self.factors, self.split(x), self.split(y)))
+
 
 class Polydisk(Product):
     """The product of the disks |z_j - centers_j| < radii_j."""
@@ -670,10 +949,11 @@ class AffineImage(ConvexDomain):
         self.inner = inner
         self.inverse = np.linalg.inv(A)
         self.dimension = inner.dimension
+        self.fast_delta_dir = inner.fast_delta_dir
         # conformal factor when A is a scalar multiple of a unitary matrix
         gram = A.conj().T @ A
         s2 = gram[0, 0].real
-        if np.allclose(gram, s2 * np.eye(self.dimension), atol=1e-12 * max(1.0, s2)):
+        if np.allclose(gram, s2 * np.eye(self.dimension), rtol=0.0, atol=1e-12 * max(1.0, s2)):
             self._conformal_scale = math.sqrt(s2)
         else:
             self._conformal_scale = None
@@ -684,12 +964,14 @@ class AffineImage(ConvexDomain):
     def push_forward(self, z: np.ndarray) -> np.ndarray:
         return self.matrix @ z + self.offset
 
+    def _pull_back_rows(self, Z: np.ndarray) -> np.ndarray:
+        return (Z - self.offset[None, :]) @ self.inverse.T
+
     def _contains(self, z):
         return self.inner._contains(self.pull_back(z))
 
     def contains_batch(self, Z):
-        W = (Z - self.offset[None, :]) @ self.inverse.T
-        return self.inner.contains_batch(W)
+        return self.inner.contains_batch(self._pull_back_rows(Z))
 
     def _delta(self, z):
         w = self.pull_back(z)
@@ -702,9 +984,8 @@ class AffineImage(ConvexDomain):
         return self.inner.slice(self.pull_back(p), self.inverse @ v).planar
 
     def delta_dir_batch(self, Z, V):
-        W = (Z - self.offset[None, :]) @ self.inverse.T
         U = V @ self.inverse.T
-        base = self.inner.delta_dir_batch(W, U)
+        base = self.inner.delta_dir_batch(self._pull_back_rows(Z), U)
         # rescale from parameter-plane units back to ambient units
         return base * np.linalg.norm(V, axis=1) / np.linalg.norm(U, axis=1)
 
@@ -726,6 +1007,60 @@ class AffineImage(ConvexDomain):
                 "offset": point_to_json(self.offset),
                 "inner": self.inner.to_spec()}
 
+    # an affine image is biholomorphic to its inner domain; in dimension 1
+    # its exact geometry goes through the composed chart instead
+    exact_tag = "affine-invariance"
+
+    def chart(self):
+        inner = self.inner.chart()
+        if inner is None:
+            return None
+        a = complex(self.matrix[0, 0])
+        b = complex(self.offset[0])
+        return ConformalChart(
+            forward=lambda z: inner.forward((z - b) / a),
+            derivative=lambda z: inner.derivative((z - b) / a) / a,
+            inverse=lambda u: a * inner.inverse(u) + b,
+            tag=inner.tag + "+affine",
+        )
+
+    def metric_bounds(self, Z, V):
+        return self.inner.metric_bounds(self._pull_back_rows(Z), V @ self.inverse.T)
+
+    def metric_hi_smooth(self, Z, V, p):
+        return self.inner.metric_hi_smooth(self._pull_back_rows(Z), V @ self.inverse.T, p)
+
+    def exact_distance(self, x, y):
+        if self.dimension == 1:
+            return super().exact_distance(x, y)
+        inner = self.inner.exact_distance(self.pull_back(x), self.pull_back(y))
+        return None if inner is None else inner.with_tags("affine-invariance")
+
+    def exact_geodesic(self, x, y):
+        if self.dimension == 1:
+            return super().exact_geodesic(x, y)
+        if np.array_equal(x, y):
+            return lambda t: x.copy()
+        inner = self.inner.exact_geodesic(self.pull_back(x), self.pull_back(y))
+        return None if inner is None else (lambda t: self.push_forward(inner(t)))
+
+    def exact_midpoint(self, x, y):
+        if self.dimension == 1:
+            return super().exact_midpoint(x, y)
+        inner = self.inner.exact_midpoint(self.pull_back(x), self.pull_back(y))
+        return None if inner is None else self.push_forward(inner)
+
+    def polydisk_slack(self, centers, radii):
+        # only an exactly diagonal matrix maps polydisks to polydisks; a tiny
+        # off-diagonal entry shears the preimage outside the inner test
+        diag = np.diag(self.matrix)
+        if not np.array_equal(self.matrix, np.diag(diag)):
+            return None
+        return self.inner.polydisk_slack((centers - self.offset) / diag, radii / np.abs(diag))
+
+    def preimage_pair(self, x, y):
+        return self.inner, self.pull_back(x), self.pull_back(y)
+
 
 class Intersection(ConvexDomain):
     def __init__(self, members: Sequence[ConvexDomain]):
@@ -737,6 +1072,7 @@ class Intersection(ConvexDomain):
             raise DimensionMismatch("intersection members must share a dimension")
         self.members = members
         self.dimension = d
+        self.fast_delta_dir = all(m.fast_delta_dir for m in members)
 
     def _contains(self, z):
         return all(m._contains(z) for m in self.members)
@@ -795,6 +1131,149 @@ class Intersection(ConvexDomain):
     def to_spec(self):
         return {"type": "intersection",
                 "members": [m.to_spec() for m in self.members]}
+
+    def chart(self):
+        if len(self.members) == 2 and all(isinstance(m, (Disk, HalfPlane)) for m in self.members):
+            return _lens_chart(*self.members)
+        return None
+
+    def polydisk_slack(self, centers, radii):
+        slacks = [m.polydisk_slack(centers, radii) for m in self.members]
+        return None if None in slacks else min(slacks)
+
+    def projection_lower(self, x, y, distance, optimize_path):
+        # each C-proper member contains the domain: inclusion is a contraction
+        return max((distance(m, x, y, optimize_path=False).lo
+                    for m in self.members if m.c_proper), default=0.0)
+
+
+# -- exact charts of two-member lenses and wedges -----------------------------
+
+
+def _circle_line_points(disk: Disk, hp: HalfPlane):
+    tangent = 1j * hp.inward_normal
+    foot = hp.boundary_point + ((disk.center - hp.boundary_point) * np.conj(tangent)).real * tangent
+    dist = abs(disk.center - foot)
+    if dist >= disk.radius - 1e-14:
+        return None
+    h = math.sqrt(disk.radius ** 2 - dist ** 2)
+    return foot + h * tangent, foot - h * tangent, h
+
+
+def _circle_circle_points(d1: Disk, d2: Disk):
+    sep = abs(d2.center - d1.center)
+    if sep < 1e-15 or sep >= d1.radius + d2.radius - 1e-14 or \
+            sep <= abs(d1.radius - d2.radius) + 1e-14:
+        return None
+    a = (sep ** 2 + d1.radius ** 2 - d2.radius ** 2) / (2 * sep)
+    h2 = d1.radius ** 2 - a ** 2
+    if h2 <= 0:
+        return None
+    h = math.sqrt(h2)
+    e = (d2.center - d1.center) / sep
+    mid = d1.center + a * e
+    return mid + h * 1j * e, mid - h * 1j * e, h
+
+
+def _arc_sample(disk: Disk, P: complex, Q: complex, other: ConvexDomain) -> complex:
+    """A point of the circle strictly between P and Q on the lens boundary."""
+    a1 = np.angle(P - disk.center)
+    a2 = np.angle(Q - disk.center)
+    for mid_angle in (0.5 * (a1 + a2), 0.5 * (a1 + a2) + math.pi):
+        cand = disk.center + disk.radius * np.exp(1j * mid_angle)
+        if _closure_contains(other, cand):
+            return complex(cand)
+    # fall back to a finer scan of the circle
+    for frac in np.linspace(0.05, 0.95, 19):
+        ang = a1 + frac * ((a2 - a1) % (2 * math.pi))
+        cand = disk.center + disk.radius * np.exp(1j * ang)
+        if _closure_contains(other, cand):
+            return complex(cand)
+    raise DegenerateInput("could not locate the lens arc")
+
+
+def _closure_contains(D: ConvexDomain, z: complex, tol: float = 1e-12) -> bool:
+    if isinstance(D, Disk):
+        return abs(z - D.center) <= D.radius + tol
+    return ((z - D.boundary_point) * np.conj(D.inward_normal)).real >= -tol
+
+
+def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
+    """Intersection of two transversal half-planes as an exact sector."""
+    n1, n2 = h1.inward_normal, h2.inward_normal
+    cross = (np.conj(1j * n1) * (1j * n2)).imag  # sine of the line angle
+    if abs(cross) < 1e-13:
+        return None  # parallel boundaries: a strip or empty, no sector chart
+    # vertex: solve p1 + t d1 = p2 + s d2 with d_i the line directions
+    d1, d2 = 1j * n1, 1j * n2
+    A = np.array([[d1.real, -d2.real], [d1.imag, -d2.imag]])
+    rhs = np.array([(h2.boundary_point - h1.boundary_point).real,
+                    (h2.boundary_point - h1.boundary_point).imag])
+    t, _ = np.linalg.solve(A, rhs)
+    vertex = h1.boundary_point + t * d1
+    l1 = np.angle(n1) - math.pi / 2
+    l2 = np.angle(n2) - math.pi / 2
+    d = math.remainder(l2 - l1, 2 * math.pi)
+    alpha = l1 + max(d, 0.0)
+    opening = math.pi - abs(d)
+    if opening <= 1e-13:
+        return None
+    return sector(vertex, alpha, alpha + opening)
+
+
+def _lens_chart(m1: ConvexDomain, m2: ConvexDomain) -> ConformalChart | None:
+    """Chart for the intersection of two disks / half-planes.
+
+    The Mobius map (z - P)/(z - Q) sends both boundary circles through the
+    crossing points P, Q to rays from the origin; the lens becomes a
+    sector whose opening is the crossing angle.
+    """
+    if isinstance(m1, HalfPlane) and isinstance(m2, HalfPlane):
+        wedge = _wedge_sector(m1, m2)
+        return wedge.chart() if wedge is not None else None
+
+    if isinstance(m1, HalfPlane):
+        m1, m2 = m2, m1
+    if isinstance(m2, HalfPlane):
+        res = _circle_line_points(m1, m2)
+        if res is None:
+            return None
+        P, Q, h = res
+        mid = 0.5 * (P + Q)
+        depth = min(0.5 * (m1.radius - abs(mid - m1.center)), 0.5 * h)
+        sample = mid + depth * m2.inward_normal
+        boundary_samples = (_arc_sample(m1, P, Q, m2), mid)
+    else:
+        res = _circle_circle_points(m1, m2)
+        if res is None:
+            return None
+        P, Q, _ = res
+        sample = 0.5 * (P + Q)
+        boundary_samples = (_arc_sample(m1, P, Q, m2), _arc_sample(m2, P, Q, m1))
+
+    T = lambda z: (z - P) / (z - Q)
+    T_der = lambda z: (P - Q) / (z - Q) ** 2
+    T_inv = lambda s: (P - s * Q) / (1 - s)
+
+    angles = [float(np.angle(T(b))) for b in boundary_samples]
+    phi = float(np.angle(T(sample)))
+    a1, a2 = angles
+    sec = None
+    for alpha, other in ((a1, a2), (a2, a1)):
+        opening = (other - alpha) % (2 * math.pi)
+        inside = (phi - alpha) % (2 * math.pi)
+        if 0 < opening < math.pi + 1e-12 and 0 < inside < opening:
+            sec = sector(0.0, alpha, alpha + opening)
+            break
+    if sec is None:
+        return None
+    inner = sec.chart()
+    return ConformalChart(
+        forward=lambda z: inner.forward(T(z)),
+        derivative=lambda z: inner.derivative(T(z)) * T_der(z),
+        inverse=lambda u: T_inv(inner.inverse(u)),
+        tag="lens",
+    )
 
 
 def ray_dist_outside(D: ConvexDomain, z: np.ndarray) -> float:

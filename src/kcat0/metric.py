@@ -15,33 +15,21 @@ estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import planar
-from .domains import (
-    AffineImage,
-    Ball,
-    ConvexDomain,
-    Disk,
-    Graph,
-    HalfPlane,
-    Intersection,
-    PlanarOracle,
-    Product,
-    Sector,
-)
+from .domains import ConvexDomain, HalfPlane, PlanarOracle, ball_mobius  # noqa: F401
 from .errors import (
-    DegenerateInput,
     InvalidDomain,
     KCat0Error,
     MidpointNotCertified,
     OutsideDomain,
     PseudoDistanceOnly,
 )
+from .interval import DistanceInterval
 from .points import as_point
 
 FUNCTIONAL_GRID_SIZE = 64
@@ -54,45 +42,6 @@ OPTIMIZER_MAX_ROUNDS = 40
 MIDPOINT_TOL_EXACT = 1e-9
 MIDPOINT_TOL_NUMERIC = 1e-4
 _PENALTY = 1e6
-
-
-@dataclass(frozen=True)
-class DistanceInterval:
-    """Certified bounds [lo, hi] on a Kobayashi distance, with method tags."""
-
-    lo: float
-    hi: float
-    methods: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if not (self.lo <= self.hi + 1e-12):
-            raise KCat0Error(f"inconsistent interval [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def exact(value: float, *tags: str) -> "DistanceInterval":
-        return DistanceInterval(value, value, frozenset(tags))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def with_tags(self, *tags: str) -> "DistanceInterval":
-        return DistanceInterval(self.lo, self.hi, self.methods | frozenset(tags))
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "methods": sorted(self.methods)}
-
-
-def interval_max(a: DistanceInterval, b: DistanceInterval) -> DistanceInterval:
-    return DistanceInterval(max(a.lo, b.lo), max(a.hi, b.hi), a.methods | b.methods)
 
 
 @dataclass
@@ -161,44 +110,7 @@ class Geodesic:
 
 def metric_bounds_batch(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
     """Vectorized infinitesimal bounds (lo, hi) at rows of Z with vectors V."""
-    Z = np.asarray(Z, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    if isinstance(D, Disk):
-        k = np.abs(V[:, 0]) * D.radius / (D.radius ** 2 - np.abs(Z[:, 0] - D.center) ** 2)
-        return k, k.copy()
-    if isinstance(D, HalfPlane):
-        dist = ((Z[:, 0] - D.boundary_point) * np.conj(D.inward_normal)).real
-        k = np.abs(V[:, 0]) / (2.0 * dist)
-        return k, k.copy()
-    if isinstance(D, Sector):
-        ch = planar.chart(D)
-        u = ch.forward(Z[:, 0])
-        k = np.abs(ch.derivative(Z[:, 0]) * V[:, 0]) / (1.0 - np.abs(u) ** 2)
-        return k, k.copy()
-    if isinstance(D, Ball):
-        zs = (Z - D.center[None, :]) / D.radius
-        vs = V / D.radius
-        one = 1.0 - np.sum(np.abs(zs) ** 2, axis=1)
-        pair = np.abs(np.sum(vs * np.conj(zs), axis=1)) ** 2
-        k = np.sqrt(np.sum(np.abs(vs) ** 2, axis=1) * one + pair) / one
-        return k, k.copy()
-    if isinstance(D, Product):
-        los, his = zip(*[metric_bounds_batch(f, Zf, Vf)
-                         for f, Zf, Vf in zip(D.factors, D.split(Z), D.split(V))])
-        return reduce(np.maximum, los), reduce(np.maximum, his)
-    if isinstance(D, AffineImage):
-        W = (Z - D.offset[None, :]) @ D.inverse.T
-        U = V @ D.inverse.T
-        return metric_bounds_batch(D.inner, W, U)
-    # generic convex estimate through the directional boundary distance
-    zero = ~np.any(V != 0, axis=1)
-    norms = np.linalg.norm(V, axis=1)
-    delta = np.ones(Z.shape[0])
-    if (~zero).any():
-        delta[~zero] = D.delta_dir_batch(Z[~zero], V[~zero])
-    hi = np.where(zero, 0.0, norms / delta)
-    lo = 0.5 * hi
-    return lo, hi
+    return D.metric_bounds(np.asarray(Z, dtype=complex), np.asarray(V, dtype=complex))
 
 
 def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
@@ -212,29 +124,8 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
     lo, hi = metric_bounds_batch(D, z[None, :], v[None, :])
     lo, hi = float(lo[0]), float(hi[0])
     if hi == lo:
-        return DistanceInterval.exact(lo, _exact_tag(D))
+        return DistanceInterval.exact(lo, D.exact_tag)
     return DistanceInterval(lo, hi, frozenset({"delta-bound"}))
-
-
-def _exact_tag(D: ConvexDomain) -> str:
-    if isinstance(D, Product):
-        return "product-max"
-    if isinstance(D, AffineImage):
-        return "affine-invariance"
-    return "exact-chart"
-
-
-def _has_fast_delta_dir(D: ConvexDomain) -> bool:
-    """True when directional boundary distances come in closed form."""
-    if isinstance(D, (Disk, HalfPlane, Sector, Ball)):
-        return True
-    if isinstance(D, Product):
-        return all(_has_fast_delta_dir(f) for f in D.factors)
-    if isinstance(D, AffineImage):
-        return _has_fast_delta_dir(D.inner)
-    if isinstance(D, Intersection):
-        return all(_has_fast_delta_dir(m) for m in D.members)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +156,7 @@ def curve_length(D: ConvexDomain, path: DiscretePath,
     lo_len = float(np.sum(lo * weights))
     hi_len = float(np.sum(hi * weights))
     if lo_len == hi_len:
-        return DistanceInterval.exact(lo_len, _exact_tag(D))
+        return DistanceInterval.exact(lo_len, D.exact_tag)
     return DistanceInterval(lo_len, hi_len, frozenset({"delta-bound"}))
 
 
@@ -276,91 +167,17 @@ def curve_length(D: ConvexDomain, path: DiscretePath,
 
 def exact_distance(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> DistanceInterval | None:
     """Structurally exact Kobayashi distance, or None."""
-    if D.dimension == 1:
-        ch = planar.exact_chart(D)
-        if ch is None:
-            return None
-        val = planar.disk_distance(ch.forward(complex(x[0])), ch.forward(complex(y[0])))
-        return DistanceInterval.exact(val, "exact-chart")
-    if isinstance(D, Ball):
-        return DistanceInterval.exact(_ball_distance(D, x, y), "exact-chart")
-    if isinstance(D, Product):
-        parts = [exact_distance(f, xf, yf)
-                 for f, xf, yf in zip(D.factors, D.split(x), D.split(y))]
-        if None in parts:
-            return None
-        return reduce(interval_max, parts).with_tags("product-max")
-    if isinstance(D, AffineImage):
-        inner = exact_distance(D.inner, D.pull_back(x), D.pull_back(y))
-        return None if inner is None else inner.with_tags("affine-invariance")
-    return None
-
-
-def _ball_distance(D: Ball, x: np.ndarray, y: np.ndarray) -> float:
-    zs = (x - D.center) / D.radius
-    ws = (y - D.center) / D.radius
-    num = (1 - float(np.sum(np.abs(zs) ** 2))) * (1 - float(np.sum(np.abs(ws) ** 2)))
-    # the pairing is accumulated in real arithmetic so that swapping the
-    # arguments flips only the sign of the imaginary part, keeping the
-    # distance bit-for-bit symmetric
-    re = float(np.sum(zs.real * ws.real + zs.imag * ws.imag))
-    im = float(np.sum(zs.imag * ws.real - zs.real * ws.imag))
-    den = (1.0 - re) ** 2 + im * im
-    arg = max(0.0, 1.0 - num / den)
-    return float(np.arctanh(math.sqrt(min(arg, 1.0 - 1e-17))))
-
-
-def ball_mobius(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Involutive automorphism of the unit ball exchanging 0 and a."""
-    a = np.asarray(a, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    na2 = float(np.sum(np.abs(a) ** 2))
-    if na2 == 0:
-        return -z
-    za = complex(np.sum(z * np.conj(a)))
-    pz = (za / na2) * a
-    qz = z - pz
-    s = math.sqrt(max(0.0, 1.0 - na2))
-    return (a - pz - s * qz) / (1.0 - za)
+    return D.exact_distance(x, y)
 
 
 def exact_geodesic(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> Geodesic | None:
     """Constant-speed geodesic on catalog compositions, or None."""
     dist = exact_distance(D, x, y)
-    if dist is None or not dist.is_exact:
+    if dist is None:
         return None
-    length = dist.lo
     if np.array_equal(x, y):
         return Geodesic(lambda t: x.copy(), 0.0)
-    if D.dimension == 1:
-        ch = planar.exact_chart(D)
-        a, b = ch.forward(complex(x[0])), ch.forward(complex(y[0]))
-        return Geodesic(lambda t: as_point([ch.inverse(planar.disk_geodesic(a, b, t))]),
-                        length)
-    if isinstance(D, Ball):
-        unit_x = (x - D.center) / D.radius
-        unit_y = (y - D.center) / D.radius
-        w = ball_mobius(unit_x, unit_y)
-        rho = float(np.linalg.norm(w))
-        u = w / rho
-
-        def point_at(t: float) -> np.ndarray:
-            r = math.tanh(t * math.atanh(rho))
-            return D.center + D.radius * ball_mobius(unit_x, r * u)
-
-        return Geodesic(point_at, length)
-    if isinstance(D, Product):
-        parts = [exact_geodesic(f, xf, yf)
-                 for f, xf, yf in zip(D.factors, D.split(x), D.split(y))]
-        if None in parts:
-            return None
-        return Geodesic(lambda t: np.concatenate([g(t) for g in parts]), length)
-    if isinstance(D, AffineImage):
-        inner = exact_geodesic(D.inner, D.pull_back(x), D.pull_back(y))
-        if inner is None:
-            return None
-        return Geodesic(lambda t: D.push_forward(inner(t)), length)
-    return None
+    return Geodesic(D.exact_geodesic(x, y), dist.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -447,42 +264,6 @@ def _oracle_upper(S: ConvexDomain, z0: complex, z1: complex,
     return total
 
 
-def _polydisk_slack(D: ConvexDomain, centers: np.ndarray,
-                    radii: np.ndarray) -> float | None:
-    """Margin by which the polydisk with these centers/radii sits inside D.
-
-    Positive means strictly inside; None means the structural test is not
-    available for this node (non-diagonal affine images, graph domains).
-    """
-    if isinstance(D, Disk):
-        return D.radius - (abs(centers[0] - D.center) + radii[0])
-    if isinstance(D, HalfPlane):
-        margin = ((centers[0] - D.boundary_point) * np.conj(D.inward_normal)).real
-        return margin - radii[0]
-    if isinstance(D, Sector):
-        if not D._contains(centers[:1]):
-            return -abs(centers[0] - D.vertex) - radii[0]
-        return D._delta(centers[:1]) - radii[0]
-    if isinstance(D, Ball):
-        reach = np.abs(centers - D.center) + radii
-        return D.radius - math.sqrt(float(np.sum(reach ** 2)))
-    if isinstance(D, Product):
-        slacks = [_polydisk_slack(f, c, r)
-                  for f, c, r in zip(D.factors, D.split(centers), D.split(radii))]
-        return None if None in slacks else min(slacks)
-    if isinstance(D, Intersection):
-        slacks = [_polydisk_slack(m, centers, radii) for m in D.members]
-        return None if None in slacks else min(slacks)
-    if isinstance(D, AffineImage):
-        diag = np.diag(D.matrix)
-        if not np.allclose(D.matrix, np.diag(diag)):
-            return None
-        inner_c = (centers - D.offset) / diag
-        inner_r = radii / np.abs(diag)
-        return _polydisk_slack(D.inner, inner_c, inner_r)
-    return None
-
-
 def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
                              y: np.ndarray) -> float | None:
     """Upper bound from an inscribed polydisk through both points.
@@ -497,7 +278,7 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
     d = D.dimension
     if d < 2:
         return None
-    probe = _polydisk_slack(D, x, np.zeros(d))
+    probe = D.polydisk_slack(x, np.zeros(d))
     if probe is None:
         return None
 
@@ -510,7 +291,7 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
         centers, radii = assemble(params)
         point_slack = min(float(np.min(radii - np.abs(x - centers))),
                           float(np.min(radii - np.abs(y - centers))))
-        dom_slack = _polydisk_slack(D, centers, radii)
+        dom_slack = D.polydisk_slack(centers, radii)
         slack = min(point_slack, dom_slack)
         if slack <= 0.0:
             return _PENALTY * (1.0 - slack)
@@ -525,14 +306,14 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
 
     def grow_radii(centers: np.ndarray) -> np.ndarray | None:
         base = np.maximum(np.abs(x - centers), np.abs(y - centers)) * 1.000001 + 1e-12
-        if _polydisk_slack(D, centers, base) is None or _polydisk_slack(D, centers, base) <= 0:
+        if D.polydisk_slack(centers, base) is None or D.polydisk_slack(centers, base) <= 0:
             return None
         lo_s, hi_s = 0.0, 1.0
-        while _polydisk_slack(D, centers, base + hi_s) > 0 and hi_s < 1e12:
+        while D.polydisk_slack(centers, base + hi_s) > 0 and hi_s < 1e12:
             lo_s, hi_s = hi_s, hi_s * 4.0
         for _ in range(50):
             mid_s = 0.5 * (lo_s + hi_s)
-            if _polydisk_slack(D, centers, base + mid_s) > 0:
+            if D.polydisk_slack(centers, base + mid_s) > 0:
                 lo_s = mid_s
             else:
                 hi_s = mid_s
@@ -559,7 +340,7 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
     if res.fun < best_val:
         best_val, best_params = float(res.fun), res.x
     centers, radii = assemble(best_params)
-    slack = min(_polydisk_slack(D, centers, radii),
+    slack = min(D.polydisk_slack(centers, radii),
                 float(np.min(radii - np.abs(x - centers))),
                 float(np.min(radii - np.abs(y - centers))))
     if slack <= 0.0 or best_val >= _PENALTY:
@@ -569,23 +350,15 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
 
 def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
               optimize_path: bool | None) -> DistanceInterval:
+    preimage = D.preimage_pair(x, y)
+    if preimage is not None:
+        return _sandwich(*preimage, optimize_path).with_tags("affine-invariance")
+
     tags: set[str] = set()
     lows = [0.0]
-
-    if isinstance(D, AffineImage):
-        inner = _sandwich(D.inner, D.pull_back(x), D.pull_back(y), optimize_path)
-        return inner.with_tags("affine-invariance")
-
-    if isinstance(D, Product):
-        lows.append(max(distance(f, xf, yf, optimize_path=optimize_path).lo
-                        for f, xf, yf in zip(D.factors, D.split(x), D.split(y))))
-        tags.add("projection-lower")
-
-    if isinstance(D, Intersection):
-        for m in D.members:
-            if not m.c_proper:
-                continue
-            lows.append(distance(m, x, y, optimize_path=False).lo)
+    projected = D.projection_lower(x, y, distance, optimize_path)
+    if projected is not None:
+        lows.append(projected)
         tags.add("projection-lower")
 
     hp = _half_plane_lower(D, x, y)
@@ -611,7 +384,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     if optimize_path is None:
         # auto policy: optimize only when the slice is inexact and the
         # domain evaluates directional deltas in closed form
-        run_optimizer = not slice_exact and _has_fast_delta_dir(D)
+        run_optimizer = not slice_exact and D.fast_delta_dir
     else:
         run_optimizer = optimize_path
     if run_optimizer:
@@ -654,25 +427,6 @@ def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _metric_hi_smooth(D: ConvexDomain, Z: np.ndarray, V: np.ndarray,
-                      p: float) -> np.ndarray:
-    """Upper metric with max-type combinations softened to a p-norm.
-
-    The p-norm dominates the max, so lengths stay valid upper bounds; the
-    point of the smoothing is to give the path optimizer a differentiable
-    landscape away from the max kinks.
-    """
-    if isinstance(D, Product):
-        return sum(_metric_hi_smooth(f, Zf, Vf, p) ** p
-                   for f, Zf, Vf in zip(D.factors, D.split(Z), D.split(V))) ** (1.0 / p)
-    if isinstance(D, AffineImage):
-        W = (Z - D.offset[None, :]) @ D.inverse.T
-        U = V @ D.inverse.T
-        return _metric_hi_smooth(D.inner, W, U, p)
-    _, hi = metric_bounds_batch(D, Z, V)
-    return hi
-
-
 def _path_objective(D: ConvexDomain, x: np.ndarray, y: np.ndarray, n: int,
                     quad_order: int, smooth_p: float | None = None):
     xs, ws = _quad_rule(quad_order)
@@ -695,7 +449,7 @@ def _path_objective(D: ConvexDomain, x: np.ndarray, y: np.ndarray, n: int,
             if smooth_p is None:
                 _, hi_in = metric_bounds_batch(D, Z[mask], V[mask])
             else:
-                hi_in = _metric_hi_smooth(D, Z[mask], V[mask], smooth_p)
+                hi_in = D.metric_hi_smooth(Z[mask], V[mask], smooth_p)
             hi[mask] = hi_in
         return float(np.sum(hi * np.tile(ws, n - 1)))
 
@@ -774,46 +528,6 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
 # ---------------------------------------------------------------------------
 
 
-def _exact_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Midpoint of a catalog geodesic with the product tie-break rule.
-
-    In a max-metric product the midpoint is not unique: a factor whose
-    separation is at most half the largest one is held constant at its
-    starting value; every other factor moves to its own midpoint.
-    """
-    if D.dimension == 1:
-        ch = planar.exact_chart(D)
-        if ch is None:
-            return None
-        return as_point([planar.planar_geodesic(D, x, y, 0.5)])
-    if isinstance(D, Ball):
-        g = exact_geodesic(D, x, y)
-        return g(0.5)
-    if isinstance(D, Product):
-        parts = list(zip(D.split(x), D.split(y), D.factors))
-        dists = []
-        for (px, py, f) in parts:
-            e = exact_distance(f, px, py)
-            if e is None or not e.is_exact:
-                return None
-            dists.append(e.lo)
-        top = max(dists)
-        mids = []
-        for (px, py, f), dval in zip(parts, dists):
-            if dval <= 0.5 * top and dval < top:
-                mids.append(px.copy())  # hold the slack factor at its start
-            else:
-                sub = _exact_midpoint(f, px, py)
-                if sub is None:
-                    return None
-                mids.append(sub)
-        return np.concatenate(mids)
-    if isinstance(D, AffineImage):
-        inner = _exact_midpoint(D.inner, D.pull_back(x), D.pull_back(y))
-        return None if inner is None else D.push_forward(inner)
-    return None
-
-
 def midpoint_residual(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
                       m: np.ndarray, d_xy: float | None = None) -> float:
     """|K(x,m) - K(m,y)| + |K(x,m) + K(m,y) - K(x,y)| on interval midpoints."""
@@ -838,7 +552,7 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     if np.array_equal(x, y):
         return x.copy(), 0.0
 
-    exact = _exact_midpoint(D, x, y)
+    exact = D.exact_midpoint(x, y)
     if exact is not None:
         tol = MIDPOINT_TOL_EXACT if tol is None else tol
         resid = midpoint_residual(D, x, y, exact)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcat0 import (
@@ -113,6 +113,12 @@ class TestDelta:
             z = sample_in(D, rng, scale=0.5)
             assert A.delta(q @ z + b) == pytest.approx(D.delta(z), abs=1e-10)
 
+    def test_near_conformal_affine_matrix_is_not_conformal(self):
+        # the Gram matrix is 8e-6 away from a multiple of I, far outside the
+        # 1e-12 tolerance, so delta must not scale the inner ball's distance
+        A = AffineImage(np.diag([1 + 4e-6, 1.0]), [0, 0], ball2())
+        assert A.delta([0.0, 1 - 1e-3]) == pytest.approx(1e-3, abs=1e-12)
+
     def test_graph_matches_ball(self, rng):
         poly = RealPolynomial(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0,
                                   (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0,
@@ -210,6 +216,84 @@ class TestSlices:
         for _ in range(20):
             t = complex(rng.normal(), rng.normal())
             assert sl.contains_param(t) == D.contains(p + t * v)
+
+
+def _torus(centers, radii, n=8):
+    """n angles per coordinate on |z_j - c_j| = r_j, angles 0 and pi included."""
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    grids = np.meshgrid(*[c + r * circle for c, r in zip(centers, radii)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+_cplx = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+_size = st.floats(0.2, 2.0)
+
+
+@st.composite
+def _matrix(draw, d):
+    diag = np.diag([draw(_cplx.filter(lambda z: abs(z) > 0.3)) for _ in range(d)])
+    off = draw(st.sampled_from([0.0, 1e-8, 0.3]))  # diagonal, near-diagonal, general
+    noise = np.array([[draw(_cplx) for _ in range(d)] for _ in range(d)])
+    return diag + off * (noise - np.diag(np.diag(noise)))
+
+
+@st.composite
+def _node(draw, d, depth=2):
+    kinds = ["ball", "planar" if d == 1 else "polydisk"]
+    if depth:
+        kinds += ["affine", "intersection"] + (["product"] if d > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "planar":
+        return draw(st.one_of(
+            st.builds(Disk, _cplx, _size),
+            st.builds(HalfPlane, _cplx, _cplx.filter(lambda z: abs(z) > 0.1)),
+            st.builds(lambda v, a, w: sector(v, a, a + w), _cplx,
+                      st.floats(-3.0, 3.0), st.floats(0.2, 3.0))))
+    if kind == "ball":
+        return Ball([draw(_cplx) for _ in range(d)], draw(_size))
+    if kind == "polydisk":
+        return Polydisk([draw(_cplx) for _ in range(d)], [draw(_size) for _ in range(d)])
+    if kind == "affine":
+        return AffineImage(draw(_matrix(d)), [draw(_cplx) for _ in range(d)],
+                           draw(_node(d, depth - 1)))
+    if kind == "intersection":
+        return Intersection([draw(_node(d, depth - 1)) for _ in range(2)])
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1)))
+    return Product(*[draw(_node(int(k), depth - 1)) for k in np.diff([0, *cuts, d])])
+
+
+@st.composite
+def _slack_cases(draw):
+    D = draw(_node(draw(st.integers(1, 3))))
+    d = D.dimension
+    # center the polydisk at a random point of the domain when one is found
+    raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-3, 3, (256, 2 * d))
+    inside = np.flatnonzero(D.contains_batch(raw[:, :d] + 1j * raw[:, d:]))
+    centers = raw[inside[0], :d] + 1j * raw[inside[0], d:] if inside.size else np.zeros(d, complex)
+    return D, centers, np.array([draw(st.floats(1e-3, 0.5)) for _ in range(d)])
+
+
+_NEAR_DIAGONAL = AffineImage([[1, 5e-9], [0, 1]], [0, 0], Polydisk([0, 0], [1, 1]))
+
+
+class TestPolydiskSlack:
+    def test_near_diagonal_affine_matrix_gives_no_slack(self):
+        centers, radii = np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10)
+        assert not _NEAR_DIAGONAL.contains([1 - 2e-10, -(1 - 2e-10)])  # in that polydisk
+        assert _NEAR_DIAGONAL.polydisk_slack(centers, radii) is None
+        D = AffineImage(np.diag([2.0, 0.5]), [0, 0], Polydisk([0, 0], [1, 1]))
+        assert D.polydisk_slack(np.zeros(2, dtype=complex), np.array([1.0, 0.25])) == 0.5
+
+    # the closed polydisk is the convex hull of its torus, so a sampled torus
+    # inside the (convex) domain is the containment condition, sampled
+    @given(_slack_cases())
+    @example((_NEAR_DIAGONAL, np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10)))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_slack_puts_the_torus_inside(self, case):
+        D, centers, radii = case
+        slack = D.polydisk_slack(centers, radii)
+        if slack is not None and slack > 0:
+            assert D.contains_batch(_torus(centers, radii)).all()
 
 
 class TestSupport:

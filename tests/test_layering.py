@@ -1,0 +1,72 @@
+"""Module layering of kcat0, read from the source's syntax tree.
+
+The import order is points/errors -> interval -> planar -> domains ->
+metric -> cat0 -> ...: every node answers for itself in ``domains``, so
+the engine modules above it never ask which node they hold, and no
+module reaches a sibling through an import hidden in a function body.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kcat0"
+NODE_CLASSES = {"Disk", "HalfPlane", "Sector", "Ball", "Product", "Polydisk",
+                "AffineImage", "Intersection"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _kcat0_targets(node: ast.AST) -> list[str]:
+    """Sibling modules an import statement names (empty for other packages)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return [node.module] if node.module else [a.name for a in node.names]
+        if (node.module or "").split(".")[0] == "kcat0":
+            return [node.module]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "kcat0"]
+    return []
+
+
+def test_no_function_body_imports_a_kcat0_module():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{n.lineno}" for n in ast.walk(fn) if _kcat0_targets(n)]
+    assert found == []
+
+
+def test_module_imports_form_no_cycle():
+    graph = {path.stem: {t.split(".")[-1] for n in _tree(path).body for t in _kcat0_targets(n)}
+             for path in SRC.glob("*.py")}
+    done, path = set(), []
+
+    def visit(mod):
+        assert mod not in path, " -> ".join(path + [mod])
+        if mod in done or mod not in graph:
+            return
+        path.append(mod)
+        for dep in sorted(graph[mod]):
+            visit(dep)
+        path.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)
+
+
+@pytest.mark.parametrize("module", ["metric.py", "planar.py", "cat0.py"])
+def test_engine_modules_do_not_dispatch_on_node_classes(module):
+    hits = []
+    for node in ast.walk(_tree(SRC / module)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(node.args[1])}
+            if names & NODE_CLASSES:
+                hits.append(f"{module}:{node.lineno}")
+    assert hits == []

@@ -28,8 +28,6 @@ from kcat0 import (
 )
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
-    _exact_midpoint,
-    _polydisk_slack,
     ball_mobius,
     exact_distance,
     metric_bounds_batch,
@@ -243,13 +241,13 @@ class TestPolydiskIsProductOfDisks:
         for _ in range(10):
             c = 0.2 * (rng.normal(size=d) + 1j * rng.normal(size=d))
             r = rng.uniform(0.1, 0.6, size=d)
-            assert _polydisk_slack(P, c, r) == _polydisk_slack(Q, c, r)
-        assert np.array_equal(_exact_midpoint(P, x, y), _exact_midpoint(Q, x, y))
+            assert P.polydisk_slack(c, r) == Q.polydisk_slack(c, r)
+        assert np.array_equal(P.exact_midpoint(x, y), Q.exact_midpoint(x, y))
 
     def test_midpoint_holds_the_slack_coordinate(self):
         P, _ = _polydisk_and_product(3)
         x, y = self.points(P)
-        m = _exact_midpoint(P, x, y)
+        m = P.exact_midpoint(x, y)
         assert m[1] == x[1]
         half = 0.5 * distance(P, x, y).lo
         assert distance(P, x, m).lo == pytest.approx(half, abs=1e-12)
