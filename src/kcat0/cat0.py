@@ -30,6 +30,7 @@ from .metric import (
 from .points import as_point, point_to_json
 
 SCHEMA = "kcat0/1"
+COMPARISON_TOL = 1e-9  # slack a comparison report allows before it reads as a violation
 
 
 @dataclass
@@ -93,7 +94,7 @@ class ComparisonReport:
                          "c": point_to_json(self.c)},
             "sides": {"ab": self.side_ab, "ac": self.side_ac, "bc": self.side_bc},
             "max_slack": {"value": self.max_slack,
-                          "method": ["comparison-triangle"], "tol": 1e-9},
+                          "method": ["comparison-triangle"], "tol": COMPARISON_TOL},
             "samples": [{"s": s, "t": t, "slack": g} for s, t, g in self.samples],
         }
 

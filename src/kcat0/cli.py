@@ -121,7 +121,8 @@ def cmd_certify(args) -> int:
                                       point_option("--c", args.c),
                                       sample_count=args.samples, seed=args.seed)
         write_report(report, args)
-        return EXIT_VIOLATION if report.max_slack > args.tol else EXIT_OK
+        tol = cat0.COMPARISON_TOL if args.tol is None else args.tol
+        return EXIT_VIOLATION if report.max_slack > tol else EXIT_OK
     raise KCat0Error(f"unknown certify mode {args.mode!r}")
 
 

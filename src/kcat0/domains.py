@@ -10,10 +10,11 @@ is the product of its coordinate disks.  Every node answers:
 * ``delta_dir(z, v)``      distance to the boundary inside the complex
                            line ``z + C v`` (ambient Euclidean units),
 * ``slice(p, v)``          the planar set ``{t : p + t v in D}``,
-* ``support_upper(a)``     an upper bound for ``sup Re<z, a>`` over the
-                           domain (``+inf`` when unbounded in that
-                           direction), used to build certified
-                           half-plane bounds.
+* ``support_upper_batch(A)`` an upper bound for ``sup Re<z, a>`` over
+                           the domain for each row ``a`` of ``A`` (``+inf``
+                           when unbounded in that direction), used to build
+                           certified half-plane bounds; ``support_upper(a)``
+                           is its one-row form.
 
 and answers for the Kobayashi geometry in ``metric`` from its own closed
 forms (the defaults being the planar chart path and the generic convex
@@ -66,16 +67,6 @@ def _from_real(x: np.ndarray) -> np.ndarray:
     """Complex points from (real parts, imaginary parts) along the last axis."""
     d = x.shape[-1] // 2
     return x[..., :d] + 1j * x[..., d:]
-
-
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, _TWO_PI)
-    if a <= -math.pi:
-        a += _TWO_PI
-    elif a > math.pi:
-        a -= _TWO_PI
-    return a
 
 
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
@@ -144,26 +135,22 @@ class RealPolynomial:
         for k in self.terms:
             if len(k) != 2 * self.dimension:
                 raise InvalidDomain("monomial exponent length must be 2*d")
+        self._exponents = np.array(list(self.terms), dtype=int).reshape(-1, 2 * self.dimension)
+        self._coefficients = np.array(list(self.terms.values()))
 
     def __call__(self, z) -> float:
-        z = as_point(z, self.dimension)
-        x = _real_view(z)
-        # interleave as (x1, y1, x2, y2, ...): exponents are keyed that way
-        coords = np.empty(2 * self.dimension)
-        coords[0::2] = x[: self.dimension]
-        coords[1::2] = x[self.dimension:]
-        total = 0.0
-        for expo, c in self.terms.items():
-            total += c * float(np.prod(coords ** np.array(expo)))
-        return total
+        return float(self.evaluate_batch(as_point(z, self.dimension)[None, :])[0])
 
     def evaluate_batch(self, Z: np.ndarray) -> np.ndarray:
+        # interleave as (x1, y1, x2, y2, ...): exponents are keyed that way
         coords = np.empty((Z.shape[0], 2 * self.dimension))
         coords[:, 0::2] = Z.real
         coords[:, 1::2] = Z.imag
+        powers = coords[:, None, :] ** self._exponents
+        monomials = self._coefficients * np.multiply.reduce(powers, axis=2)
         total = np.zeros(Z.shape[0])
-        for expo, c in self.terms.items():
-            total += c * np.prod(coords ** np.array(expo), axis=1)
+        for column in monomials.T:  # summed in term order, one term at a time
+            total += column
         return total
 
     def gradient(self, z) -> np.ndarray:
@@ -329,6 +316,10 @@ class ConvexDomain:
 
     def support_upper(self, a) -> float:
         """Upper bound for sup_{z in D} Re<z, a>; +inf when unbounded."""
+        return float(self.support_upper_batch(as_point(a, self.dimension)[None, :])[0])
+
+    def support_upper_batch(self, A: np.ndarray) -> np.ndarray:
+        """``support_upper`` of each row of A."""
         raise NotImplementedError
 
     def to_spec(self) -> dict:
@@ -446,9 +437,8 @@ class Disk(ConvexDomain):
     def anchor(self):
         return as_point([self.center])
 
-    def support_upper(self, a):
-        a = as_point(a, 1)
-        return (self.center * np.conj(a[0])).real + self.radius * abs(a[0])
+    def support_upper_batch(self, A):
+        return (self.center * np.conj(A[:, 0])).real + self.radius * np.abs(A[:, 0])
 
     def to_spec(self):
         return {"type": "disk",
@@ -507,14 +497,14 @@ class HalfPlane(ConvexDomain):
     def anchor(self):
         return as_point([self.boundary_point + self.inward_normal])
 
-    def support_upper(self, a):
-        a = as_point(a, 1)
-        if a[0] == 0:
-            return 0.0
-        u = a[0] / abs(a[0])
-        if abs(u + self.inward_normal) < 1e-12:
-            return (self.boundary_point * np.conj(a[0])).real
-        return math.inf
+    def support_upper_batch(self, A):
+        a = A[:, 0]
+        mag = np.abs(a)
+        u = np.divide(a, mag, out=np.zeros_like(a), where=mag > 0)
+        # finite only along the outward normal; the zero functional gives 0
+        out = np.where(np.abs(u + self.inward_normal) < 1e-12,
+                       (self.boundary_point * np.conj(a)).real, math.inf)
+        return np.where(mag > 0, out, 0.0)
 
     def to_spec(self):
         return {"type": "halfplane",
@@ -570,10 +560,7 @@ class Sector(ConvexDomain):
 
     def _contains(self, z):
         w = z[0] - self.vertex
-        if w == 0:
-            return False
-        a = _wrap_angle(np.angle(w) - self.alpha)
-        return 0 < a < self.opening
+        return w != 0 and 0 < (np.angle(w) - self.alpha) % _TWO_PI < self.opening
 
     def contains_batch(self, Z):
         w = Z[:, 0] - self.vertex
@@ -601,21 +588,15 @@ class Sector(ConvexDomain):
         mid = 0.5 * (self.alpha + self.beta)
         return as_point([self.vertex + np.exp(1j * mid)])
 
-    def support_upper(self, a):
-        a = as_point(a, 1)
-        if a[0] == 0:
-            return 0.0
-        theta = float(np.angle(a[0]))
-        rel = (theta - self.alpha) % _TWO_PI
-        if rel < self.opening:
-            return math.inf  # theta points into the cone
-        # otherwise the sup is finite only when no cone direction has a
-        # positive component along theta
-        maxcos = max(math.cos(_wrap_angle(self.alpha - theta)),
-                     math.cos(_wrap_angle(self.beta - theta)))
-        if maxcos > 1e-15:
-            return math.inf
-        return (self.vertex * np.conj(a[0])).real
+    def support_upper_batch(self, A):
+        a = A[:, 0]
+        theta = np.angle(a)
+        # the sup is finite only when theta points out of the cone and no
+        # cone direction has a positive component along theta
+        into = (theta - self.alpha) % _TWO_PI < self.opening
+        maxcos = np.maximum(np.cos(self.alpha - theta), np.cos(self.beta - theta))
+        out = np.where(into | (maxcos > 1e-15), math.inf, (self.vertex * np.conj(a)).real)
+        return np.where(a != 0, out, 0.0)
 
     def to_spec(self):
         return {"type": "sector",
@@ -731,15 +712,19 @@ class Ball(ConvexDomain):
     def anchor(self):
         return self.center.copy()
 
-    def support_upper(self, a):
-        a = as_point(a, self.dimension)
-        return _hdot(self.center, a).real + self.radius * float(np.linalg.norm(a))
+    def support_upper_batch(self, A):
+        return (np.sum(self.center * np.conj(A), axis=1).real
+                + self.radius * np.linalg.norm(A, axis=1))
 
     def to_spec(self):
         return {"type": "ball", "center": point_to_json(self.center),
                 "radius": self.radius}
 
     fast_delta_dir = True
+
+    def chart(self):
+        # a one-dimensional ball is a disk
+        return Disk(self.center[0], self.radius).chart() if self.dimension == 1 else None
 
     def metric_bounds(self, Z, V):
         zs = (Z - self.center[None, :]) / self.radius
@@ -751,7 +736,7 @@ class Ball(ConvexDomain):
 
     def exact_distance(self, x, y):
         if self.dimension == 1:
-            return None  # planar nodes are exact through a chart only
+            return super().exact_distance(x, y)
         zs = (x - self.center) / self.radius
         ws = (y - self.center) / self.radius
         num = (1 - float(np.sum(np.abs(zs) ** 2))) * (1 - float(np.sum(np.abs(ws) ** 2)))
@@ -767,7 +752,7 @@ class Ball(ConvexDomain):
 
     def exact_geodesic(self, x, y):
         if self.dimension == 1:
-            return None
+            return super().exact_geodesic(x, y)
         if np.array_equal(x, y):
             return lambda t: x.copy()
         unit_x = (x - self.center) / self.radius
@@ -855,9 +840,8 @@ class Product(ConvexDomain):
     def anchor(self):
         return np.concatenate([f.anchor() for f in self.factors])
 
-    def support_upper(self, a):
-        a = as_point(a, self.dimension)
-        return sum(f.support_upper(af) for f, af in zip(self.factors, self.split(a)))
+    def support_upper_batch(self, A):
+        return sum(f.support_upper_batch(Af) for f, Af in zip(self.factors, self.split(A)))
 
     def to_spec(self):
         # the wire format is binary: three or more factors nest to the right
@@ -868,6 +852,9 @@ class Product(ConvexDomain):
 
     # the Kobayashi metric of a product is the max over its factors
     exact_tag = "product-max"
+
+    def chart(self):
+        return self.factors[0].chart() if len(self.factors) == 1 else None
 
     def metric_bounds(self, Z, V):
         los, his = zip(*[f.metric_bounds(Zf, Vf)
@@ -880,7 +867,7 @@ class Product(ConvexDomain):
 
     def exact_distance(self, x, y):
         if self.dimension == 1:
-            return None  # planar nodes are exact through a chart only
+            return super().exact_distance(x, y)
         parts = [f.exact_distance(xf, yf)
                  for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
         if None in parts:
@@ -901,7 +888,7 @@ class Product(ConvexDomain):
         every other factor moves to its own midpoint."""
         parts = list(zip(self.factors, self.split(x), self.split(y)))
         dists = [f.exact_distance(px, py) for f, px, py in parts]
-        if self.dimension == 1 or None in dists:
+        if None in dists:
             return None
         top = max(e.lo for e in dists)
         return np.concatenate([
@@ -996,10 +983,10 @@ class AffineImage(ConvexDomain):
     def anchor(self):
         return self.push_forward(self.inner.anchor())
 
-    def support_upper(self, a):
-        a = as_point(a, self.dimension)
-        inner_sup = self.inner.support_upper(self.matrix.conj().T @ a)
-        return _hdot(self.offset, a).real + inner_sup
+    def support_upper_batch(self, A):
+        # Re<Mz + b, a> = Re<z, M^H a> + Re<b, a>; rows of A @ conj(M) are M^H a
+        return (np.sum(self.offset * np.conj(A), axis=1).real
+                + self.inner.support_upper_batch(A @ self.matrix.conj()))
 
     def to_spec(self):
         return {"type": "affine_image",
@@ -1125,8 +1112,8 @@ class Intersection(ConvexDomain):
             raise EmptyWindow("could not locate an interior point of the intersection")
         return z
 
-    def support_upper(self, a):
-        return min(m.support_upper(a) for m in self.members)
+    def support_upper_batch(self, A):
+        return reduce(np.minimum, [m.support_upper_batch(A) for m in self.members])
 
     def to_spec(self):
         return {"type": "intersection",
@@ -1432,6 +1419,9 @@ class Graph(ConvexDomain):
         self._support_cache[key] = out
         return out
 
+    def support_upper_batch(self, A):
+        return np.array([self.support_upper(a) for a in A])
+
     def _probe_radius(self) -> float:
         """Estimated radius of a ball about 0 holding the domain, from 4d
         probe rays (``inf`` when one is unbounded); computed once."""
@@ -1536,6 +1526,9 @@ class PlanarOracle(ConvexDomain):
         mesh = float(np.max(np.abs(np.diff(np.r_[pts, pts[:1]]))))
         # sampled support: inflate by one mesh cell to stay on the safe side
         return float(np.max(vals)) + mesh * abs(a[0]) + 1e-9
+
+    def support_upper_batch(self, A):
+        return np.array([self.support_upper(a) for a in A])
 
     def to_spec(self):
         raise InvalidDomain("oracle planar sets are not serializable")

@@ -15,13 +15,14 @@ estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import planar
-from .domains import ConvexDomain, HalfPlane, PlanarOracle, ball_mobius  # noqa: F401
+from .domains import ConvexDomain, PlanarOracle, ball_mobius  # noqa: F401
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -209,20 +210,28 @@ def _functionals(dim: int, chord: np.ndarray) -> np.ndarray:
 
 
 def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
-    """Best lower bound from affine functionals into supporting half-planes."""
-    best = 0.0
-    for a in _functionals(D.dimension, y - x):
-        h = D.support_upper(a)
-        if not math.isfinite(h):
-            continue
-        fx = complex(np.sum(x * np.conj(a)))
-        fy = complex(np.sum(y * np.conj(a)))
-        if fx.real >= h or fy.real >= h:
-            continue  # support bound too tight to certify, skip
-        hp = HalfPlane(h, -1.0)
-        val = planar.planar_distance(hp, fx, fy)
-        best = max(best, val)
-    return best
+    """Best lower bound from affine functionals into supporting half-planes.
+
+    A functional f with support bound h maps D into {Re w < h}, where the
+    distance is asinh(|f(x - y)| / (2 sqrt((h - Re f(x)) (h - Re f(y))))),
+    evaluated here without cancellation near the boundary line.
+    """
+    F = _functionals(D.dimension, y - x)
+    h = D.support_upper_batch(F)
+    pair = F.conj()  # rows pair with points as f(z) = <z, a>
+    # round-off padding: h and the pairings with a unit functional are taken
+    # good to `ulp` times |h| plus the norm of the point paired, so the gaps
+    # widen and |f(x - y)| shrinks by that much
+    ulp = 4 * (D.dimension + 1) * sys.float_info.epsilon
+    gap_x, err_x = h - (pair @ x).real, ulp * (np.abs(h) + np.linalg.norm(x))
+    gap_y, err_y = h - (pair @ y).real, ulp * (np.abs(h) + np.linalg.norm(y))
+    # a gap within its round-off (or an infinite h) certifies nothing
+    ok = (gap_x > err_x) & (gap_y > err_y)
+    if not ok.any():
+        return 0.0
+    num = np.abs(pair[ok] @ (x - y)) - ulp * np.linalg.norm(x - y)
+    den = 2.0 * np.sqrt(gap_x[ok] + err_x[ok]) * np.sqrt(gap_y[ok] + err_y[ok])
+    return max(0.0, (1.0 - ulp) * float(np.arcsinh(num / den).max()))
 
 
 def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):

@@ -57,16 +57,6 @@ def parse_point(text: str) -> np.ndarray:
     return as_point([parse_complex(p) for p in parts])
 
 
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    if z.real == 0.0:
-        return f"{z.imag!r}i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
 def point_to_json(z) -> list[list[float]]:
     arr = as_point(z)
     return [[float(c.real), float(c.imag)] for c in arr]

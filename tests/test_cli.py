@@ -44,6 +44,15 @@ class TestCertify:
         data = json.loads(out.read_text())
         assert data["max_slack"]["value"] <= 1e-9
 
+    def test_comparison_mode_without_tol_gates_on_the_report_tol(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code, _, err = run(["--output", str(out), "certify", "--mode", "comparison",
+                            "--builtin", "polydisk2", "--a", "0,0", "--b", "0.5,0",
+                            "--c", "0,0.5"], capsys)
+        data = json.loads(out.read_text())
+        assert err == ""
+        assert code == (2 if data["max_slack"]["value"] > data["max_slack"]["tol"] else 0)
+
 
 class TestDistance:
     def test_disk_value_printed(self, capsys):

@@ -296,6 +296,20 @@ class TestPolydiskSlack:
             assert D.contains_batch(_torus(centers, radii)).all()
 
 
+@st.composite
+def _support_cases(draw):
+    D = draw(_node(draw(st.integers(1, 3))))
+    d = D.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    eye = np.eye(d)
+    # random rows, the zero row, and the coordinate directions of the
+    # functional grid, which are the normals of axis-aligned half-planes
+    A = np.vstack([rng.normal(size=(8, d)) + 1j * rng.normal(size=(8, d)),
+                   np.zeros((1, d)), eye, -eye, 1j * eye, -1j * eye])
+    raw = rng.uniform(-3, 3, (64, 2 * d))
+    return D, A, raw[:, :d] + 1j * raw[:, d:]
+
+
 class TestSupport:
     @pytest.mark.parametrize("D", [
         Disk(0.3, 2.0),
@@ -309,6 +323,35 @@ class TestSupport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert D.support_upper(np.zeros(D.dimension)) == 0.0
+
+    @given(_support_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_rows_are_sound_and_match_scalar(self, case):
+        D, A, W = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = D.support_upper_batch(A)
+            # numpy's vector loops may round a row apart from a one-row call
+            np.testing.assert_allclose(h, [D.support_upper(a) for a in A], rtol=1e-14, atol=1e-14)
+        assert h[8] == 0.0
+        inside = W[D.contains_batch(W)]
+        pairings = (inside @ A.conj().T).real
+        assert (pairings <= h + 1e-9 * np.maximum(1.0, np.abs(h))).all()
+
+    @pytest.mark.parametrize("D, finite, infinite", [
+        (HalfPlane(1.0, 1j), [-1j, -2j, 0.0], [1j, 1.0, -1.0, 1 - 1j]),
+        (sector(1j, 0.0, math.pi / 2), [-1.0, -1j, -1 - 1j, 0.0], [1.0, 1j, 1 - 1j, -1 + 1j]),
+        (Product(HalfPlane(0.0, 1.0), Disk(0.0, 1.0)), [[-1.0, 1j], [0.0, 1.0]],
+         [[1.0, 0.0], [1j, 1.0]]),
+        # both edge normals are orthogonal to 1j here: only the cone test sees it
+        (Sector(0.0, 0.0, math.pi), [-1j], [1j]),
+    ], ids=["halfplane", "sector", "product", "sector-opening-pi"])
+    def test_unbounded_directions_are_inf(self, D, finite, infinite):
+        A = np.array(finite + infinite, dtype=complex).reshape(-1, D.dimension)
+        h = D.support_upper_batch(A)
+        assert np.isfinite(h[:len(finite)]).all()
+        assert (h[len(finite):] == math.inf).all()
+        np.testing.assert_allclose(h, [D.support_upper(a) for a in A], rtol=1e-14)
 
 
 class TestSectorFactory:
@@ -431,6 +474,18 @@ class TestRayShooting:
         assert S.support_upper([1 + 1j]) == 1.0519052134924742
         assert S.boundary_points(512)[7] == 0.7521391498530944 + 0.06468423611831195j
         assert G.delta([0.2, 0.1j]) == 0.5820396435630357
+
+    def test_polynomial_matches_the_per_term_loop(self, rng):
+        terms = {tuple(rng.integers(0, 4, size=4)): float(rng.normal()) for _ in range(12)}
+        poly = RealPolynomial(2, terms)
+        Z = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+        coords = np.empty((50, 4))
+        coords[:, 0::2], coords[:, 1::2] = Z.real, Z.imag
+        expect = np.zeros(50)
+        for expo, c in poly.terms.items():
+            expect += c * np.prod(coords ** np.array(expo), axis=1)
+        assert poly.evaluate_batch(Z).tolist() == expect.tolist()
+        assert [poly(z) for z in Z[:5]] == expect[:5].tolist()
 
     def test_delta_is_a_python_float(self):
         G = _ellipsoid_graph()

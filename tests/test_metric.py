@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kcat0 import (
     AffineImage,
@@ -11,6 +13,7 @@ from kcat0 import (
     DiscretePath,
     Disk,
     Graph,
+    HalfPlane,
     Polydisk,
     Product,
     RealPolynomial,
@@ -28,6 +31,8 @@ from kcat0 import (
 )
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
+    _functionals,
+    _half_plane_lower,
     ball_mobius,
     exact_distance,
     metric_bounds_batch,
@@ -35,6 +40,7 @@ from kcat0.metric import (
 from kcat0.planar import disk_distance, planar_distance
 
 from conftest import sample_in
+from test_domains import _node
 
 LN2 = math.log(2.0)
 HALF_LN3 = 0.5 * math.log(3.0)
@@ -194,6 +200,16 @@ class TestDistance:
             assert iv.lo == pytest.approx(expected, abs=1e-9)
             assert iv.hi == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("D", [Ball([0.0], 1.0), Product(unit_disk())],
+                             ids=["ball-1d", "one-factor-product"])
+    def test_one_dimensional_nodes_are_exact_disks(self, D):
+        iv = distance(D, [0.1], [0.5])
+        assert iv.is_exact
+        assert iv == distance(unit_disk(), [0.1], [0.5])
+        assert iv.lo == pytest.approx(0.44897079660297, abs=1e-13)
+        m = midpoint_search(D, [0.1], [0.5])[0]
+        assert distance(D, [0.1], m).lo == pytest.approx(0.5 * iv.lo, abs=1e-12)
+
     def test_thin_wedge_slice_stays_finite(self):
         # the slice is a wedge of opening 0.0073 rad with its vertex about
         # 316 away; its power-map chart overflows at both endpoints
@@ -213,6 +229,70 @@ def _polydisk_and_product(d):
     radii = np.array([1.0, 2.0, 0.5])[:d]
     return (Polydisk(centers, radii),
             Product(*(Disk(c, r) for c, r in zip(centers, radii))))
+
+
+def _half_plane_lower_loop(D, x, y):
+    """Reference: one scalar support bound and one charted half-plane
+    distance per functional (the form the batched bound replaced)."""
+    best = 0.0
+    for a in _functionals(D.dimension, y - x):
+        h = D.support_upper(a)
+        if not math.isfinite(h):
+            continue
+        fx = complex(np.sum(x * np.conj(a)))
+        fy = complex(np.sum(y * np.conj(a)))
+        if fx.real >= h or fy.real >= h:
+            continue  # support bound too tight to certify, skip
+        best = max(best, planar_distance(HalfPlane(h, -1.0), fx, fy))
+    return best
+
+
+def _deep_point(D, rng, depth=0.05):
+    """An interior point at least ``depth`` from the boundary."""
+    while True:
+        z = sample_in(D, rng)
+        if D.delta(z) > depth:
+            return z
+
+
+class TestHalfPlaneLower:
+    @pytest.mark.parametrize("D", [
+        example36_domain(),
+        intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.5j], 0.9), Ball([-0.3j, 0.2], 1.1)]),
+        Product(upper_half_plane(), unit_disk()),
+        Polydisk([0.1, -0.2j], [1.0, 1.5]),
+    ], ids=["example36", "three-balls", "HxD", "polydisk"])
+    def test_matches_the_per_functional_loop(self, D, rng):
+        for _ in range(20):
+            x, y = _deep_point(D, rng), _deep_point(D, rng)
+            assert _half_plane_lower(D, x, y) == pytest.approx(
+                _half_plane_lower_loop(D, x, y), rel=1e-12)
+
+    def test_scaled_domain_keeps_its_digits(self, rng):
+        # a dilation is a biholomorphism; the charted half-plane distance
+        # lost about 1e-5 relative at this scale, the closed form keeps it
+        omega = example36_domain()
+        big = AffineImage(1e6 * np.eye(2), np.zeros(2), omega)
+        for _ in range(20):
+            x, y = _deep_point(omega, rng), _deep_point(omega, rng)
+            assert _half_plane_lower(big, 1e6 * x, 1e6 * y) == pytest.approx(
+                _half_plane_lower_loop(omega, x, y), rel=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_forced_sandwich_lower_bound_is_sound(self, data):
+        D = data.draw(_node(data.draw(st.integers(1, 3))))
+        d = D.dimension
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        raw = rng.uniform(-3, 3, (256, 2 * d))
+        cloud = raw[:, :d] + 1j * raw[:, d:]
+        inside = cloud[D.contains_batch(cloud)]
+        assume(inside.shape[0] >= 2)
+        x, y = inside[0], inside[1]
+        exact = exact_distance(D, x, y)
+        assume(exact is not None)
+        iv = distance(D, x, y, force_sandwich=True, optimize_path=False)
+        assert iv.lo <= exact.lo + 1e-9
 
 
 class TestPolydiskIsProductOfDisks:
