@@ -631,6 +631,25 @@ class Sector(ConvexDomain):
 
         return ConformalChart(forward, derivative, inverse, "sector")
 
+    def exact_distance(self, x, y):
+        # the chart's disk images of points far from the vertex sit within
+        # rounding of the unit circle (or overflow), so the distance is taken
+        # in the upper half-plane w -> w^q maps onto, in logarithms: with
+        # w_k = r_k e^(i phi_k) from the vertex and a = q ln(r_0 / r_1) / 2,
+        # sinh(d)^2 = (sinh(a)^2 + sin(q (phi_0 - phi_1) / 2)^2)
+        #             / (sin(q phi_0) sin(q phi_1))
+        q = math.pi / self.opening
+        logs = np.log((np.array([x[0], y[0]]) - self.vertex) * np.exp(-1j * self.alpha))
+        a = 0.5 * q * float(logs[0].real - logs[1].real)
+        t = q * logs.imag
+        p = math.sin(t[0]) * math.sin(t[1])
+        if abs(a) > 20.0:   # asinh(X) = ln(2X) to double precision; sinh overflows past 710
+            val = abs(a) - 0.5 * math.log(p)
+        else:
+            val = math.asinh(math.hypot(math.sinh(a), math.sin(0.5 * (t[0] - t[1])))
+                             / math.sqrt(p))
+        return DistanceInterval.exact(val, "exact-chart")
+
     def metric_bounds(self, Z, V):
         ch = self.chart()
         u = ch.forward(Z[:, 0])

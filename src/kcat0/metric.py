@@ -242,11 +242,15 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
     S = D.slice(x, y - x).planar
     ch = planar.exact_chart(S)
     if ch is not None:
-        # a chart can overflow on a thin far-off wedge; then use the oracle
+        # a chart can overflow on a thin far-off wedge, or put both images
+        # within rounding of the circle, where the disk distance reads nan;
+        # then use the oracle
         with np.errstate(over="ignore", invalid="ignore"):
             u0, u1 = ch.forward(0.0), ch.forward(1.0)
-        if abs(u0) < 1 and abs(u1) < 1:
-            return planar.disk_distance(u0, u1), True, {"slice-upper"}
+            if abs(u0) < 1 and abs(u1) < 1:
+                val = planar.disk_distance(u0, u1)
+                if math.isfinite(val):
+                    return val, True, {"slice-upper"}
     val = _oracle_upper(S, 0.0 + 0.0j, 1.0 + 0.0j)
     return val, False, {"slice-upper", "delta-bound"}
 
@@ -399,7 +403,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     if run_optimizer:
         _, length = geodesic_approx(D, x, y, OPTIMIZER_NODES)
         his.append(length.hi)
-        tags.add("path-optimizer")
+        tags |= length.methods & {"path-optimizer", "optimizer-no-improvement"}
 
     hi = min(his)
     if hi < lo:
@@ -438,17 +442,25 @@ def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
 
 def _path_objective(D: ConvexDomain, x: np.ndarray, y: np.ndarray, n: int,
                     quad_order: int, smooth_p: float | None = None):
+    """Per-segment quadrature lengths of a stack of n-node paths from x to y.
+
+    The returned function maps a (k, 2d(n-2)) stack of interior-node rows
+    (real parts, then imaginary parts, node by node) to the (k, n-1) array
+    of segment lengths, with one ``contains_batch`` and one metric call for
+    all k paths.  A quadrature point outside D costs ``_PENALTY``.
+    """
     xs, ws = _quad_rule(quad_order)
     d = D.dimension
 
-    def lengths(u: np.ndarray) -> float:
-        interior = u.reshape(n - 2, 2 * d)
-        nodes = np.empty((n, d), dtype=complex)
-        nodes[0] = x
-        nodes[-1] = y
-        nodes[1:-1] = interior[:, :d] + 1j * interior[:, d:]
-        seg_a = nodes[:-1]
-        seg_v = nodes[1:] - nodes[:-1]
+    def lengths(U: np.ndarray) -> np.ndarray:
+        k = U.shape[0]
+        interior = U.reshape(k, n - 2, 2 * d)
+        nodes = np.empty((k, n, d), dtype=complex)
+        nodes[:, 0] = x
+        nodes[:, -1] = y
+        nodes[:, 1:-1] = interior[..., :d] + 1j * interior[..., d:]
+        seg_a = nodes[:, :-1].reshape(-1, d)
+        seg_v = (nodes[:, 1:] - nodes[:, :-1]).reshape(-1, d)
         Z = (seg_a[:, None, :] + xs[None, :, None] * seg_v[:, None, :]).reshape(-1, d)
         V = np.repeat(seg_v, len(xs), axis=0)
         inside = D.contains_batch(Z)
@@ -460,14 +472,49 @@ def _path_objective(D: ConvexDomain, x: np.ndarray, y: np.ndarray, n: int,
             else:
                 hi_in = D.metric_hi_smooth(Z[mask], V[mask], smooth_p)
             hi[mask] = hi_in
-        return float(np.sum(hi * np.tile(ws, n - 1)))
+        return hi.reshape(k, n - 1, len(xs)) @ ws
 
     return lengths
+
+
+def _coloured_gradient(lengths, n: int, dim: int):
+    """Path length and its forward-difference gradient from one batched call.
+
+    Interior node j moves only segments j and j+1, so nodes two apart never
+    share a segment (Curtis, Powell and Reid's colouring of a banded
+    Jacobian): one perturbed copy per real coordinate and node parity moves
+    every other node at once, and 1 + 4d paths give the whole gradient.
+    The step is scipy's default for L-BFGS-B, absolute 1e-8.
+    """
+    m, width = n - 2, 2 * dim
+    node = np.arange(m)[:, None]
+    coord = np.arange(width)[None, :]
+    colour = 2 * coord + node % 2                # (m, width) -> perturbed copy
+
+    def fg(u: np.ndarray):
+        # where 1e-8 is lost in u's rounding, scipy's relative step instead
+        step = np.where((u + 1e-8) - u == 0, math.sqrt(sys.float_info.epsilon)
+                        * np.where(u >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(u)), 1e-8)
+        moved = (u + step).reshape(m, width)
+        U = np.tile(u.reshape(m, width), (1 + 2 * width, 1, 1))
+        U[1 + colour, node, coord] = moved
+        L = lengths(U.reshape(1 + 2 * width, -1))
+        change = L[1:] - L[0]
+        grad = (change[colour, node] + change[colour, node + 1]) \
+            / (moved - u.reshape(m, width))
+        return float(L[0].sum()), grad.reshape(-1)
+
+    return fg
 
 
 def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
                     quad_order: int = OPTIMIZER_QUAD):
     """Shortest discrete path found by local search from the straight segment.
+
+    L-BFGS-B minimizes the ``quad_order``-point quadrature length, first on
+    the smoothed metric, then in polish rounds on the true one; each
+    gradient is a coloured forward difference from one batched evaluation
+    of 1 + 4d paths (``_coloured_gradient``).
 
     Returns ``(DiscretePath, DistanceInterval)``; the reported length never
     exceeds the straight-segment length (falls back with a warning tag when
@@ -488,20 +535,25 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
 
     ts = np.linspace(0.0, 1.0, n)
     straight = x[None, :] + ts[:, None] * (y - x)[None, :]
-    objective = _path_objective(D, x, y, n, quad_order)
-    smoothed = _path_objective(D, x, y, n, quad_order, smooth_p=12.0)
+    lengths = _path_objective(D, x, y, n, quad_order)
+    objective = _coloured_gradient(lengths, n, D.dimension)
+    smoothed = _coloured_gradient(_path_objective(D, x, y, n, quad_order, smooth_p=12.0),
+                                  n, D.dimension)
+
+    def total(u: np.ndarray) -> float:
+        return float(lengths(u[None, :])[0].sum())
 
     u0 = np.hstack([straight[1:-1].real, straight[1:-1].imag]).reshape(-1)
     # shape-finding pass on the softened metric, then polish on the true one;
     # the smoothed landscape has no max kinks, so quasi-Newton steps work
-    pre = minimize(smoothed, u0, method="L-BFGS-B",
+    pre = minimize(smoothed, u0, jac=True, method="L-BFGS-B",
                    options={"maxiter": 60, "maxls": 40})
     u = pre.x if math.isfinite(pre.fun) else u0
-    f_prev = objective(u)
+    f_prev = total(u)
     if f_prev >= _PENALTY:
-        u, f_prev = u0, objective(u0)
+        u, f_prev = u0, total(u0)
     for _ in range(OPTIMIZER_MAX_ROUNDS):
-        res = minimize(objective, u, method="L-BFGS-B",
+        res = minimize(objective, u, jac=True, method="L-BFGS-B",
                        options={"maxiter": 5, "maxls": 40})
         u = res.x
         f_new = float(res.fun)

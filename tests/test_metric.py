@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +33,13 @@ from kcat0 import (
 )
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
+    OPTIMIZER_NODES,
+    OPTIMIZER_QUAD,
+    _coloured_gradient,
     _functionals,
     _half_plane_lower,
+    _path_objective,
+    _slice_upper,
     ball_mobius,
     exact_distance,
     metric_bounds_batch,
@@ -223,6 +230,50 @@ class TestDistance:
         with pytest.raises(OutsideDomain):
             disk_distance(complex(math.nan, 0.0), 0.0)
 
+    def test_two_half_plane_wedge_slice_falls_back(self):
+        # the slice is a two-half-plane wedge whose chart puts both points
+        # within 7e-14 of the unit circle, where the disk distance reads nan
+        D = Product(right_half_plane(), right_half_plane())
+        x = np.array([0.19381564626462 - 0.20552304990579248j,
+                      1.1116332052239921 - 0.9258995736483681j])
+        y = np.array([0.584058311025248 - 0.2148289111268558j,
+                      0.5825384186556901 - 0.7828085779639662j])
+        value, exact, tags = _slice_upper(D, x, y)
+        assert math.isfinite(value) and not exact and "delta-bound" in tags
+        truth = distance(D, x, y).lo
+        assert truth == pytest.approx(0.5516893115, abs=1e-9)
+        iv = distance(D, x, y, force_sandwich=True)
+        assert iv.lo <= truth <= iv.hi <= truth + 1e-5
+
+    @pytest.mark.parametrize("D, x, y, want", [
+        # the power map overflows at |w| = 10 (q = 314)
+        (sector(0.0, 0.0, 0.01), [10 * cmath.exp(0.005j)], [cmath.exp(0.005j)],
+         0.5 * math.pi / 0.01 * math.log(10.0)),
+        # both chart images within 4e-9 of the unit circle; 50-digit value
+        (sector(-0.5 - 1j, 1.875, 2.09375), [-2.13504232 + 2.69189668j],
+         [-2.03608795 + 2.81955248j], 0.29351204765893624596),
+    ], ids=["thin", "far-from-vertex"])
+    def test_sector_distance_stays_finite(self, D, x, y, want):
+        assert distance(D, x, y).lo == pytest.approx(want, rel=1e-13)
+
+    def test_sector_distance_matches_50_digits(self, rng):
+        # openings from 0.005 to 3.14, points 1e-6 to 1e6 from the vertex
+        mpmath.mp.dps = 50
+        for _ in range(100):
+            v = complex(*rng.uniform(-2, 2, 2))
+            alpha = rng.uniform(-3, 3)
+            opening = min(math.exp(rng.uniform(math.log(0.005), 1.2)), 3.14)
+            S = sector(v, alpha, alpha + opening)
+            z, w = (v + 10 ** rng.uniform(-6, 6) * cmath.exp(1j * (alpha + opening * t))
+                    for t in rng.uniform(1e-3, 1 - 1e-3, 2))
+            q = mpmath.pi / (mpmath.mpf(alpha + opening) - mpmath.mpf(alpha))
+            s1, s2 = (mpmath.exp(q * mpmath.log((mpmath.mpc(p) - mpmath.mpc(v))
+                                                * mpmath.exp(-1j * mpmath.mpf(alpha))))
+                      for p in (z, w))
+            want = mpmath.asinh(abs(s1 - s2) / (2 * mpmath.sqrt(s1.imag * s2.imag)))
+            assert distance(S, [z], [w]).lo == pytest.approx(float(want), rel=1e-12)
+            assert distance(S, [z], [w]).lo == distance(S, [w], [z]).lo
+
 
 def _polydisk_and_product(d):
     centers = np.array([0.1 + 0.2j, -0.3, 0.5j])[:d]
@@ -358,6 +409,76 @@ class TestGeodesicApprox:
         _, length = geodesic_approx(P, [1j, 0.0], [4j, 1 / 3])
         assert length.hi >= LN2 - 1e-9
         assert length.hi == pytest.approx(LN2, abs=1e-3)
+
+    @staticmethod
+    def _bent_path(D, x, y, n):
+        """Interior coordinates of a path off the straight segment, inside D."""
+        d = D.dimension
+        ts = np.linspace(0.0, 1.0, n)[1:-1, None]
+        bend = 0.05 * np.sin(np.pi * ts) * np.exp(1j * np.arange(1, d + 1))
+        nodes = x + ts * (y - x) + bend * np.abs(y - x)
+        assert D.contains_batch(nodes).all()
+        return np.hstack([nodes.real, nodes.imag]).reshape(-1)
+
+    @pytest.mark.parametrize("smooth_p", [None, 12.0], ids=["true", "smoothed"])
+    @pytest.mark.parametrize("D, x, y", [
+        (Product(upper_half_plane(), unit_disk()), [1j, 0.2], [2 + 3j, -0.5j]),
+        (example36_domain(), [0.05, 0.1], [0.5, 0.3 + 0.1j]),
+        # coordinates where an absolute 1e-8 step is lost to rounding
+        (Product(upper_half_plane(), unit_disk()), [1e9j, 0.2], [1e8 + 2e9j, -0.5j]),
+    ], ids=["HxD", "example36", "HxD-far"])
+    def test_coloured_gradient_matches_dense_differences(self, D, x, y, smooth_p):
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        n = OPTIMIZER_NODES
+        lengths = _path_objective(D, x, y, n, OPTIMIZER_QUAD, smooth_p)
+        u = self._bent_path(D, x, y, n)
+        f, grad = _coloured_gradient(lengths, n, D.dimension)(u)
+        dense = scipy.optimize.approx_fprime(u, lambda v: lengths(v[None, :])[0].sum(), 1e-8)
+        assert f == pytest.approx(lengths(u[None, :])[0].sum(), rel=1e-15)
+        assert np.abs(grad - dense).max() <= 1e-5 * max(1.0, np.abs(dense).max())
+
+    def test_one_gradient_is_one_batched_call(self):
+        D = Product(upper_half_plane(), unit_disk())
+        x, y = np.array([1j, 0.2]), np.array([2 + 3j, -0.5j])
+        n = OPTIMIZER_NODES
+        lengths = _path_objective(D, x, y, n, OPTIMIZER_QUAD)
+        stacks = []
+
+        def counted(U):
+            stacks.append(U.shape[0])
+            return lengths(U)
+
+        _coloured_gradient(counted, n, D.dimension)(self._bent_path(D, x, y, n))
+        assert stacks == [1 + 4 * D.dimension]
+
+    # lengths at the dense finite-difference optimizer this one replaced; a
+    # coloured gradient must not find longer paths
+    @pytest.mark.parametrize("D, x, y, before", [
+        (example36_domain(), [0.2, 0.2], [0.4, 0.3], 0.7066179513237613),
+        (example36_domain(), [0.05, 0.1], [0.5, 0.3 + 0.1j], 2.421539694165947),
+        (example36_domain(), [0.3, 0.05], [0.2 + 0.1j, 0.5], 5.60376796452322),
+        (Product(upper_half_plane(), unit_disk()), [1j, 0.2], [2 + 3j, -0.5j],
+         0.7455294069098496),
+        (ball2(), [0.1, 0.2j], [-0.4 + 0.3j, 0.5], 0.9734380132442804),
+        (Polydisk(np.zeros(2), np.ones(2)), [0.1, 0.2j], [-0.4 + 0.3j, 0.5],
+         0.633469183800385),
+    ], ids=["example36-a", "example36-b", "example36-c", "HxD", "ball", "polydisk"])
+    def test_lengths_do_not_rise(self, D, x, y, before):
+        _, length = geodesic_approx(D, x, y)
+        assert length.hi <= before * (1 + 1e-4)
+
+    def test_optimizer_fallback_reaches_the_interval(self, monkeypatch):
+        real_minimize = scipy.optimize.minimize
+
+        def leave_the_domain(fun, x0, *args, method=None, **kwargs):
+            if method != "L-BFGS-B":
+                return real_minimize(fun, x0, *args, method=method, **kwargs)
+            return scipy.optimize.OptimizeResult(x=x0 + 10.0, fun=0.0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", leave_the_domain)
+        iv = distance(example36_domain(), [0.2, 0.2], [0.4, 0.3],
+                      force_sandwich=True, optimize_path=True)
+        assert {"path-optimizer", "optimizer-no-improvement"} <= iv.methods
 
 
 class TestMidpoint:
