@@ -11,7 +11,6 @@ from .domains import (
     HalfPlane,
     Intersection,
     PlanarOracle,
-    PlanarSlice,
     Polydisk,
     Product,
     RealPolynomial,

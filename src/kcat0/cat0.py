@@ -136,7 +136,7 @@ def _geodesic_or_approx(D: ConvexDomain, a: np.ndarray, b: np.ndarray) -> Geodes
     if g is not None:
         return g
     path, length = geodesic_approx(D, a, b)
-    return Geodesic(path.length_parametrization(D), length.midpoint, exact=False)
+    return Geodesic(path.length_parametrization(D), length.midpoint)
 
 
 def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,
@@ -186,7 +186,7 @@ def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,
 
 
 def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
-                        seed: int = 0, base=None) -> Cat0Certificate:
+                        base=None) -> Cat0Certificate:
     """CAT(0) violation certificate for the product D1 x D2.
 
     Takes the midpoint m of [x, y] in D1, solves K_D2(w, z) = K_D1(x, y)/2

@@ -112,7 +112,7 @@ def cmd_certify(args) -> int:
         right = builtin_domain(args.right)
         base = point_option("--base", args.base) if args.base else None
         cert = cat0.product_certificate(left, right, point_option("--x", args.x),
-                                        point_option("--y", args.y), seed=args.seed, base=base)
+                                        point_option("--y", args.y), base=base)
         write_report(cert, args)
         return EXIT_VIOLATION if cert.verdict == "violation-certified" else EXIT_OK
     if args.mode == "comparison":

@@ -17,10 +17,12 @@ is the product of its coordinate disks.  Every node answers:
                            is its one-row form.
 
 and answers for the Kobayashi geometry in ``metric`` from its own closed
-forms (the defaults being the planar chart path and the generic convex
-estimate): ``chart``, ``metric_bounds``, ``exact_distance``,
+forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
+form; ``None`` by default), ``chart`` (onto the unit disk, for geodesics
+and rays), ``metric_bounds`` (the generic convex estimate by default),
 ``exact_geodesic``, ``exact_midpoint``, ``unit_speed_ray``,
-``polydisk_slack`` and the sandwich's reductions.
+``polydisk_slack``, ``depth_lower`` and the sandwich's reductions.  A
+slice is itself a planar node.
 
 Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
@@ -34,7 +36,7 @@ instances are safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -280,8 +282,7 @@ class ConvexDomain:
             raise OutsideDomain(f"point {z} is not interior to the domain")
         if self.dimension == 1:
             return self._delta(z)  # the only complex line is the whole plane
-        sl = self.slice(z, v)
-        return float(np.linalg.norm(v)) * sl.planar_delta(0.0)
+        return float(np.linalg.norm(v)) * self.slice(z, v).delta([0.0])
 
     def delta_dir_batch(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Per-row delta_dir; nodes with closed forms override this."""
@@ -289,17 +290,13 @@ class ConvexDomain:
 
     # -- slices ---------------------------------------------------------------
 
-    def slice(self, p, v) -> "PlanarSlice":
-        """The planar set {t in C : p + t v in D} with its own oracles."""
+    def slice(self, p, v) -> "ConvexDomain":
+        """The planar node {t in C : p + t v in D}."""
         p = as_point(p, self.dimension)
         v = as_point(v, self.dimension)
         if not np.any(v):
             raise InvalidDomain("direction v must be nonzero")
-        planar = self._slice_set(p, v)
-        # the exact-chart tag marks structural catalog slices only; derived
-        # exact treatments (lens reductions) do not set it
-        return PlanarSlice(base=p, direction=v, planar=planar,
-                           exact_chart=planar.catalog_chart)
+        return self._slice_set(p, v)
 
     def _slice_set(self, p: np.ndarray, v: np.ndarray) -> "ConvexDomain":
         raise NotImplementedError
@@ -313,6 +310,10 @@ class ConvexDomain:
     def anchor(self) -> np.ndarray:
         """Some interior point, used as a ray-shooting origin."""
         raise NotImplementedError
+
+    def depth_lower(self, z: np.ndarray) -> float:
+        """A lower bound for ``_delta(z)`` that needs no numeric search."""
+        return self._delta(z)
 
     def support_upper(self, a) -> float:
         """Upper bound for sup_{z in D} Re<z, a>; +inf when unbounded."""
@@ -332,7 +333,6 @@ class ConvexDomain:
 
     exact_tag = "exact-chart"   # method tag of a closed-form metric value
     fast_delta_dir = False      # directional boundary distances in closed form
-    catalog_chart = False       # a planar catalog node with its own chart
 
     def chart(self) -> ConformalChart | None:
         """Conformal chart onto the unit disk, or None."""
@@ -356,11 +356,7 @@ class ConvexDomain:
 
     def exact_distance(self, x: np.ndarray, y: np.ndarray) -> DistanceInterval | None:
         """Structurally exact Kobayashi distance, or None."""
-        ch = self.chart()
-        if ch is None:
-            return None
-        val = planar.disk_distance(ch.forward(complex(x[0])), ch.forward(complex(y[0])))
-        return DistanceInterval.exact(val, "exact-chart")
+        return None
 
     def exact_geodesic(self, x: np.ndarray, y: np.ndarray) -> Callable | None:
         """t -> point at t in [0, 1] of the constant-speed geodesic, or None."""
@@ -446,7 +442,6 @@ class Disk(ConvexDomain):
                 "radius": self.radius}
 
     fast_delta_dir = True
-    catalog_chart = True
 
     def chart(self):
         c, r = self.center, self.radius
@@ -458,6 +453,10 @@ class Disk(ConvexDomain):
     def metric_bounds(self, Z, V):
         k = np.abs(V[:, 0]) * self.radius / (self.radius ** 2 - np.abs(Z[:, 0] - self.center) ** 2)
         return k, k.copy()
+
+    def exact_distance(self, x, y):
+        return DistanceInterval.exact(planar.ball_distance(x, y, [self.center], self.radius),
+                                      "exact-chart")
 
     def polydisk_slack(self, centers, radii):
         return self.radius - (abs(centers[0] - self.center) + radii[0])
@@ -512,7 +511,6 @@ class HalfPlane(ConvexDomain):
                 "inward_normal": [self.inward_normal.real, self.inward_normal.imag]}
 
     fast_delta_dir = True
-    catalog_chart = True
 
     def chart(self):
         p, n = self.boundary_point, self.inward_normal
@@ -533,6 +531,11 @@ class HalfPlane(ConvexDomain):
         dist = ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
         k = np.abs(V[:, 0]) / (2.0 * dist)
         return k, k.copy()
+
+    def exact_distance(self, x, y):
+        # in the half-plane's own coordinates: sinh K = |x - y| / (2 sqrt(delta(x) delta(y)))
+        gaps = math.sqrt(self._delta(x)) * math.sqrt(self._delta(y))
+        return DistanceInterval.exact(math.asinh(abs(x[0] - y[0]) / (2.0 * gaps)), "exact-chart")
 
     def polydisk_slack(self, centers, radii):
         margin = ((centers[0] - self.boundary_point) * np.conj(self.inward_normal)).real
@@ -604,7 +607,6 @@ class Sector(ConvexDomain):
                 "alpha": self.alpha, "beta": self.beta}
 
     fast_delta_dir = True
-    catalog_chart = True
 
     def chart(self):
         V, alpha = self.vertex, self.alpha
@@ -635,19 +637,20 @@ class Sector(ConvexDomain):
         # the chart's disk images of points far from the vertex sit within
         # rounding of the unit circle (or overflow), so the distance is taken
         # in the upper half-plane w -> w^q maps onto, in logarithms: with
-        # w_k = r_k e^(i phi_k) from the vertex and a = q ln(r_0 / r_1) / 2,
-        # sinh(d)^2 = (sinh(a)^2 + sin(q (phi_0 - phi_1) / 2)^2)
-        #             / (sin(q phi_0) sin(q phi_1))
+        # w_k = r_k e^(i phi_k) from the vertex and a + ib = q log(w_0 / w_1) / 2,
+        # sinh(d)^2 = (sinh(a)^2 + sin(b)^2) / (sin(q phi_0) sin(q phi_1)); the
+        # ratio keeps close points' digits at any scale, a fixed order symmetry
         q = math.pi / self.opening
-        logs = np.log((np.array([x[0], y[0]]) - self.vertex) * np.exp(-1j * self.alpha))
-        a = 0.5 * q * float(logs[0].real - logs[1].real)
-        t = q * logs.imag
+        w = (np.array(sorted([x[0], y[0]], key=lambda c: (c.real, c.imag)))
+             - self.vertex) * np.exp(-1j * self.alpha)
+        half = 0.5 * q * np.log(w[0] / w[1])
+        a, b = float(half.real), float(half.imag)
+        t = q * np.angle(w)
         p = math.sin(t[0]) * math.sin(t[1])
         if abs(a) > 20.0:   # asinh(X) = ln(2X) to double precision; sinh overflows past 710
             val = abs(a) - 0.5 * math.log(p)
         else:
-            val = math.asinh(math.hypot(math.sinh(a), math.sin(0.5 * (t[0] - t[1])))
-                             / math.sqrt(p))
+            val = math.asinh(math.hypot(math.sinh(a), math.sin(b)) / math.sqrt(p))
         return DistanceInterval.exact(val, "exact-chart")
 
     def metric_bounds(self, Z, V):
@@ -754,24 +757,10 @@ class Ball(ConvexDomain):
         return k, k.copy()
 
     def exact_distance(self, x, y):
-        if self.dimension == 1:
-            return super().exact_distance(x, y)
-        zs = (x - self.center) / self.radius
-        ws = (y - self.center) / self.radius
-        num = (1 - float(np.sum(np.abs(zs) ** 2))) * (1 - float(np.sum(np.abs(ws) ** 2)))
-        # the pairing is accumulated in real arithmetic so that swapping the
-        # arguments flips only the sign of the imaginary part, keeping the
-        # distance bit-for-bit symmetric
-        re = float(np.sum(zs.real * ws.real + zs.imag * ws.imag))
-        im = float(np.sum(zs.imag * ws.real - zs.real * ws.imag))
-        den = (1.0 - re) ** 2 + im * im
-        arg = max(0.0, 1.0 - num / den)
-        return DistanceInterval.exact(float(np.arctanh(math.sqrt(min(arg, 1.0 - 1e-17)))),
+        return DistanceInterval.exact(planar.ball_distance(x, y, self.center, self.radius),
                                       "exact-chart")
 
     def exact_geodesic(self, x, y):
-        if self.dimension == 1:
-            return super().exact_geodesic(x, y)
         if np.array_equal(x, y):
             return lambda t: x.copy()
         unit_x = (x - self.center) / self.radius
@@ -835,6 +824,9 @@ class Product(ConvexDomain):
     def _delta(self, z):
         return min(f._delta(zf) for f, zf in zip(self.factors, self.split(z)))
 
+    def depth_lower(self, z):
+        return min(f.depth_lower(zf) for f, zf in zip(self.factors, self.split(z)))
+
     def _slice_set(self, p, v):
         return intersection([f._slice_set(pf, vf) for f, pf, vf
                              in zip(self.factors, self.split(p), self.split(v))
@@ -885,14 +877,13 @@ class Product(ConvexDomain):
                    for f, Zf, Vf in zip(self.factors, self.split(Z), self.split(V))) ** (1.0 / p)
 
     def exact_distance(self, x, y):
-        if self.dimension == 1:
-            return super().exact_distance(x, y)
         parts = [f.exact_distance(xf, yf)
                  for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
         if None in parts:
             return None
+        tags = frozenset().union(*(p.methods for p in parts))
         return DistanceInterval(max(p.lo for p in parts), max(p.hi for p in parts),
-                                frozenset({"product-max"}).union(*(p.methods for p in parts)))
+                                tags | {"product-max"} if len(parts) > 1 else tags)
 
     def exact_geodesic(self, x, y):
         parts = [f.exact_geodesic(xf, yf)
@@ -963,6 +954,8 @@ class AffineImage(ConvexDomain):
             self._conformal_scale = math.sqrt(s2)
         else:
             self._conformal_scale = None
+        # A maps a ball of radius r onto a set holding the ball of radius s_min r
+        self._sigma_min = float(np.linalg.svd(A, compute_uv=False)[-1])
 
     def pull_back(self, z: np.ndarray) -> np.ndarray:
         return self.inverse @ (z - self.offset)
@@ -985,9 +978,12 @@ class AffineImage(ConvexDomain):
             return self._conformal_scale * self.inner._delta(w)
         return _delta_numeric(self, z)
 
+    def depth_lower(self, z):
+        return self._sigma_min * self.inner.depth_lower(self.pull_back(z))
+
     def _slice_set(self, p, v):
         # the parameter plane is preserved exactly under the pullback
-        return self.inner.slice(self.pull_back(p), self.inverse @ v).planar
+        return self.inner.slice(self.pull_back(p), self.inverse @ v)
 
     def delta_dir_batch(self, Z, V):
         U = V @ self.inverse.T
@@ -1013,8 +1009,7 @@ class AffineImage(ConvexDomain):
                 "offset": point_to_json(self.offset),
                 "inner": self.inner.to_spec()}
 
-    # an affine image is biholomorphic to its inner domain; in dimension 1
-    # its exact geometry goes through the composed chart instead
+    # an affine image is biholomorphic to its inner domain
     exact_tag = "affine-invariance"
 
     def chart(self):
@@ -1037,22 +1032,16 @@ class AffineImage(ConvexDomain):
         return self.inner.metric_hi_smooth(self._pull_back_rows(Z), V @ self.inverse.T, p)
 
     def exact_distance(self, x, y):
-        if self.dimension == 1:
-            return super().exact_distance(x, y)
         inner = self.inner.exact_distance(self.pull_back(x), self.pull_back(y))
         return None if inner is None else inner.with_tags("affine-invariance")
 
     def exact_geodesic(self, x, y):
-        if self.dimension == 1:
-            return super().exact_geodesic(x, y)
         if np.array_equal(x, y):
             return lambda t: x.copy()
         inner = self.inner.exact_geodesic(self.pull_back(x), self.pull_back(y))
         return None if inner is None else (lambda t: self.push_forward(inner(t)))
 
     def exact_midpoint(self, x, y):
-        if self.dimension == 1:
-            return super().exact_midpoint(x, y)
         inner = self.inner.exact_midpoint(self.pull_back(x), self.pull_back(y))
         return None if inner is None else self.push_forward(inner)
 
@@ -1092,8 +1081,11 @@ class Intersection(ConvexDomain):
     def _delta(self, z):
         return min(m._delta(z) for m in self.members)
 
+    def depth_lower(self, z):
+        return min(m.depth_lower(z) for m in self.members)
+
     def _slice_set(self, p, v):
-        return intersection([m.slice(p, v).planar for m in self.members])
+        return intersection([m.slice(p, v) for m in self.members])
 
     def delta_dir_batch(self, Z, V):
         out = self.members[0].delta_dir_batch(Z, V)
@@ -1112,16 +1104,13 @@ class Intersection(ConvexDomain):
         for c in candidates:
             if self._contains(c):
                 return c
-        # maximize the joint boundary distance from the best starting guess
+        # maximize a cheap lower bound on the joint boundary distance
         from scipy.optimize import minimize as _minimize
 
         def neg_depth(x):
             z = _from_real(x)
-            vals = []
-            for m in self.members:
-                vals.append(m._delta(z) if m._contains(z) else
-                            -ray_dist_outside(m, z))
-            return -min(vals)
+            return -min(m.depth_lower(z) if m._contains(z) else -ray_dist_outside(m, z)
+                        for m in self.members)
 
         best = min(candidates, key=lambda c: neg_depth(_real_view(c)))
         res = _minimize(neg_depth, _real_view(best), method="Nelder-Mead",
@@ -1139,9 +1128,22 @@ class Intersection(ConvexDomain):
                 "members": [m.to_spec() for m in self.members]}
 
     def chart(self):
-        if len(self.members) == 2 and all(isinstance(m, (Disk, HalfPlane)) for m in self.members):
-            return _lens_chart(*self.members)
-        return None
+        lens = _lens_sector(self.members)
+        if lens is None:
+            return None
+        P, Q, sec = lens
+        inner = sec.chart()
+        return ConformalChart(lambda z: inner.forward((z - P) / (z - Q)),
+                              lambda z: inner.derivative((z - P) / (z - Q)) * (P - Q) / (z - Q) ** 2,
+                              lambda u: (P - inner.inverse(u) * Q) / (1 - inner.inverse(u)),
+                              "lens")
+
+    def exact_distance(self, x, y):
+        lens = _lens_sector(self.members)
+        if lens is None:
+            return None
+        P, Q, sec = lens
+        return sec.exact_distance((x - P) / (x - Q), (y - P) / (y - Q))
 
     def polydisk_slack(self, centers, radii):
         slacks = [m.polydisk_slack(centers, radii) for m in self.members]
@@ -1153,14 +1155,14 @@ class Intersection(ConvexDomain):
                     for m in self.members if m.c_proper), default=0.0)
 
 
-# -- exact charts of two-member lenses and wedges -----------------------------
+# -- two-member lenses and wedges as sectors ---------------------------------
 
 
 def _circle_line_points(disk: Disk, hp: HalfPlane):
     tangent = 1j * hp.inward_normal
     foot = hp.boundary_point + ((disk.center - hp.boundary_point) * np.conj(tangent)).real * tangent
     dist = abs(disk.center - foot)
-    if dist >= disk.radius - 1e-14:
+    if dist >= disk.radius * (1 - 1e-14):
         return None
     h = math.sqrt(disk.radius ** 2 - dist ** 2)
     return foot + h * tangent, foot - h * tangent, h
@@ -1168,8 +1170,8 @@ def _circle_line_points(disk: Disk, hp: HalfPlane):
 
 def _circle_circle_points(d1: Disk, d2: Disk):
     sep = abs(d2.center - d1.center)
-    if sep < 1e-15 or sep >= d1.radius + d2.radius - 1e-14 or \
-            sep <= abs(d1.radius - d2.radius) + 1e-14:
+    tol = 1e-14 * (d1.radius + d2.radius)
+    if sep >= d1.radius + d2.radius - tol or sep <= abs(d1.radius - d2.radius) + tol:
         return None
     a = (sep ** 2 + d1.radius ** 2 - d2.radius ** 2) / (2 * sep)
     h2 = d1.radius ** 2 - a ** 2
@@ -1185,20 +1187,21 @@ def _arc_sample(disk: Disk, P: complex, Q: complex, other: ConvexDomain) -> comp
     """A point of the circle strictly between P and Q on the lens boundary."""
     a1 = np.angle(P - disk.center)
     a2 = np.angle(Q - disk.center)
+    tol = 1e-12 * disk.radius
     for mid_angle in (0.5 * (a1 + a2), 0.5 * (a1 + a2) + math.pi):
         cand = disk.center + disk.radius * np.exp(1j * mid_angle)
-        if _closure_contains(other, cand):
+        if _closure_contains(other, cand, tol):
             return complex(cand)
     # fall back to a finer scan of the circle
     for frac in np.linspace(0.05, 0.95, 19):
         ang = a1 + frac * ((a2 - a1) % (2 * math.pi))
         cand = disk.center + disk.radius * np.exp(1j * ang)
-        if _closure_contains(other, cand):
+        if _closure_contains(other, cand, tol):
             return complex(cand)
     raise DegenerateInput("could not locate the lens arc")
 
 
-def _closure_contains(D: ConvexDomain, z: complex, tol: float = 1e-12) -> bool:
+def _closure_contains(D: ConvexDomain, z: complex, tol: float) -> bool:
     if isinstance(D, Disk):
         return abs(z - D.center) <= D.radius + tol
     return ((z - D.boundary_point) * np.conj(D.inward_normal)).real >= -tol
@@ -1207,16 +1210,12 @@ def _closure_contains(D: ConvexDomain, z: complex, tol: float = 1e-12) -> bool:
 def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
     """Intersection of two transversal half-planes as an exact sector."""
     n1, n2 = h1.inward_normal, h2.inward_normal
-    cross = (np.conj(1j * n1) * (1j * n2)).imag  # sine of the line angle
-    if abs(cross) < 1e-13:
-        return None  # parallel boundaries: a strip or empty, no sector chart
-    # vertex: solve p1 + t d1 = p2 + s d2 with d_i the line directions
-    d1, d2 = 1j * n1, 1j * n2
-    A = np.array([[d1.real, -d2.real], [d1.imag, -d2.imag]])
-    rhs = np.array([(h2.boundary_point - h1.boundary_point).real,
-                    (h2.boundary_point - h1.boundary_point).imag])
-    t, _ = np.linalg.solve(A, rhs)
-    vertex = h1.boundary_point + t * d1
+    sine = (np.conj(n1) * n2).imag  # of the angle between the lines
+    if abs(sine) < 1e-13:
+        return None  # parallel boundaries: a strip or empty, no sector
+    # the vertex solves Re(z conj(n_k)) = Re(p_k conj(n_k)) on both lines
+    c1, c2 = ((h.boundary_point * np.conj(h.inward_normal)).real for h in (h1, h2))
+    vertex = -1j * (c1 * n2 - c2 * n1) / sine
     l1 = np.angle(n1) - math.pi / 2
     l2 = np.angle(n2) - math.pi / 2
     d = math.remainder(l2 - l1, 2 * math.pi)
@@ -1227,17 +1226,18 @@ def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
     return sector(vertex, alpha, alpha + opening)
 
 
-def _lens_chart(m1: ConvexDomain, m2: ConvexDomain) -> ConformalChart | None:
-    """Chart for the intersection of two disks / half-planes.
+def _lens_sector(members: Sequence[ConvexDomain]):
+    """(P, Q, sector) for the intersection of a disk with a disk or a
+    half-plane whose boundaries cross, else None.
 
-    The Mobius map (z - P)/(z - Q) sends both boundary circles through the
-    crossing points P, Q to rays from the origin; the lens becomes a
-    sector whose opening is the crossing angle.
+    The Mobius map T(z) = (z - P)/(z - Q) sends both boundary circles
+    through the crossing points P, Q to rays from the origin; the lens
+    becomes the returned sector, whose opening is the crossing angle.
     """
-    if isinstance(m1, HalfPlane) and isinstance(m2, HalfPlane):
-        wedge = _wedge_sector(m1, m2)
-        return wedge.chart() if wedge is not None else None
-
+    kinds = [type(m) for m in members]
+    if len(kinds) != 2 or Disk not in kinds or not set(kinds) <= {Disk, HalfPlane}:
+        return None
+    m1, m2 = members
     if isinstance(m1, HalfPlane):
         m1, m2 = m2, m1
     if isinstance(m2, HalfPlane):
@@ -1257,29 +1257,14 @@ def _lens_chart(m1: ConvexDomain, m2: ConvexDomain) -> ConformalChart | None:
         sample = 0.5 * (P + Q)
         boundary_samples = (_arc_sample(m1, P, Q, m2), _arc_sample(m2, P, Q, m1))
 
-    T = lambda z: (z - P) / (z - Q)
-    T_der = lambda z: (P - Q) / (z - Q) ** 2
-    T_inv = lambda s: (P - s * Q) / (1 - s)
-
-    angles = [float(np.angle(T(b))) for b in boundary_samples]
-    phi = float(np.angle(T(sample)))
-    a1, a2 = angles
-    sec = None
+    a1, a2 = [float(np.angle((b - P) / (b - Q))) for b in boundary_samples]
+    phi = float(np.angle((sample - P) / (sample - Q)))
     for alpha, other in ((a1, a2), (a2, a1)):
         opening = (other - alpha) % (2 * math.pi)
         inside = (phi - alpha) % (2 * math.pi)
         if 0 < opening < math.pi + 1e-12 and 0 < inside < opening:
-            sec = sector(0.0, alpha, alpha + opening)
-            break
-    if sec is None:
-        return None
-    inner = sec.chart()
-    return ConformalChart(
-        forward=lambda z: inner.forward(T(z)),
-        derivative=lambda z: inner.derivative(T(z)) * T_der(z),
-        inverse=lambda u: T_inv(inner.inverse(u)),
-        tag="lens",
-    )
+            return P, Q, sector(0.0, alpha, alpha + opening)
+    return None
 
 
 def ray_dist_outside(D: ConvexDomain, z: np.ndarray) -> float:
@@ -1312,8 +1297,10 @@ def intersection(members: Sequence[ConvexDomain]) -> ConvexDomain:
 def reduce_planar_intersection(members: list[ConvexDomain]) -> ConvexDomain | None:
     """Structural reductions among planar disks/half-planes.
 
-    Removes members that contain another member (they cannot bind) and
-    collapses a single survivor.  Returns None when no reduction applies.
+    Removes members that contain another member (they cannot bind),
+    collapses a single survivor, and turns two transversal half-planes into
+    a sector, as ``sector`` turns an opening of pi into a half-plane.
+    Returns None when no reduction applies.
     """
     if any(not isinstance(m, (Disk, HalfPlane, Sector)) for m in members):
         return None
@@ -1338,6 +1325,10 @@ def reduce_planar_intersection(members: list[ConvexDomain]) -> ConvexDomain | No
         keep = [members[0]]
     if len(keep) == 1:
         return keep[0]
+    if len(keep) == 2 and all(isinstance(m, HalfPlane) for m in keep):
+        wedge = _wedge_sector(*keep)  # None for a strip
+        if wedge is not None:
+            return wedge
     if len(keep) != len(members):
         return Intersection(keep)
     return None
@@ -1576,28 +1567,6 @@ def _delta_numeric(D: ConvexDomain, z: np.ndarray) -> float:
                         options={"maxiter": 300, "fatol": 1e-13, "xatol": 1e-10})
         best = min(best, float(res.fun))
     return best
-
-
-@dataclass
-class PlanarSlice:
-    """The planar set {t in C : p + t v in D}.
-
-    ``exact_chart`` is set only when the slice is structurally a catalog
-    planar node; oracle-backed slices report honest numerics instead.
-    ``planar_delta`` works in parameter-plane units, so
-    ``delta_dir = |v| * planar_delta(0)``.
-    """
-
-    base: np.ndarray
-    direction: np.ndarray
-    planar: ConvexDomain
-    exact_chart: bool
-
-    def contains_param(self, t: complex) -> bool:
-        return self.planar.contains([t])
-
-    def planar_delta(self, t: complex) -> float:
-        return self.planar.delta([t])
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def scaling_lemma32(D: ConvexDomain) -> ScalingSequence:
     d = D.dimension
     e1 = np.zeros(d, dtype=complex)
     e1[0] = 1.0
-    S = D.slice(np.zeros(d, dtype=complex), e1).planar
+    S = D.slice(np.zeros(d, dtype=complex), e1)
     if S.contains([0.0]):
         raise InvalidDomain("0 must lie on the boundary of the first-coordinate slice")
     alpha, beta = _cone_hull_angles(S)

@@ -1,7 +1,8 @@
 """Kobayashi distance engine on C^d.
 
-Catalog compositions (charted planar domains, balls, products of any
-number of factors, affine images) evaluate exactly.  Everything else gets
+Catalog compositions (planar models, balls, products of any number of
+factors, affine images) evaluate exactly, each node from its own
+``exact_distance``.  Everything else gets
 a certified sandwich: lower bounds from holomorphic contractions (factor
 projections, member inclusions, supporting half-planes), upper bounds from
 the planar slice through the two points and from an optimized discrete
@@ -21,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import planar
 from .domains import ConvexDomain, PlanarOracle, ball_mobius  # noqa: F401
 from .errors import (
     InvalidDomain,
@@ -50,14 +50,9 @@ class DiscretePath:
     """Piecewise-linear path through domain points."""
 
     nodes: np.ndarray                  # (N, d) complex
-    params: np.ndarray | None = None   # defaults to uniform in [0, 1]
 
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=complex))
-        if self.params is None:
-            n = self.nodes.shape[0]
-            self.params = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
-        self.params = np.asarray(self.params, dtype=float)
 
     def validate_in(self, D: ConvexDomain):
         probes = [self.nodes]
@@ -98,7 +93,6 @@ class Geodesic:
 
     point_at: Callable[[float], np.ndarray]
     length: float
-    exact: bool = True
 
     def __call__(self, t: float) -> np.ndarray:
         return self.point_at(t)
@@ -209,6 +203,11 @@ def _functionals(dim: int, chord: np.ndarray) -> np.ndarray:
     return np.vstack([_GRID_CACHE[dim], chord[None, :], -chord[None, :]])
 
 
+def _round_off(D: ConvexDomain) -> float:
+    """Relative round-off allowed for a closed-form bound on D."""
+    return 4 * (D.dimension + 1) * sys.float_info.epsilon
+
+
 def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
     """Best lower bound from affine functionals into supporting half-planes.
 
@@ -222,7 +221,7 @@ def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
     # round-off padding: h and the pairings with a unit functional are taken
     # good to `ulp` times |h| plus the norm of the point paired, so the gaps
     # widen and |f(x - y)| shrinks by that much
-    ulp = 4 * (D.dimension + 1) * sys.float_info.epsilon
+    ulp = _round_off(D)
     gap_x, err_x = h - (pair @ x).real, ulp * (np.abs(h) + np.linalg.norm(x))
     gap_y, err_y = h - (pair @ y).real, ulp * (np.abs(h) + np.linalg.norm(y))
     # a gap within its round-off (or an infinite h) certifies nothing
@@ -235,22 +234,16 @@ def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
-    """Upper bound through the planar slice spanned by x and y.
+    """Upper bound through the planar slice spanned by x and y: the slice
+    node's exact distance between the parameters 0 and 1, else the oracle
+    integral.
 
     Returns (value, exact_flag, tags).
     """
-    S = D.slice(x, y - x).planar
-    ch = planar.exact_chart(S)
-    if ch is not None:
-        # a chart can overflow on a thin far-off wedge, or put both images
-        # within rounding of the circle, where the disk distance reads nan;
-        # then use the oracle
-        with np.errstate(over="ignore", invalid="ignore"):
-            u0, u1 = ch.forward(0.0), ch.forward(1.0)
-            if abs(u0) < 1 and abs(u1) < 1:
-                val = planar.disk_distance(u0, u1)
-                if math.isfinite(val):
-                    return val, True, {"slice-upper"}
+    S = D.slice(x, y - x)
+    exact = S.exact_distance(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
+    if exact is not None:
+        return exact.hi, True, {"slice-upper"}
     val = _oracle_upper(S, 0.0 + 0.0j, 1.0 + 0.0j)
     return val, False, {"slice-upper", "delta-bound"}
 
@@ -381,9 +374,9 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
 
     lo = max(lows)
 
-    his = []
     slice_val, slice_exact, slice_tags = _slice_upper(D, x, y)
-    his.append(slice_val)
+    # an exact slice value is padded by its round-off, as the half-plane bound is
+    his = [slice_val * (1.0 + _round_off(D)) if slice_exact else slice_val]
     tags |= slice_tags
 
     # the flat slice cannot see max-type geometry; when it is visibly loose

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -119,6 +120,27 @@ class TestDelta:
         A = AffineImage(np.diag([1 + 4e-6, 1.0]), [0, 0], ball2())
         assert A.delta([0.0, 1 - 1e-3]) == pytest.approx(1e-3, abs=1e-12)
 
+    def test_depth_lower_bounds_delta(self, rng):
+        # an affine image holds the ball of radius s_min * (inner depth)
+        A = AffineImage([[2, 0.5], [0, 1]], [0.3, -0.2j], ball2())
+        D = intersection([A, Ball([0.5, 0.0], 1.2)])
+        z = sample_in(D, rng, scale=0.5)
+        assert 0 < D.depth_lower(z) <= D.delta(z) + 1e-12   # one numeric delta, about 1 s
+        for _ in range(10):
+            z = sample_in(D, rng, scale=0.5)
+            assert A.depth_lower(z) == pytest.approx(
+                np.linalg.svd(A.matrix, compute_uv=False)[-1] * ball2().delta(A.pull_back(z)))
+
+    def test_intersection_anchor_needs_no_numeric_delta(self):
+        # neither member anchor nor their mean is inside; the search used to
+        # maximize the exact depth, a direction search per step on the
+        # non-conformal member, and ran past 300 s
+        D = Intersection([AffineImage([[2, 0.5], [0, 1]], [0, 0], Ball([0, 0], 1)),
+                          Ball([2.2, 0], 1)])
+        start = time.process_time()
+        assert D.contains(D.anchor())
+        assert time.process_time() - start < 10.0
+
     def test_graph_matches_ball(self, rng):
         poly = RealPolynomial(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0,
                                   (0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0,
@@ -190,32 +212,45 @@ class TestDeltaDir:
 
 class TestSlices:
     def test_product_structural_slice_has_exact_tag(self):
+        # a slice is itself a planar node, answering its own exact distance
         D = Product(sector(0.0, 0.0, 1.0), unit_disk())
         sl = D.slice([0.5 * np.exp(0.5j), 0.0], [1.0, 0.0])
-        assert sl.exact_chart
-        assert isinstance(sl.planar, Sector)
+        assert isinstance(sl, Sector)
+        assert "exact-chart" in sl.exact_distance(np.zeros(1, complex), np.ones(1, complex)).methods
 
     def test_ball_center_slice_is_unit_disk(self):
         sl = ball2().slice([0.0, 0.0], [1.0, 0.0])
-        assert isinstance(sl.planar, Disk)
-        assert sl.planar.radius == pytest.approx(1.0)
-        assert abs(sl.planar.center) == pytest.approx(0.0)
+        assert isinstance(sl, Disk)
+        assert sl.radius == pytest.approx(1.0)
+        assert abs(sl.center) == pytest.approx(0.0)
 
-    def test_intersection_slice_has_no_exact_tag(self):
+    def test_intersection_slice_is_the_lens_of_member_slices(self):
         D = intersection([Ball(np.array([1.0, 0.0], dtype=complex), 1.0),
                           Ball(np.array([0.0, 1.0], dtype=complex), 1.0)])
         sl = D.slice([0.1, 0.1], [1.0, 0.0])
-        assert not sl.exact_chart
+        assert isinstance(sl, Intersection)
+        assert all(isinstance(m, Disk) for m in sl.members)
+        a, b = np.array([0.2 + 0.0j]), np.array([0.25 + 0.1j])
+        # the lens sits in each member disk, so its distance dominates theirs
+        assert sl.exact_distance(a, b).lo >= max(m.exact_distance(a, b).lo for m in sl.members)
+
+    def test_two_transversal_half_planes_are_a_sector(self):
+        wedge = intersection([HalfPlane(0.0, 1.0), HalfPlane(1j, 1j)])
+        assert isinstance(wedge, Sector)
+        assert wedge.vertex == pytest.approx(1j)
+        assert wedge.opening == pytest.approx(math.pi / 2)
+        strip = intersection([HalfPlane(0.0, 1j), HalfPlane(1j, -1j)])
+        assert isinstance(strip, Intersection)
 
     def test_membership_invariant(self, rng):
         D = ball2()
         p = sample_in(D, rng, scale=0.5)
         v = np.array([1.0, 0.5j])
         sl = D.slice(p, v)
-        assert sl.contains_param(0.0)
+        assert sl.contains([0.0])
         for _ in range(20):
             t = complex(rng.normal(), rng.normal())
-            assert sl.contains_param(t) == D.contains(p + t * v)
+            assert sl.contains([t]) == D.contains(p + t * v)
 
 
 def _torus(centers, radii, n=8):
@@ -469,7 +504,7 @@ class TestRayShooting:
     def test_graph_values_unchanged(self):
         G = _ellipsoid_graph()
         assert G._probe_radius() == 1.9140304992648112
-        S = G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]).planar
+        S = G.slice([0.1, 0.2j], [1, 0.3 + 0.1j])
         assert S.delta([0.05]) == 0.6899111631639983
         assert S.support_upper([1 + 1j]) == 1.0519052134924742
         assert S.boundary_points(512)[7] == 0.7521391498530944 + 0.06468423611831195j
@@ -490,7 +525,7 @@ class TestRayShooting:
     def test_delta_is_a_python_float(self):
         G = _ellipsoid_graph()
         assert type(G.delta([0.2, 0.1j])) is float
-        assert type(G.slice([0.1, 0.2j], [1, 0.3]).planar.delta([0.05])) is float
+        assert type(G.slice([0.1, 0.2j], [1, 0.3]).delta([0.05])) is float
 
     def test_probe_radius_is_computed_once(self):
         poly = RealPolynomial(2, _ELLIPSOID)

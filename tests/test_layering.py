@@ -2,8 +2,9 @@
 
 The import order is points/errors -> interval -> planar -> domains ->
 metric -> cat0 -> ...: every node answers for itself in ``domains``, so
-the engine modules above it never ask which node they hold, and no
-module reaches a sibling through an import hidden in a function body.
+the engine modules above it never ask which node they hold nor compute a
+node's distance from its chart, and no module reaches a sibling through
+an import hidden in a function body.
 """
 
 import ast
@@ -70,3 +71,9 @@ def test_engine_modules_do_not_dispatch_on_node_classes(module):
             if names & NODE_CLASSES:
                 hits.append(f"{module}:{node.lineno}")
     assert hits == []
+
+
+def test_metric_holds_no_chart_arithmetic():
+    # exact planar distances come from the nodes' own exact_distance
+    text = (SRC / "metric.py").read_text()
+    assert [w for w in (".chart(", "exact_chart", "disk_distance", ".forward(") if w in text] == []

@@ -185,7 +185,7 @@ class TestDistance:
             if np.allclose(x, y):
                 continue
             sl = D.slice(x, y - x)
-            d_slice = planar_distance(sl.planar, 0.0, 1.0)
+            d_slice = planar_distance(sl, 0.0, 1.0)
             assert distance(D, x, y).lo <= d_slice + 1e-9
 
     def test_pseudo_distance_flag(self):
@@ -219,31 +219,59 @@ class TestDistance:
 
     def test_thin_wedge_slice_stays_finite(self):
         # the slice is a wedge of opening 0.0073 rad with its vertex about
-        # 316 away; its power-map chart overflows at both endpoints
+        # 316 away, where its power-map chart overflows at both endpoints;
+        # the wedge is a sector, exact in logarithms (50-digit values: the
+        # wedge 1.03944414462602820081, the product 0.91215210851945900761)
         D = Product(right_half_plane(), right_half_plane())
-        x = [1.09116942 + 0.63170711j, 2.38725662 - 0.994523j]
-        y = [2.04379537 + 0.45931089j, 0.39343915 - 0.64868876j]
+        x = np.array([1.09116942 + 0.63170711j, 2.38725662 - 0.994523j])
+        y = np.array([2.04379537 + 0.45931089j, 0.39343915 - 0.64868876j])
+        value, exact, tags = _slice_upper(D, x, y)
+        assert exact and tags == {"slice-upper"}
+        assert value == pytest.approx(1.03944414462602820081, rel=1e-12)
         iv = distance(D, x, y, force_sandwich=True)
-        assert math.isfinite(iv.hi)
-        assert iv.lo <= 0.9121521085194589 <= iv.hi
-        assert "delta-bound" in iv.methods
-        with pytest.raises(OutsideDomain):
-            disk_distance(complex(math.nan, 0.0), 0.0)
+        assert iv.lo <= 0.91215210851945900761 <= value <= iv.hi <= value * (1 + 1e-14)
 
-    def test_two_half_plane_wedge_slice_falls_back(self):
-        # the slice is a two-half-plane wedge whose chart puts both points
-        # within 7e-14 of the unit circle, where the disk distance reads nan
+    def test_two_half_plane_wedge_slice_is_exact(self):
+        # the wedge's disk chart put both points within 7e-14 of the unit
+        # circle, where the disk distance read nan; as a sector the slice is
+        # exact (50-digit value 0.71366177923477025613)
         D = Product(right_half_plane(), right_half_plane())
         x = np.array([0.19381564626462 - 0.20552304990579248j,
                       1.1116332052239921 - 0.9258995736483681j])
         y = np.array([0.584058311025248 - 0.2148289111268558j,
                       0.5825384186556901 - 0.7828085779639662j])
         value, exact, tags = _slice_upper(D, x, y)
-        assert math.isfinite(value) and not exact and "delta-bound" in tags
+        assert exact and tags == {"slice-upper"}
+        assert value == pytest.approx(0.71366177923477025613, rel=1e-12)
         truth = distance(D, x, y).lo
         assert truth == pytest.approx(0.5516893115, abs=1e-9)
         iv = distance(D, x, y, force_sandwich=True)
-        assert iv.lo <= truth <= iv.hi <= truth + 1e-5
+        assert iv.lo <= truth <= value <= iv.hi <= value * (1 + 1e-14)
+
+    def test_sector_slice_in_a_product_is_exact(self):
+        # the slice is the sector itself; its disk chart put both points
+        # within rounding of the circle, and the slice bound read 0.0 as
+        # exact, below the lower bound
+        D = Product(sector(0.0, 0.0, 0.25), unit_disk())
+        x = [0.7302416364378125 + 0.06517733784863376j, 0.1]
+        y = [0.7313270968988963 + 0.07925983770003427j, 0.1]
+        iv = distance(D, x, y, force_sandwich=True)
+        assert iv.lo <= 0.1282528724642619 <= iv.hi
+        assert distance(D, x, y).lo == pytest.approx(0.1282528724642619, rel=1e-14)
+
+    def test_thin_sector_slice_is_exact(self):
+        # q = pi / 0.01: w^q overflows at |w| = 10; 50-digit value
+        D = Product(sector(0.0, 0.0, 0.01), unit_disk())
+        value, exact, _ = _slice_upper(D, np.array([10 * cmath.exp(0.005j), 0.0]),
+                                       np.array([cmath.exp(0.005j), 0.0]))
+        assert exact
+        assert value == pytest.approx(361.68922062077324007, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_half_plane_distance_keeps_its_digits_far_out(self, scale):
+        # the Cayley chart lost 3e-6 relative at 1e6 and 0.7% at 1e8
+        value = planar_distance(upper_half_plane(), scale * 1j, 2 * scale * 1j)
+        assert value == pytest.approx(0.5 * LN2, rel=1e-15)
 
     @pytest.mark.parametrize("D, x, y, want", [
         # the power map overflows at |w| = 10 (q = 314)
@@ -329,9 +357,10 @@ class TestHalfPlaneLower:
             assert _half_plane_lower(big, 1e6 * x, 1e6 * y) == pytest.approx(
                 _half_plane_lower_loop(omega, x, y), rel=1e-12)
 
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_forced_sandwich_lower_bound_is_sound(self, data):
+    @staticmethod
+    def _forced_case(data):
+        """A drawn node, two of its points, their exact distance and the
+        forced sandwich without the path optimizer."""
         D = data.draw(_node(data.draw(st.integers(1, 3))))
         d = D.dimension
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -342,8 +371,21 @@ class TestHalfPlaneLower:
         x, y = inside[0], inside[1]
         exact = exact_distance(D, x, y)
         assume(exact is not None)
-        iv = distance(D, x, y, force_sandwich=True, optimize_path=False)
-        assert iv.lo <= exact.lo + 1e-9
+        return exact.lo, distance(D, x, y, force_sandwich=True, optimize_path=False)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_forced_sandwich_lower_bound_is_sound(self, data):
+        exact, iv = self._forced_case(data)
+        assert iv.lo <= exact + 1e-9
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_forced_sandwich_upper_bound_is_sound(self, data):
+        # without the path optimizer, hi is the slice bound (or the inclusion
+        # bound); a slice's exact distance must never fall below K_D
+        exact, iv = self._forced_case(data)
+        assert iv.hi >= exact - 1e-9 * max(1.0, exact)
 
 
 class TestPolydiskIsProductOfDisks:
