@@ -18,11 +18,11 @@ is the product of its coordinate disks.  Every node answers:
 
 and answers for the Kobayashi geometry in ``metric`` from its own closed
 forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
-form; ``None`` by default), ``chart`` (onto the unit disk, for geodesics
-and rays), ``metric_bounds`` (the generic convex estimate by default),
-``exact_geodesic``, ``exact_midpoint``, ``unit_speed_ray``,
-``polydisk_slack``, ``depth_lower`` and the sandwich's reductions.  A
-slice is itself a planar node.
+form; ``None`` by default), ``chart`` (onto the upper half-plane, where
+``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
+``metric_bounds`` (closed forms, or the generic convex estimate),
+``polydisk_slack``, ``depth_lower`` and the sandwich's reductions.  A slice
+is itself a planar node; a lens is the Mobius image of a sector.
 
 Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
@@ -44,7 +44,6 @@ import numpy as np
 
 from . import planar
 from .errors import (
-    DegenerateInput,
     DimensionMismatch,
     EmptyWindow,
     InvalidDomain,
@@ -335,7 +334,7 @@ class ConvexDomain:
     fast_delta_dir = False      # directional boundary distances in closed form
 
     def chart(self) -> ConformalChart | None:
-        """Conformal chart onto the unit disk, or None."""
+        """Conformal chart onto the upper half-plane, or None."""
         return None
 
     def metric_bounds(self, Z: np.ndarray, V: np.ndarray):
@@ -360,13 +359,13 @@ class ConvexDomain:
 
     def exact_geodesic(self, x: np.ndarray, y: np.ndarray) -> Callable | None:
         """t -> point at t in [0, 1] of the constant-speed geodesic, or None."""
-        ch = self.chart()
+        ch = self._walk_chart(x, y)
         if ch is None:
             return None
         if np.array_equal(x, y):
             return lambda t: x.copy()
-        a, b = ch.forward(complex(x[0])), ch.forward(complex(y[0]))
-        return lambda t: as_point([ch.inverse(planar.disk_geodesic(a, b, t))])
+        s0, s1 = complex(ch.forward(complex(x[0]))), complex(ch.forward(complex(y[0])))
+        return lambda t: as_point([ch.inverse(planar.half_plane_geodesic(s0, s1, t))])
 
     def exact_midpoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
         """Midpoint of the exact geodesic, or None."""
@@ -375,11 +374,16 @@ class ConvexDomain:
 
     def unit_speed_ray(self, w: np.ndarray) -> Callable | None:
         """rho -> the point at distance arctanh(rho) from w on a geodesic ray, or None."""
-        ch = self.chart()
+        ch = self._walk_chart(w, w)
         if ch is None:
             return None
-        ch = ch.compose_mobius_at(complex(w[0]))
-        return lambda rho: as_point([ch.inverse(rho)])
+        s = complex(ch.forward(complex(w[0])))
+        # vertical in the chart: Im s grows by (1 + rho) / (1 - rho)
+        return lambda rho: as_point([ch.inverse(complex(s.real, s.imag * (1.0 + rho) / (1.0 - rho)))])
+
+    def _walk_chart(self, x: np.ndarray, y: np.ndarray) -> ConformalChart | None:
+        """The chart that geodesics and rays through x and y are walked in."""
+        return self.chart()
 
     def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> float | None:
         """Margin by which the closed polydisk with these centers/radii sits
@@ -444,11 +448,15 @@ class Disk(ConvexDomain):
     fast_delta_dir = True
 
     def chart(self):
+        # s = i (1 + u) / (1 - u) = (i (1 - |u|^2) - 2 Im u) / |1 - u|^2 with
+        # u = (z - c) / r: the gap is exact and r (1 - u) is summed exactly
         c, r = self.center, self.radius
-        return ConformalChart(lambda z: (z - c) / r,
-                              lambda z: 1.0 / r,
-                              lambda u: c + r * u,
-                              "disk")
+
+        def forward(z):
+            d = abs(complex(math.fsum((r, c.real, -z.real)), c.imag - z.imag))   # r |1 - u|
+            return r * complex(2.0 * (c.imag - z.imag), r * planar.ball_gap([z], [c], r)) / (d * d)
+
+        return ConformalChart(forward, lambda s: c + r * (s - 1j) / (s + 1j), "disk")
 
     def metric_bounds(self, Z, V):
         k = np.abs(V[:, 0]) * self.radius / (self.radius ** 2 - np.abs(Z[:, 0] - self.center) ** 2)
@@ -513,19 +521,11 @@ class HalfPlane(ConvexDomain):
     fast_delta_dir = True
 
     def chart(self):
+        # the rigid motion taking the inward normal to i
         p, n = self.boundary_point, self.inward_normal
-        cf, cd, ci = planar.cayley()
-
-        def forward(z):
-            return cf(1j * (z - p) * np.conj(n))
-
-        def derivative(z):
-            return cd(1j * (z - p) * np.conj(n)) * 1j * np.conj(n)
-
-        def inverse(u):
-            return p + (-1j * ci(u)) * n
-
-        return ConformalChart(forward, derivative, inverse, "halfplane")
+        return ConformalChart(lambda z: 1j * (z - p) * np.conj(n),
+                              lambda s: p - 1j * s * n,
+                              "halfplane")
 
     def metric_bounds(self, Z, V):
         dist = ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
@@ -546,7 +546,9 @@ class Sector(ConvexDomain):
     """vertex + {z : arg z in (alpha, beta)} with opening in (0, pi).
 
     Opening exactly pi is canonicalized to a HalfPlane by the ``sector``
-    factory, keeping the power-map chart single-valued here.
+    factory.  The chart is w -> w^q, q = pi / opening, of the rotated
+    w = (z - vertex) e^(-i alpha); geodesics and rays take it after a
+    dilation about the vertex, an automorphism, that keeps w^q finite.
     """
 
     def __init__(self, vertex: complex = 0.0, alpha: float = 0.0, beta: float = math.pi / 2):
@@ -609,34 +611,23 @@ class Sector(ConvexDomain):
     fast_delta_dir = True
 
     def chart(self):
-        V, alpha = self.vertex, self.alpha
-        q = math.pi / self.opening
-        rot = np.exp(-1j * alpha)
-        cf, cd, ci = planar.cayley()
+        return self._dilated_chart(1.0)
 
-        # branch cut stays outside: after rotation the sector is
-        # {arg in (0, theta)} with theta < pi, inside the principal branch
-        def forward(z):
-            w = (z - V) * rot
-            s = np.exp(q * np.log(w))
-            return cf(s)
+    def _walk_chart(self, x, y):   # at the geometric-mean modulus w^q spans e^(+-K)
+        return self._dilated_chart(math.sqrt(abs(x[0] - self.vertex))
+                                   * math.sqrt(abs(y[0] - self.vertex)))
 
-        def derivative(z):
-            w = (z - V) * rot
-            s = np.exp(q * np.log(w))
-            return cd(s) * q * np.exp((q - 1) * np.log(w)) * rot
-
-        def inverse(u):
-            s = ci(u)
-            w = np.exp(np.log(s) / q)
-            return V + w / rot
-
-        return ConformalChart(forward, derivative, inverse, "sector")
+    def _dilated_chart(self, rho: float) -> ConformalChart:
+        """The chart after the dilation by 1 / rho about the vertex."""
+        V, q = self.vertex, math.pi / self.opening
+        rot = np.exp(-1j * self.alpha) / rho
+        return ConformalChart(lambda z: np.exp(q * np.log((z - V) * rot)),
+                              lambda s: V + np.exp(np.log(s) / q) / rot,
+                              "sector")
 
     def exact_distance(self, x, y):
-        # the chart's disk images of points far from the vertex sit within
-        # rounding of the unit circle (or overflow), so the distance is taken
-        # in the upper half-plane w -> w^q maps onto, in logarithms: with
+        # w^q overflows for points far from the vertex, so the distance is
+        # taken in the upper half-plane w -> w^q maps onto, in logarithms: with
         # w_k = r_k e^(i phi_k) from the vertex and a + ib = q log(w_0 / w_1) / 2,
         # sinh(d)^2 = (sinh(a)^2 + sin(b)^2) / (sin(q phi_0) sin(q phi_1)); the
         # ratio keeps close points' digits at any scale, a fixed order symmetry
@@ -654,9 +645,10 @@ class Sector(ConvexDomain):
         return DistanceInterval.exact(val, "exact-chart")
 
     def metric_bounds(self, Z, V):
-        ch = self.chart()
-        u = ch.forward(Z[:, 0])
-        k = np.abs(ch.derivative(Z[:, 0]) * V[:, 0]) / (1.0 - np.abs(u) ** 2)
+        # |d(w^q)| / (2 Im w^q) = q |v| / (2 |w| sin(q arg w)), with no power taken
+        q = math.pi / self.opening
+        w = (Z[:, 0] - self.vertex) * np.exp(-1j * self.alpha)
+        k = q * np.abs(V[:, 0]) / (2.0 * np.abs(w) * np.sin(q * np.angle(w)))
         return k, k.copy()
 
     def polydisk_slack(self, centers, radii):
@@ -1016,14 +1008,9 @@ class AffineImage(ConvexDomain):
         inner = self.inner.chart()
         if inner is None:
             return None
-        a = complex(self.matrix[0, 0])
-        b = complex(self.offset[0])
-        return ConformalChart(
-            forward=lambda z: inner.forward((z - b) / a),
-            derivative=lambda z: inner.derivative((z - b) / a) / a,
-            inverse=lambda u: a * inner.inverse(u) + b,
-            tag=inner.tag + "+affine",
-        )
+        a, b = complex(self.matrix[0, 0]), complex(self.offset[0])
+        return ConformalChart(lambda z: inner.forward((z - b) / a),
+                              lambda s: a * inner.inverse(s) + b, inner.tag + "+affine")
 
     def metric_bounds(self, Z, V):
         return self.inner.metric_bounds(self._pull_back_rows(Z), V @ self.inverse.T)
@@ -1132,11 +1119,9 @@ class Intersection(ConvexDomain):
         if lens is None:
             return None
         P, Q, sec = lens
-        inner = sec.chart()
+        inner = sec.chart()   # of T(z) = (z - P) / (z - Q), whose inverse is Q + (P - Q) / (1 - w)
         return ConformalChart(lambda z: inner.forward((z - P) / (z - Q)),
-                              lambda z: inner.derivative((z - P) / (z - Q)) * (P - Q) / (z - Q) ** 2,
-                              lambda u: (P - inner.inverse(u) * Q) / (1 - inner.inverse(u)),
-                              "lens")
+                              lambda s: Q + (P - Q) / (1 - inner.inverse(s)), "lens")
 
     def exact_distance(self, x, y):
         lens = _lens_sector(self.members)
@@ -1144,6 +1129,13 @@ class Intersection(ConvexDomain):
             return None
         P, Q, sec = lens
         return sec.exact_distance((x - P) / (x - Q), (y - P) / (y - Q))
+
+    def metric_bounds(self, Z, V):
+        lens = _lens_sector(self.members)
+        if lens is None:
+            return super().metric_bounds(Z, V)
+        P, Q, sec = lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
+        return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
 
     def polydisk_slack(self, centers, radii):
         slacks = [m.polydisk_slack(centers, radii) for m in self.members]
@@ -1165,46 +1157,16 @@ def _circle_line_points(disk: Disk, hp: HalfPlane):
     if dist >= disk.radius * (1 - 1e-14):
         return None
     h = math.sqrt(disk.radius ** 2 - dist ** 2)
-    return foot + h * tangent, foot - h * tangent, h
+    return foot + h * tangent, foot - h * tangent
 
 
-def _circle_circle_points(d1: Disk, d2: Disk):
+def _radical_line(d1: Disk, d2: Disk) -> HalfPlane | None:
+    """The line through the crossing points of two circles, normal to c2 - c1."""
     sep = abs(d2.center - d1.center)
-    tol = 1e-14 * (d1.radius + d2.radius)
-    if sep >= d1.radius + d2.radius - tol or sep <= abs(d1.radius - d2.radius) + tol:
+    if sep == 0:
         return None
-    a = (sep ** 2 + d1.radius ** 2 - d2.radius ** 2) / (2 * sep)
-    h2 = d1.radius ** 2 - a ** 2
-    if h2 <= 0:
-        return None
-    h = math.sqrt(h2)
     e = (d2.center - d1.center) / sep
-    mid = d1.center + a * e
-    return mid + h * 1j * e, mid - h * 1j * e, h
-
-
-def _arc_sample(disk: Disk, P: complex, Q: complex, other: ConvexDomain) -> complex:
-    """A point of the circle strictly between P and Q on the lens boundary."""
-    a1 = np.angle(P - disk.center)
-    a2 = np.angle(Q - disk.center)
-    tol = 1e-12 * disk.radius
-    for mid_angle in (0.5 * (a1 + a2), 0.5 * (a1 + a2) + math.pi):
-        cand = disk.center + disk.radius * np.exp(1j * mid_angle)
-        if _closure_contains(other, cand, tol):
-            return complex(cand)
-    # fall back to a finer scan of the circle
-    for frac in np.linspace(0.05, 0.95, 19):
-        ang = a1 + frac * ((a2 - a1) % (2 * math.pi))
-        cand = disk.center + disk.radius * np.exp(1j * ang)
-        if _closure_contains(other, cand, tol):
-            return complex(cand)
-    raise DegenerateInput("could not locate the lens arc")
-
-
-def _closure_contains(D: ConvexDomain, z: complex, tol: float) -> bool:
-    if isinstance(D, Disk):
-        return abs(z - D.center) <= D.radius + tol
-    return ((z - D.boundary_point) * np.conj(D.inward_normal)).real >= -tol
+    return HalfPlane(d1.center + (sep ** 2 + d1.radius ** 2 - d2.radius ** 2) / (2 * sep) * e, e)
 
 
 def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
@@ -1227,44 +1189,24 @@ def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
 
 
 def _lens_sector(members: Sequence[ConvexDomain]):
-    """(P, Q, sector) for the intersection of a disk with a disk or a
-    half-plane whose boundaries cross, else None.
-
-    The Mobius map T(z) = (z - P)/(z - Q) sends both boundary circles
-    through the crossing points P, Q to rays from the origin; the lens
-    becomes the returned sector, whose opening is the crossing angle.
-    """
+    """(P, Q, sector) for a disk with a disk or a half-plane whose boundaries
+    cross at P and Q, else None.  T(z) = (z - P)/(z - Q) sends each member to
+    a half-plane through T(P) = 0 whose inward normal is the member's normal
+    at P turned by T'(P) = 1 / (P - Q); the lens becomes their wedge."""
     kinds = [type(m) for m in members]
     if len(kinds) != 2 or Disk not in kinds or not set(kinds) <= {Disk, HalfPlane}:
         return None
     m1, m2 = members
     if isinstance(m1, HalfPlane):
         m1, m2 = m2, m1
-    if isinstance(m2, HalfPlane):
-        res = _circle_line_points(m1, m2)
-        if res is None:
-            return None
-        P, Q, h = res
-        mid = 0.5 * (P + Q)
-        depth = min(0.5 * (m1.radius - abs(mid - m1.center)), 0.5 * h)
-        sample = mid + depth * m2.inward_normal
-        boundary_samples = (_arc_sample(m1, P, Q, m2), mid)
-    else:
-        res = _circle_circle_points(m1, m2)
-        if res is None:
-            return None
-        P, Q, _ = res
-        sample = 0.5 * (P + Q)
-        boundary_samples = (_arc_sample(m1, P, Q, m2), _arc_sample(m2, P, Q, m1))
-
-    a1, a2 = [float(np.angle((b - P) / (b - Q))) for b in boundary_samples]
-    phi = float(np.angle((sample - P) / (sample - Q)))
-    for alpha, other in ((a1, a2), (a2, a1)):
-        opening = (other - alpha) % (2 * math.pi)
-        inside = (phi - alpha) % (2 * math.pi)
-        if 0 < opening < math.pi + 1e-12 and 0 < inside < opening:
-            return P, Q, sector(0.0, alpha, alpha + opening)
-    return None
+    line = m2 if isinstance(m2, HalfPlane) else _radical_line(m1, m2)
+    res = None if line is None else _circle_line_points(m1, line)
+    if res is None:
+        return None
+    P, Q = res
+    normals = [m.center - P if isinstance(m, Disk) else m.inward_normal for m in (m1, m2)]
+    wedge = _wedge_sector(*(HalfPlane(0.0, n * np.conj(P - Q)) for n in normals))
+    return None if wedge is None else (P, Q, wedge)
 
 
 def ray_dist_outside(D: ConvexDomain, z: np.ndarray) -> float:

@@ -364,7 +364,8 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     lows = [0.0]
     projected = D.projection_lower(x, y, distance, optimize_path)
     if projected is not None:
-        lows.append(projected)
+        # padded by its round-off, as the half-plane and slice bounds are
+        lows.append(projected * (1.0 - _round_off(D)))
         tags.add("projection-lower")
 
     hp = _half_plane_lower(D, x, y)

@@ -1,14 +1,14 @@
 """Exact Kobayashi (= Poincare) geometry of the planar models.
 
 The unit disk carries ``k(z; v) = |v| / (1 - |z|^2)`` and the upper
-half-plane ``|v| / (2 Im z)``.  Distances never go through a chart: each
-node answers ``exact_distance`` with its own model's cancellation-free
-``asinh`` form (the disk and ball form is ``ball_distance`` here), and
-``planar_distance`` asks the node.  Charts onto the unit disk
-(``ConvexDomain.chart``) carry geodesics and infinitesimal metrics; this
-module holds the chart type, the Mobius and Cayley maps and the
-disk-model operations on any node's chart.  It imports nothing from
-``domains``.
+half-plane H ``|v| / (2 Im s)``.  Each planar node answers for itself:
+``exact_distance`` in its own model's cancellation-free ``asinh`` form
+(the disk and ball form is ``ball_distance`` here), ``metric_bounds`` in
+closed form, and ``exact_geodesic``; ``planar_distance``,
+``planar_metric`` and ``planar_geodesic`` ask the node.  A node's chart
+(``ConvexDomain.chart``) maps it onto H, where ``half_plane_geodesic``
+walks geodesics; this module holds the chart type and those H-model
+operations.  It imports nothing from ``domains``.
 """
 
 from __future__ import annotations
@@ -25,44 +25,11 @@ from .points import as_point
 
 @dataclass(frozen=True)
 class ConformalChart:
-    """Biholomorphism of a planar domain onto the unit disk."""
+    """Biholomorphism of a planar domain onto the upper half-plane."""
 
     forward: Callable[[complex], complex]
-    derivative: Callable[[complex], complex]
     inverse: Callable[[complex], complex]
     tag: str
-
-    def compose_mobius_at(self, w: complex) -> "ConformalChart":
-        """Renormalize so that ``w`` maps to the disk center."""
-        a = self.forward(w)
-        fwd, der, inv = self.forward, self.derivative, self.inverse
-
-        def forward(z):
-            return mobius_to_zero(a, fwd(z))
-
-        def derivative(z):
-            u = fwd(z)
-            return (1 - abs(a) ** 2) / (1 - np.conj(a) * u) ** 2 * der(z)
-
-        def inverse(u):
-            return inv(mobius_from_zero(a, u))
-
-        return ConformalChart(forward, derivative, inverse, self.tag + "+mobius")
-
-
-def mobius_to_zero(a: complex, z: complex) -> complex:
-    return (z - a) / (1 - np.conj(a) * z)
-
-
-def mobius_from_zero(a: complex, z: complex) -> complex:
-    return (z + a) / (1 + np.conj(a) * z)
-
-
-def cayley() -> tuple[Callable, Callable, Callable]:
-    fwd = lambda s: (s - 1j) / (s + 1j)
-    der = lambda s: 2j / (s + 1j) ** 2
-    inv = lambda u: 1j * (1 + u) / (1 - u)
-    return fwd, der, inv
 
 
 def _square(x: float) -> tuple[float, float]:
@@ -74,7 +41,7 @@ def _square(x: float) -> tuple[float, float]:
     return sq, ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
 
 
-def _gap(z: list[complex], center: list[complex], radius: float) -> float:
+def ball_gap(z: list[complex], center: list[complex], radius: float) -> float:
     """1 - |z - center|^2 / radius^2 to the last bits: each difference is s
     plus its exact error (TwoSum), s^2 is split exactly, fsum adds up."""
     terms = list(_square(radius))
@@ -97,7 +64,7 @@ def ball_distance(z, w, center, radius: float) -> float:
     1 - |m|^2 = ((1 - |z|^2) + (1 - |w|^2)) / 2 + |h|^2 / 4.  Swapping z
     and w negates h only, so the value is bit-for-bit symmetric."""
     z, w, center = (np.asarray(v, dtype=complex).tolist() for v in (z, w, center))
-    gz, gw = _gap(z, center, radius), _gap(w, center, radius)
+    gz, gw = ball_gap(z, center, radius), ball_gap(w, center, radius)
     if not (gz > 0 and gw > 0):  # also rejects nan
         raise OutsideDomain("ball_distance arguments must be interior to the ball")
     hh, mh = 0.0, 0.0j   # |h|^2 and conj(<m, h>), in unit coordinates
@@ -114,24 +81,46 @@ def disk_distance(z: complex, w: complex) -> float:
     return ball_distance([z], [w], [0.0], 1.0)
 
 
-def disk_geodesic(z: complex, w: complex, t: float) -> complex:
-    """Constant-speed geodesic on the unit disk, t in [0, 1]."""
-    z, w = complex(z), complex(w)
-    b = mobius_to_zero(z, w)
-    rho = abs(b)
-    if rho == 0:
-        return z
-    r_t = math.tanh(t * math.atanh(rho))
-    return mobius_from_zero(z, r_t * b / rho)
+def half_plane_geodesic(s0: complex, s1: complex, t: float) -> complex:
+    """Point at t in [0, 1] of the constant-speed geodesic from s0 to s1 in H.
+
+    Centred at an endpoint a, the Mobius map u = (s - a) / (s - conj a) sends
+    the point sought to u = lam b, b the image of the other endpoint c and
+    lam = tanh(t_a K) / tanh K.  Im s = Im a (1 - |u|^2) / |1 - u|^2 and
+    Re s = Re a + 2 Im a Im(1 - u) / |1 - u|^2 then cancel nowhere:
+    1 - u = (1 - lam) + lam (1 - b) adds terms of non-negative real part,
+    1 - b = 2i Im a / (c - conj a) is its own quotient (b loses Im b when
+    |b| is near 1), 1 - lam and 1 - |u|^2 come from exponentials of -K, and
+    the endpoint taken is the one with the smaller shift in Re s (on a tie,
+    the one nearer in t).  Past K = 354, e^(-2K) is subnormal.
+    """
+    K = math.asinh(abs(s1 - s0) / (2.0 * math.sqrt(s0.imag) * math.sqrt(s1.imag)))
+    if K == 0.0:
+        return s0
+    best = None
+    for a, c, t_a in sorted(((s0, s1, t), (s1, s0, 1.0 - t)), key=lambda end: end[2]):
+        g = math.exp(-2.0 * t_a * K)
+        lam = math.tanh(t_a * K) / math.tanh(K)
+        # 1 - lam = sinh((1 - t_a) K) / (sinh K cosh t_a K), through expm1
+        one_lam = 2.0 * g * math.expm1(-2.0 * (1.0 - t_a) * K) / (math.expm1(-2.0 * K) * (1.0 + g))
+        den = one_lam + lam * 2j * a.imag / (c - a.conjugate())
+        d = abs(den)   # divided by twice, not squared: H spans e^(+-K)
+        if d == 0.0:   # underflowed from this end; the other end answers
+            continue
+        shift = -2.0 * a.imag * (den.imag / d) / d   # Im u = -Im(1 - u)
+        if best is None or abs(shift) < abs(best[0]):
+            best = shift, a.real, a.imag / d * (4.0 * g / d) / ((1.0 + g) * (1.0 + g))
+    shift, re, im = best
+    return complex(re - shift, im)
 
 
 def exact_chart(D) -> ConformalChart | None:
-    """Chart onto the unit disk for a planar node treated exactly, else None."""
+    """Chart onto the upper half-plane for a planar node treated exactly, else None."""
     return D.chart()
 
 
 def chart(D) -> ConformalChart:
-    """Chart onto the unit disk; InvalidDomain when the node has none."""
+    """Chart onto the upper half-plane; InvalidDomain when the node has none."""
     ch = exact_chart(D)
     if ch is None:
         raise InvalidDomain(
@@ -164,16 +153,20 @@ def planar_distance(D, z, w) -> float:
 
 
 def planar_metric(D, z, v) -> float:
-    """Infinitesimal metric |chart'(z) v| / (1 - |chart(z)|^2)."""
+    """Exact infinitesimal Kobayashi metric on a planar node, from its own closed form."""
     (z,) = _inside(D, z)
-    ch = chart(D)
-    v = complex(as_point(v, 1)[0])
-    u = ch.forward(z)
-    return abs(ch.derivative(z) * v) / (1 - abs(u) ** 2)
+    lo, hi = D.metric_bounds(as_point([z])[None, :], as_point(v, 1)[None, :])
+    if lo[0] != hi[0]:
+        raise InvalidDomain(
+            "no exact metric for this planar domain; use the metric-module bounds instead")
+    return float(hi[0])
 
 
 def planar_geodesic(D, z, w, t: float) -> complex:
     """Point at parameter t of the constant-speed geodesic from z to w."""
     z, w = _inside(D, z, w)
-    ch = chart(D)
-    return complex(ch.inverse(disk_geodesic(ch.forward(z), ch.forward(w), t)))
+    g = D.exact_geodesic(as_point([z]), as_point([w]))
+    if g is None:
+        raise InvalidDomain(
+            "no exact geodesic for this planar domain; use the metric-module bounds instead")
+    return complex(g(t)[0])

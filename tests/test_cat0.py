@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from kcat0 import (
     midpoint_defect,
     planar_geodesic,
     product_certificate,
+    sector,
     unit_disk,
     upper_half_plane,
 )
@@ -132,6 +134,16 @@ class TestProductCertificate:
             cert = product_certificate(H, unit_disk(), x, y, base=[0.0])
             half = 0.5 * distance(H, x, y).lo
             assert cert.defect == pytest.approx(half ** 2, abs=1e-9)
+
+    def test_sector_factor_far_from_the_vertex(self):
+        # 40 e^{0.15i} went within rounding of the unit circle in the old
+        # disk chart, and the disk geodesic raised a bare math domain error
+        S, x, y = sector(0.0, 0.0, 0.3), cmath.exp(0.15j), 40 * cmath.exp(0.15j)
+        assert planar_geodesic(S, x, y, 0.5) == pytest.approx(math.sqrt(40) * x, rel=1e-12)
+        cert = product_certificate(S, unit_disk(), [x], [y], base=[0])
+        assert cert.verdict == "violation-certified"
+        # the ray's rho = tanh K resolves K = 9.66 only to about 1e-8
+        assert cert.defect == pytest.approx((0.5 * distance(S, [x], [y]).lo) ** 2, rel=1e-8)
 
     def test_ball_factor(self):
         B = Ball(np.zeros(2, dtype=complex), 1.0)

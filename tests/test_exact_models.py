@@ -1,12 +1,14 @@
-"""Exact distances of the model domains against 50-digit references.
+"""Exact distances, geodesics and metrics of the model domains against
+50-digit references.
 
 Each reference is computed with ``mpmath`` from the float inputs as given
 (node parameters and points), through the classical route: rotate and
 power a sector onto the upper half-plane, Cayley onto the unit disk, and
-take ``atanh`` of the Mobius quotient.  None of it shares code with the
-forms under test.  Coordinates range over scales from 1e-15 to 1e8, and
-disk and ball points come within 1e-12 of the sphere (in unit
-coordinates); every model is held to 1e-12 relative.
+take ``atanh`` of the Mobius quotient (a geodesic from the disk centre is
+a radius).  None of it shares code with the forms under test.
+Coordinates range over scales from 1e-15 to 1e8, and disk and ball points
+come within 1e-12 of the sphere (in unit coordinates); every distance is
+held to 1e-12 relative.
 """
 
 import cmath
@@ -15,12 +17,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcat0 import AffineImage, Ball, Disk, HalfPlane, Intersection, Sector, intersection
+from kcat0 import AffineImage, Ball, Disk, HalfPlane, Intersection, Sector, intersection, sector
 from kcat0.domains import _lens_sector
-from kcat0.planar import ball_distance
+from kcat0.planar import ball_distance, planar_geodesic, planar_metric
 
 mpmath.mp.dps = 50
 _SCALES = (-15.0, 8.0)   # log10 of the coordinate scale
@@ -46,13 +48,22 @@ def _upper_ref(s, t):
     return _ball_ref([(s - 1j) / (s + 1j)], [(t - 1j) / (t + 1j)])
 
 
-def _sector_ref(V, alpha, opening, z, w):
-    """vertex + {alpha < arg < alpha + opening}: dilate z to the unit circle,
-    rotate, then power by pi / opening."""
+def _upper_geodesic(s0, s1, t):
+    """Upper half-plane geodesic: the real affine map taking s0 to i, then
+    Cayley onto the disk, where the geodesic from 0 is a radius."""
+    b = (s1 - s0.real) / s0.imag
+    b = (b - 1j) / (b + 1j)
+    u = mpmath.tanh(t * mpmath.atanh(abs(b))) * b / abs(b)
+    return s0.real + s0.imag * 1j * (1 + u) / (1 - u)
+
+
+def _sector_maps(V, alpha, opening):
+    """vertex + {alpha < arg < alpha + opening} onto H and back: rotate,
+    then power by pi / opening."""
     q = mpmath.pi / opening
-    k = abs(z - V)
-    s, t = (mpmath.exp(q * mpmath.log((p - V) / k * mpmath.exp(-1j * alpha))) for p in (z, w))
-    return _upper_ref(s, t)
+    rot = mpmath.exp(-1j * alpha)
+    return (lambda z: mpmath.exp(q * mpmath.log((z - V) * rot)),
+            lambda s: V + mpmath.exp(mpmath.log(s) / q) / rot)
 
 
 def _unit(rng):
@@ -62,6 +73,9 @@ def _unit(rng):
 def _scale(rng):
     return 10.0 ** rng.uniform(*_SCALES)
 
+
+# Planar cases return (D, x, y, to_h, from_h): the node, two points inside
+# and 50-digit maps of the node onto the upper half-plane and back.
 
 def _ball_case(rng, d):
     s = _scale(rng)
@@ -73,6 +87,9 @@ def _ball_case(rng, d):
         u = rng.normal(size=d) + 1j * rng.normal(size=d)
         pts.append(c + r * (1 - 10.0 ** rng.uniform(-12.0, 0.0)) * u / np.linalg.norm(u))
     C, R = [_mp(a) for a in c], mpmath.mpf(r)
+    if d == 1:   # the inverse Cayley map of the unit coordinate
+        return (D, pts[0][0], pts[1][0], lambda z: 1j * (R + z - C[0]) / (R - z + C[0]),
+                lambda s: C[0] + R * (s - 1j) / (s + 1j))
     Z, W = ([(_mp(a) - b) / R for a, b in zip(p, C)] for p in pts)
     return D, pts[0], pts[1], _ball_ref(Z, W)
 
@@ -84,9 +101,23 @@ def _half_plane_case(rng):
     pts = [H.boundary_point + s * (10.0 ** rng.uniform(-2, 1) * n
                                    + rng.uniform(-3, 3) * 1j * n) for _ in range(2)]
     # rotate the inward normal onto i: the half-plane becomes the upper one
-    rot = 1j / _mp(n)
-    s_, t_ = ((_mp(p) - _mp(H.boundary_point)) * rot for p in pts)
-    return H, [pts[0]], [pts[1]], _upper_ref(s_, t_)
+    B, rot = _mp(H.boundary_point), 1j / _mp(n)
+    return H, pts[0], pts[1], lambda z: (z - B) * rot, lambda s: B + s / rot
+
+
+def _sector_case(rng):
+    # openings 0.01 to 3; the points' moduli set K <= 20 (K ~ q |log ratio| / 2)
+    s = _scale(rng)
+    opening = 10.0 ** rng.uniform(-2.0, math.log10(3.0))
+    alpha = rng.uniform(-3, 3)
+    S = Sector(s * complex(*rng.normal(size=2)), alpha, alpha + opening)
+    q = math.pi / opening
+    r0 = s * 10.0 ** rng.uniform(-1, 1)
+    pts = [S.vertex + r * cmath.exp(1j * (S.alpha + opening * rng.uniform(0.05, 0.95)))
+           for r in (r0, r0 * math.exp(rng.uniform(-1, 1) * min(math.log(10.0), 30.0 / q)))]
+    return (S, pts[0], pts[1],
+            *_sector_maps(_mp(S.vertex), mpmath.mpf(S.alpha),
+                          mpmath.mpf(S.beta) - mpmath.mpf(S.alpha)))
 
 
 def _wedge_case(rng):
@@ -117,7 +148,7 @@ def _wedge_case(rng):
     opening = (a2 - a1) % (2 * mpmath.pi)
     alpha = a1 if opening < mpmath.pi else a2
     opening = min(opening, 2 * mpmath.pi - opening)
-    return wedge, [pts[0]], [pts[1]], _sector_ref(V, alpha, opening, *map(_mp, pts))
+    return (wedge, pts[0], pts[1], *_sector_maps(V, alpha, opening))
 
 
 def _lens_case(rng, with_half_plane):
@@ -159,31 +190,43 @@ def _lens_case(rng, with_half_plane):
     opening = (a2 - a1) % (2 * mpmath.pi)
     alpha = a1 if opening < mpmath.pi else a2
     opening = min(opening, 2 * mpmath.pi - opening)
-    ref = _sector_ref(0, alpha, opening, *(T(_mp(p)) for p in pts))
-    return D, [pts[0]], [pts[1]], ref
+    to_h, from_h = _sector_maps(0, alpha, opening)
+    return (D, pts[0], pts[1], lambda z: to_h(T(z)),
+            lambda s: (lambda w: (P - w * Q) / (1 - w))(from_h(s)))
 
 
 def _affine_half_plane_case(rng):
-    H, (w,), (v,), _ = _half_plane_case(rng)
+    H, w, v, to_h, from_h = _half_plane_case(rng)
     a = _scale(rng) * _unit(rng) * rng.uniform(0.5, 2.0)
     b = a * abs(w) * complex(*rng.normal(size=2))   # an offset on the image's own scale
     D = AffineImage([[a]], [b], H)
-    z, y = a * w + b, a * v + b
     A, B = _mp(a), _mp(b)
-    rot = 1j / _mp(H.inward_normal)
-    s_, t_ = (((_mp(p) - B) / A - _mp(H.boundary_point)) * rot for p in (z, y))
-    return D, [z], [y], _upper_ref(s_, t_)
+    return (D, a * w + b, a * v + b, lambda z: to_h((z - B) / A),
+            lambda s: A * from_h(s) + B)
 
 
-_CASES = {
+_PLANAR = {
     "disk": lambda rng: _ball_case(rng, 1),
     "half-plane": _half_plane_case,
+    "sector": _sector_case,
     "wedge": _wedge_case,
     "lens": lambda rng: _lens_case(rng, False),
     "disk-half-plane-lens": lambda rng: _lens_case(rng, True),
+    "affine-half-plane": _affine_half_plane_case,
+}
+
+
+def _planar_distance_case(make):
+    def case(rng):
+        D, x, y, to_h, _ = make(rng)
+        return D, [x], [y], _upper_ref(to_h(_mp(x)), to_h(_mp(y)))
+    return case
+
+
+_CASES = {
+    **{name: _planar_distance_case(make) for name, make in _PLANAR.items()},
     "ball-2": lambda rng: _ball_case(rng, 2),
     "ball-3": lambda rng: _ball_case(rng, 3),
-    "affine-half-plane": _affine_half_plane_case,
 }
 
 
@@ -197,6 +240,38 @@ def test_exact_distance_matches_50_digits(model, seed):
     assert got.is_exact
     assert got.lo == pytest.approx(float(ref), rel=1e-12)
     assert D.exact_distance(y, x).lo == got.lo
+
+
+@given(st.sampled_from(sorted(_PLANAR)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.25, 0.5, 0.9]))
+@example("wedge", 246, 0.5)   # walked from its start, Re s cancels 1.3e11 down to 5e-12
+@settings(max_examples=300, deadline=None)
+def test_exact_geodesic_matches_50_digits(model, seed, t):
+    # error relative to the points' coordinates, within K 1e-12 plus a few
+    # ulps; sectors included, though w^q scales the rounding of w by q
+    D, x, y, to_h, from_h = _PLANAR[model](np.random.default_rng(seed))
+    s0, s1 = to_h(_mp(x)), to_h(_mp(y))
+    K = float(_upper_ref(s0, s1))
+    ref = complex(from_h(_upper_geodesic(s0, s1, t)))
+    got = planar_geodesic(D, x, y, t)
+    assert abs(got - ref) <= (1e-12 * K + 1e-15) * max(abs(x), abs(y))
+
+
+def test_sector_metric_matches_50_digits():
+    # |d(w^q)| / (2 Im w^q) at w = (z - vertex) e^(-i alpha), q = pi / opening,
+    # for openings 0.005 to 3 and points 1e-6 to 1e6 from the vertex
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        s = _scale(rng)
+        alpha, opening = rng.uniform(-3, 3), 10.0 ** rng.uniform(math.log10(0.005), math.log10(3.0))
+        S = sector(s * complex(*rng.normal(size=2)), alpha, alpha + opening)
+        z = S.vertex + s * 10.0 ** rng.uniform(-6, 6) * cmath.exp(
+            1j * (alpha + opening * rng.uniform(0.05, 0.95)))
+        v = complex(*rng.normal(size=2))
+        q = mpmath.pi / (mpmath.mpf(S.beta) - mpmath.mpf(S.alpha))
+        w = (_mp(z) - _mp(S.vertex)) * mpmath.exp(-1j * mpmath.mpf(S.alpha))
+        ref = q * abs(_mp(v)) / (2 * abs(w) * mpmath.sin(q * mpmath.arg(w)))
+        assert planar_metric(S, z, v) == pytest.approx(float(ref), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -77,3 +77,16 @@ def test_metric_holds_no_chart_arithmetic():
     # exact planar distances come from the nodes' own exact_distance
     text = (SRC / "metric.py").read_text()
     assert [w for w in (".chart(", "exact_chart", "disk_distance", ".forward(") if w in text] == []
+
+
+def test_disk_model_chart_helpers_stay_gone():
+    # charts map onto the upper half-plane and carry no derivative: metrics
+    # are the nodes' closed forms, geodesics walk half_plane_geodesic
+    defs = {n.name: n for path in (SRC / "planar.py", SRC / "domains.py")
+            for n in _tree(path).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    gone = {"cayley", "mobius_to_zero", "mobius_from_zero", "disk_geodesic",
+            "_arc_sample", "_closure_contains"}
+    assert sorted(gone & set(defs)) == []
+    fields = [n.target.id for n in defs["ConformalChart"].body if isinstance(n, ast.AnnAssign)]
+    methods = [n.name for n in defs["ConformalChart"].body if isinstance(n, ast.FunctionDef)]
+    assert (fields, methods) == (["forward", "inverse", "tag"], [])

@@ -229,7 +229,9 @@ class TestDistance:
         assert exact and tags == {"slice-upper"}
         assert value == pytest.approx(1.03944414462602820081, rel=1e-12)
         iv = distance(D, x, y, force_sandwich=True)
-        assert iv.lo <= 0.91215210851945900761 <= value <= iv.hi <= value * (1 + 1e-14)
+        with mpmath.workdps(50):   # the nearest double to the product value lies above it
+            assert mpmath.mpf(iv.lo) <= mpmath.mpf("0.91215210851945900761")
+        assert 0.91215210851945900761 <= value <= iv.hi <= value * (1 + 1e-14)
 
     def test_two_half_plane_wedge_slice_is_exact(self):
         # the wedge's disk chart put both points within 7e-14 of the unit
@@ -266,6 +268,23 @@ class TestDistance:
                                        np.array([cmath.exp(0.005j), 0.0]))
         assert exact
         assert value == pytest.approx(361.68922062077324007, rel=1e-13)
+
+    @pytest.mark.parametrize("D, z, want", [
+        (sector(0.0, 0.0, 0.05), 3 * cmath.exp(0.025j), 10.471975511965978),
+        (sector(0.0, 0.0, 0.01), 10 * cmath.exp(0.005j), 15.707963267948966),
+    ], ids=["read-inf", "overflowed"])
+    def test_sector_metric_needs_no_power(self, D, z, want):
+        # q |v| / (2 |w| sin(q arg w)); the chart's w^q gave [inf, inf] and nan
+        iv = infinitesimal(D, [z], [1.0])
+        assert iv.is_exact
+        assert iv.lo == pytest.approx(want, rel=1e-14)
+
+    def test_thin_sector_midpoint(self):
+        # K = 361: the chart's w^q overflowed; dilated about the vertex to
+        # the points' geometric-mean modulus it spans e^(+-361)
+        D = sector(0.0, 0.0, 0.01)
+        m, _ = midpoint_search(D, [10 * cmath.exp(0.005j)], [cmath.exp(0.005j)])
+        assert m[0] == pytest.approx(math.sqrt(10) * cmath.exp(0.005j), rel=1e-14)
 
     @pytest.mark.parametrize("scale", [1e6, 1e8])
     def test_half_plane_distance_keeps_its_digits_far_out(self, scale):
@@ -429,7 +448,8 @@ class TestPolydiskIsProductOfDisks:
     @pytest.mark.parametrize("x, y", [([0.5, 0.0], [-0.5, 0.0]), ([0.5, 0.0], [0.0, 0.5])])
     def test_forced_sandwich_on_unit_bidisk_is_tight_below(self, x, y):
         P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
-        assert distance(P, x, y, force_sandwich=True).lo == distance(P, x, y).lo
+        exact = distance(P, x, y).lo
+        assert exact * (1 - 1e-14) <= distance(P, x, y, force_sandwich=True).lo <= exact
 
 
 class TestGeodesicApprox:

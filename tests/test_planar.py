@@ -15,6 +15,7 @@ from kcat0 import (
     planar_distance,
     planar_geodesic,
     planar_metric,
+    right_half_plane,
     sector,
     unit_disk,
     upper_half_plane,
@@ -78,20 +79,26 @@ class TestDiskDistance:
         assert disk_distance(z, z) == 0.0
 
 
+def _h_distance(s0: complex, s1: complex) -> float:
+    """Upper half-plane distance of two chart images."""
+    return math.asinh(abs(s0 - s1) / (2.0 * math.sqrt(s0.imag * s1.imag)))
+
+
 class TestCharts:
-    def test_half_plane_cayley_center(self):
-        ch = chart(upper_half_plane())
-        assert abs(ch.forward(1j)) < 1e-14
+    def test_half_plane_chart_is_the_identity(self):
+        assert chart(upper_half_plane()).forward(2 + 3j) == 2 + 3j
+        ch = chart(right_half_plane())
+        assert ch.forward(1.0) == pytest.approx(1j, abs=1e-15)
 
     def test_sector_opening_pi_is_half_plane(self):
         D = sector(0.0, 0.0, math.pi)
-        ch = chart(D)  # canonicalized to the half-plane, so Cayley applies
-        assert abs(ch.forward(1j)) < 1e-14
+        ch = chart(D)  # canonicalized to the half-plane, a rigid motion onto H
+        assert abs(ch.forward(1j) - 1j) < 1e-14
 
     def test_quarter_sector_power_map(self):
         ch = chart(sector(0.0, 0.0, math.pi / 2))
-        # e^{i pi/4} squares to i, the Cayley center
-        assert abs(ch.forward(cmath.exp(1j * math.pi / 4))) < 1e-13
+        # e^{i pi/4} squares to i
+        assert abs(ch.forward(cmath.exp(1j * math.pi / 4)) - 1j) < 1e-13
 
     def test_round_trip(self, rng):
         domains = [unit_disk(), Disk(1 - 2j, 0.7), upper_half_plane(),
@@ -106,9 +113,11 @@ class TestCharts:
                     continue
                 count += 1
                 assert abs(ch.inverse(ch.forward(z)) - z) < 1e-10
-                assert abs(ch.forward(z)) < 1.0
+                assert ch.forward(z).imag > 0
 
     def test_derivative_is_analytic(self, rng):
+        # central differences along 1 and i agree (Cauchy-Riemann), and
+        # |f'| / (2 Im f) is the node's closed-form metric
         for D in (upper_half_plane(), sector(0.0, 0.1, 1.3), Disk(0.5, 2.0)):
             ch = chart(D)
             for _ in range(20):
@@ -118,7 +127,10 @@ class TestCharts:
                     continue
                 h = 1e-6
                 fd = (ch.forward(z + h) - ch.forward(z - h)) / (2 * h)
-                assert abs(fd - ch.derivative(z)) < 1e-6
+                fd_i = (ch.forward(z + 1j * h) - ch.forward(z - 1j * h)) / (2j * h)
+                assert abs(fd - fd_i) < 1e-6 * max(1.0, abs(fd))
+                k = abs(fd) / (2.0 * ch.forward(z).imag)
+                assert planar_metric(D, z, 1.0) == pytest.approx(k, rel=1e-6)
 
     def test_no_chart_for_general_domain(self):
         lens3 = intersection([Disk(0, 1), Disk(0.5, 1), Disk(0.25 + 0.5j, 1)])
@@ -169,21 +181,20 @@ class TestPlanarOps:
             assert lhs == pytest.approx(planar_distance(D, gs, gu), abs=1e-9)
 
     def test_conformal_invariance(self, rng):
-        # distances through two different chart normalizations agree
+        # distances through two chart normalizations agree with the node's:
+        # the chart, and the chart followed by an automorphism of H
         S = sector(0.0, 0.2, 1.4)
         ch = exact_chart(S)
-        w0 = 0.9 * cmath.exp(0.8j)
-        ch2 = ch.compose_mobius_at(w0)
+        mob = lambda s: (2 * s + 1) / (s + 1)   # real coefficients, determinant 1
         for _ in range(20):
             raw = rng.normal(size=4)
             z, w = complex(raw[0], raw[1]), complex(raw[2], raw[3])
             if not (S.contains([z]) and S.contains([w])):
                 continue
-            d1 = math.atanh(abs((ch.forward(z) - ch.forward(w))
-                                / (1 - np.conj(ch.forward(w)) * ch.forward(z))))
-            d2 = math.atanh(abs((ch2.forward(z) - ch2.forward(w))
-                                / (1 - np.conj(ch2.forward(w)) * ch2.forward(z))))
-            assert d1 == pytest.approx(d2, abs=1e-10)
+            s0, s1 = ch.forward(z), ch.forward(w)
+            d = planar_distance(S, z, w)
+            assert _h_distance(s0, s1) == pytest.approx(d, abs=1e-10)
+            assert _h_distance(mob(s0), mob(s1)) == pytest.approx(d, abs=1e-10)
 
     def test_quadrature_consistency(self):
         # the numeric length of the returned geodesic equals the distance
@@ -209,7 +220,7 @@ class TestLensCharts:
             if not lens.contains([z]):
                 continue
             count += 1
-            assert abs(ch.forward(z)) < 1.0
+            assert ch.forward(z).imag > 0
             assert abs(ch.inverse(ch.forward(z)) - z) < 1e-9
 
     def test_disk_half_plane_wedge(self, rng):
@@ -223,7 +234,7 @@ class TestLensCharts:
             if not lens.contains([z]):
                 continue
             count += 1
-            assert abs(ch.forward(z)) < 1.0
+            assert ch.forward(z).imag > 0
             assert abs(ch.inverse(ch.forward(z)) - z) < 1e-9
 
     def test_lens_distance_dominates_member(self):
@@ -231,6 +242,7 @@ class TestLensCharts:
         lens = intersection([Disk(0, 1), Disk(1.2, 1)])
         ch = exact_chart(lens)
         a, b = 0.5, 0.7
-        d_lens = math.atanh(abs((ch.forward(a) - ch.forward(b))
-                                / (1 - np.conj(ch.forward(b)) * ch.forward(a))))
+        d_lens = _h_distance(ch.forward(a), ch.forward(b))
+        assert d_lens == pytest.approx(planar_distance(lens, a, b), rel=1e-12)
         assert d_lens >= disk_distance(a, b) - 1e-12
+        assert planar_metric(lens, 0.6, 1.0) >= planar_metric(Disk(0, 1), 0.6, 1.0)
