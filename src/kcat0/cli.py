@@ -62,17 +62,22 @@ def builtin_domain(name: str):
     return builtins[name]()
 
 
+def load_json(path: str, what: str):
+    """The JSON document at ``path``; a malformed one is named with its line and column."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise KCat0Error(f"malformed {what} JSON at {path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise KCat0Error(f"cannot open {path}: {exc.strerror}") from None
+
+
 def load_domain(args) -> object:
     if getattr(args, "builtin", None):
         return builtin_domain(args.builtin)
     if getattr(args, "domain", None):
-        try:
-            with open(args.domain) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KCat0Error(
-                f"malformed domain JSON at {args.domain}:{exc.lineno}:{exc.colno}: {exc.msg}")
-        return domain_from_json(data)
+        return domain_from_json(load_json(args.domain, "domain"))
     raise KCat0Error("provide --builtin or --domain")
 
 
@@ -94,8 +99,11 @@ def write_report(report, args) -> None:
         data = report if isinstance(report, dict) else report.to_json()
         payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise KCat0Error(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 
@@ -165,15 +173,17 @@ _BUILTIN_POLYS = {
 def cmd_linetype(args) -> int:
     if args.builtin_r:
         poly = RealPolynomial(2, _BUILTIN_POLYS[args.builtin_r])
-        r = DefiningFunction.from_polynomial(poly)
-    else:
+    elif args.polynomial:
+        data = load_json(args.polynomial, "polynomial")
         try:
-            with open(args.polynomial) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KCat0Error(
-                f"malformed polynomial JSON at {args.polynomial}:{exc.lineno}:{exc.colno}: {exc.msg}")
-        r = DefiningFunction.from_polynomial(RealPolynomial.from_json(data))
+            poly = RealPolynomial.from_json(data)
+        except KeyError as exc:
+            raise KCat0Error(f"polynomial JSON is missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise KCat0Error(f"polynomial JSON has a value of the wrong shape: {exc}") from None
+    else:
+        raise KCat0Error("provide --builtin-r or --polynomial")
+    r = DefiningFunction.from_polynomial(poly)
     result = convexity.line_type(r, point_option("--point", args.point), cap=args.cap)
     write_report(result, args)
     return EXIT_OK

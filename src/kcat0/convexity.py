@@ -122,12 +122,9 @@ def exponent_fit(D: ConvexDomain, boundary_point, approach_direction,
     if eps_grid is None:
         eps_grid = np.geomspace(1e-2, 1e-6, 9)
 
-    samples = []
-    for eps in eps_grid:
-        z = p + eps * u
-        if not D.contains(z):
-            continue
-        samples.append(MConvexitySample(z, v, D.delta(z), D.delta_dir(z, v)))
+    Z = np.array([p + eps * u for eps in eps_grid]).reshape(-1, D.dimension)
+    samples = [MConvexitySample(z, v, D.delta(z), D.delta_dir(z, v))
+               for z, inside in zip(Z, D.contains_batch(Z)) if inside]
     if len(samples) < 3:
         raise EmptyWindow("fewer than 3 valid samples along the approach ray")
 
@@ -147,19 +144,29 @@ def exponent_fit(D: ConvexDomain, boundary_point, approach_direction,
     )
 
 
+def _window_try(R: float, d: int, rng) -> np.ndarray:
+    """One uniform point of B(0, R) in C^d: a direction, then a radius."""
+    raw = rng.normal(size=2 * d)
+    raw /= math.sqrt(raw @ raw)   # what np.linalg.norm computes for one row
+    return (raw[:d] + 1j * raw[d:]) * (R * rng.uniform() ** (1.0 / (2 * d)))
+
+
 def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarray]:
-    """Uniform interior samples of B(0, R) intersected with the domain."""
+    """Uniform interior samples of B(0, R) intersected with the domain, from
+    at most 200 * count tries drawn one by one and tested count at a time."""
     d = D.dimension
-    out = []
-    tries = 0
+    out, tries = [], 0
     while len(out) < count and tries < 200 * count:
-        tries += 1
-        raw = rng.normal(size=2 * d)
-        raw /= np.linalg.norm(raw)
-        radius = R * rng.uniform() ** (1.0 / (2 * d))
-        z = (raw[:d] + 1j * raw[d:]) * radius
-        if D.contains(z):
-            out.append(z)
+        state = rng.bit_generator.state
+        Z = np.array([_window_try(R, d, rng) for _ in range(min(count, 200 * count - tries))])
+        hits = np.flatnonzero(D.contains_batch(Z))[:count - len(out)]
+        used = len(Z) if len(out) + hits.size < count else int(hits[-1]) + 1
+        if used < len(Z):   # leave the generator where one-at-a-time tries would
+            rng.bit_generator.state = state
+            for _ in range(used):
+                _window_try(R, d, rng)
+        tries += used
+        out.extend(Z[hits])
     if not out:
         raise EmptyWindow("no interior samples found in the window")
     return out
@@ -178,10 +185,9 @@ def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12):
         b = anchor + t_dom * u
         if np.linalg.norm(b) > R:
             continue  # boundary met outside the window
-        for eps in np.geomspace(1e-1, 1e-6, 6):
-            z = b + eps * (anchor - b)
-            if np.linalg.norm(z) <= R and D.contains(z):
-                probes.append(z)
+        Z = np.array([b + eps * (anchor - b) for eps in np.geomspace(1e-1, 1e-6, 6)])
+        probes += [z for z, inside in zip(Z, D.contains_batch(Z))
+                   if inside and np.linalg.norm(z) <= R]
     return probes
 
 
@@ -208,10 +214,8 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         raw = rng.normal(size=2 * d)
         raw /= np.linalg.norm(raw)
         vs.append(raw[:d] + 1j * raw[d:])
-        for v in vs:
-            delta = D.delta(z)
-            delta_dir = D.delta_dir(z, v)
-            samples.append(MConvexitySample(z, v, delta, delta_dir))
+        delta = D.delta(z)
+        samples += [MConvexitySample(z, v, delta, D.delta_dir(z, v)) for v in vs]
 
     ratios = np.array([s.delta_dir / s.delta ** (1.0 / m) for s in samples])
     deltas = np.array([s.delta for s in samples])

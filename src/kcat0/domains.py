@@ -5,7 +5,9 @@ sectors, balls, products of any number of factors, affine images,
 intersections) plus smooth convex graph domains ``{r < 0}``.  A polydisk
 is the product of its coordinate disks.  Every node answers:
 
-* ``contains(z)``          strict interior membership,
+* ``contains_batch(Z)``    strict interior membership of each row, the
+                           one membership implementation; ``contains(z)``
+                           is its validated one-row view,
 * ``delta(z)``             Euclidean distance to the boundary,
 * ``delta_dir(z, v)``      distance to the boundary inside the complex
                            line ``z + C v`` (ambient Euclidean units),
@@ -249,15 +251,15 @@ class ConvexDomain:
 
     def contains(self, z) -> bool:
         """Strict interior membership; boundary points answer False."""
-        z = as_point(z, self.dimension)
-        return self._contains(z)
+        return self._contains(as_point(z, self.dimension))
 
     def contains_batch(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        return np.array([self._contains(z) for z in Z])
+        """Strict interior membership of each row of Z; every node's one
+        membership implementation."""
+        raise NotImplementedError
 
     def _contains(self, z: np.ndarray) -> bool:
-        raise NotImplementedError
+        return bool(self.contains_batch(z[None, :])[0])
 
     # -- boundary distances --------------------------------------------------
 
@@ -418,9 +420,6 @@ class Disk(ConvexDomain):
         self.radius = float(radius)
         self.dimension = 1
 
-    def _contains(self, z):
-        return abs(z[0] - self.center) < self.radius
-
     def contains_batch(self, Z):
         return np.abs(Z[:, 0] - self.center) < self.radius
 
@@ -480,9 +479,6 @@ class HalfPlane(ConvexDomain):
         self.boundary_point = complex(boundary_point)
         self.inward_normal = n / abs(n)
         self.dimension = 1
-
-    def _contains(self, z):
-        return ((z[0] - self.boundary_point) * np.conj(self.inward_normal)).real > 0
 
     def contains_batch(self, Z):
         return ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real > 0
@@ -562,10 +558,6 @@ class Sector(ConvexDomain):
     @property
     def opening(self) -> float:
         return self.beta - self.alpha
-
-    def _contains(self, z):
-        w = z[0] - self.vertex
-        return w != 0 and 0 < (np.angle(w) - self.alpha) % _TWO_PI < self.opening
 
     def contains_batch(self, Z):
         w = Z[:, 0] - self.vertex
@@ -691,9 +683,6 @@ class Ball(ConvexDomain):
         self.radius = float(radius)
         self.dimension = self.center.shape[0]
 
-    def _contains(self, z):
-        return float(np.linalg.norm(z - self.center)) < self.radius
-
     def contains_batch(self, Z):
         return np.linalg.norm(Z - self.center[None, :], axis=1) < self.radius
 
@@ -755,12 +744,13 @@ class Ball(ConvexDomain):
     def exact_geodesic(self, x, y):
         if np.array_equal(x, y):
             return lambda t: x.copy()
+        # the length from the cancellation-free form; only the direction
+        # comes from the Mobius image, whose modulus rounds to 1 near the sphere
         unit_x = (x - self.center) / self.radius
         w = ball_mobius(unit_x, (y - self.center) / self.radius)
-        rho = float(np.linalg.norm(w))
-        u = w / rho
-        return lambda t: self.center + self.radius * ball_mobius(
-            unit_x, math.tanh(t * math.atanh(rho)) * u)
+        u = w / float(np.linalg.norm(w))
+        K = planar.ball_distance(x, y, self.center, self.radius)
+        return lambda t: self.center + self.radius * ball_mobius(unit_x, math.tanh(t * K) * u)
 
     def unit_speed_ray(self, w):
         unit_w = (w - self.center) / self.radius
@@ -805,9 +795,6 @@ class Product(ConvexDomain):
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         """One view per factor along the last axis (a point or rows of points)."""
         return [z[..., s] for s in self._slices]
-
-    def _contains(self, z):
-        return all(f._contains(zf) for f, zf in zip(self.factors, self.split(z)))
 
     def contains_batch(self, Z):
         return reduce(np.logical_and, [f.contains_batch(Zf)
@@ -958,9 +945,6 @@ class AffineImage(ConvexDomain):
     def _pull_back_rows(self, Z: np.ndarray) -> np.ndarray:
         return (Z - self.offset[None, :]) @ self.inverse.T
 
-    def _contains(self, z):
-        return self.inner._contains(self.pull_back(z))
-
     def contains_batch(self, Z):
         return self.inner.contains_batch(self._pull_back_rows(Z))
 
@@ -1056,9 +1040,6 @@ class Intersection(ConvexDomain):
         self.dimension = d
         self.fast_delta_dir = all(m.fast_delta_dir for m in members)
 
-    def _contains(self, z):
-        return all(m._contains(z) for m in self.members)
-
     def contains_batch(self, Z):
         out = self.members[0].contains_batch(Z)
         for m in self.members[1:]:
@@ -1088,9 +1069,9 @@ class Intersection(ConvexDomain):
     def anchor(self):
         candidates = [m.anchor() for m in self.members]
         candidates.append(np.mean(candidates, axis=0))
-        for c in candidates:
-            if self._contains(c):
-                return c
+        inside = np.flatnonzero(self.contains_batch(np.array(candidates)))
+        if inside.size:
+            return candidates[inside[0]]
         # maximize a cheap lower bound on the joint boundary distance
         from scipy.optimize import minimize as _minimize
 
@@ -1295,9 +1276,6 @@ class Graph(ConvexDomain):
         if r.value(self._interior) >= 0:
             raise InvalidDomain("declared interior point has r >= 0")
 
-    def _contains(self, z):
-        return self.r.value(z) < 0
-
     def contains_batch(self, Z):
         if self.r.polynomial is not None:
             return self.r.polynomial.evaluate_batch(Z) < 0
@@ -1413,9 +1391,6 @@ class PlanarOracle(ConvexDomain):
         self.dimension = 1
         self._anchor_cache: complex | None = None
         self._boundary_cache: dict[int, np.ndarray] = {}
-
-    def _contains(self, z):
-        return bool(self.member_batch(np.asarray(z[:1], dtype=complex))[0])
 
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)

@@ -207,12 +207,13 @@ def _cone_hull_angles(S: ConvexDomain) -> tuple[float, float]:
         mid = float(np.angle(S.center))
         return mid - math.pi / 2, mid + math.pi / 2
 
-    def enters(phi: float) -> bool:
-        ray = np.exp(1j * phi)
-        return any(S.contains([rho * ray]) for rho in (1e-2, 1e-4, 1e-6))
+    def enters(phis: np.ndarray) -> np.ndarray:
+        """Whether each ray from 0 meets S at radius 1e-2, 1e-4 or 1e-6; one membership call."""
+        rays = np.array([1e-2, 1e-4, 1e-6])[:, None] * np.exp(1j * phis)
+        return S.contains_batch(rays.reshape(-1, 1)).reshape(rays.shape).any(axis=0)
 
     grid = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
-    flags = np.array([enters(phi) for phi in grid])
+    flags = enters(grid)
     if not flags.any():
         raise EmptyWindow("the slice has no interior near 0")
     if flags.all():
@@ -231,7 +232,7 @@ def _cone_hull_angles(S: ConvexDomain) -> tuple[float, float]:
     def refine(lo: float, hi: float, want_inside_hi: bool) -> float:
         for _ in range(45):
             mid = 0.5 * (lo + hi)
-            if enters(mid) == want_inside_hi:
+            if enters(np.array([mid]))[0] == want_inside_hi:
                 hi = mid
             else:
                 lo = mid

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import ConvexDomain, PlanarOracle, ball_mobius  # noqa: F401
+from .domains import ConvexDomain, PlanarOracle
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -410,6 +410,13 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     return DistanceInterval(lo, hi, frozenset(tags))
 
 
+def _require_inside(D: ConvexDomain, x: np.ndarray, y: np.ndarray, what: str) -> None:
+    """Raise OutsideDomain naming the first of x, y outside D; one membership call."""
+    for p, inside in zip((x, y), D.contains_batch(np.array([x, y]))):
+        if not inside:
+            raise OutsideDomain(f"{what} {p} is not in the domain")
+
+
 def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
              optimize_path: bool | None = None) -> DistanceInterval:
     """Kobayashi distance as a certified interval (exact where structural)."""
@@ -417,9 +424,7 @@ def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
     y = as_point(y, D.dimension)
     if not D.c_proper:
         raise PseudoDistanceOnly("pseudo-distance only: the domain is not C-proper")
-    for p in (x, y):
-        if not D.contains(p):
-            raise OutsideDomain(f"point {p} is not in the domain")
+    _require_inside(D, x, y, "point")
     if np.array_equal(x, y):
         return DistanceInterval.exact(0.0, "exact-chart")
     if not force_sandwich:
@@ -520,9 +525,7 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
     y = as_point(y, D.dimension)
     if n < 3:
         raise InvalidDomain("need at least 3 path nodes")
-    for p in (x, y):
-        if not D.contains(p):
-            raise OutsideDomain(f"endpoint {p} is not in the domain")
+    _require_inside(D, x, y, "endpoint")
     if np.array_equal(x, y):
         path = DiscretePath(x[None, :])
         return path, DistanceInterval.exact(0.0, "path-optimizer")

@@ -124,6 +124,32 @@ class TestBadInput:
         assert (code, out, err) == (1, "", message)
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["distance", "--domain", "{missing}", "--from", "0", "--to", "0.5"],
+         "error: cannot open {missing}: No such file or directory\n"),
+        (["distance", "--domain", "{dir}", "--from", "0", "--to", "0.5"],
+         "error: cannot open {dir}: Is a directory\n"),
+        (["linetype", "--polynomial", "{missing}", "--point", "0,0"],
+         "error: cannot open {missing}: No such file or directory\n"),
+        (["linetype", "--polynomial", "{dir}", "--point", "0,0"],
+         "error: cannot open {dir}: Is a directory\n"),
+        (["linetype", "--point", "0,0"],
+         "error: provide --builtin-r or --polynomial\n"),
+        (["linetype", "--polynomial", "{no_monomials}", "--point", "0,0"],
+         "error: polynomial JSON is missing key 'monomials'\n"),
+        (["--output", "{missing}/out.json", "distance", "--builtin", "disk",
+          "--from", "0", "--to", "0.5"],
+         "error: cannot write {missing}/out.json: No such file or directory\n"),
+    ], ids=["domain-missing", "domain-dir", "polynomial-missing", "polynomial-dir",
+            "linetype-no-r", "polynomial-no-monomials", "output-dir-missing"])
+    def test_bad_file_is_one_line(self, argv, message, tmp_path, capsys):
+        (tmp_path / "poly.json").write_text('{"dimension": 2}')
+        paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path),
+                 "no_monomials": str(tmp_path / "poly.json")}
+        code, out, err = run([a.format(**paths) for a in argv], capsys)
+        assert (code, out, err) == (1, "", message.format(**paths))
+
+
 class TestOtherCommands:
     def test_mconvex_polydisk_diverges(self, tmp_path, capsys):
         out = tmp_path / "m.json"

@@ -21,6 +21,7 @@ from kcat0 import (
     RealPolynomial,
     Sector,
     domain_from_json,
+    distance,
     domain_to_json,
     intersection,
     sector,
@@ -61,6 +62,16 @@ class TestContains:
             z = z[:2] + 1j * z[2:]
             if D.contains(z):
                 assert all(m.contains(z) for m in members)
+
+
+    def test_sector_point_near_a_ray(self):
+        # inside by a 50-digit argument, 1.53e-16 rad from the ray at alpha
+        S = Sector(-0.4753340140573231 + 1.661728596147394j, 2.2056281648446134, 4.111305238284209)
+        z = -0.5183308242279209 + 1.7201052307407396j
+        assert S.contains([z])
+        assert S.contains_batch(np.array([[z]])).tolist() == [True]
+        iv = distance(S, [z], [S.vertex + np.exp(0.5j * (S.alpha + S.beta))])
+        assert math.isfinite(iv.lo) and iv.lo <= iv.hi
 
 
 class TestDelta:
@@ -306,6 +317,22 @@ def _slack_cases(draw):
     inside = np.flatnonzero(D.contains_batch(raw[:, :d] + 1j * raw[:, d:]))
     centers = raw[inside[0], :d] + 1j * raw[inside[0], d:] if inside.size else np.zeros(d, complex)
     return D, centers, np.array([draw(st.floats(1e-3, 0.5)) for _ in range(d)])
+
+
+@st.composite
+def _membership_cases(draw):
+    D = draw(_node(draw(st.integers(1, 3))))
+    raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-3, 3, (64, 2 * D.dimension))
+    return D, raw[:, :D.dimension] + 1j * raw[:, D.dimension:]
+
+
+@given(_membership_cases())
+@example((Sector(-0.4753340140573231 + 1.661728596147394j, 2.2056281648446134, 4.111305238284209),
+          np.array([[-0.5183308242279209 + 1.7201052307407396j]])))   # 1.53e-16 rad inside a ray
+@settings(max_examples=100, deadline=None)
+def test_contains_is_the_one_row_view_of_contains_batch(case):
+    D, Z = case
+    assert [D.contains(z) for z in Z] == D.contains_batch(Z).tolist()
 
 
 _NEAR_DIAGONAL = AffineImage([[1, 5e-9], [0, 1]], [0, 0], Polydisk([0, 0], [1, 1]))

@@ -90,3 +90,14 @@ def test_disk_model_chart_helpers_stay_gone():
     fields = [n.target.id for n in defs["ConformalChart"].body if isinstance(n, ast.AnnAssign)]
     methods = [n.name for n in defs["ConformalChart"].body if isinstance(n, ast.FunctionDef)]
     assert (fields, methods) == (["forward", "inverse", "tag"], [])
+
+
+def test_membership_has_one_implementation_per_node():
+    # each node answers membership in contains_batch; ConvexDomain._contains
+    # is its one-row view and ConvexDomain.contains_batch holds no row loop
+    classes = {n.name: n for n in ast.walk(_tree(SRC / "domains.py")) if isinstance(n, ast.ClassDef)}
+    methods = {(c, f.name): f for c, node in classes.items() for f in node.body
+               if isinstance(f, ast.FunctionDef)}
+    assert [c for c, name in methods if name == "_contains" and c != "ConvexDomain"] == []
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    assert not any(isinstance(n, loops) for n in ast.walk(methods["ConvexDomain", "contains_batch"]))

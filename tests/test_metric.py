@@ -31,6 +31,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
+from kcat0.domains import ball_mobius
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
     OPTIMIZER_NODES,
@@ -40,7 +41,6 @@ from kcat0.metric import (
     _half_plane_lower,
     _path_objective,
     _slice_upper,
-    ball_mobius,
     exact_distance,
     metric_bounds_batch,
 )
@@ -569,6 +569,15 @@ class TestMidpoint:
         d = distance(D, x, y).lo
         assert distance(D, x, m).lo == pytest.approx(d / 2, abs=1e-10)
         assert distance(D, m, y).lo == pytest.approx(d / 2, abs=1e-10)
+
+    def test_antipodal_ball_midpoint_near_the_sphere(self):
+        # |ball_mobius(x, y)| rounds to 1 here, so the length must not come from it
+        D, x, y = ball2(), [0.999999999, 0.0], [-0.999999999, 0.0]
+        m, _ = midpoint_search(D, x, y)
+        d = distance(D, x, y).lo
+        assert d == pytest.approx(21.416413, abs=1e-6)
+        for half in (distance(D, x, m).lo, distance(D, m, y).lo):
+            assert half == pytest.approx(d / 2, rel=1e-12)
 
     def test_numeric_midpoint_on_intersection(self):
         D = example36_domain()
