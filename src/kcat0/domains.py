@@ -23,8 +23,11 @@ forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
 form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
 ``metric_bounds`` (closed forms, or the generic convex estimate),
-``polydisk_slack``, ``depth_lower`` and the sandwich's reductions.  A slice
-is itself a planar node; a lens is the Mobius image of a sector.
+``polydisk_slack``, ``polydisk_room`` (per coordinate, a planar node
+holding the factor disk of every inscribed polydisk through two points whose
+distance stays below a level), ``depth_lower`` and the sandwich's
+reductions.  A slice is itself a planar node; a lens is the Mobius image of
+a sector.
 
 Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
@@ -60,6 +63,12 @@ _TWO_PI = 2.0 * math.pi
 # Direction grid used by numeric fallbacks; fixed seed keeps results
 # reproducible across runs.
 _FALLBACK_SEED = 0x5EC7
+
+# ``polydisk_room``'s answer where no polydisk fits: distinct from None
+NO_POLYDISK: tuple = ()
+# relative round-off padding of a ball's room radii, far above the few-ulp
+# error of the closed-form root
+_ROOM_PAD = 1e-12
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -390,6 +399,13 @@ class ConvexDomain:
     def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> float | None:
         """Margin by which the closed polydisk with these centers/radii sits
         inside (positive: strictly), or None where no structural test exists."""
+        return None
+
+    def polydisk_room(self, x: np.ndarray, y: np.ndarray, level: float):
+        """Planar nodes, one per coordinate j, each holding the j-th factor
+        disk of every polydisk P inside the domain with x, y in P and
+        K_P(x, y) <= level; ``NO_POLYDISK`` when no such polydisk exists, or
+        None where no structural test exists."""
         return None
 
     def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
@@ -762,6 +778,26 @@ class Ball(ConvexDomain):
         reach = np.abs(centers - self.center) + radii
         return self.radius - math.sqrt(float(np.sum(reach ** 2)))
 
+    def polydisk_room(self, x, y, level):
+        # a factor disk lies in Disk(C_i, rho_i), rho_i = |c_i - C_i| + r_i,
+        # so by monotonicity rho_i^2 >= s_i, the larger root of
+        # t^2 s^2 - B s + t^2 |a|^2 |b|^2 (a, b = x_i - C_i, y_i - C_i,
+        # t = tanh level); with sum rho_i^2 <= R^2 the j-th factor disk lies
+        # in Disk(C_j, sqrt(R^2 - sum_{i != j} s_i))
+        t2 = math.tanh(level) ** 2
+        if t2 == 0.0:
+            return None
+        a, b = np.abs(x - self.center), np.abs(y - self.center)
+        sep2 = np.abs(x - y) ** 2 / math.cosh(level) ** 2   # (1 - t^2) |a - b|^2
+        B = t2 * (a * a + b * b) + sep2
+        # the discriminant B^2 - 4 t^4 |a|^2 |b|^2 as a product of sums
+        root = np.sqrt((t2 * (a - b) ** 2 + sep2) * (B + 2.0 * t2 * a * b))
+        s = (B + root) / (2.0 * t2) * (1.0 - _ROOM_PAD)
+        free = self.radius ** 2 * (1.0 + _ROOM_PAD) - (s.sum() - s)
+        if np.any(free <= 0.0):
+            return NO_POLYDISK
+        return tuple(Disk(c, math.sqrt(f)) for c, f in zip(self.center, free))
+
 
 def ball_mobius(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Involutive automorphism of the unit ball exchanging 0 and a."""
@@ -889,6 +925,14 @@ class Product(ConvexDomain):
         slacks = [f.polydisk_slack(c, r)
                   for f, c, r in zip(self.factors, self.split(centers), self.split(radii))]
         return None if None in slacks else min(slacks)
+
+    def polydisk_room(self, x, y, level):
+        # a planar factor holds the factor disk in its coordinate
+        rooms = [(f,) if f.dimension == 1 else f.polydisk_room(xf, yf, level)
+                 for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
+        if None in rooms:
+            return None
+        return NO_POLYDISK if NO_POLYDISK in rooms else sum(rooms, ())
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each coordinate projection is a holomorphic contraction
@@ -1121,6 +1165,17 @@ class Intersection(ConvexDomain):
     def polydisk_slack(self, centers, radii):
         slacks = [m.polydisk_slack(centers, radii) for m in self.members]
         return None if None in slacks else min(slacks)
+
+    def polydisk_room(self, x, y, level):
+        # each member holds every factor disk in its room; two disks meet in
+        # a lens, which has an exact distance
+        rooms = [r for r in (m.polydisk_room(x, y, level) for m in self.members)
+                 if r is not None]
+        if not rooms:
+            return None
+        if NO_POLYDISK in rooms:
+            return NO_POLYDISK
+        return tuple(intersection(list(per_coordinate)) for per_coordinate in zip(*rooms))
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each C-proper member contains the domain: inclusion is a contraction

@@ -270,14 +270,37 @@ def _oracle_upper(S: ConvexDomain, z0: complex, z1: complex,
     return total
 
 
-def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
-                             y: np.ndarray) -> float | None:
+def _no_polydisk_below(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
+                       level: float) -> bool:
+    """True when D's polydisk rooms prove that no polydisk P inside D with
+    x, y in P has K_P(x, y) <= level: no room at all, a room without x_j or
+    y_j, or a room whose own distance between them exceeds the level."""
+    rooms = D.polydisk_room(x, y, level)
+    if rooms is None:
+        return False
+    if not rooms:
+        return True
+    for room, xj, yj in zip(rooms, x, y):
+        ends = np.array([[xj], [yj]])
+        if not room.contains_batch(ends).all():
+            return True
+        # the room contains every factor disk, so its distance is no larger
+        dist = room.exact_distance(ends[0], ends[1])
+        if dist is not None and dist.lo > level:
+            return True
+    return False
+
+
+def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
+                             target: float) -> float | None:
     """Upper bound from an inscribed polydisk through both points.
 
     Flat slices cannot see max-type geometry (a slice of a product limit
     degenerates to a strip), but any polydisk P inside D bounds K_D by the
     exact product value max_j K_disk_j.  The disk centers and radii are
-    optimized with the containment margin as a hard penalty.
+    optimized with the containment margin as a hard penalty.  Returns None
+    without searching when D's polydisk rooms prove that no polydisk beats
+    ``target`` (``math.inf`` always searches).
     """
     from scipy.optimize import minimize
 
@@ -286,6 +309,9 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
         return None
     probe = D.polydisk_slack(x, np.zeros(d))
     if probe is None:
+        return None
+    # padded past the target by round-off, so rounding can only keep a search
+    if target < math.inf and _no_polydisk_below(D, x, y, target * (1.0 + 1e-9)):
         return None
 
     def assemble(params: np.ndarray):
@@ -312,7 +338,8 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray,
 
     def grow_radii(centers: np.ndarray) -> np.ndarray | None:
         base = np.maximum(np.abs(x - centers), np.abs(y - centers)) * 1.000001 + 1e-12
-        if D.polydisk_slack(centers, base) is None or D.polydisk_slack(centers, base) <= 0:
+        slack = D.polydisk_slack(centers, base)
+        if slack is None or slack <= 0:
             return None
         lo_s, hi_s = 0.0, 1.0
         while D.polydisk_slack(centers, base + hi_s) > 0 and hi_s < 1e12:
@@ -383,7 +410,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     # the flat slice cannot see max-type geometry; when it is visibly loose
     # an inscribed polydisk often is the better analytic disk family
     if D.dimension >= 2 and slice_val > 1.15 * lo:
-        incl = _product_inclusion_upper(D, x, y)
+        incl = _product_inclusion_upper(D, x, y, min(his))
         if incl is not None and incl < min(his):
             his.append(incl)
             tags.add("inclusion-upper")
@@ -407,6 +434,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
             raise KCat0Error(
                 f"sandwich bounds crossed: lo={lo!r} hi={hi!r}; this indicates a bug")
         lo = hi = 0.5 * (lo + hi)
+        tags.add("bounds-crossed")
     return DistanceInterval(lo, hi, frozenset(tags))
 
 

@@ -31,7 +31,8 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
-from kcat0.domains import ball_mobius
+from kcat0 import metric
+from kcat0.domains import NO_POLYDISK, ball_mobius
 from kcat0.errors import OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
     OPTIMIZER_NODES,
@@ -39,7 +40,10 @@ from kcat0.metric import (
     _coloured_gradient,
     _functionals,
     _half_plane_lower,
+    _no_polydisk_below,
     _path_objective,
+    _product_inclusion_upper,
+    _round_off,
     _slice_upper,
     exact_distance,
     metric_bounds_batch,
@@ -187,6 +191,16 @@ class TestDistance:
             sl = D.slice(x, y - x)
             d_slice = planar_distance(sl, 0.0, 1.0)
             assert distance(D, x, y).lo <= d_slice + 1e-9
+
+    def test_crossed_bounds_are_tagged(self, monkeypatch):
+        D, x, y = example36_domain(), [0.2, 0.2], [0.4, 0.3]
+        iv = distance(D, x, y, force_sandwich=True, optimize_path=False)
+        assert "bounds-crossed" not in iv.methods
+        # a lower bound above the slice bound, by less than the 5e-9 tolerance
+        monkeypatch.setattr(metric, "_half_plane_lower", lambda D, x, y: iv.hi + 1e-10)
+        crossed = distance(D, x, y, force_sandwich=True, optimize_path=False)
+        assert crossed.lo == crossed.hi == pytest.approx(iv.hi, abs=1e-9)
+        assert "bounds-crossed" in crossed.methods
 
     def test_pseudo_distance_flag(self):
         poly = RealPolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
@@ -450,6 +464,82 @@ class TestPolydiskIsProductOfDisks:
         P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
         exact = distance(P, x, y).lo
         assert exact * (1 - 1e-14) <= distance(P, x, y, force_sandwich=True).lo <= exact
+
+
+@st.composite
+def _room_cases(draw):
+    """An intersection of 1-3 balls or a product with a disk factor in C^2
+    or C^3, a polydisk with positive slack inside it, and two of its points."""
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def ball(dim):
+        # |center| < 0.4 sqrt(2 dim) < 1 <= radius: every ball holds the origin
+        return Ball(rng.uniform(-0.4, 0.4, dim) + 1j * rng.uniform(-0.4, 0.4, dim),
+                    rng.uniform(1.0, 2.0))
+
+    if draw(st.booleans()):
+        D = intersection([ball(d) for _ in range(draw(st.integers(1, 3)))])
+    else:
+        disk = Disk(complex(*rng.uniform(-0.4, 0.4, 2)), rng.uniform(1.0, 2.0))
+        D = Product(disk, ball(d - 1)) if draw(st.booleans()) else Product(ball(d - 1), disk)
+    centers = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+    while not D.contains(centers):
+        centers *= 0.5
+    radii = rng.uniform(0.05, 1.0, d)
+    while not D.polydisk_slack(centers, radii) > 0:
+        radii *= 0.7
+    x, y = (centers + radii * np.sqrt(rng.uniform(0.0, 0.98, d))
+            * np.exp(2j * np.pi * rng.uniform(size=d)) for _ in range(2))
+    return D, Polydisk(centers, radii), x, y
+
+
+class TestPolydiskRoom:
+    @given(_room_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_rooms_hold_every_inscribed_polydisk(self, case):
+        D, P, x, y = case
+        level = P.exact_distance(x, y).lo
+        rooms = D.polydisk_room(x, y, level)
+        assert rooms is not None and len(rooms) == D.dimension
+        for room, xj, yj in zip(rooms, x, y):
+            assert room.contains_batch(np.array([[xj], [yj]])).all()
+            dist = room.exact_distance(np.array([xj]), np.array([yj]))
+            assert dist is None or dist.lo <= level * (1 + 1e-9)
+        assert not _no_polydisk_below(D, x, y, level)
+
+    def test_room_answers_by_node(self):
+        x, y = np.array([0.1, 0.2j]), np.array([-0.3, 0.1])
+        assert AffineImage(np.diag([2.0, 1.0]), [0, 0], ball2()).polydisk_room(x, y, 1.0) is None
+        assert Polydisk([0, 0], [1, 1]).polydisk_room(x, y, 1.0)[1].radius == 1.0
+        # a level below the points' own ball distance leaves no polydisk
+        assert ball2().polydisk_room(x, y, 0.5 * distance(ball2(), x, y).lo) == NO_POLYDISK
+
+    @pytest.mark.parametrize("D", [
+        example36_domain(),
+        intersection([Ball([0.5, 0.0], 1.0), Ball([0.0, 0.5], 1.2)]),
+    ], ids=["omega", "lens"])
+    def test_a_skipped_search_would_not_have_won(self, D):
+        rng = np.random.default_rng(10)
+        skipped = 0
+        for _ in range(30):
+            x, y = sample_in(D, rng), sample_in(D, rng)
+            # the target _sandwich passes: the exact slice value, padded
+            target = _slice_upper(D, x, y)[0] * (1 + _round_off(D))
+            if not _no_polydisk_below(D, x, y, target * (1 + 1e-9)):
+                continue
+            skipped += 1
+            assert _product_inclusion_upper(D, x, y, target) is None
+            unskipped = _product_inclusion_upper(D, x, y, target=math.inf)
+            assert unskipped is None or unskipped >= target
+        assert skipped >= 15   # the test proves something
+
+    def test_the_large_n_win_is_kept(self):
+        D = example36_domain()
+        z, y = np.array([2.0, 2.0]) / 1e6, np.array([4.0, 1.0]) / 1e6
+        target = _slice_upper(D, z, y)[0] * (1 + _round_off(D))
+        assert target == pytest.approx(0.54931, abs=1e-5)
+        assert _product_inclusion_upper(D, z, y, target) == pytest.approx(0.35651, abs=1e-5)
 
 
 class TestGeodesicApprox:
