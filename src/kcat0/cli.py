@@ -189,7 +189,15 @@ def cmd_linetype(args) -> int:
     return EXIT_OK
 
 
+def n_option(ns: list[int]) -> list[int]:
+    """The --n values; each must be at least 1."""
+    if min(ns) < 1:
+        raise KCat0Error(f"--n: every value must be at least 1, got {min(ns)}")
+    return ns
+
+
 def cmd_limits(args) -> int:
+    n_option(args.n)
     if args.experiment == "dilation-disk":
         seq = limits.dilation_sequence(unit_disk(), unit_disk(),
                                        factor=lambda n: 1.0 + 1.0 / n)
@@ -228,7 +236,7 @@ def _pair_option(text: str):
 
 
 def cmd_example36(args) -> int:
-    report = limits.example36(n_list=tuple(args.n), big_n=args.big_n,
+    report = limits.example36(n_list=tuple(n_option(args.n)), big_n=args.big_n,
                               seed=args.seed, mconvex_samples=args.samples,
                               hausdorff_directions=args.directions)
     write_report(report, args)

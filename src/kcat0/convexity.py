@@ -5,6 +5,8 @@ A C-proper convex domain is locally m-convex on a window when
 directions v.  The checks here are empirical: they sample, fit the
 log-log exponent, track the best constant per boundary-distance decade,
 and flag divergence (the polydisk's flat face is the canonical failure).
+Samples are drawn in blocks, and all (point, direction) rows are measured
+in one ``delta_dir_batch`` call, of which ``delta_dir`` is the one-row view.
 
 Line type is the sup of the vanishing order of ``r o l`` over complex
 affine lines l through a boundary point; polynomial defining functions
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import ConvexDomain, DefiningFunction, RealPolynomial, ray_boundary_batch
+from .domains import (ConvexDomain, DefiningFunction, RealPolynomial, ray_boundary_batch,
+                      unit_rows)
 from .errors import DegenerateInput, EmptyWindow, InvalidDomain, OrderNotResolved
 from .points import as_point, point_to_json
 
@@ -123,72 +126,51 @@ def exponent_fit(D: ConvexDomain, boundary_point, approach_direction,
         eps_grid = np.geomspace(1e-2, 1e-6, 9)
 
     Z = np.array([p + eps * u for eps in eps_grid]).reshape(-1, D.dimension)
-    samples = [MConvexitySample(z, v, D.delta(z), D.delta_dir(z, v))
-               for z, inside in zip(Z, D.contains_batch(Z)) if inside]
-    if len(samples) < 3:
+    Z = Z[D.contains_batch(Z)]
+    if len(Z) < 3:
         raise EmptyWindow("fewer than 3 valid samples along the approach ray")
-
-    logs_d = np.log([s.delta for s in samples])
-    logs_dd = np.log([s.delta_dir for s in samples])
-    slope, intercept = np.polyfit(logs_d, logs_dd, 1)
-    verdict = "pass" if 0.0 < slope <= 1.0 + 1e-9 else "fail"
+    deltas = np.array([D.delta(z) for z in Z])
+    dirs = D.delta_dir_batch(Z, np.tile(v, (len(Z), 1)))
+    slope, intercept = np.polyfit(np.log(deltas), np.log(dirs), 1)
     return MConvexityReport(
-        samples=samples,
+        samples=[MConvexitySample(z, v, dl, dd)
+                 for z, dl, dd in zip(Z, deltas.tolist(), dirs.tolist())],
         fitted_exponent=float(slope),
         fitted_constant=float(np.exp(intercept)),
-        window_radius=float(np.max(np.abs([np.linalg.norm(s.z) for s in samples]))),
+        window_radius=float(np.max(np.linalg.norm(Z, axis=1))),
         target_m=None,
-        empirical_c=float(np.max([s.delta_dir / math.sqrt(s.delta) for s in samples]))
-        if np.all([s.delta > 0 for s in samples]) else math.inf,
-        verdict=verdict,
+        empirical_c=float(np.max(dirs / np.sqrt(deltas))) if np.all(deltas > 0) else math.inf,
+        verdict="pass" if 0.0 < slope <= 1.0 + 1e-9 else "fail",
     )
 
 
-def _window_try(R: float, d: int, rng) -> np.ndarray:
-    """One uniform point of B(0, R) in C^d: a direction, then a radius."""
-    raw = rng.normal(size=2 * d)
-    raw /= math.sqrt(raw @ raw)   # what np.linalg.norm computes for one row
-    return (raw[:d] + 1j * raw[d:]) * (R * rng.uniform() ** (1.0 / (2 * d)))
-
-
 def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarray]:
-    """Uniform interior samples of B(0, R) intersected with the domain, from
-    at most 200 * count tries drawn one by one and tested count at a time."""
+    """Uniform interior samples of B(0, R) intersected with the domain, kept
+    in draw order from at most 200 blocks of ``count`` tries (a direction,
+    then a radius, per try)."""
     d = D.dimension
-    out, tries = [], 0
-    while len(out) < count and tries < 200 * count:
-        state = rng.bit_generator.state
-        Z = np.array([_window_try(R, d, rng) for _ in range(min(count, 200 * count - tries))])
-        hits = np.flatnonzero(D.contains_batch(Z))[:count - len(out)]
-        used = len(Z) if len(out) + hits.size < count else int(hits[-1]) + 1
-        if used < len(Z):   # leave the generator where one-at-a-time tries would
-            rng.bit_generator.state = state
-            for _ in range(used):
-                _window_try(R, d, rng)
-        tries += used
-        out.extend(Z[hits])
+    out: list[np.ndarray] = []
+    for _ in range(200):
+        if len(out) >= count:
+            break
+        Z = unit_rows(rng, count, d) * (R * rng.uniform(size=count) ** (1.0 / (2 * d)))[:, None]
+        out.extend(Z[D.contains_batch(Z)][:count - len(out)])
     if not out:
         raise EmptyWindow("no interior samples found in the window")
     return out
 
 
-def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12):
+def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12) -> list[np.ndarray]:
     """Points marching toward boundary pieces inside the window."""
     anchor = D.anchor()
-    # 1-d norms: np.linalg.norm(axis=1) can differ from them in the last bit
-    raw = np.array([x / np.linalg.norm(x) for x in rng.normal(size=(rays, 2 * D.dimension))])
-    dirs = raw[:, :D.dimension] + 1j * raw[:, D.dimension:]
-    probes = []
-    for u, t_dom in zip(dirs, ray_boundary_batch(D.contains_batch, anchor, dirs)):
-        if not math.isfinite(t_dom):
-            continue
-        b = anchor + t_dom * u
-        if np.linalg.norm(b) > R:
-            continue  # boundary met outside the window
-        Z = np.array([b + eps * (anchor - b) for eps in np.geomspace(1e-1, 1e-6, 6)])
-        probes += [z for z, inside in zip(Z, D.contains_batch(Z))
-                   if inside and np.linalg.norm(z) <= R]
-    return probes
+    dirs = unit_rows(rng, rays, D.dimension)
+    ts = ray_boundary_batch(D.contains_batch, anchor, dirs)
+    hit = np.isfinite(ts)
+    B = anchor + ts[hit, None] * dirs[hit]
+    B = B[np.linalg.norm(B, axis=1) <= R]   # boundary met inside the window
+    eps = np.geomspace(1e-1, 1e-6, 6)[None, :, None]
+    Z = (B[:, None, :] + eps * (anchor - B[:, None, :])).reshape(-1, D.dimension)
+    return list(Z[D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) <= R)])
 
 
 def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
@@ -202,23 +184,24 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     """
     if m < 1:
         raise InvalidDomain("m must be at least 1")
+    if not window_radius > 0:
+        raise InvalidDomain(f"the window radius must be positive, got {window_radius}")
     rng = np.random.default_rng(seed)
     zs = _window_samples(D, window_radius, sample_count, rng)
     zs += _boundary_probes(D, window_radius, rng)
 
-    d = D.dimension
-    axes = [np.eye(d, dtype=complex)[j] for j in range(d)]
-    samples: list[MConvexitySample] = []
-    for z in zs:
-        vs = list(axes)
-        raw = rng.normal(size=2 * d)
-        raw /= np.linalg.norm(raw)
-        vs.append(raw[:d] + 1j * raw[d:])
-        delta = D.delta(z)
-        samples += [MConvexitySample(z, v, delta, D.delta_dir(z, v)) for v in vs]
+    # each point with the d coordinate axes, then one random direction
+    n, d = len(zs), D.dimension
+    Z = np.repeat(np.array(zs), d + 1, axis=0)
+    V = np.empty((n, d + 1, d), dtype=complex)
+    V[:, :d] = np.eye(d)
+    V[:, d] = unit_rows(rng, n, d)
+    V = V.reshape(-1, d)
+    deltas = np.repeat([D.delta(z) for z in zs], d + 1)
+    dirs = D.delta_dir_batch(Z, V)
+    samples = [MConvexitySample(*row) for row in zip(Z, V, deltas.tolist(), dirs.tolist())]
 
-    ratios = np.array([s.delta_dir / s.delta ** (1.0 / m) for s in samples])
-    deltas = np.array([s.delta for s in samples])
+    ratios = dirs / deltas ** (1.0 / m)
     empirical_c = float(np.max(ratios))
 
     decades: dict[int, float] = {}
@@ -231,9 +214,7 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         small, large = decades[keys[0]], decades[keys[-1]]
         diverging = small > DIVERGENCE_FACTOR * large
 
-    logs_d = np.log(deltas)
-    logs_dd = np.log([s.delta_dir for s in samples])
-    slope = float(np.polyfit(logs_d, logs_dd, 1)[0])
+    slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
 
     verdict = "pass"
     if diverging:

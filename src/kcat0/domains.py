@@ -9,8 +9,11 @@ is the product of its coordinate disks.  Every node answers:
                            one membership implementation; ``contains(z)``
                            is its validated one-row view,
 * ``delta(z)``             Euclidean distance to the boundary,
-* ``delta_dir(z, v)``      distance to the boundary inside the complex
-                           line ``z + C v`` (ambient Euclidean units),
+* ``delta_dir_batch(Z, V)`` distance to the boundary inside the complex
+                           line ``z + C v`` (ambient Euclidean units) of
+                           each row pair, the one directional
+                           implementation; ``delta_dir(z, v)`` is its
+                           validated one-row view,
 * ``slice(p, v)``          the planar set ``{t : p + t v in D}``,
 * ``support_upper_batch(A)`` an upper bound for ``sup Re<z, a>`` over
                            the domain for each row ``a`` of ``A`` (``+inf``
@@ -79,6 +82,13 @@ def _from_real(x: np.ndarray) -> np.ndarray:
     """Complex points from (real parts, imaginary parts) along the last axis."""
     d = x.shape[-1] // 2
     return x[..., :d] + 1j * x[..., d:]
+
+
+def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` uniform unit vectors of C^d, one per row."""
+    raw = rng.normal(size=(count, 2 * d))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return _from_real(raw)
 
 
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
@@ -290,13 +300,17 @@ class ConvexDomain:
             raise InvalidDomain("direction v must be nonzero")
         if not self._contains(z):
             raise OutsideDomain(f"point {z} is not interior to the domain")
-        if self.dimension == 1:
-            return self._delta(z)  # the only complex line is the whole plane
-        return float(np.linalg.norm(v)) * self.slice(z, v).delta([0.0])
+        return float(self.delta_dir_batch(z[None, :], v[None, :])[0])
 
     def delta_dir_batch(self, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Per-row delta_dir; nodes with closed forms override this."""
-        return np.array([self.delta_dir(z, v) for z, v in zip(Z, V)])
+        """``delta_dir`` of each row pair (interior Z, nonzero V); every node's
+        one directional implementation, and ``delta_dir`` is its validated
+        one-row view.  Nodes with closed forms override this default."""
+        if self.dimension == 1:   # the only complex line is the whole plane
+            return np.array([self._delta(z) for z in Z])
+        origin = np.zeros(1, dtype=complex)
+        return np.array([float(np.linalg.norm(v)) * self._slice_set(z, v)._delta(origin)
+                         for z, v in zip(Z, V)])
 
     # -- slices ---------------------------------------------------------------
 
@@ -1120,9 +1134,10 @@ class Intersection(ConvexDomain):
         from scipy.optimize import minimize as _minimize
 
         def neg_depth(x):
+            # outside a member, the distance to its anchor stands in for depth
             z = _from_real(x)
-            return -min(m.depth_lower(z) if m._contains(z) else -ray_dist_outside(m, z)
-                        for m in self.members)
+            return -min(m.depth_lower(z) if m._contains(z) else -float(np.linalg.norm(z - a))
+                        for m, a in zip(self.members, candidates))
 
         best = min(candidates, key=lambda c: neg_depth(_real_view(c)))
         res = _minimize(neg_depth, _real_view(best), method="Nelder-Mead",
@@ -1243,15 +1258,6 @@ def _lens_sector(members: Sequence[ConvexDomain]):
     normals = [m.center - P if isinstance(m, Disk) else m.inward_normal for m in (m1, m2)]
     wedge = _wedge_sector(*(HalfPlane(0.0, n * np.conj(P - Q)) for n in normals))
     return None if wedge is None else (P, Q, wedge)
-
-
-def ray_dist_outside(D: ConvexDomain, z: np.ndarray) -> float:
-    """Rough penetration depth for points outside D (anchor-directed)."""
-    try:
-        a = D.anchor()
-    except Exception:
-        return 1.0
-    return float(np.linalg.norm(z - a))
 
 
 def intersection(members: Sequence[ConvexDomain]) -> ConvexDomain:
@@ -1522,9 +1528,8 @@ def _delta_numeric(D: ConvexDomain, z: np.ndarray) -> float:
 
     rng = np.random.default_rng(_FALLBACK_SEED)
     n = 128 if D.dimension == 1 else 512
-    dirs = rng.normal(size=(n, 2 * D.dimension))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ts = ray_boundary_batch(D.contains_batch, z, _from_real(dirs))
+    dirs = unit_rows(rng, n, D.dimension)
+    ts = ray_boundary_batch(D.contains_batch, z, dirs)
     order = np.argsort(ts)
 
     def t_of(x):
@@ -1535,7 +1540,7 @@ def _delta_numeric(D: ConvexDomain, z: np.ndarray) -> float:
 
     best = float(ts[order[0]])
     for k in order[:4]:
-        res = _minimize(t_of, dirs[k], method="Nelder-Mead",
+        res = _minimize(t_of, _real_view(dirs[k]), method="Nelder-Mead",
                         options={"maxiter": 300, "fatol": 1e-13, "xatol": 1e-10})
         best = min(best, float(res.fun))
     return best

@@ -40,6 +40,7 @@ from .domains import (
     right_half_plane,
     sector,
     unit_disk,
+    unit_rows,
 )
 from .errors import EmptyWindow, GridBoundary, InvalidDomain, KCat0Error, OutsideDomain
 from .metric import distance
@@ -134,10 +135,7 @@ def _window_anchor(D: ConvexDomain, R: float) -> np.ndarray:
 
 
 def _sphere_directions(dim: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(_DIRECTION_SEED)
-    raw = rng.normal(size=(count, 2 * dim))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw[:, :dim] + 1j * raw[:, dim:]
+    return unit_rows(np.random.default_rng(_DIRECTION_SEED), count, dim)
 
 
 def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.ndarray:
@@ -166,6 +164,10 @@ def hausdorff(A: ConvexDomain, B: ConvexDomain, R: float,
     """
     if A.dimension != B.dimension:
         raise InvalidDomain("both domains must share a dimension")
+    if directions < 2:
+        raise InvalidDomain(f"a Hausdorff reading needs at least two directions, got {directions}")
+    if not R > 0:
+        raise InvalidDomain(f"the window radius must be positive, got {R}")
     dirs = _sphere_directions(A.dimension, directions)
     cloud_a = _boundary_cloud(A, R, dirs)
     cloud_b = _boundary_cloud(B, R, dirs)

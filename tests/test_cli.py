@@ -149,6 +149,33 @@ class TestBadInput:
         code, out, err = run([a.format(**paths) for a in argv], capsys)
         assert (code, out, err) == (1, "", message.format(**paths))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["limits", "--experiment", "lemma32", "--builtin", "halfplane-x-disk", "--n", "2",
+          "--directions", "0"],
+         "error: a Hausdorff reading needs at least two directions, got 0\n"),
+        # one direction gives a one-point cloud, which has no mesh
+        (["limits", "--experiment", "lemma32", "--builtin", "halfplane-x-disk", "--n", "2",
+          "--directions", "1"],
+         "error: a Hausdorff reading needs at least two directions, got 1\n"),
+        (["limits", "--experiment", "lemma32", "--builtin", "halfplane-x-disk", "--n", "2",
+          "--window", "0"],
+         "error: the window radius must be positive, got 0.0\n"),
+        (["limits", "--experiment", "frankel-flat", "--n", "2", "--directions", "0"],
+         "error: a Hausdorff reading needs at least two directions, got 0\n"),
+        (["example36", "--n", "1", "--directions", "0"],
+         "error: a Hausdorff reading needs at least two directions, got 0\n"),
+        (["limits", "--experiment", "dilation-disk", "--n", "0"],
+         "error: --n: every value must be at least 1, got 0\n"),
+        (["mconvex", "--builtin", "ball2", "--window", "0"],
+         "error: the window radius must be positive, got 0.0\n"),
+        (["mconvex", "--builtin", "ball2", "--window", "-1"],
+         "error: the window radius must be positive, got -1.0\n"),
+    ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
+            "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative"])
+    def test_bad_parameter_is_one_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", message)
+
 
 class TestOtherCommands:
     def test_mconvex_polydisk_diverges(self, tmp_path, capsys):

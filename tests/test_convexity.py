@@ -10,6 +10,7 @@ from kcat0 import (
     Graph,
     Polydisk,
     RealPolynomial,
+    example36_domain,
     exponent_fit,
     intersection,
     line_type,
@@ -72,6 +73,20 @@ class TestLocalMConvex:
         assert rep.verdict == "fail"
         keys = sorted(rep.decade_constants)
         assert rep.decade_constants[keys[0]] > 4 * rep.decade_constants[keys[-1]]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_benchmark_verdicts_hold_across_seeds(self, seed):
+        # the benchmark's settings: window 2, m = 2, 300 samples
+        omega = local_m_convex_check(example36_domain(), 2.0, 2, sample_count=300, seed=seed)
+        assert omega.verdict == "pass"
+        P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
+        flat = local_m_convex_check(P, 2.0, 2, sample_count=300, seed=seed)
+        assert (flat.verdict, flat.diverging) == ("fail", True)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_window_must_be_positive(self, radius):
+        with pytest.raises(InvalidDomain):
+            local_m_convex_check(ball2(), radius, 2, sample_count=10)
 
     def test_monotone_in_m_on_ball(self):
         # window covers the whole unit ball, so delta <= 1 and the same

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kcat0 import (
@@ -206,11 +206,12 @@ class TestDeltaDir:
         V = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         batch = D.delta_dir_batch(Z, V)
         for k in range(10):
-            assert batch[k] == pytest.approx(D.delta_dir(Z[k], V[k]), abs=1e-12)
+            assert batch[k] == pytest.approx(_slice_delta_dir(D, Z[k], V[k]), abs=1e-12)
 
     @pytest.mark.parametrize("D", [
         Polydisk([0.5, -1j], [1.0, 2.0]),
         Product(upper_half_plane(), sector(0.0, 0.2, 1.2)),
+        AffineImage([[2, 0.5], [0, 1]], [0.3, -0.2j], Polydisk([0, 0], [1.0, 2.0])),
     ], ids=lambda D: type(D).__name__)
     def test_product_batch_matches_scalar(self, D, rng):
         # unequal factor speeds: each factor's own distance is in |V_f| units
@@ -218,7 +219,13 @@ class TestDeltaDir:
         V = (rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))) * [1.0, 1e-2]
         batch = D.delta_dir_batch(Z, V)
         for k in range(20):
-            assert batch[k] == pytest.approx(D.delta_dir(Z[k], V[k]), rel=1e-12)
+            assert batch[k] == pytest.approx(_slice_delta_dir(D, Z[k], V[k]), rel=1e-12)
+
+
+def _slice_delta_dir(D, z, v):
+    """delta_dir through the slice node: an independent reference for the
+    closed forms of ``delta_dir_batch``."""
+    return float(np.linalg.norm(v)) * D.slice(z, v).delta([0.0])
 
 
 class TestSlices:
@@ -501,6 +508,25 @@ _ELLIPSOID = {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0,
 def _ellipsoid_graph():
     poly = RealPolynomial(2, _ELLIPSOID)
     return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
+
+
+@st.composite
+def _delta_dir_cases(draw):
+    D = draw(st.one_of(st.integers(1, 3).flatmap(_node), st.builds(_ellipsoid_graph)))
+    d = D.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = np.vstack([rng.uniform(-3, 3, (256, 2 * d)), rng.uniform(-1, 1, (256, 2 * d))])
+    inside = np.flatnonzero(D.contains_batch(raw[:, :d] + 1j * raw[:, d:]))
+    assume(inside.size)
+    z = raw[inside[0], :d] + 1j * raw[inside[0], d:]
+    return D, z, rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+@given(_delta_dir_cases())
+@settings(max_examples=100, deadline=None)
+def test_delta_dir_is_the_one_row_view_of_delta_dir_batch(case):
+    D, z, v = case
+    assert D.delta_dir(z, v) == D.delta_dir_batch(z[None, :], v[None, :])[0]
 
 
 class TestRayShooting:

@@ -92,12 +92,26 @@ def test_disk_model_chart_helpers_stay_gone():
     assert (fields, methods) == (["forward", "inverse", "tag"], [])
 
 
+def _domain_methods() -> dict:
+    classes = {n.name: n for n in ast.walk(_tree(SRC / "domains.py")) if isinstance(n, ast.ClassDef)}
+    return {(c, f.name): f for c, node in classes.items() for f in node.body
+            if isinstance(f, ast.FunctionDef)}
+
+
 def test_membership_has_one_implementation_per_node():
     # each node answers membership in contains_batch; ConvexDomain._contains
     # is its one-row view and ConvexDomain.contains_batch holds no row loop
-    classes = {n.name: n for n in ast.walk(_tree(SRC / "domains.py")) if isinstance(n, ast.ClassDef)}
-    methods = {(c, f.name): f for c, node in classes.items() for f in node.body
-               if isinstance(f, ast.FunctionDef)}
+    methods = _domain_methods()
     assert [c for c, name in methods if name == "_contains" and c != "ConvexDomain"] == []
     loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
     assert not any(isinstance(n, loops) for n in ast.walk(methods["ConvexDomain", "contains_batch"]))
+
+
+def test_directional_distance_has_one_implementation_per_node():
+    # each node answers delta_dir in delta_dir_batch; ConvexDomain.delta_dir
+    # is its validated one-row view, which the default batch never calls
+    methods = _domain_methods()
+    assert [c for c, name in methods if name == "delta_dir"] == ["ConvexDomain"]
+    called = {n.func.attr for n in ast.walk(methods["ConvexDomain", "delta_dir_batch"])
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert "delta_dir" not in called
