@@ -182,8 +182,11 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     per-decade table of constants; a constant that keeps growing as
     delta shrinks is flagged as diverging (fail).
     """
-    if m < 1:
-        raise InvalidDomain("m must be at least 1")
+    # written so that NaN fails each test
+    if not (math.isfinite(m) and m >= 1):
+        raise InvalidDomain(f"m must be finite and at least 1, got {m}")
+    if target_c is not None and not (math.isfinite(target_c) and target_c > 0):
+        raise InvalidDomain(f"the target constant must be finite and positive, got {target_c}")
     if not window_radius > 0:
         raise InvalidDomain(f"the window radius must be positive, got {window_radius}")
     rng = np.random.default_rng(seed)
@@ -326,6 +329,9 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
     Transversal lines vanish to first order, so the sup is attained on the
     complex tangent space whenever the dimension exceeds one.
     """
+    # a complex tangent line vanishes to order at least 2
+    if cap < 2:
+        raise InvalidDomain(f"the order cap must be at least 2, got {cap}")
     x = as_point(x, r.dimension)
     if r.dimension == 1:
         e = np.array([1.0 + 0.0j])

@@ -28,9 +28,9 @@ form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``metric_bounds`` (closed forms, or the generic convex estimate),
 ``polydisk_slack``, ``polydisk_room`` (per coordinate, a planar node
 holding the factor disk of every inscribed polydisk through two points whose
-distance stays below a level), ``depth_lower`` and the sandwich's
-reductions.  A slice is itself a planar node; a lens is the Mobius image of
-a sector.
+distance stays below a level; an intersection couples its members' rooms),
+``depth_lower`` and the sandwich's reductions.  A slice is itself a planar
+node; a lens is the Mobius image of a sector.
 
 Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
@@ -72,6 +72,10 @@ NO_POLYDISK: tuple = ()
 # relative round-off padding of a ball's room radii, far above the few-ulp
 # error of the closed-form root
 _ROOM_PAD = 1e-12
+# bisection steps of a ball's coupled room root, and a bound on the rounds of
+# an intersection's coupling, which stops once no room shrinks
+_ROOM_STEPS = 6
+_ROOM_ROUNDS = 8
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -415,11 +419,15 @@ class ConvexDomain:
         inside (positive: strictly), or None where no structural test exists."""
         return None
 
-    def polydisk_room(self, x: np.ndarray, y: np.ndarray, level: float):
+    def polydisk_room(self, x: np.ndarray, y: np.ndarray, level: float,
+                      within: Sequence | None = None):
         """Planar nodes, one per coordinate j, each holding the j-th factor
         disk of every polydisk P inside the domain with x, y in P and
         K_P(x, y) <= level; ``NO_POLYDISK`` when no such polydisk exists, or
-        None where no structural test exists."""
+        None where no structural test exists.  ``within``, when given, holds
+        per coordinate planar nodes already known to hold those factor disks
+        (an intersection's other members' rooms); a ball uses them to tighten
+        its rooms, and other nodes ignore them."""
         return None
 
     def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
@@ -792,7 +800,7 @@ class Ball(ConvexDomain):
         reach = np.abs(centers - self.center) + radii
         return self.radius - math.sqrt(float(np.sum(reach ** 2)))
 
-    def polydisk_room(self, x, y, level):
+    def polydisk_room(self, x, y, level, within=None):
         # a factor disk lies in Disk(C_i, rho_i), rho_i = |c_i - C_i| + r_i,
         # so by monotonicity rho_i^2 >= s_i, the larger root of
         # t^2 s^2 - B s + t^2 |a|^2 |b|^2 (a, b = x_i - C_i, y_i - C_i,
@@ -807,7 +815,30 @@ class Ball(ConvexDomain):
         # the discriminant B^2 - 4 t^4 |a|^2 |b|^2 as a product of sums
         root = np.sqrt((t2 * (a - b) ** 2 + sep2) * (B + 2.0 * t2 * a * b))
         s = (B + root) / (2.0 * t2) * (1.0 - _ROOM_PAD)
-        free = self.radius ** 2 * (1.0 + _ROOM_PAD) - (s.sum() - s)
+        R2 = self.radius ** 2 * (1.0 + _ROOM_PAD)
+        free = R2 - (s.sum() - s)
+        if within is not None and np.all(free > 0.0):
+            # the j-th factor disk also lies in each node w of within[j], so
+            # the lens Disk(C_j, rho_j) n w holds it and keeps x_j, y_j within
+            # the level; the lens grows with rho, so where it misses at the
+            # room radius no polydisk fits, and elsewhere a bisection of rho
+            # from sqrt(s_j) lifts s_j to the end known to miss
+            ends = [np.array([[xj], [yj]]) for xj, yj in zip(x, y)]
+
+            def misses(j, rho):
+                disk = Disk(self.center[j], rho)
+                return any(_room_misses(intersection([disk, w]), ends[j], level) for w in within[j])
+
+            if any(misses(j, math.sqrt(f)) for j, f in enumerate(free)):
+                return NO_POLYDISK
+            lift = s.copy()
+            for j in range(self.dimension):
+                lo, hi = math.sqrt(s[j]), math.sqrt(free[j])
+                for _ in range(_ROOM_STEPS):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if misses(j, mid) else (lo, mid)
+                lift[j] = max(s[j], lo * lo * (1.0 - _ROOM_PAD))
+            free = R2 - (lift.sum() - lift)
         if np.any(free <= 0.0):
             return NO_POLYDISK
         return tuple(Disk(c, math.sqrt(f)) for c, f in zip(self.center, free))
@@ -940,7 +971,7 @@ class Product(ConvexDomain):
                   for f, c, r in zip(self.factors, self.split(centers), self.split(radii))]
         return None if None in slacks else min(slacks)
 
-    def polydisk_room(self, x, y, level):
+    def polydisk_room(self, x, y, level, within=None):
         # a planar factor holds the factor disk in its coordinate
         rooms = [(f,) if f.dimension == 1 else f.polydisk_room(xf, yf, level)
                  for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
@@ -1181,15 +1212,24 @@ class Intersection(ConvexDomain):
         slacks = [m.polydisk_slack(centers, radii) for m in self.members]
         return None if None in slacks else min(slacks)
 
-    def polydisk_room(self, x, y, level):
-        # each member holds every factor disk in its room; two disks meet in
-        # a lens, which has an exact distance
-        rooms = [r for r in (m.polydisk_room(x, y, level) for m in self.members)
-                 if r is not None]
-        if not rooms:
-            return None
+    def polydisk_room(self, x, y, level, within=None):
+        # each member holds every factor disk in its room, so the other
+        # members' rooms bound a member's own: couple them in rounds until no
+        # room shrinks; two disks meet in a lens, which has an exact distance
+        rooms = [m.polydisk_room(x, y, level) for m in self.members]
+        for _ in range(_ROOM_ROUNDS):
+            before = _room_specs(rooms)
+            for k, m in enumerate(self.members):
+                if NO_POLYDISK in rooms:
+                    return NO_POLYDISK
+                rooms[k] = m.polydisk_room(x, y, level, _other_rooms(rooms, k))
+            if _room_specs(rooms) == before:
+                break
         if NO_POLYDISK in rooms:
             return NO_POLYDISK
+        rooms = [r for r in rooms if r is not None]
+        if not rooms:
+            return None
         return tuple(intersection(list(per_coordinate)) for per_coordinate in zip(*rooms))
 
     def projection_lower(self, x, y, distance, optimize_path):
@@ -1258,6 +1298,25 @@ def _lens_sector(members: Sequence[ConvexDomain]):
     normals = [m.center - P if isinstance(m, Disk) else m.inward_normal for m in (m1, m2)]
     wedge = _wedge_sector(*(HalfPlane(0.0, n * np.conj(P - Q)) for n in normals))
     return None if wedge is None else (P, Q, wedge)
+
+
+def _room_misses(room: ConvexDomain, ends: np.ndarray, level: float) -> bool:
+    """True when no disk inside the planar node ``room`` holds both rows of
+    ``ends`` within ``level`` of each other."""
+    if not room.contains_batch(ends).all():
+        return True
+    dist = room.exact_distance(ends[0], ends[1])
+    return dist is not None and dist.lo > level
+
+
+def _other_rooms(rooms: list, k: int) -> list | None:
+    """Per coordinate, the rooms of every member but the k-th; None if none."""
+    known = [r for i, r in enumerate(rooms) if i != k and r is not None]
+    return [list(nodes) for nodes in zip(*known)] if known else None
+
+
+def _room_specs(rooms: list) -> list:
+    return [r if r is None else [node.to_spec() for node in r] for r in rooms]
 
 
 def intersection(members: Sequence[ConvexDomain]) -> ConvexDomain:

@@ -633,6 +633,9 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     """
     from scipy.optimize import minimize
 
+    # a NaN tolerance would certify any residual
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidDomain(f"the midpoint tolerance must be finite and at least 0, got {tol}")
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)
     if np.array_equal(x, y):

@@ -18,7 +18,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
-from kcat0.errors import DegenerateInput
+from kcat0.errors import DegenerateInput, InvalidDomain
 
 from conftest import sample_in
 
@@ -51,6 +51,12 @@ class TestMidpointDefect:
             cert = midpoint_defect(D, x, y, z)
             assert cert.defect <= 1e-9
             assert cert.verdict == "no-violation-found"
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tolerance used to certify any residual
+        with pytest.raises(InvalidDomain):
+            midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3], tol=tol)
 
     def test_z_at_midpoint_gives_zero(self):
         cert = midpoint_defect(upper_half_plane(), [1j], [4j], [2j])

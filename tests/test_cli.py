@@ -170,8 +170,23 @@ class TestBadInput:
          "error: the window radius must be positive, got 0.0\n"),
         (["mconvex", "--builtin", "ball2", "--window", "-1"],
          "error: the window radius must be positive, got -1.0\n"),
+        # NaN compares false, so each of these used to pass its check and exit 0
+        (["certify", "--builtin", "example36", "--x", "1e-6,1e-6", "--y", "4e-6,1e-6",
+          "--z", "2e-6,2e-6", "--tol", "nan"],
+         "error: the midpoint tolerance must be finite and at least 0, got nan\n"),
+        (["certify", "--builtin", "example36", "--x", "1e-6,1e-6", "--y", "4e-6,1e-6",
+          "--z", "2e-6,2e-6", "--tol", "-1"],
+         "error: the midpoint tolerance must be finite and at least 0, got -1.0\n"),
+        (["mconvex", "--builtin", "ball2", "--m", "nan"],
+         "error: m must be finite and at least 1, got nan\n"),
+        (["mconvex", "--builtin", "ball2", "--target-c", "nan"],
+         "error: the target constant must be finite and positive, got nan\n"),
+        (["linetype", "--builtin-r", "quartic", "--point", "0,0", "--cap", "0"],
+         "error: the order cap must be at least 2, got 0\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
-            "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative"])
+            "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
+            "certify-tol-nan", "certify-tol-negative", "mconvex-m-nan", "mconvex-target-c-nan",
+            "linetype-cap-0"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (1, "", message)

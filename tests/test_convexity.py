@@ -88,6 +88,16 @@ class TestLocalMConvex:
         with pytest.raises(InvalidDomain):
             local_m_convex_check(ball2(), radius, 2, sample_count=10)
 
+    @pytest.mark.parametrize("m", [0.5, math.nan, math.inf])
+    def test_m_must_be_finite_and_at_least_one(self, m):
+        with pytest.raises(InvalidDomain):
+            local_m_convex_check(ball2(), 2.0, m, sample_count=10)
+
+    @pytest.mark.parametrize("target_c", [0.0, -1.0, math.nan, math.inf])
+    def test_target_c_must_be_finite_and_positive(self, target_c):
+        with pytest.raises(InvalidDomain):
+            local_m_convex_check(ball2(), 2.0, 2, sample_count=10, target_c=target_c)
+
     def test_monotone_in_m_on_ball(self):
         # window covers the whole unit ball, so delta <= 1 and the same
         # constant works for any larger m
@@ -201,6 +211,13 @@ class TestLineType:
         poly = RealPolynomial(2, {(2, 0, 0, 0): 1.0, (0, 0, 2, 0): 1.0})
         with pytest.raises(InvalidDomain):
             line_type(DefiningFunction.from_polynomial(poly), [0.0, 0.0])
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_must_be_at_least_two(self, cap):
+        # a complex tangent line vanishes to order at least 2, so a lower cap
+        # would call the quartic point of type 4 infinite
+        with pytest.raises(InvalidDomain):
+            line_type(DefiningFunction.from_polynomial(quartic_poly()), [0.0, 0.0], cap=cap)
 
     def test_dimension_one_is_trivial(self):
         poly = RealPolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
