@@ -3,11 +3,13 @@
 A geodesic space is CAT(0) iff every triple x, y, z with geodesic midpoint
 m of [x, y] satisfies d(z,m)^2 <= (d(z,x)^2 + d(z,y)^2)/2 - d(x,y)^2/4.
 The midpoint defect is the amount by which that inequality fails; a
-positive defect at a certified midpoint is a violation certificate.
-Verdicts use conservative interval arithmetic: a violation is only
-certified when the worst-case assignment of interval endpoints still
-leaves the defect positive, so approximation error can never produce a
-false positive.
+positive defect is a violation certificate.  Verdicts use conservative
+interval arithmetic: a violation is only certified when the worst-case
+assignment of interval endpoints still leaves the defect positive.  A
+numeric midpoint m enters through its CN radius eta (``midpoint_search``):
+were the space CAT(0), d(z, m*) >= d(z, m) - eta at the true midpoint m*,
+so d_zm is taken as (d_zm.lo - eta)_+.  So approximation error can never
+produce a false positive.
 """
 
 from __future__ import annotations
@@ -18,19 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import ConvexDomain, Product
-from .errors import DegenerateInput, KCat0Error, MidpointNotCertified
+from .errors import DegenerateInput, KCat0Error
 from .metric import (
     DistanceInterval,
     distance,
     exact_geodesic,
     geodesic_approx,
     midpoint_search,
+    midpoint_tol,
     Geodesic,
 )
 from .points import as_point, point_to_json
 
 SCHEMA = "kcat0/1"
-COMPARISON_TOL = 1e-9  # slack a comparison report allows before it reads as a violation
+COMPARISON_TOL = 1e-9  # slack past which a comparison report reads as a nominal violation
 
 
 @dataclass
@@ -39,7 +42,7 @@ class Cat0Certificate:
     y: np.ndarray
     z: np.ndarray
     midpoint: np.ndarray
-    midpoint_residual: float
+    midpoint_radius: float  # CN radius eta of a numeric midpoint; 0.0 for an exact one
     d_xy: DistanceInterval
     d_zx: DistanceInterval
     d_zy: DistanceInterval
@@ -63,7 +66,7 @@ class Cat0Certificate:
             "points": {"x": point_to_json(self.x), "y": point_to_json(self.y),
                        "z": point_to_json(self.z),
                        "midpoint": point_to_json(self.midpoint)},
-            "midpoint_residual": self.midpoint_residual,
+            "midpoint_radius": self.midpoint_radius,
             "distances": {"xy": self.d_xy.to_json(), "zx": self.d_zx.to_json(),
                           "zy": self.d_zy.to_json(), "zm": self.d_zm.to_json()},
             "defect": {"value": self.defect, "method": ["conservative-interval"],
@@ -99,36 +102,33 @@ class ComparisonReport:
         }
 
 
-def conservative_defect(d_zm: DistanceInterval, d_zx: DistanceInterval,
-                        d_zy: DistanceInterval, d_xy: DistanceInterval) -> float:
-    """Worst-case lower bound for the midpoint defect."""
-    return d_zm.lo ** 2 - (0.5 * (d_zx.hi ** 2 + d_zy.hi ** 2) - 0.25 * d_xy.lo ** 2)
-
-
 def midpoint_defect(D: ConvexDomain, x, y, z, tol: float | None = None) -> Cat0Certificate:
-    """Midpoint-criterion certificate for the triple (x, y, z)."""
+    """Midpoint-criterion certificate for the triple (x, y, z); ``tol`` is
+    ``midpoint_search``'s."""
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)
     z = as_point(z, D.dimension)
-    m, residual = midpoint_search(D, x, y, tol)
-    used_tol = tol if tol is not None else (1e-9 if residual == 0.0 else 1e-4)
+    tol = midpoint_tol(D, x, y, tol)
+    m, eta = midpoint_search(D, x, y, tol)
 
     d_xy = distance(D, x, y, optimize_path=False)
     d_zx = distance(D, z, x, optimize_path=False)
     d_zy = distance(D, z, y, optimize_path=False)
     d_zm = distance(D, z, m, optimize_path=False)
-    defect = conservative_defect(d_zm, d_zx, d_zy, d_xy)
+    # worst case over the interval endpoints, d_zm less the midpoint's radius
+    defect = max(0.0, d_zm.lo - eta) ** 2 - (
+        0.5 * (d_zx.hi ** 2 + d_zy.hi ** 2) - 0.25 * d_xy.lo ** 2)
 
     widths = max(i.width for i in (d_xy, d_zx, d_zy, d_zm))
-    if defect > 0.0 and residual <= used_tol:
+    if defect > 0.0:
         verdict = "violation-certified"
         notes = ""
     else:
         verdict = "no-violation-found"
         notes = (f"max interval width {widths:.3e}; "
                  "a nonpositive conservative defect does not certify CAT(0)")
-    return Cat0Certificate(x, y, z, m, residual, d_xy, d_zx, d_zy, d_zm,
-                           defect, verdict, used_tol, notes)
+    return Cat0Certificate(x, y, z, m, eta, d_xy, d_zx, d_zy, d_zm,
+                           defect, verdict, tol, notes)
 
 
 def _geodesic_or_approx(D: ConvexDomain, a: np.ndarray, b: np.ndarray) -> Geodesic:
@@ -144,8 +144,9 @@ def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,
     """Sample the comparison-triangle inequality along [a,b] and [a,c].
 
     The Euclidean comparison triangle is placed with a at the origin and b
-    on the positive axis; positive slack beyond tolerance means CAT(0)
-    fails along these geodesics.
+    on the positive axis.  The slack is read on interval midpoints, along
+    approximate geodesics off the catalog, so it is a diagnostic: positive
+    slack suggests a CAT(0) failure but does not certify one.
     """
     a = as_point(a, D.dimension)
     b = as_point(b, D.dimension)

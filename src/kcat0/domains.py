@@ -1384,13 +1384,11 @@ class Graph(ConvexDomain):
     reach for oracle-defined boundaries.
     """
 
-    def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True,
-                 bounding_radius: float | None = None):
+    def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True):
         self.r = r
         self.dimension = r.dimension
         self._interior = as_point(interior_point, r.dimension)
         self._c_proper = bool(c_proper)
-        self.bounding_radius = bounding_radius
         self._support_cache: dict[bytes, float] = {}
         self._probe_cache: float | None = None
         if r.value(self._interior) >= 0:
@@ -1453,7 +1451,7 @@ class Graph(ConvexDomain):
         key = a.tobytes()
         if key in self._support_cache:
             return self._support_cache[key]
-        R = self.bounding_radius or self._probe_radius()
+        R = self._probe_radius()
         if not math.isfinite(R):
             self._support_cache[key] = math.inf
             return math.inf

@@ -22,7 +22,7 @@ class PseudoDistanceOnly(KCat0Error):
 
 
 class MidpointNotCertified(KCat0Error):
-    """Midpoint refinement left a residual above the requested tolerance."""
+    """A midpoint's residual (exact) or CN radius (numeric) exceeds the tolerance."""
 
 
 class OrderNotResolved(KCat0Error):

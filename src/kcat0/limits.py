@@ -397,8 +397,7 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
         return float(f(z[0].real, z[1]) - z[0].imag)
 
     source = Graph(DefiningFunction(2, evaluate),
-                   interior_point=np.array([0.5j, 0.0]), c_proper=True,
-                   bounding_radius=None)
+                   interior_point=np.array([0.5j, 0.0]), c_proper=True)
     claimed = Product(HalfPlane(0.0, 1j), unit_disk())
 
     def map_fn(n: int):
@@ -485,8 +484,7 @@ def example36_domain() -> ConvexDomain:
 
 def example36(n_list: Sequence[int] = (1, 10, 100), big_n: int = 10 ** 6,
               seed: int = 0, mconvex_samples: int = 300,
-              hausdorff_directions: int = 2048,
-              midpoint_tol: float = 5e-2) -> dict:
+              hausdorff_directions: int = 2048) -> dict:
     """Run the full pipeline on the intersection-of-balls domain.
 
     (i) empirical 2-convexity on the window B(0, 2); (ii) dilations n * D
@@ -518,7 +516,7 @@ def example36(n_list: Sequence[int] = (1, 10, 100), big_n: int = 10 ** 6,
     x_hat = np.array([1.0, 1.0], dtype=complex)
     y_hat = np.array([4.0, 1.0], dtype=complex)
     z_hat = np.array([2.0, 2.0], dtype=complex)
-    cert_inside = midpoint_defect(n_omega, x_hat, y_hat, z_hat, tol=midpoint_tol)
+    cert_inside = midpoint_defect(n_omega, x_hat, y_hat, z_hat)
 
     target = (0.5 * math.log(2.0)) ** 2
     return {

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from kcat0 import (
+    AffineImage,
     Ball,
     Product,
     comparison_test,
     distance,
+    example36_domain,
     four_point_delta,
     gromov_product,
     midpoint_defect,
@@ -57,6 +59,19 @@ class TestMidpointDefect:
         # a NaN tolerance used to certify any residual
         with pytest.raises(InvalidDomain):
             midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3], tol=tol)
+
+    def test_large_n_defect_is_the_cn_formula(self):
+        # the numeric midpoint enters through its CN radius eta, which lowers
+        # d_zm before it is squared; the default tolerance bounds eta
+        D = AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain())
+        cert = midpoint_defect(D, [1.0, 1.0], [4.0, 1.0], [2.0, 2.0])
+        eta = cert.midpoint_radius
+        assert 0.0 < eta <= cert.tol == 5e-2
+        assert cert.defect == max(0.0, cert.d_zm.lo - eta) ** 2 - (
+            0.5 * (cert.d_zx.hi ** 2 + cert.d_zy.hi ** 2) - 0.25 * cert.d_xy.lo ** 2)
+        assert cert.verdict == "violation-certified"
+        exact = midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3])
+        assert (exact.midpoint_radius, exact.tol) == (0.0, 1e-9)
 
     def test_z_at_midpoint_gives_zero(self):
         cert = midpoint_defect(upper_half_plane(), [1j], [4j], [2j])

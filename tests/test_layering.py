@@ -115,3 +115,13 @@ def test_directional_distance_has_one_implementation_per_node():
     called = {n.func.attr for n in ast.walk(methods["ConvexDomain", "delta_dir_batch"])
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
     assert "delta_dir" not in called
+
+
+def test_midpoint_search_runs_no_optimizer_of_its_own():
+    # a numeric midpoint is the optimized path's half-length point, certified
+    # by its CN radius; nothing refines it
+    fn = next(n for n in _tree(SRC / "metric.py").body
+              if isinstance(n, ast.FunctionDef) and n.name == "midpoint_search")
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    assert "minimize" not in called

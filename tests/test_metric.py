@@ -33,7 +33,7 @@ from kcat0 import (
 )
 from kcat0 import metric
 from kcat0.domains import NO_POLYDISK, ball_mobius
-from kcat0.errors import InvalidDomain, OutsideDomain, PseudoDistanceOnly
+from kcat0.errors import InvalidDomain, MidpointNotCertified, OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
     OPTIMIZER_NODES,
     OPTIMIZER_QUAD,
@@ -711,14 +711,32 @@ class TestMidpoint:
             assert half == pytest.approx(d / 2, rel=1e-12)
 
     def test_numeric_midpoint_on_intersection(self):
-        D = example36_domain()
-        x = np.array([0.2, 0.2], dtype=complex)
-        y = np.array([0.5, 0.4], dtype=complex)
-        m, resid = midpoint_search(D, x, y, tol=5e-2)
+        # the path's half-length point on omega has CN radius 0.148: the
+        # sandwich intervals there are too wide to place it near the midpoint
+        with pytest.raises(MidpointNotCertified):
+            midpoint_search(example36_domain(), [0.2, 0.2], [0.5, 0.4], tol=5e-2)
+        # at large n they are tight, and the large-n pair certifies
+        D = AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain())
+        m, eta = midpoint_search(D, [1.0, 1.0], [4.0, 1.0], tol=5e-2)
         assert D.contains(m)
-        a = distance(D, x, m).midpoint
-        b = distance(D, m, y).midpoint
-        assert abs(a - b) <= 5e-2
+        assert 0.0 < eta <= 5e-2
+
+    @given(scale=st.sampled_from([10.0, 1e3, 1e6]),
+           coords=st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4),
+           turns=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+    @settings(max_examples=8, deadline=None)
+    def test_numeric_midpoint_radius_bounds_the_cn_excess(self, scale, coords, turns):
+        # eta^2 >= d(x,m)^2 / 2 + d(m,y)^2 / 2 - d(x,y)^2 / 4 from the hi, hi
+        # and lo bounds, recomputed here
+        D = AffineImage(scale * np.eye(2), np.zeros(2), example36_domain())
+        x = np.array(coords[:2]) * np.exp(1j * np.array(turns[:2]))
+        y = np.array(coords[2:]) * np.exp(1j * np.array(turns[2:]))
+        assume(D.contains_batch(np.array([x, y])).all() and not np.allclose(x, y))
+        m, eta = midpoint_search(D, x, y, tol=1e3)
+        excess = (0.5 * distance(D, x, m, optimize_path=False).hi ** 2
+                  + 0.5 * distance(D, m, y, optimize_path=False).hi ** 2
+                  - 0.25 * distance(D, x, y, optimize_path=False).lo ** 2)
+        assert eta ** 2 >= excess
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("D, x, y", [
