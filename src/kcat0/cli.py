@@ -109,7 +109,14 @@ def write_report(report, args) -> None:
         sys.stdout.write(payload)
 
 
+_TOL_DOES_NOT_APPLY = {"comparison": "its slack is a diagnostic, not a verdict",
+                       "product": "the certificate sets its own midpoint tolerance"}
+
+
 def cmd_certify(args) -> int:
+    if args.tol is not None and args.mode in _TOL_DOES_NOT_APPLY:
+        raise KCat0Error(f"--tol does not apply to --mode {args.mode}: "
+                         f"{_TOL_DOES_NOT_APPLY[args.mode]}")
     if args.mode == "midpoint":
         D = load_domain(args)
         cert = cat0.midpoint_defect(D, point_option("--x", args.x), point_option("--y", args.y),
@@ -125,9 +132,6 @@ def cmd_certify(args) -> int:
         write_report(cert, args)
         return EXIT_VIOLATION if cert.verdict == "violation-certified" else EXIT_OK
     if args.mode == "comparison":
-        if args.tol is not None:
-            raise KCat0Error("--tol does not apply to --mode comparison: "
-                             "its slack is a diagnostic, not a verdict")
         D = load_domain(args)
         report = cat0.comparison_test(D, point_option("--a", args.a), point_option("--b", args.b),
                                       point_option("--c", args.c),

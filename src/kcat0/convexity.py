@@ -9,14 +9,18 @@ Samples are drawn in blocks, and all (point, direction) rows are measured
 in one ``delta_dir_batch`` call, of which ``delta_dir`` is the one-row view.
 
 Line type is the sup of the vanishing order of ``r o l`` over complex
-affine lines l through a boundary point; polynomial defining functions
-get an exact symbolic order, everything else a slope estimate.
+affine lines l through a boundary point.  A polynomial defining function
+gets an exact order: the line is substituted in rationals (every float
+is one), so no coefficient is rounded.  Anything else gets the integer
+nearest a fitted log-log slope.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -212,18 +216,9 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         k = int(math.floor(math.log10(dl)))
         decades[k] = max(decades.get(k, 0.0), float(r))
     keys = sorted(decades)
-    diverging = False
-    if len(keys) >= 3:
-        small, large = decades[keys[0]], decades[keys[-1]]
-        diverging = small > DIVERGENCE_FACTOR * large
-
+    diverging = len(keys) >= 3 and decades[keys[0]] > DIVERGENCE_FACTOR * decades[keys[-1]]
     slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
-
-    verdict = "pass"
-    if diverging:
-        verdict = "fail"
-    if target_c is not None and empirical_c > target_c:
-        verdict = "fail"
+    failed = diverging or (target_c is not None and empirical_c > target_c)
     return MConvexityReport(
         samples=samples,
         fitted_exponent=slope,
@@ -231,7 +226,7 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         window_radius=window_radius,
         target_m=int(m) if float(m).is_integer() else None,
         empirical_c=empirical_c,
-        verdict=verdict,
+        verdict="fail" if failed else "pass",
         diverging=diverging,
         decade_constants=decades,
     )
@@ -242,44 +237,42 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_order(poly: RealPolynomial, line: AffineLine) -> int:
-    import sympy
-
-    d = poly.dimension
-    s, tau = sympy.symbols("s tau", real=True)
-    subs = []
-    for j in range(d):
-        xj = (line.base[j].real + s * line.direction[j].real - tau * line.direction[j].imag)
-        yj = (line.base[j].imag + s * line.direction[j].imag + tau * line.direction[j].real)
-        subs.extend([xj, yj])
-    expr = sympy.Integer(0)
+def _exact_order(poly: RealPolynomial, line: AffineLine) -> int:
+    """Lowest total degree in (s, tau) of poly(base + (s + i tau) w).  Every
+    float is a binary rational, so in Fractions each coefficient of s^i tau^j
+    comes out exact; those of size at most 1e-12 count as zero."""
+    # x_j = Re b_j + s Re w_j - tau Im w_j and y_j = Im b_j + s Im w_j + tau Re w_j,
+    # in the monomial table's order x_1, y_1, x_2, y_2, ...
+    linear = []
+    for b, w in zip(line.base, line.direction):
+        bx, by, wx, wy = (Fraction(float(v)) for v in (b.real, b.imag, w.real, w.imag))
+        linear += [(bx, wx, -wy), (by, wy, wx)]
+    total = Counter()  # {(i, j): coefficient of s^i tau^j}
     for expo, c in poly.terms.items():
-        term = sympy.Float(c, 30)
-        for var, e in zip(subs, expo):
-            if e:
-                term *= var ** e
-        expr += term
-    expr = sympy.expand(expr)
-    if expr == 0:
+        term = {(0, 0): Fraction(c)}
+        for (c0, cs, ct), e in zip(linear, expo):
+            for _ in range(e):  # term *= c0 + cs s + ct tau
+                product = Counter()
+                for (i, j), a in term.items():
+                    product[i, j] += c0 * a
+                    product[i + 1, j] += cs * a
+                    product[i, j + 1] += ct * a
+                term = product
+        total.update(term)
+    if not any(total.values()):
         raise OrderNotResolved("the defining function vanishes identically on the line")
-    p = sympy.Poly(expr, s, tau)
-    degrees = []
-    for monom, coeff in zip(p.monoms(), p.coeffs()):
-        if abs(float(coeff)) > 1e-12:
-            degrees.append(sum(monom))
+    degrees = [i + j for (i, j), a in total.items() if abs(a) > 1e-12]
     if not degrees:
         raise OrderNotResolved("all substituted coefficients vanish numerically")
-    return int(min(degrees))
+    return min(degrees)
 
 
-def _numeric_order_estimate(r: DefiningFunction, line: AffineLine,
-                            radii=None, angles: int = 8) -> float:
-    """Slope of log max_theta |r(l(rho e^i theta))| against log rho."""
-    if radii is None:
-        radii = np.geomspace(1e-2, 1e-5, 7)
-    thetas = np.linspace(0.0, 2 * math.pi, angles, endpoint=False)
+def _numeric_order_estimate(r: DefiningFunction, line: AffineLine) -> float:
+    """Slope of log max_theta |r(l(rho e^i theta))| against log rho, over 8
+    angles theta and 7 radii rho from 1e-2 to 1e-5."""
+    thetas = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
     logs_r, logs_v = [], []
-    for rho in radii:
+    for rho in np.geomspace(1e-2, 1e-5, 7):
         vals = [abs(r.value(line(rho * np.exp(1j * th)))) for th in thetas]
         top = max(vals)
         if top <= 0.0:
@@ -291,24 +284,37 @@ def _numeric_order_estimate(r: DefiningFunction, line: AffineLine,
     return float(np.polyfit(logs_r, logs_v, 1)[0])
 
 
-def vanishing_order(r: DefiningFunction, line: AffineLine) -> int:
-    """Order of vanishing of r o l at 0; symbolic for polynomial r."""
-    base_val = r.value(line(0.0))
-    scale = max(1.0, max(abs(c) for c in (*line.base, 1.0)))
-    if abs(base_val) > 1e-9 * scale:
-        raise InvalidDomain("the line base point must lie on the boundary {r = 0}")
-    if not np.any(line.direction):
-        raise DegenerateInput("line direction must be nonzero")
+def _check_on_boundary(r: DefiningFunction, x: np.ndarray) -> None:
+    value = r.value(x)
+    if abs(value) > 1e-9 * max(1.0, float(np.max(np.abs(x)))):
+        raise InvalidDomain(f"the base point must lie on the boundary {{r = 0}}, "
+                            f"but r there is {value:.6g}")
+
+
+def _line_order(r: DefiningFunction, line: AffineLine, cap: float = math.inf) -> float:
+    """Order of r o l at 0: exact for polynomial r, else the integer nearest
+    the fitted slope, and inf for a slope past ``cap``."""
     if r.polynomial is not None:
-        return _symbolic_order(r.polynomial, line)
+        return float(_exact_order(r.polynomial, line))
     slope = _numeric_order_estimate(r, line)
-    if math.isinf(slope):
-        raise OrderNotResolved("numeric order exceeds every tracked scale")
+    if math.isinf(slope) or slope > cap:
+        return math.inf
     nearest = round(slope)
     if abs(slope - nearest) > SLOPE_RESIDUAL_TOL:
-        raise OrderNotResolved(f"order not resolved: slope {slope:.3f} is not "
-                               f"within {SLOPE_RESIDUAL_TOL} of an integer")
-    return int(nearest)
+        raise OrderNotResolved(f"order not resolved along {line.direction}: slope {slope:.3f} "
+                               f"is not within {SLOPE_RESIDUAL_TOL} of an integer")
+    return float(nearest)
+
+
+def vanishing_order(r: DefiningFunction, line: AffineLine) -> int:
+    """Order of vanishing of r o l at 0; exact (in rationals) for polynomial r."""
+    _check_on_boundary(r, line(0.0))
+    if not np.any(line.direction):
+        raise DegenerateInput("line direction must be nonzero")
+    nu = _line_order(r, line)
+    if math.isinf(nu):
+        raise OrderNotResolved("numeric order exceeds every tracked scale")
+    return int(nu)
 
 
 def _tangent_basis(r: DefiningFunction, x: np.ndarray) -> np.ndarray:
@@ -316,8 +322,7 @@ def _tangent_basis(r: DefiningFunction, x: np.ndarray) -> np.ndarray:
     grad = r.complex_gradient(x)
     if np.linalg.norm(grad) < 1e-12:
         raise InvalidDomain("gradient of r vanishes: not a defining function here")
-    d = r.dimension
-    _, _, vh = np.linalg.svd(grad[None, :].conj())
+    _, _, vh = np.linalg.svd(grad[None, :])
     return vh[1:].conj().T  # columns span {w : sum dr/dz_j w_j = 0}
 
 
@@ -333,6 +338,7 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
     if cap < 2:
         raise InvalidDomain(f"the order cap must be at least 2, got {cap}")
     x = as_point(x, r.dimension)
+    _check_on_boundary(r, x)
     if r.dimension == 1:
         e = np.array([1.0 + 0.0j])
         return LineTypeResult(x, 1, e, [(e, 1)])
@@ -341,12 +347,11 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
     k = basis.shape[1]
 
     def directions(count: int, center=None, spread: float = 1.0):
-        rng = np.random.default_rng(0xA11CE)
         if k == 1:
             phases = np.linspace(0.0, math.pi, count, endpoint=False)
             base = np.exp(1j * phases)[:, None]
         else:
-            raw = rng.normal(size=(count, 2 * k))
+            raw = np.random.default_rng(0xA11CE).normal(size=(count, 2 * k))
             base = raw[:, :k] + 1j * raw[:, k:]
             base /= np.linalg.norm(base, axis=1, keepdims=True)
         if center is not None:
@@ -355,20 +360,12 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
         return base
 
     def order_of(u: np.ndarray) -> float:
-        w = basis @ u
-        line = AffineLine(x, w)
-        if r.polynomial is not None:
-            try:
-                return float(_symbolic_order(r.polynomial, line))
-            except OrderNotResolved:
-                return math.inf
-        est = _numeric_order_estimate(r, line)
-        if est > cap:
-            return math.inf
-        nearest = round(est)
-        if abs(est - nearest) > SLOPE_RESIDUAL_TOL:
-            raise OrderNotResolved(f"order not resolved along {w}: slope {est:.3f}")
-        return float(nearest)
+        try:
+            return _line_order(r, AffineLine(x, basis @ u), cap)
+        except OrderNotResolved:
+            if r.polynomial is None:
+                raise
+            return math.inf  # r vanishes on the line
 
     per_line = []
     best_u, best_order = None, -math.inf
@@ -383,6 +380,5 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
             break
         us = directions(32, center=best_u, spread=0.5 ** (rounds + 1))
 
-    extremal = basis @ best_u
     value = math.inf if best_order > cap else best_order
-    return LineTypeResult(x, value, extremal, per_line)
+    return LineTypeResult(x, value, basis @ best_u, per_line)

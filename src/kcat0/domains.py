@@ -220,7 +220,7 @@ class DefiningFunction:
 
     ``evaluate`` maps a C^d point to a real; ``gradient`` returns the real
     gradient (d/dRe, then d/dIm); when absent it is approximated by central
-    differences.  ``polynomial`` enables exact symbolic manipulation.
+    differences.  ``polynomial`` gives exact vanishing orders along lines.
     """
 
     dimension: int

@@ -191,10 +191,18 @@ class TestBadInput:
           "--c", "0.2+0.4i", "--tol", "1e-9"],
          "error: --tol does not apply to --mode comparison: "
          "its slack is a diagnostic, not a verdict\n"),
+        # a product certificate sets its own midpoint tolerance
+        (["certify", "--mode", "product", "--left", "halfplane", "--right", "disk",
+          "--x", "i", "--y", "4i", "--base", "0", "--tol", "nan"],
+         "error: --tol does not apply to --mode product: "
+         "the certificate sets its own midpoint tolerance\n"),
+        # an interior point, where r o l does not vanish at 0
+        (["linetype", "--builtin-r", "quartic", "--point", "0.5j,0"],
+         "error: the base point must lie on the boundary {r = 0}, but r there is -0.5\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "certify-tol-nan", "certify-tol-negative", "mconvex-m-nan", "mconvex-target-c-nan",
-            "linetype-cap-0", "comparison-tol"])
+            "linetype-cap-0", "comparison-tol", "product-tol", "linetype-off-boundary"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (1, "", message)

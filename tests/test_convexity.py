@@ -1,8 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kcat0
 from kcat0 import (
     AffineLine,
     Ball,
@@ -18,6 +26,7 @@ from kcat0 import (
     unit_disk,
     vanishing_order,
 )
+from kcat0.convexity import _exact_order, _tangent_basis
 from kcat0.errors import InvalidDomain, OrderNotResolved
 
 
@@ -181,10 +190,118 @@ class TestVanishingOrder:
             vanishing_order(r, line)
 
 
+def _sympy_order(poly, line):
+    """Reference order: expand poly(base + (s + i tau) w) with sympy at 30 digits."""
+    sympy = pytest.importorskip("sympy")
+    s, tau = sympy.symbols("s tau", real=True)
+    subs = []
+    for b, w in zip(line.base, line.direction):
+        subs += [b.real + s * w.real - tau * w.imag, b.imag + s * w.imag + tau * w.real]
+    expr = sympy.Integer(0)
+    for expo, c in poly.terms.items():
+        term = sympy.Float(c, 30)
+        for var, e in zip(subs, expo):
+            if e:
+                term *= var ** e
+        expr += term
+    expr = sympy.expand(expr)
+    if expr == 0:
+        raise OrderNotResolved("the defining function vanishes identically on the line")
+    p = sympy.Poly(expr, s, tau)
+    degrees = [sum(m) for m, c in zip(p.monoms(), p.coeffs()) if abs(float(c)) > 1e-12]
+    if not degrees:
+        raise OrderNotResolved("all substituted coefficients vanish numerically")
+    return min(degrees)
+
+
+def _complex(rng, d):
+    return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+
+def _random_order_case(rng):
+    """A polynomial of total degree at most 6 and a line; half the time the
+    constant is moved so that the base point is a (rounded) zero, and some
+    polynomials are scaled below the 1e-12 cut-off."""
+    d = int(rng.integers(1, 3))
+    scale = 1e-13 if rng.uniform() < 0.15 else 1.0
+    terms = {}
+    for _ in range(int(rng.integers(1, 7))):
+        expo = np.zeros(2 * d, dtype=int)
+        for _ in range(int(rng.integers(0, 7))):
+            expo[rng.integers(2 * d)] += 1
+        coefficient = float(rng.integers(-3, 4)) if rng.uniform() < 0.5 else rng.normal()
+        terms[tuple(expo)] = scale * coefficient
+    base = np.zeros(d, dtype=complex) if rng.uniform() < 0.3 else _complex(rng, d)
+    line = AffineLine(base, _complex(rng, d))
+    if rng.uniform() < 0.5:
+        constant = (0,) * (2 * d)
+        terms[constant] = terms.get(constant, 0.0) - RealPolynomial(d, terms)(base)
+    return RealPolynomial(d, terms), line
+
+
+def _off_line_case(rng):
+    """A polynomial in z_2 alone and a line in the z_1 direction through
+    z_2 = 0, so it vanishes on the line unless it has a constant term."""
+    terms = {(0, 0, int(a), int(b)): rng.normal() for a, b in rng.integers(0, 4, size=(3, 2))}
+    return RealPolynomial(2, terms), AffineLine(np.array([rng.normal(), 0.0], dtype=complex),
+                                                np.array([_complex(rng, 1)[0], 0.0]))
+
+
+def _tangent_case(poly, boundary_point):
+    def case(rng):
+        x = boundary_point(rng)
+        basis = _tangent_basis(DefiningFunction.from_polynomial(poly), x)
+        return poly, AffineLine(x, basis @ _complex(rng, basis.shape[1]))
+    return case
+
+
+def _sphere_point(rng):
+    x = _complex(rng, 2)
+    return x / np.linalg.norm(x)
+
+
+def _quartic_point(rng):
+    # -Im z1 + |z2|^4 = 0, with z2 = 0 (type 4) a quarter of the time
+    z2 = 0.0 if rng.uniform() < 0.25 else _complex(rng, 1)[0]
+    return np.array([rng.normal() + 1j * abs(z2) ** 4, z2])
+
+
+_ORDER_CASES = {
+    "random": _random_order_case,
+    "off-line": _off_line_case,
+    "ball-tangent": _tangent_case(ball_poly(), _sphere_point),
+    "quartic-tangent": _tangent_case(quartic_poly(), _quartic_point),
+}
+
+
+@given(st.sampled_from(sorted(_ORDER_CASES)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_order_matches_sympy(model, seed):
+    poly, line = _ORDER_CASES[model](np.random.default_rng(seed))
+    try:
+        expected = _sympy_order(poly, line)
+    except OrderNotResolved:
+        with pytest.raises(OrderNotResolved):
+            _exact_order(poly, line)
+    else:
+        assert _exact_order(poly, line) == expected
+
+
 class TestLineType:
     def test_ball_is_type_two(self):
         res = line_type(DefiningFunction.from_polynomial(ball_poly()), [1.0, 0.0])
         assert res.line_type == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_type_off_the_axes(self, seed):
+        # the tangent lines solve sum dr/dz_j w_j = 0, not its conjugate: a
+        # generic sphere point is of type 2, and so is a quartic point with z2 != 0
+        rng = np.random.default_rng(seed)
+        x = _sphere_point(rng)
+        assert line_type(DefiningFunction.from_polynomial(ball_poly()), x).line_type == 2
+        z2 = 0.5 * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        x = [rng.normal() + 1j * abs(z2) ** 4, z2]
+        assert line_type(DefiningFunction.from_polynomial(quartic_poly()), x).line_type == 2
 
     def test_quartic_is_type_four(self):
         res = line_type(DefiningFunction.from_polynomial(quartic_poly()), [0.0, 0.0])
@@ -218,6 +335,23 @@ class TestLineType:
         # would call the quartic point of type 4 infinite
         with pytest.raises(InvalidDomain):
             line_type(DefiningFunction.from_polynomial(quartic_poly()), [0.0, 0.0], cap=cap)
+
+    def test_base_off_boundary_rejected(self):
+        # 0.5i lies inside {Im z1 > |z2|^4}, where r o l does not vanish at 0
+        with pytest.raises(InvalidDomain, match="must lie on the boundary"):
+            line_type(DefiningFunction.from_polynomial(quartic_poly()), [0.5j, 0.0])
+
+    def test_polynomial_path_needs_no_sympy(self):
+        src = str(Path(kcat0.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys; sys.modules['sympy'] = None\n"
+                  "from kcat0.cli import main\n"
+                  "sys.exit(main(['linetype', '--builtin-r', 'quartic', '--point', '0,0']))")
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["line_type"] == 4
 
     def test_dimension_one_is_trivial(self):
         poly = RealPolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
