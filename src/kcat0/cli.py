@@ -310,8 +310,7 @@ def _ball_triangle_spotcheck():
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kcat0",
                                      description="Kobayashi / CAT(0) toolbox")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("KCAT0_SEED", "0")))
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--output", "-o", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -389,10 +388,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def seed_option(seed: int | None) -> int:
+    """The seed: --seed, else KCAT0_SEED, else 0; it must be a non-negative integer."""
+    if seed is None:
+        source, text = "KCAT0_SEED", os.environ.get("KCAT0_SEED", "0")
+    else:
+        source, text = "--seed", str(seed)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise KCat0Error(f"{source} must be a non-negative integer, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = seed_option(args.seed)
         return args.fn(args)
     except KCat0Error as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -199,13 +199,28 @@ class TestBadInput:
         # an interior point, where r o l does not vanish at 0
         (["linetype", "--builtin-r", "quartic", "--point", "0.5j,0"],
          "error: the base point must lie on the boundary {r = 0}, but r there is -0.5\n"),
+        # an infinite window used to give a reading of millions and exit 0
+        (["limits", "--experiment", "frankel-flat", "--n", "2", "--window", "inf"],
+         "error: the window radius must be finite, got inf\n"),
+        (["limits", "--experiment", "frankel-flat", "--n", "2", "--seed", "-1"],
+         "error: --seed must be a non-negative integer, got '-1'\n"),
+        (["mconvex", "--builtin", "ball2", "--seed", "-3"],
+         "error: --seed must be a non-negative integer, got '-3'\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "certify-tol-nan", "certify-tol-negative", "mconvex-m-nan", "mconvex-target-c-nan",
-            "linetype-cap-0", "comparison-tol", "product-tol", "linetype-off-boundary"])
+            "linetype-cap-0", "comparison-tol", "product-tol", "linetype-off-boundary",
+            "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_seed_environment_is_one_line(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("KCAT0_SEED", value)
+        code, out, err = run(["selftest"], capsys)
+        assert (code, out, err) == (
+            1, "", f"error: KCAT0_SEED must be a non-negative integer, got {value!r}\n")
 
 
 class TestOtherCommands:

@@ -15,6 +15,7 @@ from kcat0 import (
     frankel_2b,
     hausdorff,
     intersection,
+    limits,
     right_half_plane,
     scaling_lemma32,
     sector,
@@ -30,6 +31,57 @@ def f_flat(x, z):
 
 def f_quartic(x, z):
     return x * x + abs(z) ** 4
+
+
+def f_radial(x, z):
+    # |w| rounded, so every point of a grid row ties exactly
+    r = round(abs(z), 9)
+    return x * x + (math.exp(-1.0 / r) if r != 0 else 0.0)
+
+
+def f_half_nan(x, z):
+    return f_flat(x, z) if z.imag >= 0 else math.nan
+
+
+def reference_anchor(f, n, r0, radial, angular):
+    """z_n, f(0, z_n) and a_n by the plain row-major scalar scan."""
+
+    def f0(w):
+        return float(f(0.0, w))
+
+    radii = np.linspace(r0 / radial, r0, radial)
+    best_val, best_w, best_i = -math.inf, None, None
+    for i, rho in enumerate(radii):
+        for th in np.linspace(0.0, 2 * math.pi, angular, endpoint=False):
+            w = rho * np.exp(1j * th)
+            val = f0(w) / rho ** n
+            if val > best_val:
+                best_val, best_w, best_i = val, w, i
+    cell = radii[1] - radii[0]
+    for rho in np.linspace(radii[best_i] - cell, radii[best_i] + cell, 33):
+        if rho <= 0:
+            continue
+        for th in np.linspace(0.0, 2 * math.pi, 4 * angular, endpoint=False):
+            w = rho * np.exp(1j * th)
+            val = f0(w) / rho ** n
+            if val > best_val:
+                best_val, best_w = val, w
+    phase = np.exp(1j * float(np.angle(best_w)))
+    glo, ghi = max(abs(best_w) - cell, 1e-12), min(abs(best_w) + cell, r0)
+    invphi = 0.381966011250105
+    for _ in range(80):
+        m1 = glo + invphi * (ghi - glo)
+        m2 = ghi - invphi * (ghi - glo)
+        if f0(m1 * phase) / m1 ** n >= f0(m2 * phase) / m2 ** n:
+            ghi = m2
+        else:
+            glo = m1
+    rho_star = 0.5 * (glo + ghi)
+    if f0(rho_star * phase) / rho_star ** n > best_val:
+        best_w = rho_star * phase
+    z_n = complex(best_w)
+    fz = f0(z_n)
+    return z_n, fz, fz / abs(z_n) ** n
 
 
 class TestHausdorff:
@@ -57,6 +109,11 @@ class TestHausdorff:
         r = hausdorff(Disk(0, 1), Disk(0, 2), 3.0, directions=1024)
         assert r.excess_ab == 0.0
         assert r.excess_ba == pytest.approx(1.0, abs=2 * r.mesh)
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_window_radius_must_be_finite(self, R):
+        with pytest.raises(InvalidDomain):
+            hausdorff(Disk(0, 1), Disk(0, 2), R, directions=256)
 
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
@@ -121,6 +178,42 @@ class TestFrankel2b:
     def test_finite_type_hits_grid_edge(self):
         with pytest.raises(GridBoundary):
             frankel_2b(f_quartic, [6], verify_samples=10, hausdorff_directions=256)
+
+    @pytest.mark.parametrize("f", [f_flat, f_radial, f_half_nan],
+                             ids=["flat", "radial-ties", "half-nan"])
+    def test_shared_sweep_matches_the_scalar_scan(self, f):
+        r0, radial, angular = 0.9, 24, 16
+        if f is f_radial:
+            rows = np.linspace(r0 / radial, r0, radial)[:, None] * np.exp(
+                1j * np.linspace(0.0, 2 * math.pi, angular, endpoint=False))
+            assert all(len({f(0.0, w) for w in row}) == 1 for row in rows)
+        res = frankel_2b(f, [2, 3, 4], r0=r0, radial=radial, angular=angular,
+                         verify_samples=10, hausdorff_directions=64)
+        for e in res.entries:
+            z_n, f_value, a_n = reference_anchor(f, e.n, r0, radial, angular)
+            assert (e.z_n, e.f_value, e.a_n) == (z_n, f_value, a_n)
+
+    def test_grid_is_swept_once_for_every_n(self, monkeypatch):
+        # the Hausdorff readings evaluate f through membership; leave them out
+        monkeypatch.setattr(limits, "hausdorff", lambda *args, **kwargs: None)
+        radial, angular = 64, 16
+
+        def calls(n_grid):
+            count = 0
+
+            def f(x, z):
+                # no search visits w = 0; the source domain checks its
+                # interior point (0.5i, 0) there, once per call
+                nonlocal count
+                count += z != 0
+                return f_flat(x, z)
+
+            frankel_2b(f, n_grid, radial=radial, angular=angular, verify_samples=10)
+            return count
+
+        grid = radial * angular
+        per_n = sum(calls([n]) - grid for n in (2, 3, 4))
+        assert calls([2, 3, 4]) == grid + per_n
 
     def test_sequence_json(self):
         res = frankel_2b(f_flat, [2, 3], verify_samples=10, hausdorff_directions=256)
