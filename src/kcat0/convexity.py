@@ -193,6 +193,8 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         raise InvalidDomain(f"the target constant must be finite and positive, got {target_c}")
     if not window_radius > 0:
         raise InvalidDomain(f"the window radius must be positive, got {window_radius}")
+    if not math.isfinite(window_radius):
+        raise InvalidDomain(f"the window radius must be finite, got {window_radius}")
     rng = np.random.default_rng(seed)
     zs = _window_samples(D, window_radius, sample_count, rng)
     zs += _boundary_probes(D, window_radius, rng)

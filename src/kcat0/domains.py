@@ -19,7 +19,9 @@ is the product of its coordinate disks.  Every node answers:
                            the domain for each row ``a`` of ``A`` (``+inf``
                            when unbounded in that direction), used to build
                            certified half-plane bounds; ``support_upper(a)``
-                           is its one-row form.
+                           is its one-row form (``+inf`` on a graph domain),
+* ``supporting_half_planes(x, y)`` unit functionals with certified supports
+                           for the pair (a graph's tangent planes), else None.
 
 and answers for the Kobayashi geometry in ``metric`` from its own closed
 forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
@@ -63,9 +65,10 @@ from .points import as_point, point_from_json, point_to_json
 
 _TWO_PI = 2.0 * math.pi
 
-# Direction grid used by numeric fallbacks; fixed seed keeps results
-# reproducible across runs.
+# Direction grid used by numeric fallbacks and a graph's tangent rays; fixed
+# seed keeps results reproducible across runs.
 _FALLBACK_SEED = 0x5EC7
+_TANGENT_RAYS = 64  # from each of a pair's three points
 
 # ``polydisk_room``'s answer where no polydisk fits: distinct from None
 NO_POLYDISK: tuple = ()
@@ -100,16 +103,17 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
                        t_max: float = 1e12) -> np.ndarray:
     """Distance along ``start + t*directions[k]`` to the boundary, per row.
 
-    ``contains_batch`` maps rows of points to a bool array; ``start`` must
-    be inside.  Each row halves t = 1 until it is inside (0.0 below 1e-300),
-    doubles until it leaves (``inf`` beyond ``t_max``), then bisects until
-    the bracket is within 1e-13 relative (at most 200 steps) and returns
-    its midpoint.  Every membership call gets only the rows still running.
+    ``contains_batch`` maps rows of points to a bool array; ``start`` (one
+    point, or one per row) must be inside.  Each row halves t = 1 until it is
+    inside (0.0 below 1e-300), doubles until it leaves (``inf`` beyond
+    ``t_max``), then bisects until the bracket is within 1e-13 relative (at
+    most 200 steps) and returns its midpoint.  Membership sees running rows.
     """
     out = np.empty(directions.shape[0])
+    start = np.broadcast_to(start, directions.shape)
 
     def inside(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.asarray(contains_batch(start + t[:, None] * directions[rows]), dtype=bool)
+        return np.asarray(contains_batch(start[rows] + t[:, None] * directions[rows]), dtype=bool)
 
     t = np.ones(directions.shape[0])
     run = np.arange(directions.shape[0])
@@ -127,16 +131,17 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         grow = grow[hi[grow] <= t_max]
     out[run[hi[run] > t_max]] = math.inf
     run = run[hi[run] <= t_max]
-    lo, hi, dirs = hi[run] / 2.0, hi[run], directions[run]
+    lo, hi, dirs, starts = hi[run] / 2.0, hi[run], directions[run], start[run]
     for _ in range(200):
         going = hi - lo > 1e-13 * np.maximum(1.0, hi)
         if not going.all():  # drop converged rows
             out[run[~going]] = 0.5 * (lo[~going] + hi[~going])
-            run, lo, hi, dirs = run[going], lo[going], hi[going], dirs[going]
+            run, lo, hi = run[going], lo[going], hi[going]
+            dirs, starts = dirs[going], starts[going]
         if not run.size:
             break
         mid = 0.5 * (lo + hi)
-        ins = contains_batch(start + mid[:, None] * dirs)
+        ins = contains_batch(starts + mid[:, None] * dirs)
         lo, hi = np.where(ins, mid, lo), np.where(ins, hi, mid)
     out[run] = 0.5 * (lo + hi)
     return out
@@ -350,6 +355,11 @@ class ConvexDomain:
     def support_upper_batch(self, A: np.ndarray) -> np.ndarray:
         """``support_upper`` of each row of A."""
         raise NotImplementedError
+
+    def supporting_half_planes(self, x: np.ndarray, y: np.ndarray):
+        """(F, h) for the pair x, y: unit functionals a as rows of F, with h an
+        upper bound for sup Re<z, a>; None where the functional grid serves."""
+        return None
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -1389,8 +1399,6 @@ class Graph(ConvexDomain):
         self.dimension = r.dimension
         self._interior = as_point(interior_point, r.dimension)
         self._c_proper = bool(c_proper)
-        self._support_cache: dict[bytes, float] = {}
-        self._probe_cache: float | None = None
         if r.value(self._interior) >= 0:
             raise InvalidDomain("declared interior point has r >= 0")
 
@@ -1444,45 +1452,33 @@ class Graph(ConvexDomain):
     def anchor(self):
         return self._interior.copy()
 
-    def support_upper(self, a):
-        from scipy.optimize import minimize as _minimize
-
-        a = as_point(a, self.dimension)
-        key = a.tobytes()
-        if key in self._support_cache:
-            return self._support_cache[key]
-        R = self._probe_radius()
-        if not math.isfinite(R):
-            self._support_cache[key] = math.inf
-            return math.inf
-
-        def neg(xr):
-            return -float(_hdot(_from_real(xr), a).real)
-
-        cons = {"type": "ineq", "fun": lambda xr: -self.r.value(_from_real(xr))}
-        res = _minimize(neg, _real_view(self._interior), method="SLSQP",
-                        constraints=[cons], options={"maxiter": 200, "ftol": 1e-14})
-        val = -res.fun if res.success else _hdot(self._interior, a).real + R * np.linalg.norm(a)
-        out = float(val) + 1e-9 * max(1.0, abs(val))
-        self._support_cache[key] = out
-        return out
-
     def support_upper_batch(self, A):
-        return np.array([self.support_upper(a) for a in A])
+        # certifies nothing: ``supporting_half_planes`` has the tangent planes
+        return np.full(A.shape[0], math.inf)
 
-    def _probe_radius(self) -> float:
-        """Estimated radius of a ball about 0 holding the domain, from 4d
-        probe rays (``inf`` when one is unbounded); computed once."""
-        if self._probe_cache is None:
-            d = self.dimension
-            U = np.random.default_rng(_FALLBACK_SEED).normal(size=(4 * d, 2 * d))
-            # 1-d norms: np.linalg.norm(axis=1) can differ from them in the last bit
-            U = np.array([u / np.linalg.norm(u) for u in U])
-            ts = ray_boundary_batch(self.contains_batch, self._interior, _from_real(U),
-                                    t_max=1e6)
-            self._probe_cache = (float(np.linalg.norm(self._interior)) + 2.0 * float(ts.max())
-                                 if np.isfinite(ts).all() else math.inf)
-        return self._probe_cache
+    def supporting_half_planes(self, x, y):
+        """Tangent planes where fixed seeded rays from x, y and their midpoint
+        leave the domain.  Past a ray's bracket, at p with r(p) >= 0 (rows still
+        inside are dropped), n = grad r(p) gives D in {Re<z - p, n> < 0} as r
+        is convex, so h = Re<p, n/|n|>, padded by 1e-9 relative, bounds the
+        unit functional n/|n|.  The pad must cover the gradient's error: none
+        but round-off for a polynomial's, and for ``DefiningFunction.grad``'s
+        central differences a second-order effect of the normal's angle error.
+        """
+        U = np.tile(unit_rows(np.random.default_rng(_FALLBACK_SEED), _TANGENT_RAYS, self.dimension),
+                    (3, 1))
+        starts = np.repeat([x, y, 0.5 * (x + y)], _TANGENT_RAYS, axis=0)
+        t = ray_boundary_batch(self.contains_batch, starts, U)
+        hit = np.isfinite(t)
+        # the bracket's outer end lies within 1e-13 relative past t
+        P = starts[hit] + (t[hit] + 1e-13 * np.maximum(1.0, t[hit]))[:, None] * U[hit]
+        P = P[~self.contains_batch(P)]
+        N = np.array([_from_real(self.r.grad(p)) for p in P]).reshape(-1, self.dimension)
+        norms = np.linalg.norm(N, axis=1)
+        ok = np.isfinite(norms) & (norms > 0)
+        N = N[ok] / norms[ok, None]
+        h = np.sum(P[ok] * N.conj(), axis=1).real
+        return N, h + 1e-9 * np.maximum(1.0, np.abs(h))
 
     def to_spec(self):
         if self.r.polynomial is None:
@@ -1562,18 +1558,13 @@ class PlanarOracle(ConvexDomain):
             self._boundary_cache[n] = z0[0] + ts[finite] * np.exp(1j * angles[finite])
         return self._boundary_cache[n]
 
-    def support_upper(self, a):
-        a = as_point(a, 1)
+    def support_upper_batch(self, A):
         pts = self.boundary_points(512)
         if pts.size == 0:
-            return math.inf
-        vals = (pts * np.conj(a[0])).real
+            return np.full(A.shape[0], math.inf)
         mesh = float(np.max(np.abs(np.diff(np.r_[pts, pts[:1]]))))
         # sampled support: inflate by one mesh cell to stay on the safe side
-        return float(np.max(vals)) + mesh * abs(a[0]) + 1e-9
-
-    def support_upper_batch(self, A):
-        return np.array([self.support_upper(a) for a in A])
+        return (pts * np.conj(A)).real.max(axis=1) + mesh * np.abs(A[:, 0]) + 1e-9
 
     def to_spec(self):
         raise InvalidDomain("oracle planar sets are not serializable")

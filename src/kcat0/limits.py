@@ -370,6 +370,8 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
     matrices: dict[int, np.ndarray] = {}
     for n in n_grid:
         best_val, best_w, best_i = best[n]
+        if best_i is None:
+            raise InvalidDomain(f"n={n}: f(0, w)/|w|^n is NaN or -inf at every grid point of f")
         if best_i in (0, radial - 1):
             raise GridBoundary(
                 f"n={n}: argmax of f(0,w)/|w|^n pinned to the radial grid edge; "

@@ -215,8 +215,11 @@ def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
     distance is asinh(|f(x - y)| / (2 sqrt((h - Re f(x)) (h - Re f(y))))),
     evaluated here without cancellation near the boundary line.
     """
-    F = _functionals(D.dimension, y - x)
-    h = D.support_upper_batch(F)
+    planes = D.supporting_half_planes(x, y)
+    if planes is None:
+        F = _functionals(D.dimension, y - x)
+        planes = F, D.support_upper_batch(F)
+    F, h = planes
     pair = F.conj()  # rows pair with points as f(z) = <z, a>
     # round-off padding: h and the pairings with a unit functional are taken
     # good to `ulp` times |h| plus the norm of the point paired, so the gaps

@@ -173,6 +173,9 @@ class TestBadInput:
          "error: the window radius must be positive, got 0.0\n"),
         (["mconvex", "--builtin", "ball2", "--window", "-1"],
          "error: the window radius must be positive, got -1.0\n"),
+        # an infinite window used to warn from numpy and then find no samples
+        (["mconvex", "--builtin", "ball2", "--window", "inf"],
+         "error: the window radius must be finite, got inf\n"),
         # NaN compares false, so each of these used to pass its check and exit 0
         (["certify", "--builtin", "example36", "--x", "1e-6,1e-6", "--y", "4e-6,1e-6",
           "--z", "2e-6,2e-6", "--tol", "nan"],
@@ -208,6 +211,7 @@ class TestBadInput:
          "error: --seed must be a non-negative integer, got '-3'\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
+            "mconvex-window-inf",
             "certify-tol-nan", "certify-tol-negative", "mconvex-m-nan", "mconvex-target-c-nan",
             "linetype-cap-0", "comparison-tol", "product-tol", "linetype-off-boundary",
             "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative"])

@@ -556,7 +556,6 @@ class TestRayShooting:
 
     def test_graph_values_unchanged(self):
         G = _ellipsoid_graph()
-        assert G._probe_radius() == 1.9140304992648112
         S = G.slice([0.1, 0.2j], [1, 0.3 + 0.1j])
         assert S.delta([0.05]) == 0.6899111631639983
         assert S.support_upper([1 + 1j]) == 1.0519052134924742
@@ -579,32 +578,6 @@ class TestRayShooting:
         G = _ellipsoid_graph()
         assert type(G.delta([0.2, 0.1j])) is float
         assert type(G.slice([0.1, 0.2j], [1, 0.3]).delta([0.05])) is float
-
-    def test_probe_radius_is_computed_once(self):
-        poly = RealPolynomial(2, _ELLIPSOID)
-        calls = []
-
-        def r(z):
-            calls.append(1)
-            return poly(z)
-
-        G = Graph(DefiningFunction(2, r), interior_point=[0.0, 0.0])
-        a = [1.0, 0.5j]
-        G.support_upper(a)  # the first miss computes the radius
-        G._support_cache.clear()
-        calls.clear()
-        G.support_upper(a)  # a second miss runs SLSQP only
-        slsqp = len(calls)
-        G._probe_cache = None
-        calls.clear()
-        G._probe_radius()
-        rays = len(calls)
-        assert rays > 0
-        G._support_cache.clear()
-        G._probe_cache = None
-        calls.clear()
-        G.support_upper(a)
-        assert len(calls) == slsqp + rays
 
     def test_callable_contains_batch_matches_value(self, rng):
         r = lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)

@@ -125,3 +125,36 @@ def test_midpoint_search_runs_no_optimizer_of_its_own():
     called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
               for n in ast.walk(fn) if isinstance(n, ast.Call)}
     assert "minimize" not in called
+
+
+def _reachable_calls(tree: ast.Module, cls: str, method: str) -> set[str]:
+    """Names called from ``cls.method`` and, transitively, from every
+    function or method of the module that shares a called name."""
+    defs: dict[str, list] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+    owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    todo = [next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == method)]
+    seen, called = set(), set()
+    while todo:
+        fn = todo.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                called.add(name)
+                todo.extend(defs.get(name, []))
+    return called
+
+
+def test_graph_supports_run_no_optimizer():
+    # a graph's supports are tangent planes at ray hits, certified by the
+    # convexity of r; no optimizer stands behind them, and no per-functional
+    # support_upper overrides the +inf batch
+    called = _reachable_calls(_tree(SRC / "domains.py"), "Graph", "supporting_half_planes")
+    # any alias: the optimizers are imported as ``minimize as _minimize``
+    assert not {name for name in called if name and "minimize" in name}
+    assert ("Graph", "support_upper") not in _domain_methods()

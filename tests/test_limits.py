@@ -215,6 +215,12 @@ class TestFrankel2b:
         per_n = sum(calls([n]) - grid for n in (2, 3, 4))
         assert calls([2, 3, 4]) == grid + per_n
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+    def test_no_finite_ratio_names_f(self, value):
+        # with no grid point ranked, the argmax used to index the radii with None
+        with pytest.raises(InvalidDomain, match=r"f\(0, w\)/\|w\|\^n .* every grid point"):
+            frankel_2b(lambda x, z: value, [2], radial=24, angular=16)
+
     def test_sequence_json(self):
         res = frankel_2b(f_flat, [2, 3], verify_samples=10, hausdorff_directions=256)
         data = res.to_json()

@@ -784,7 +784,91 @@ class TestBallAutomorphism:
         assert lhs == pytest.approx(distance(D, g(s), g(u)).lo, abs=1e-9)
 
 
+def _ellipsoid(s, polynomial):
+    """{sum_j s_j |z_j|^2 < 1} as a polynomial or an opaque-callable Graph."""
+    d = len(s)
+    if polynomial:
+        terms = {(0,) * (2 * d): -1.0}
+        for k in range(2 * d):
+            terms[tuple(2 * (np.arange(2 * d) == k))] = s[k // 2]
+        r = DefiningFunction.from_polynomial(RealPolynomial(d, terms))
+    else:
+        r = DefiningFunction(d, lambda z: float(np.sum(s * np.abs(z) ** 2) - 1.0))
+    return Graph(r, interior_point=np.zeros(d))
+
+
+def _ellipsoid_distance(s, z, w):
+    """The unit ball's closed form pulled back by diag(sqrt s), written out
+    independently of kcat0."""
+    z, w = np.sqrt(s) * z, np.sqrt(s) * w
+    one_z, one_w = 1.0 - np.sum(np.abs(z) ** 2), 1.0 - np.sum(np.abs(w) ** 2)
+    pair = abs(1.0 - np.sum(z * np.conj(w))) ** 2
+    return math.atanh(math.sqrt(max(0.0, 1.0 - one_z * one_w / pair)))
+
+
+def _in_ellipsoid(s, rng, radius=0.9):
+    """A uniform point of the ellipsoid shrunk by ``radius``."""
+    d = len(s)
+    raw = rng.normal(size=2 * d)
+    w = radius * rng.uniform() ** (1.0 / (2 * d)) * raw / np.linalg.norm(raw)
+    return (w[:d] + 1j * w[d:]) / np.sqrt(s)
+
+
+@st.composite
+def _ellipsoid_cases(draw):
+    d = draw(st.integers(1, 3))
+    s = np.array(draw(st.lists(st.floats(0.5, 4.0), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return s, draw(st.booleans()), _in_ellipsoid(s, rng), _in_ellipsoid(s, rng)
+
+
 class TestSandwichOnGraph:
+    @given(_ellipsoid_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_tangent_supports_are_sound(self, case):
+        s, polynomial, x, y = case
+        G = _ellipsoid(s, polynomial)
+        F, h = G.supporting_half_planes(x, y)
+        assert F.shape[0] > 0
+        np.testing.assert_allclose(np.linalg.norm(F, axis=1), 1.0, rtol=1e-12)
+        # the ellipsoid's support of a functional a is sqrt(sum |a_j|^2 / s_j)
+        assert (h >= np.sqrt(np.sum(np.abs(F) ** 2 / s, axis=1)) - 1e-12).all()
+        assert (G.support_upper_batch(F) == math.inf).all()
+        exact = _ellipsoid_distance(s, x, y)
+        iv = distance(G, x, y)
+        pad = 1e-9 * max(1.0, exact)
+        assert iv.lo <= exact + pad
+        assert iv.hi >= exact - pad
+
+    @pytest.mark.parametrize("polynomial", [True, False], ids=["polynomial", "callable"])
+    def test_affine_image_reaches_the_tangent_planes(self, polynomial, rng):
+        s = np.array([1.0, 2.0])
+        E = _ellipsoid(s, polynomial)
+        M, b = np.array([[1.0, 0.5j], [0.0, 2.0]]), np.array([0.3, -1j])
+        image = AffineImage(M, b, E)
+        for _ in range(3):
+            x, y = _in_ellipsoid(s, rng), _in_ellipsoid(s, rng)
+            iv = distance(image, M @ x + b, M @ y + b)
+            exact = _ellipsoid_distance(s, x, y)
+            assert 0.0 < iv.lo <= exact + 1e-9 <= iv.hi + 2e-9 < math.inf
+            assert iv.lo == pytest.approx(distance(E, x, y).lo, rel=1e-9)
+
+    def test_intersection_reaches_the_tangent_planes(self, rng):
+        # one pair on the polynomial graph: the slice of an intersection
+        # holding a graph runs a golden-section search per quadrature point
+        s = np.array([1.0, 2.0])
+        E = _ellipsoid(s, True)
+        B = Ball([0.3, 0.0], 0.9)
+        inner = Ball([0.15, 0.0], 0.55)   # inside Ball(0, 1/sqrt 2), so inside E, and inside B
+        x, y = sample_in(inner, rng, scale=0.3), sample_in(inner, rng, scale=0.3)
+        iv = distance(intersection([E, B]), x, y)
+        assert 0.0 < iv.lo <= iv.hi < math.inf
+        # inner within the intersection within E and B: inclusion is a contraction
+        assert iv.lo <= distance(inner, x, y).hi + 1e-9
+        assert iv.hi >= max(_ellipsoid_distance(s, x, y), distance(B, x, y).lo) - 1e-9
+        # E's own tangent-plane bound reaches the intersection's lo
+        assert iv.lo >= distance(E, x, y).lo * (1.0 - 1e-12)
+
     def make_graph(self):
         poly = RealPolynomial(2, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0,
                                   (0, 0, 2, 0): 2.0, (0, 0, 0, 2): 2.0,
