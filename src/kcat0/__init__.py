@@ -44,10 +44,6 @@ from .metric import (
 )
 from .cat0 import (
     Cat0Certificate,
-    ComparisonReport,
-    comparison_test,
-    four_point_delta,
-    gromov_product,
     midpoint_defect,
     product_certificate,
 )
@@ -55,7 +51,6 @@ from .convexity import (
     AffineLine,
     LineTypeResult,
     MConvexityReport,
-    exponent_fit,
     line_type,
     local_m_convex_check,
     vanishing_order,

@@ -14,26 +14,16 @@ produce a false positive.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import ConvexDomain, Product
 from .errors import DegenerateInput, KCat0Error
-from .metric import (
-    DistanceInterval,
-    distance,
-    exact_geodesic,
-    geodesic_approx,
-    midpoint_search,
-    midpoint_tol,
-    Geodesic,
-)
+from .metric import DistanceInterval, distance, midpoint_search, midpoint_tol
 from .points import as_point, point_to_json
 
 SCHEMA = "kcat0/1"
-COMPARISON_TOL = 1e-9  # slack past which a comparison report reads as a nominal violation
 
 
 @dataclass
@@ -78,30 +68,6 @@ class Cat0Certificate:
         }
 
 
-@dataclass
-class ComparisonReport:
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    side_ab: float
-    side_ac: float
-    side_bc: float
-    samples: list  # (s, t, slack)
-    max_slack: float
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "cat0-comparison-report",
-            "triangle": {"a": point_to_json(self.a), "b": point_to_json(self.b),
-                         "c": point_to_json(self.c)},
-            "sides": {"ab": self.side_ab, "ac": self.side_ac, "bc": self.side_bc},
-            "max_slack": {"value": self.max_slack,
-                          "method": ["comparison-triangle"], "tol": COMPARISON_TOL},
-            "samples": [{"s": s, "t": t, "slack": g} for s, t, g in self.samples],
-        }
-
-
 def midpoint_defect(D: ConvexDomain, x, y, z, tol: float | None = None) -> Cat0Certificate:
     """Midpoint-criterion certificate for the triple (x, y, z); ``tol`` is
     ``midpoint_search``'s."""
@@ -129,61 +95,6 @@ def midpoint_defect(D: ConvexDomain, x, y, z, tol: float | None = None) -> Cat0C
                  "a nonpositive conservative defect does not certify CAT(0)")
     return Cat0Certificate(x, y, z, m, eta, d_xy, d_zx, d_zy, d_zm,
                            defect, verdict, tol, notes)
-
-
-def _geodesic_or_approx(D: ConvexDomain, a: np.ndarray, b: np.ndarray) -> Geodesic:
-    g = exact_geodesic(D, a, b)
-    if g is not None:
-        return g
-    path, length = geodesic_approx(D, a, b)
-    return Geodesic(path.length_parametrization(D), length.midpoint)
-
-
-def comparison_test(D: ConvexDomain, a, b, c, sample_count: int = 100,
-                    seed: int = 0) -> ComparisonReport:
-    """Sample the comparison-triangle inequality along [a,b] and [a,c].
-
-    The Euclidean comparison triangle is placed with a at the origin and b
-    on the positive axis.  The slack is read on interval midpoints, along
-    approximate geodesics off the catalog, so it is a diagnostic: positive
-    slack suggests a CAT(0) failure but does not certify one.
-    """
-    a = as_point(a, D.dimension)
-    b = as_point(b, D.dimension)
-    c = as_point(c, D.dimension)
-    d_ab = distance(D, a, b, optimize_path=False).midpoint
-    d_ac = distance(D, a, c, optimize_path=False).midpoint
-    d_bc = distance(D, b, c, optimize_path=False).midpoint
-    if min(d_ab, d_ac, d_bc) < 1e-12:
-        raise DegenerateInput("comparison_test needs three pairwise distinct points")
-
-    gamma_ab = _geodesic_or_approx(D, a, b)
-    gamma_ac = _geodesic_or_approx(D, a, c)
-
-    # comparison triangle placement; the sqrt argument is clamped at the
-    # 1e-12 scale allowed for triangle-inequality slop
-    cx = (d_ab ** 2 + d_ac ** 2 - d_bc ** 2) / (2 * d_ab)
-    cy2 = d_ac ** 2 - cx ** 2
-    if cy2 < -1e-12 * max(1.0, d_ac ** 2):
-        raise KCat0Error("triangle inequality violated beyond tolerance")
-    cy = math.sqrt(max(cy2, 0.0))
-
-    rng = np.random.default_rng(seed)
-    grid = [(s, t) for s in (0.0, 0.5, 1.0) for t in (0.0, 0.5, 1.0)]
-    pairs = grid + [tuple(p) for p in rng.uniform(0.0, 1.0, size=(max(sample_count - len(grid), 0), 2))]
-
-    samples = []
-    max_slack = -math.inf
-    for s, t in pairs:
-        p = gamma_ab(s)
-        q = gamma_ac(t)
-        d_pq = distance(D, p, q, optimize_path=False).midpoint
-        p_bar = np.array([s * d_ab, 0.0])
-        q_bar = np.array([t * cx, t * cy])
-        slack = d_pq - float(np.linalg.norm(p_bar - q_bar))
-        samples.append((float(s), float(t), float(slack)))
-        max_slack = max(max_slack, slack)
-    return ComparisonReport(a, b, c, d_ab, d_ac, d_bc, samples, float(max_slack))
 
 
 def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
@@ -241,44 +152,3 @@ def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
                   f"for target {target!r}")
     return cert
 
-
-def gromov_product(D: ConvexDomain, o, x, y) -> float:
-    """(x|y)_o = (d(x,o) + d(o,y) - d(x,y)) / 2 on interval midpoints."""
-    o = as_point(o, D.dimension)
-    x = as_point(x, D.dimension)
-    y = as_point(y, D.dimension)
-    d_xo = distance(D, x, o, optimize_path=False).midpoint
-    d_oy = distance(D, o, y, optimize_path=False).midpoint
-    d_xy = distance(D, x, y, optimize_path=False).midpoint
-    return 0.5 * (d_xo + d_oy - d_xy)
-
-
-def four_point_delta(D: ConvexDomain, sample_points) -> float:
-    """Empirical lower bound for the Gromov hyperbolicity constant.
-
-    Maximizes min{(x|z)_o, (z|y)_o} - (x|y)_o over ordered quadruples of
-    the sample; this is a diagnostic, not the true sup.
-    """
-    pts = [as_point(p, D.dimension) for p in sample_points]
-    n = len(pts)
-    if n < 4:
-        raise DegenerateInput("four_point_delta needs at least 4 points")
-    dmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmat[i, j] = dmat[j, i] = distance(D, pts[i], pts[j],
-                                               optimize_path=False).midpoint
-
-    def gp(i: int, j: int, o: int) -> float:
-        return 0.5 * (dmat[i, o] + dmat[o, j] - dmat[i, j])
-
-    worst = 0.0
-    for o in range(n):
-        for xi in range(n):
-            for yi in range(n):
-                for zi in range(n):
-                    if len({o, xi, yi, zi}) < 4:
-                        continue
-                    gap = min(gp(xi, zi, o), gp(zi, yi, o)) - gp(xi, yi, o)
-                    worst = max(worst, gap)
-    return worst

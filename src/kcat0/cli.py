@@ -7,8 +7,9 @@ Identical argv and seed produce byte-identical reports, so no wall-clock
 data ever goes into a report.
 
 Exit codes: 0 success, 1 error, 2 when a certificate verdict is
-``violation-certified`` (so shell scripts can branch on it).  A comparison
-report is a diagnostic, not a certificate, and exits 0 whatever its slack.
+``violation-certified`` (so shell scripts can branch on it).  A usage error
+(an unknown option or choice, a missing subcommand) is an error too: it
+prints one ``error:`` line and exits 1, never 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from . import cat0, convexity, limits, metric
 from .domains import (
     Ball,
     DefiningFunction,
-    HalfPlane,
     Polydisk,
     Product,
     RealPolynomial,
@@ -109,14 +109,10 @@ def write_report(report, args) -> None:
         sys.stdout.write(payload)
 
 
-_TOL_DOES_NOT_APPLY = {"comparison": "its slack is a diagnostic, not a verdict",
-                       "product": "the certificate sets its own midpoint tolerance"}
-
-
 def cmd_certify(args) -> int:
-    if args.tol is not None and args.mode in _TOL_DOES_NOT_APPLY:
-        raise KCat0Error(f"--tol does not apply to --mode {args.mode}: "
-                         f"{_TOL_DOES_NOT_APPLY[args.mode]}")
+    if args.tol is not None and args.mode == "product":
+        raise KCat0Error("--tol does not apply to --mode product: "
+                         "the certificate sets its own midpoint tolerance")
     if args.mode == "midpoint":
         D = load_domain(args)
         cert = cat0.midpoint_defect(D, point_option("--x", args.x), point_option("--y", args.y),
@@ -131,13 +127,6 @@ def cmd_certify(args) -> int:
                                         point_option("--y", args.y), base=base)
         write_report(cert, args)
         return EXIT_VIOLATION if cert.verdict == "violation-certified" else EXIT_OK
-    if args.mode == "comparison":
-        D = load_domain(args)
-        report = cat0.comparison_test(D, point_option("--a", args.a), point_option("--b", args.b),
-                                      point_option("--c", args.c),
-                                      sample_count=args.samples, seed=args.seed)
-        write_report(report, args)
-        return EXIT_OK
     raise KCat0Error(f"unknown certify mode {args.mode!r}")
 
 
@@ -307,9 +296,18 @@ def _ball_triangle_spotcheck():
             raise KCat0Error("triangle inequality failed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a KCat0Error, so it exits 1 with one line, not argparse's 2.
+
+    Subparsers are built with the parent's class, so they raise the same way.
+    """
+
+    def error(self, message):
+        raise KCat0Error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kcat0",
-                                     description="Kobayashi / CAT(0) toolbox")
+    parser = _Parser(prog="kcat0", description="Kobayashi / CAT(0) toolbox")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--output", "-o", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -323,21 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", parents=[common],
-                       help="midpoint / product / comparison certificates")
-    p.add_argument("--mode", choices=("midpoint", "product", "comparison"),
-                   default="midpoint")
+                       help="midpoint / product certificates")
+    p.add_argument("--mode", choices=("midpoint", "product"), default="midpoint")
     p.add_argument("--builtin")
     p.add_argument("--domain")
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--z")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
     p.add_argument("--left")
     p.add_argument("--right")
     p.add_argument("--base")
-    p.add_argument("--samples", type=int, default=100)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_certify)
 
@@ -404,9 +397,8 @@ def seed_option(seed: int | None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.seed = seed_option(args.seed)
         return args.fn(args)
     except KCat0Error as exc:

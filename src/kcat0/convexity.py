@@ -107,47 +107,6 @@ class LineTypeResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# exponent fitting
-# ---------------------------------------------------------------------------
-
-
-def exponent_fit(D: ConvexDomain, boundary_point, approach_direction,
-                 tangent_direction, eps_grid=None) -> MConvexityReport:
-    """Fit the exponent of delta_dir against delta along a boundary approach.
-
-    Samples z_eps = p + eps * u for eps in the grid and regresses
-    log(delta_dir) on log(delta); for a boundary point of an m-convex
-    domain the slope approximates 1/m.
-    """
-    p = as_point(boundary_point, D.dimension)
-    u = as_point(approach_direction, D.dimension)
-    v = as_point(tangent_direction, D.dimension)
-    if not np.any(v):
-        raise InvalidDomain("tangent direction must be nonzero")
-    u = u / np.linalg.norm(u)
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-2, 1e-6, 9)
-
-    Z = np.array([p + eps * u for eps in eps_grid]).reshape(-1, D.dimension)
-    Z = Z[D.contains_batch(Z)]
-    if len(Z) < 3:
-        raise EmptyWindow("fewer than 3 valid samples along the approach ray")
-    deltas = np.array([D.delta(z) for z in Z])
-    dirs = D.delta_dir_batch(Z, np.tile(v, (len(Z), 1)))
-    slope, intercept = np.polyfit(np.log(deltas), np.log(dirs), 1)
-    return MConvexityReport(
-        samples=[MConvexitySample(z, v, dl, dd)
-                 for z, dl, dd in zip(Z, deltas.tolist(), dirs.tolist())],
-        fitted_exponent=float(slope),
-        fitted_constant=float(np.exp(intercept)),
-        window_radius=float(np.max(np.linalg.norm(Z, axis=1))),
-        target_m=None,
-        empirical_c=float(np.max(dirs / np.sqrt(deltas))) if np.all(deltas > 0) else math.inf,
-        verdict="pass" if 0.0 < slope <= 1.0 + 1e-9 else "fail",
-    )
-
-
 def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarray]:
     """Uniform interior samples of B(0, R) intersected with the domain, kept
     in draw order from at most 200 blocks of ``count`` tries (a direction,

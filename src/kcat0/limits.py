@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,11 +29,9 @@ from .domains import (
     Disk,
     Graph,
     HalfPlane,
-    Intersection,
     Polydisk,
     Product,
     Sector,
-    domain_from_json,
     domain_to_json,
     intersection,
     ray_boundary_batch,

@@ -8,11 +8,8 @@ from kcat0 import (
     AffineImage,
     Ball,
     Product,
-    comparison_test,
     distance,
     example36_domain,
-    four_point_delta,
-    gromov_product,
     midpoint_defect,
     planar_geodesic,
     product_certificate,
@@ -98,33 +95,6 @@ class TestMidpointDefect:
             assert entry["methods"]
 
 
-class TestComparison:
-    def test_disk_no_positive_slack(self, rng):
-        D = unit_disk()
-        for _ in range(10):
-            pts = []
-            while len(pts) < 3:
-                cand = sample_in(D, rng)
-                if all(abs(cand[0] - p[0]) > 1e-2 for p in pts):
-                    pts.append(cand)
-            rep = comparison_test(D, *pts, sample_count=40, seed=2)
-            assert rep.max_slack <= 1e-9
-
-    def test_product_positive_slack(self):
-        rep = comparison_test(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 2 / 3],
-                              sample_count=100, seed=0)
-        assert rep.max_slack > 1e-6
-
-    def test_degenerate_triangle_rejected(self):
-        with pytest.raises(DegenerateInput):
-            comparison_test(unit_disk(), [0.1], [0.1], [0.5])
-
-    def test_collinear_points_give_equality(self):
-        rep = comparison_test(upper_half_plane(), [1j], [2j], [4j],
-                              sample_count=60, seed=1)
-        assert abs(rep.max_slack) <= 1e-9
-
-
 class TestProductCertificate:
     def test_half_plane_disk_instance(self):
         cert = product_certificate(upper_half_plane(), unit_disk(),
@@ -172,27 +142,3 @@ class TestProductCertificate:
                                    base=[0.0, 0.0])
         assert cert.defect == pytest.approx(HALF_LN2 ** 2, abs=1e-9)
 
-
-class TestGromov:
-    def test_disk_antipodal_product_is_zero(self):
-        val = gromov_product(unit_disk(), [0.0], [0.5], [-0.5])
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_self_product_is_distance(self, rng):
-        D = unit_disk()
-        x = sample_in(D, rng)
-        o = sample_in(D, rng)
-        assert gromov_product(D, o, x, x) == pytest.approx(
-            distance(D, x, o).lo, abs=1e-12)
-
-    def test_four_point_delta_diagnostic(self):
-        P = hp_x_disk()
-        near = [[1j, 0.0], [1.2j, 0.1], [1j, -0.1], [0.9j, 0.05],
-                [1.1j, 0.0], [1j, 0.05]]
-        spread = [[1j, 0.0], [16j, 0.0], [1j, 0.9], [16j, 0.9],
-                  [4j, 0.5], [1j, -0.9]]
-        d_near = four_point_delta(P, near)
-        d_spread = four_point_delta(P, spread)
-        assert d_near >= 0.0
-        assert d_spread > d_near  # grows with sample spread
-        assert d_spread > 0.1

@@ -19,11 +19,9 @@ from kcat0 import (
     Polydisk,
     RealPolynomial,
     example36_domain,
-    exponent_fit,
     intersection,
     line_type,
     local_m_convex_check,
-    unit_disk,
     vanishing_order,
 )
 from kcat0.convexity import _exact_order, _tangent_basis
@@ -44,28 +42,6 @@ def quartic_poly():
     # -Im z1 + |z2|^4 in real coordinates
     return RealPolynomial(2, {(0, 1, 0, 0): -1.0, (0, 0, 4, 0): 1.0,
                               (0, 0, 0, 4): 1.0, (0, 0, 2, 2): 2.0})
-
-
-class TestExponentFit:
-    def test_ball_square_root(self):
-        rep = exponent_fit(ball2(), [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0])
-        assert 0.48 <= rep.fitted_exponent <= 0.52
-        # oracle check: delta = eps, delta_dir = sqrt(2 eps - eps^2)
-        for s in rep.samples:
-            eps = s.delta
-            assert s.delta_dir == pytest.approx(math.sqrt(2 * eps - eps ** 2), rel=1e-9)
-
-    def test_polydisk_flat_face(self):
-        P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
-        rep = exponent_fit(P, [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0])
-        assert abs(rep.fitted_exponent) < 0.02
-        assert rep.verdict == "fail"
-        for s in rep.samples:  # the tangent disk through the flat face is full size
-            assert s.delta_dir == pytest.approx(1.0, abs=1e-12)
-
-    def test_disk_single_direction(self):
-        rep = exponent_fit(unit_disk(), [1.0], [-1.0], [1.0])
-        assert rep.fitted_exponent == pytest.approx(1.0, abs=1e-9)
 
 
 class TestLocalMConvex:
@@ -128,12 +104,6 @@ class TestFiniteTypeConsistency:
         r = DefiningFunction.from_polynomial(quartic_poly())
         G = Graph(r, interior_point=[0.5j, 0.0])
         return intersection([G, Ball(np.array([0.0, 0.0], dtype=complex), 1.0)])
-
-    def test_quartic_exponent_quarter(self):
-        D = self.make_quartic_domain()
-        rep = exponent_fit(D, [0.0, 0.0], [1j, 0.0], [0.0, 1.0],
-                           eps_grid=np.geomspace(1e-2, 1e-5, 7))
-        assert rep.fitted_exponent == pytest.approx(0.25, abs=0.02)
 
     def test_quartic_passes_m4_fails_m2(self):
         D = self.make_quartic_domain()

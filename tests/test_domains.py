@@ -208,6 +208,26 @@ class TestDeltaDir:
         for k in range(10):
             assert batch[k] == pytest.approx(_slice_delta_dir(D, Z[k], V[k]), abs=1e-12)
 
+    @pytest.mark.parametrize("D, p, expect, tol", [
+        (ball2(), [1.0, 0.0], lambda eps: math.sqrt(2 * eps - eps ** 2), {"rel": 1e-9}),
+        # the tangent disk through the polydisk's flat face is full size
+        (Polydisk(np.zeros(2, dtype=complex), np.ones(2)), [1.0, 0.0], lambda eps: 1.0,
+         {"abs": 1e-12}),
+        # in C^1 the slice is the disk itself, so delta_dir is delta = eps
+        (unit_disk(), [1.0], lambda eps: eps, {"rel": 1e-9}),
+    ], ids=["ball", "polydisk", "disk"])
+    def test_normal_approach(self, D, p, expect, tol):
+        # z = p - eps e_1 approaches the boundary point p along its normal;
+        # v is the last coordinate direction
+        eps = np.geomspace(1e-2, 1e-6, 9)
+        e = np.eye(D.dimension, dtype=complex)
+        Z = np.asarray(p, dtype=complex) - eps[:, None] * e[0]
+        V = np.tile(e[-1], (len(eps), 1))
+        batch = D.delta_dir_batch(Z, V)
+        for k in range(len(eps)):
+            assert batch[k] == pytest.approx(expect(eps[k]), **tol)
+            assert D.delta_dir(Z[k], V[k]) == pytest.approx(expect(eps[k]), **tol)
+
     @pytest.mark.parametrize("D", [
         Polydisk([0.5, -1j], [1.0, 2.0]),
         Product(upper_half_plane(), sector(0.0, 0.2, 1.2)),

@@ -158,3 +158,24 @@ def test_graph_supports_run_no_optimizer():
     # any alias: the optimizers are imported as ``minimize as _minimize``
     assert not {name for name in called if name and "minimize" in name}
     assert ("Graph", "support_upper") not in _domain_methods()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module-level import binds that nothing else in the module reads."""
+    tree = _tree(path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_module_imports():
+    # __init__.py imports in order to re-export
+    unused = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for hit in _unused_imports(path)]
+    assert unused == []
