@@ -42,13 +42,6 @@ class Cat0Certificate:
     tol: float
     notes: str = ""
 
-    @property
-    def defect_nominal(self) -> float:
-        """Defect evaluated at interval midpoints (diagnostic, not certified)."""
-        return self.d_zm.midpoint ** 2 - (
-            0.5 * (self.d_zx.midpoint ** 2 + self.d_zy.midpoint ** 2)
-            - 0.25 * self.d_xy.midpoint ** 2)
-
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA,
@@ -61,8 +54,6 @@ class Cat0Certificate:
                           "zy": self.d_zy.to_json(), "zm": self.d_zm.to_json()},
             "defect": {"value": self.defect, "method": ["conservative-interval"],
                        "tol": self.tol},
-            "defect_nominal": {"value": self.defect_nominal,
-                               "method": ["interval-midpoint"], "tol": self.tol},
             "verdict": self.verdict,
             "notes": self.notes,
         }

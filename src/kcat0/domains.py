@@ -35,9 +35,10 @@ distance stays below a level; an intersection couples its members' rooms),
 node; a lens is the Mobius image of a sector.
 
 Domains known only through membership (graph domains and their slices)
-answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter,
-and it hands each batched membership call all the rays still running.
-A graph slice is a ``PlanarOracle`` over a batched membership oracle.
+answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter, and
+it hands each batched membership call all the rays still running;
+``ray_min_batch``, the least ray distance over a span of directions, is the
+one search built on it.  A graph slice is a ``PlanarOracle``.
 
 All values are immutable after construction and all queries are pure, so
 instances are safe to share between threads.
@@ -69,6 +70,8 @@ _TWO_PI = 2.0 * math.pi
 # seed keeps results reproducible across runs.
 _FALLBACK_SEED = 0x5EC7
 _TANGENT_RAYS = 64  # from each of a pair's three points
+# ``ray_min_batch``: grid rays (plane, higher spheres), kept rays, steps (rad)
+_PLANE_GRID, _SPHERE_GRID, _KEEP, _STEP, _STEP_MIN = 96, 512, 3, 0.1, 1e-8
 
 # ``polydisk_room``'s answer where no polydisk fits: distinct from None
 NO_POLYDISK: tuple = ()
@@ -145,6 +148,48 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         lo, hi = np.where(ins, mid, lo), np.where(ins, hi, mid)
     out[run] = 0.5 * (lo + hi)
     return out
+
+
+def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
+                  Z: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Least ``ray_boundary_batch`` distance from each row of Z over the unit
+    directions in the real span of B, k real-orthonormal rows of C^d shared by
+    all rows of Z or one set per row (shape (n, k, d)).
+
+    A direction grid (even angles for k = 2, else seeded) is shot first; a
+    compass search on the sphere then moves each of a row's three shortest
+    rays to its best shorter neighbour, one step along +-each tangent axis,
+    or else halves its step, down to 1e-8 rad.  All rows run in lockstep, one
+    ``ray_boundary_batch`` call per round.
+    """
+    n, (k, d) = Z.shape[0], np.shape(B)[-2:]
+    B = np.broadcast_to(B, (n, k, d))
+    if k == 2:
+        a = np.linspace(0.0, _TWO_PI, _PLANE_GRID, endpoint=False)
+        grid = np.stack([np.cos(a), np.sin(a)], axis=1)
+    else:
+        grid = np.random.default_rng(_FALLBACK_SEED).normal(size=(_SPHERE_GRID, k))
+        grid /= np.linalg.norm(grid, axis=1, keepdims=True)
+    t = ray_boundary_batch(contains_batch, np.repeat(Z, len(grid), axis=0),
+                           np.einsum("gk,nkd->ngd", grid, B).reshape(-1, d)).reshape(n, len(grid))
+    keep = np.argsort(t, axis=1)[:, :_KEEP]
+    c, t = grid[keep.ravel()], np.take_along_axis(t, keep, axis=1).ravel()
+    h = np.where((t > 0.0) & (t < math.inf), _STEP, 0.0)
+    while (run := np.flatnonzero(h >= _STEP_MIN)).size:
+        # tangent axes: rows 2..k of the Householder reflection taking e_1 to -+c
+        w = np.where(c[run, :1] < 0.0, -c[run], c[run]) + np.eye(k)[0]
+        T = np.eye(k)[1:] - 2.0 * w[:, 1:, None] * w[:, None, :] / np.sum(w * w, axis=1)[:, None, None]
+        nb = (np.cos(h[run])[:, None, None] * c[run][:, None, :]
+              + np.sin(h[run])[:, None, None] * np.concatenate([T, -T], axis=1))
+        nb /= np.linalg.norm(nb, axis=2, keepdims=True)
+        tn = ray_boundary_batch(contains_batch, np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
+                                np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d)
+                                ).reshape(run.size, -1)
+        best = np.argmin(tn, axis=1)
+        shorter = tn[np.arange(run.size), best] < t[run]
+        c[run[shorter]], t[run[shorter]] = nb[shorter, best[shorter]], tn[shorter, best[shorter]]
+        h[run[~shorter]] *= 0.5
+    return t.reshape(n, _KEEP).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +362,8 @@ class ConvexDomain:
         one-row view.  Nodes with closed forms override this default."""
         if self.dimension == 1:   # the only complex line is the whole plane
             return np.array([self._delta(z) for z in Z])
-        origin = np.zeros(1, dtype=complex)
-        return np.array([float(np.linalg.norm(v)) * self._slice_set(z, v)._delta(origin)
-                         for z, v in zip(Z, V)])
+        U = V / np.linalg.norm(V, axis=1, keepdims=True)   # searched on the line's own membership
+        return ray_min_batch(self.contains_batch, Z, np.stack([U, 1j * U], axis=1))
 
     # -- slices ---------------------------------------------------------------
 
@@ -1048,10 +1092,10 @@ class AffineImage(ConvexDomain):
         return self.inner.contains_batch(self._pull_back_rows(Z))
 
     def _delta(self, z):
-        w = self.pull_back(z)
         if self._conformal_scale is not None:
-            return self._conformal_scale * self.inner._delta(w)
-        return _delta_numeric(self, z)
+            return self._conformal_scale * self.inner._delta(self.pull_back(z))
+        unit = np.eye(self.dimension)   # search all of C^d
+        return float(ray_min_batch(self.contains_batch, z[None, :], np.concatenate([unit, 1j * unit]))[0])
 
     def depth_lower(self, z):
         return self._sigma_min * self.inner.depth_lower(self.pull_back(z))
@@ -1494,8 +1538,8 @@ class PlanarOracle(ConvexDomain):
 
     ``member_batch`` maps a complex array of points to a bool array.
     Produced by slicing non-catalog domains; boundary distances come from
-    ``ray_boundary_batch`` over a direction grid with golden-section
-    refinement of the angle.
+    ``ray_min_batch`` over the plane, and ``_delta`` is the one-row view of
+    ``delta_dir_batch``.
     """
 
     def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
@@ -1509,26 +1553,11 @@ class PlanarOracle(ConvexDomain):
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
 
-    def _rays(self, z: np.ndarray, angles: np.ndarray, t_max: float = 1e12) -> np.ndarray:
-        return ray_boundary_batch(self.contains_batch, z, np.exp(1j * angles)[:, None], t_max)
-
     def _delta(self, z):
-        grid = np.linspace(0.0, _TWO_PI, 96, endpoint=False)
-        ts = self._rays(z, grid)
-        finite = np.isfinite(ts)
-        if not finite.any():
-            return math.inf
-        # golden-section on the angle around the three shortest grid rays,
-        # all three brackets advancing together
-        a0 = grid[np.argsort(np.where(finite, ts, np.inf))[:3]]
-        lo, hi = a0 - grid[1], a0 + grid[1]
-        for _ in range(60):
-            m1 = lo + 0.381966011250105 * (hi - lo)
-            m2 = hi - 0.381966011250105 * (hi - lo)
-            t = self._rays(z, np.concatenate([m1, m2]))
-            left = t[:3] <= t[3:]
-            lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
-        return float(np.min(self._rays(z, 0.5 * (lo + hi))))
+        return float(self.delta_dir_batch(z[None, :], np.ones((1, 1)))[0])
+
+    def delta_dir_batch(self, Z, V):   # the only complex line is the plane
+        return ray_min_batch(self.contains_batch, Z, np.array([[1.0], [1j]]))
 
     def _slice_set(self, p, v):
         member_batch = self.member_batch
@@ -1553,7 +1582,7 @@ class PlanarOracle(ConvexDomain):
         if n not in self._boundary_cache:
             z0 = self.anchor()
             angles = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-            ts = self._rays(z0, angles, t_max=1e8)
+            ts = ray_boundary_batch(self.contains_batch, z0, np.exp(1j * angles)[:, None], 1e8)
             finite = np.isfinite(ts)
             self._boundary_cache[n] = z0[0] + ts[finite] * np.exp(1j * angles[finite])
         return self._boundary_cache[n]
@@ -1568,30 +1597,6 @@ class PlanarOracle(ConvexDomain):
 
     def to_spec(self):
         raise InvalidDomain("oracle planar sets are not serializable")
-
-
-def _delta_numeric(D: ConvexDomain, z: np.ndarray) -> float:
-    """Boundary distance by direction search; used when no closed form exists."""
-    from scipy.optimize import minimize as _minimize
-
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    n = 128 if D.dimension == 1 else 512
-    dirs = unit_rows(rng, n, D.dimension)
-    ts = ray_boundary_batch(D.contains_batch, z, dirs)
-    order = np.argsort(ts)
-
-    def t_of(x):
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            return math.inf
-        return ray_boundary_batch(D.contains_batch, z, _from_real(x / nx)[None, :])[0]
-
-    best = float(ts[order[0]])
-    for k in order[:4]:
-        res = _minimize(t_of, _real_view(dirs[k]), method="Nelder-Mead",
-                        options={"maxiter": 300, "fatol": 1e-13, "xatol": 1e-10})
-        best = min(best, float(res.fun))
-    return best
 
 
 # ---------------------------------------------------------------------------

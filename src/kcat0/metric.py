@@ -254,23 +254,18 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
 def _oracle_upper(S: ConvexDomain, z0: complex, z1: complex,
                   quad: int = 24, pieces: int = 8) -> float:
     """Straight-path integral of |dz| / delta on a planar oracle set."""
+    xs, ws = _quad_rule(quad)
+    v = (z1 - z0) / pieces
+    pts = (z0 + np.arange(pieces)[:, None] * v) + xs * v   # one row per piece
     if isinstance(S, PlanarOracle):
         cloud = S.boundary_points(512)
-
-        def delta(pts: np.ndarray) -> np.ndarray:
-            return np.min(np.abs(pts[:, None] - cloud[None, :]), axis=1)
+        delta = [np.min(np.abs(row[:, None] - cloud), axis=1) for row in pts]
     else:
-        def delta(pts: np.ndarray) -> np.ndarray:
-            return np.array([S.delta([p]) for p in pts])
-
-    xs, ws = _quad_rule(quad)
-    total = 0.0
-    v = (z1 - z0) / pieces
-    for k in range(pieces):
-        a = z0 + k * v
-        pts = a + xs * v
-        total += float(np.sum(ws * abs(v) / delta(pts)))
-    return total
+        inside = S.contains_batch(pts.reshape(-1, 1))
+        if not inside.all():
+            raise OutsideDomain(f"point {pts.ravel()[~inside][0]} is not interior to the domain")
+        delta = S.delta_dir_batch(pts.reshape(-1, 1), np.ones((pts.size, 1))).reshape(pts.shape)
+    return sum(float(np.sum(ws * abs(v) / row)) for row in delta)
 
 
 def _no_polydisk_below(D: ConvexDomain, x: np.ndarray, y: np.ndarray,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from kcat0 import (
-    AffineImage,
     Ball,
     DefiningFunction,
     Graph,

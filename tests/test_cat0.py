@@ -95,6 +95,25 @@ class TestMidpointDefect:
             assert entry["methods"]
 
 
+def _method_tags(report) -> set:
+    """Every method tag a JSON report holds, at any depth."""
+    if isinstance(report, list):
+        return set().union(*map(_method_tags, report))
+    if not isinstance(report, dict):
+        return set()
+    tags = set(report.get("method", [])) | set(report.get("methods", []))
+    return tags.union(*map(_method_tags, report.values()))
+
+
+def test_certificates_carry_no_interval_midpoint_reading():
+    # every number in a certificate is certified: no defect on interval midpoints
+    reports = [midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3]).to_json(),
+               product_certificate(upper_half_plane(), unit_disk(), [1j], [4j], base=[0.0]).to_json()]
+    for report in reports:
+        assert "conservative-interval" in _method_tags(report)
+        assert "interval-midpoint" not in _method_tags(report)
+
+
 class TestProductCertificate:
     def test_half_plane_disk_instance(self):
         cert = product_certificate(upper_half_plane(), unit_disk(),

@@ -549,6 +549,21 @@ def test_delta_dir_is_the_one_row_view_of_delta_dir_batch(case):
     assert D.delta_dir(z, v) == D.delta_dir_batch(z[None, :], v[None, :])[0]
 
 
+def test_graph_delta_dir_matches_the_closed_form_disk():
+    # the ellipsoid sum s_j |z_j|^2 < 1 meets the line z + Cv in a disk: with
+    # A = sum s|v|^2, C = sum s|z|^2 and w = sum s z conj(v), its centre is
+    # -w/A and its radius sqrt((1 - C)/A + |w/A|^2) in units of |v|
+    s, rng = np.array([1.0, 2.0]), np.random.default_rng(19)
+    raw = rng.normal(size=(300, 4))
+    raw *= 0.999 * rng.uniform(size=(300, 1)) ** 0.25 / np.linalg.norm(raw, axis=1, keepdims=True)
+    Z = (raw[:, :2] + 1j * raw[:, 2:]) / np.sqrt(s)
+    V = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+    A, C = np.sum(s * np.abs(V) ** 2, axis=1), np.sum(s * np.abs(Z) ** 2, axis=1)
+    w = np.abs(np.sum(s * Z * np.conj(V), axis=1)) / A
+    exact = np.linalg.norm(V, axis=1) * (np.sqrt((1.0 - C) / A + w ** 2) - w)
+    np.testing.assert_allclose(_ellipsoid_graph().delta_dir_batch(Z, V), exact, rtol=0.0, atol=1e-12)
+
+
 class TestRayShooting:
     @pytest.mark.parametrize("D, start, t_max", [
         (Disk(0.2, 1.5), [0.1j], 1e12),

@@ -160,6 +160,50 @@ def test_graph_supports_run_no_optimizer():
     assert ("Graph", "support_upper") not in _domain_methods()
 
 
+def _static_calls(tree: ast.Module, cls: str, method: str) -> set[str]:
+    """Names called from ``cls.method`` and, transitively, from the module
+    functions it calls by name and the methods it calls on ``self``, looked
+    up in ``cls`` and then its bases in the module."""
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def lookup(name):
+        owner = cls
+        while owner in classes:
+            found = [f for f in classes[owner].body if isinstance(f, ast.FunctionDef) and f.name == name]
+            if found:
+                return found[0]
+            owner = next((b.id for b in classes[owner].bases if isinstance(b, ast.Name)), None)
+        return None
+
+    todo, seen, called = [lookup(method)], set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn is None or id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+                called.add(n.func.id)
+                todo.append(functions.get(n.func.id))
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                called.add(n.func.attr)
+                if isinstance(n.func.value, ast.Name) and n.func.value.id == "self":
+                    todo.append(lookup(n.func.attr))
+    return called
+
+
+@pytest.mark.parametrize("cls, method", [
+    ("PlanarOracle", "_delta"), ("PlanarOracle", "delta_dir_batch"),
+    ("AffineImage", "_delta"), ("ConvexDomain", "delta_dir_batch")])
+def test_least_ray_distances_run_no_optimizer(cls, method):
+    # a boundary distance known only through membership is one search,
+    # ray_min_batch, whatever the span of directions: no scipy optimizer
+    called = _static_calls(_tree(SRC / "domains.py"), cls, method)
+    assert "ray_min_batch" in called
+    assert not {name for name in called if "minimize" in name}
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module-level import binds that nothing else in the module reads."""
     tree = _tree(path)
@@ -176,6 +220,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_module_imports():
     # __init__.py imports in order to re-export
-    unused = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
-              for hit in _unused_imports(path)]
+    paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
+    unused = [hit for path in paths if path.name != "__init__.py" for hit in _unused_imports(path)]
     assert unused == []

@@ -5,7 +5,6 @@ import pytest
 
 from kcat0 import (
     AffineImage,
-    Ball,
     Disk,
     HalfPlane,
     Product,
@@ -18,7 +17,6 @@ from kcat0 import (
     limits,
     right_half_plane,
     scaling_lemma32,
-    sector,
     unit_disk,
     upper_half_plane,
 )

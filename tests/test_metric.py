@@ -32,7 +32,7 @@ from kcat0 import (
     upper_half_plane,
 )
 from kcat0 import metric
-from kcat0.domains import NO_POLYDISK, ball_mobius
+from kcat0.domains import NO_POLYDISK, Intersection, ball_mobius, ray_boundary_batch, unit_rows
 from kcat0.errors import InvalidDomain, MidpointNotCertified, OutsideDomain, PseudoDistanceOnly
 from kcat0.metric import (
     OPTIMIZER_NODES,
@@ -51,7 +51,7 @@ from kcat0.metric import (
 from kcat0.planar import disk_distance, planar_distance
 
 from conftest import sample_in
-from test_domains import _node
+from test_domains import _cplx, _matrix, _node, _size
 
 LN2 = math.log(2.0)
 HALF_LN3 = 0.5 * math.log(3.0)
@@ -367,6 +367,31 @@ def _deep_point(D, rng, depth=0.05):
             return z
 
 
+@st.composite
+def _exact_node(draw, d, depth=2):
+    """A node with a closed-form distance: ``_node``'s leaves, affine images
+    and products, and for intersections only lenses (a disk with a disk or a
+    half-plane whose boundary crosses its circle), each holding a member's
+    anchor so that the intersection's anchor needs no search."""
+    composite = ["affine", "lens" if d == 1 else "product"] if depth else []
+    kind = draw(st.sampled_from(["leaf"] + composite))
+    if kind == "leaf":
+        return draw(_node(d, 0))
+    if kind == "affine":
+        return AffineImage(draw(_matrix(d)), [draw(_cplx) for _ in range(d)],
+                           draw(_exact_node(d, depth - 1)))
+    if kind == "lens":
+        c, r, f = draw(_cplx), draw(_size), draw(st.floats(0.1, 0.9))
+        turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        if draw(st.booleans()):
+            r2 = draw(_size)
+            sep = abs(r - r2) + f * min(r, r2)   # the circles cross, one centre in the other disk
+            return Intersection([Disk(c, r), Disk(c + sep * turn, r2)])
+        return Intersection([Disk(c, r), HalfPlane(c - f * r * turn, turn)])
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1)))
+    return Product(*[draw(_exact_node(int(k), depth - 1)) for k in np.diff([0, *cuts, d])])
+
+
 class TestHalfPlaneLower:
     @pytest.mark.parametrize("D", [
         example36_domain(),
@@ -392,18 +417,18 @@ class TestHalfPlaneLower:
 
     @staticmethod
     def _forced_case(data):
-        """A drawn node, two of its points, their exact distance and the
-        forced sandwich without the path optimizer."""
-        D = data.draw(_node(data.draw(st.integers(1, 3))))
-        d = D.dimension
+        """A drawn node with a closed form, two of its points, their exact
+        distance and the forced sandwich without the path optimizer.  The
+        points lie on seeded rays from the node's anchor, a uniform fraction
+        of the way to the boundary (or to 3 on an unbounded ray), so every
+        draw is used."""
+        D = data.draw(_exact_node(data.draw(st.integers(1, 3))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        raw = rng.uniform(-3, 3, (256, 2 * d))
-        cloud = raw[:, :d] + 1j * raw[:, d:]
-        inside = cloud[D.contains_batch(cloud)]
-        assume(inside.shape[0] >= 2)
-        x, y = inside[0], inside[1]
+        base, U = D.anchor(), unit_rows(rng, 2, D.dimension)
+        reach = np.minimum(ray_boundary_batch(D.contains_batch, base, U), 3.0)
+        x, y = base + (rng.uniform(size=2) * reach)[:, None] * U
         exact = exact_distance(D, x, y)
-        assume(exact is not None)
+        assert exact is not None
         return exact.lo, distance(D, x, y, force_sandwich=True, optimize_path=False)
 
     @given(st.data())
@@ -855,7 +880,8 @@ class TestSandwichOnGraph:
 
     def test_intersection_reaches_the_tangent_planes(self, rng):
         # one pair on the polynomial graph: the slice of an intersection
-        # holding a graph runs a golden-section search per quadrature point
+        # holding a graph searches its least ray distance at every
+        # quadrature point, all in one ray_min_batch
         s = np.array([1.0, 2.0])
         E = _ellipsoid(s, True)
         B = Ball([0.3, 0.0], 0.9)
