@@ -103,29 +103,48 @@ def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
                        start: np.ndarray, directions: np.ndarray,
-                       t_max: float = 1e12) -> np.ndarray:
+                       t_max: float = 1e12, guess: tuple | None = None) -> np.ndarray:
     """Distance along ``start + t*directions[k]`` to the boundary, per row.
 
     ``contains_batch`` maps rows of points to a bool array; ``start`` (one
     point, or one per row) must be inside.  Each row halves t = 1 until it is
     inside (0.0 below 1e-300), doubles until it leaves (``inf`` beyond
-    ``t_max``), then bisects until the bracket is within 1e-13 relative (at
-    most 200 steps) and returns its midpoint.  Membership sees running rows.
+    ``t_max``), then bisects its bracket [2^(k-1), 2^k] until it is within
+    1e-13 relative (at most 200 steps) and returns its midpoint.  Membership
+    sees running rows.  A ``guess`` (values g, relative half-widths s; per
+    row or broadcast) starts each row whose g lies in such a bracket from the
+    smallest cell of the bracket's dyadic grid that holds g and is wider than
+    2sg and the stop width, and widens it while an end fails its membership
+    check: where membership is monotone, every row returns its cold float.
     """
-    out = np.empty(directions.shape[0])
+    n = directions.shape[0]
+    out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
     start = np.broadcast_to(start, directions.shape)
 
     def inside(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.asarray(contains_batch(start[rows] + t[:, None] * directions[rows]), dtype=bool)
 
-    t = np.ones(directions.shape[0])
-    run = np.arange(directions.shape[0])
+    if guess is not None:
+        g, s = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in guess)
+        base = np.ldexp(0.5, np.frexp(g)[1])   # 2^(k-1) <= g < 2^k: the cold bracket's low end
+        at = np.flatnonzero(np.isfinite(g) & (g > 0.0) & (base >= 1e-300) & (2.0 * base <= t_max))
+        stop = 1e-13 * np.maximum(1.0, 2.0 * base[at])   # no finer cell is bisected
+        w[at] = np.minimum(np.ldexp(1.0, np.frexp(np.maximum(2.0 * s[at] * g[at], stop))[1]), base[at])
+        lo[at] = g[at]
+        while at.size:   # exact: every term is dyadic
+            lo[at] = base[at] + np.floor((lo[at] - base[at]) / w[at]) * w[at]
+            ins = inside(np.tile(at, 2), np.concatenate([lo[at], lo[at] + w[at]]))
+            at = at[~ins[:at.size] | ins[at.size:]]
+            w[at] = np.where(w[at] < base[at], 2.0 * w[at], math.inf)   # the parent cell, or cold
+            at = at[w[at] < math.inf]
+    t = np.ones(n)
+    run = cold = np.flatnonzero(w == math.inf)
     while run.size:  # shrink first in case the boundary is very close
         run = run[~inside(run, t[run])]
         t[run] *= 0.5
         out[run[t[run] < 1e-300]] = 0.0
         run = run[t[run] >= 1e-300]
-    run = np.flatnonzero(t >= 1e-300)
+    run = cold[t[cold] >= 1e-300]
     hi = 2.0 * t  # t is inside, so doubling starts from 2t
     grow = run[hi[run] <= t_max]
     while grow.size:
@@ -134,7 +153,9 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         grow = grow[hi[grow] <= t_max]
     out[run[hi[run] > t_max]] = math.inf
     run = run[hi[run] <= t_max]
-    lo, hi, dirs, starts = hi[run] / 2.0, hi[run], directions[run], start[run]
+    lo[run] = w[run] = hi[run] / 2.0
+    run = np.flatnonzero(w < math.inf)
+    lo, hi, dirs, starts = lo[run], lo[run] + w[run], directions[run], start[run]
     for _ in range(200):
         going = hi - lo > 1e-13 * np.maximum(1.0, hi)
         if not going.all():  # drop converged rows
@@ -160,7 +181,8 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     compass search on the sphere then moves each of a row's three shortest
     rays to its best shorter neighbour, one step along +-each tangent axis,
     or else halves its step, down to 1e-8 rad.  All rows run in lockstep, one
-    ``ray_boundary_batch`` call per round.
+    ``ray_boundary_batch`` call per round, warm-started from the current t
+    with relative half-width h^2 at step h.
     """
     n, (k, d) = Z.shape[0], np.shape(B)[-2:]
     B = np.broadcast_to(B, (n, k, d))
@@ -183,7 +205,8 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
               + np.sin(h[run])[:, None, None] * np.concatenate([T, -T], axis=1))
         nb /= np.linalg.norm(nb, axis=2, keepdims=True)
         tn = ray_boundary_batch(contains_batch, np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
-                                np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d)
+                                np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d),
+                                guess=(t[run].repeat(nb.shape[1]), h[run].repeat(nb.shape[1]) ** 2)
                                 ).reshape(run.size, -1)
         best = np.argmin(tn, axis=1)
         shorter = tn[np.arange(run.size), best] < t[run]
@@ -202,6 +225,8 @@ class RealPolynomial:
 
     Stored as a monomial table ``{(e_1, ..., e_2d): coefficient}``; this is
     also the JSON wire format for graph-domain defining functions.
+    ``evaluate_batch`` and ``gradient_batch`` take rows, raising each coordinate
+    only to exponents of 2 and more; ``__call__`` and ``gradient`` are one-row views.
     """
 
     def __init__(self, dimension: int, terms: dict[tuple[int, ...], float]):
@@ -211,43 +236,56 @@ class RealPolynomial:
         for k in self.terms:
             if len(k) != 2 * self.dimension:
                 raise InvalidDomain("monomial exponent length must be 2*d")
-        self._exponents = np.array(list(self.terms), dtype=int).reshape(-1, 2 * self.dimension)
-        self._coefficients = np.array(list(self.terms.values()))
+        rows, n = [(np.array(k), c) for k, c in self.terms.items()], 2 * self.dimension
+        self._value = self._table([rows])
+        self._grad = self._table([[(e - (np.arange(n) == j), c * e[j]) for e, c in rows if e[j]]
+                                  for j in range(n)])
+
+    def _table(self, groups: list) -> tuple:
+        """One sum of terms c * prod_l x_l^e_l per group (r, or each d/dx_l in
+        x1, y1, x2, ... order), led by a zero term: the l and e of each power
+        taken (e >= 2), each term's factors with e > 0 as columns of
+        [1, x, powers], padded with the ones, and the coefficients."""
+        n = 2 * self.dimension
+        pairs = sorted({(l, e) for g in groups for k, _ in g for l, e in enumerate(k) if e >= 2})
+        col = {**{(l, 1): l + 1 for l in range(n)}, **{p: n + 1 + i for i, p in enumerate(pairs)}}
+        terms = [[(c, [col[l, e] for l, e in enumerate(k) if e]) for k, c in g] for g in groups]
+        factors = max([1] + [len(f) for g in terms for _, f in g])
+        idx = np.zeros((len(groups), 1 + max(map(len, groups)), factors), int)
+        coef = np.zeros(idx.shape[:2] + (1,))
+        for a, g in enumerate(terms):
+            for b, (c, f) in enumerate(g, start=1):
+                idx[a, b, :len(f)], coef[a, b] = f, c
+        return (*np.array(pairs, int).reshape(-1, 2).T, idx, coef)
+
+    def _sums(self, Z: np.ndarray, table: tuple) -> np.ndarray:
+        """Each group's sum at each row of Z, one group per row of the result."""
+        cols, exps, idx, coef = table
+        X = np.ascontiguousarray(Z, dtype=complex).view(float).T   # rows x1, y1, x2, ... as keyed
+        E, F = np.empty((len(exps), X.shape[1])), np.empty((len(X) + 1 + len(exps), X.shape[1]))
+        E[:] = exps[:, None]   # not broadcast: numpy's power loop squares a broadcast 2 as x*x, not pow
+        F[0], F[1:len(X) + 1] = 1.0, X
+        F[len(X) + 1:] = np.power(X[cols].ravel(), E.ravel()).reshape(E.shape)   # (1, 1) would too
+        # x^0 = 1 and x^1 = x are exact, so each product in coordinate order and
+        # each sum from 0.0 in term order give the floats of the per-term loop
+        prod = F[idx[..., 0]]
+        for k in range(1, idx.shape[-1]):
+            prod *= F[idx[..., k]]
+        return np.add.accumulate(coef * prod, axis=1)[:, -1]
 
     def __call__(self, z) -> float:
         return float(self.evaluate_batch(as_point(z, self.dimension)[None, :])[0])
 
     def evaluate_batch(self, Z: np.ndarray) -> np.ndarray:
-        # interleave as (x1, y1, x2, y2, ...): exponents are keyed that way
-        coords = np.empty((Z.shape[0], 2 * self.dimension))
-        coords[:, 0::2] = Z.real
-        coords[:, 1::2] = Z.imag
-        powers = coords[:, None, :] ** self._exponents
-        monomials = self._coefficients * np.multiply.reduce(powers, axis=2)
-        total = np.zeros(Z.shape[0])
-        for column in monomials.T:  # summed in term order, one term at a time
-            total += column
-        return total
+        return self._sums(Z, self._value)[0]
+
+    def gradient_batch(self, Z: np.ndarray) -> np.ndarray:
+        """Real gradient of each row in (Re z_1, ..., Re z_d, Im z_1, ..., Im z_d) order."""
+        g = self._sums(Z, self._grad)
+        return np.concatenate([g[0::2], g[1::2]]).T
 
     def gradient(self, z) -> np.ndarray:
-        """Real gradient in (Re z_1, ..., Re z_d, Im z_1, ..., Im z_d) order."""
-        z = as_point(z, self.dimension)
-        coords = np.empty(2 * self.dimension)
-        coords[0::2] = z.real
-        coords[1::2] = z.imag
-        grad_inter = np.zeros(2 * self.dimension)
-        for expo, c in self.terms.items():
-            e = np.array(expo)
-            for j in range(2 * self.dimension):
-                if e[j] == 0:
-                    continue
-                e2 = e.copy()
-                e2[j] -= 1
-                grad_inter[j] += c * e[j] * float(np.prod(coords ** e2))
-        out = np.empty(2 * self.dimension)
-        out[: self.dimension] = grad_inter[0::2]
-        out[self.dimension:] = grad_inter[1::2]
-        return out
+        return self.gradient_batch(as_point(z, self.dimension)[None, :])[0]
 
     def to_json(self) -> dict:
         return {
@@ -268,9 +306,11 @@ class RealPolynomial:
 class DefiningFunction:
     """Smooth convex defining function r with {r < 0} the domain.
 
-    ``evaluate`` maps a C^d point to a real; ``gradient`` returns the real
-    gradient (d/dRe, then d/dIm); when absent it is approximated by central
-    differences.  ``polynomial`` gives exact vanishing orders along lines.
+    ``evaluate`` maps a C^d point to a real, ``gradient`` to the real gradient
+    (d/dRe, then d/dIm).  ``value`` and ``grad`` are the one-row views of
+    ``value_batch`` and ``grad_batch``: a ``polynomial`` (which also gives
+    exact vanishing orders) takes all rows at once; an opaque callable is
+    called per row, and without ``gradient`` central differences run batched.
     """
 
     dimension: int
@@ -280,28 +320,30 @@ class DefiningFunction:
 
     @staticmethod
     def from_polynomial(poly: RealPolynomial) -> "DefiningFunction":
-        return DefiningFunction(
-            dimension=poly.dimension,
-            evaluate=poly,
-            gradient=poly.gradient,
-            polynomial=poly,
-        )
+        return DefiningFunction(dimension=poly.dimension, evaluate=poly, polynomial=poly)
 
     def value(self, z) -> float:
-        return float(self.evaluate(as_point(z, self.dimension)))
+        return float(self.value_batch(as_point(z, self.dimension)[None, :])[0])
+
+    def value_batch(self, Z: np.ndarray) -> np.ndarray:
+        if self.polynomial is not None:
+            return self.polynomial.evaluate_batch(Z)
+        return np.array([float(self.evaluate(z)) for z in Z])
 
     def grad(self, z) -> np.ndarray:
-        z = as_point(z, self.dimension)
+        return self.grad_batch(as_point(z, self.dimension)[None, :])[0]
+
+    def grad_batch(self, Z: np.ndarray) -> np.ndarray:
+        if self.polynomial is not None:
+            return self.polynomial.gradient_batch(Z)
+        n = 2 * self.dimension
         if self.gradient is not None:
-            return np.asarray(self.gradient(z), dtype=float)
+            return np.array([np.asarray(self.gradient(z), dtype=float) for z in Z]).reshape(-1, n)
         h = 1e-6
-        x0 = _real_view(z)
-        g = np.empty(2 * self.dimension)
-        for j in range(2 * self.dimension):
-            e = np.zeros_like(x0)
-            e[j] = h
-            g[j] = (self.value(_from_real(x0 + e)) - self.value(_from_real(x0 - e))) / (2 * h)
-        return g
+        X, E = np.concatenate([Z.real, Z.imag], axis=1)[:, None, :], h * np.eye(n)
+        P = _from_real(np.concatenate([X + E, X - E], axis=1)).reshape(-1, self.dimension)
+        v = self.value_batch(P).reshape(-1, 2, n)
+        return (v[:, 0] - v[:, 1]) / (2 * h)
 
     def complex_gradient(self, z) -> np.ndarray:
         """d r / d z_j = (d/dx_j - i d/dy_j)/2."""
@@ -1224,7 +1266,13 @@ class Intersection(ConvexDomain):
             return -min(m.depth_lower(z) if m._contains(z) else -float(np.linalg.norm(z - a))
                         for m, a in zip(self.members, candidates))
 
-        best = min(candidates, key=lambda c: neg_depth(_real_view(c)))
+        # a thin intersection can miss them all: start from the first point
+        # inside it on seeded rings around each, where there is one
+        U = unit_rows(np.random.default_rng(_FALLBACK_SEED), 64, self.dimension)
+        rings = np.array(candidates)[:, None, None] + np.geomspace(1e-3, 1e3, 25)[:, None, None] * U
+        rings = rings.reshape(-1, self.dimension)
+        rings = rings[self.contains_batch(rings)]
+        best = rings[0] if len(rings) else min(candidates, key=lambda c: neg_depth(_real_view(c)))
         res = _minimize(neg_depth, _real_view(best), method="Nelder-Mead",
                         options={"maxiter": 400, "fatol": 1e-12})
         z = _from_real(res.x)
@@ -1447,31 +1495,22 @@ class Graph(ConvexDomain):
             raise InvalidDomain("declared interior point has r >= 0")
 
     def contains_batch(self, Z):
-        if self.r.polynomial is not None:
-            return self.r.polynomial.evaluate_batch(Z) < 0
-        return np.array([float(self.r.evaluate(z)) for z in Z]) < 0
+        return self.r.value_batch(Z) < 0
 
     def _delta(self, z):
         from scipy.optimize import minimize as _minimize
 
-        g = self.r.grad(z)
-        gz = _from_real(g)
+        gz = _from_real(self.r.grad(z))
         if not np.any(gz):
             gz = self._interior - z if np.any(self._interior - z) else as_point([1.0] * self.dimension)
         u = gz / np.linalg.norm(gz)
         t0 = ray_boundary_batch(self.contains_batch, z, u[None, :])[0]
-        x0 = z + t0 * u
-
-        def objective(xr):
-            return float(np.sum((xr - _real_view(z)) ** 2))
-
-        def obj_grad(xr):
-            return 2.0 * (xr - _real_view(z))
-
+        zr = _real_view(z)
         cons = {"type": "eq",
                 "fun": lambda xr: self.r.value(_from_real(xr)),
                 "jac": lambda xr: self.r.grad(_from_real(xr))}
-        res = _minimize(objective, _real_view(x0), jac=obj_grad, method="SLSQP",
+        res = _minimize(lambda xr: float(np.sum((xr - zr) ** 2)), _real_view(z + t0 * u),
+                        jac=lambda xr: 2.0 * (xr - zr), method="SLSQP",
                         constraints=[cons], options={"maxiter": 200, "ftol": 1e-16})
         best = t0
         if res.success or res.status == 8:
@@ -1517,7 +1556,7 @@ class Graph(ConvexDomain):
         # the bracket's outer end lies within 1e-13 relative past t
         P = starts[hit] + (t[hit] + 1e-13 * np.maximum(1.0, t[hit]))[:, None] * U[hit]
         P = P[~self.contains_batch(P)]
-        N = np.array([_from_real(self.r.grad(p)) for p in P]).reshape(-1, self.dimension)
+        N = _from_real(self.r.grad_batch(P))
         norms = np.linalg.norm(N, axis=1)
         ok = np.isfinite(norms) & (norms > 0)
         N = N[ok] / norms[ok, None]

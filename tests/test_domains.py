@@ -564,6 +564,99 @@ def test_graph_delta_dir_matches_the_closed_form_disk():
     np.testing.assert_allclose(_ellipsoid_graph().delta_dir_batch(Z, V), exact, rtol=0.0, atol=1e-12)
 
 
+@st.composite
+def _warm_cases(draw):
+    """A domain known through membership, a start, rays whose boundary
+    distances span many binades, a t_max and a way of guessing each row."""
+    G = _ellipsoid_graph()
+    D, start = draw(st.sampled_from([
+        (Disk(0.2, 1.5), [0.1j]), (HalfPlane(0.0, 1j), [0.5j]), (HalfPlane(0.0, 1j), [0.5]),
+        (G, [0.1, -0.2j]), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05])]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.normal(size=(24, 2 * D.dimension)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
+    return (D, np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:],
+            draw(st.sampled_from([1e12, 0.6])),
+            draw(st.sampled_from(["exact", "10x over", "10x under", "just past", "just short",
+                                  "below its binade", "above its binade"])),
+            draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-2, 0.5])))
+
+
+@given(_warm_cases())
+@settings(max_examples=120, deadline=None)
+def test_warm_started_rays_return_the_cold_shots_floats(case):
+    D, start, dirs, t_max, how, spread = case
+    cold = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max)
+    # guessed from the far shot, so rows that end at inf under t_max = 0.6
+    # are guessed where their boundary lies
+    t = ray_boundary_batch(D.contains_batch, start, dirs)
+    t = np.where(np.isfinite(t), t, 0.5)
+    guess = {"exact": t, "10x over": 10.0 * t, "10x under": t / 10.0,
+             "just past": t * (1 + 1e-9), "just short": t * (1 - 1e-9),
+             "below its binade": np.ldexp(0.5, np.frexp(t)[1]) * (1 - 1e-9),
+             "above its binade": np.ldexp(1.0, np.frexp(t)[1])}[how]
+    warm = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max, guess=(guess, spread))
+    assert warm.tolist() == cold.tolist()
+
+
+def test_warm_started_compass_rounds_cut_the_membership_calls():
+    # one delta_dir row on the ellipsoid made 1656 contains_batch calls when
+    # every compass round shot cold
+    G, calls = _ellipsoid_graph(), []
+    contains = G.contains_batch
+    G.contains_batch = lambda Z: calls.append(len(Z)) or contains(Z)
+    G.delta_dir_batch(np.array([[0.2 + 0.1j, -0.3j]]), np.array([[1.0, 0.5j]]))
+    assert len(calls) == 732 <= 0.6 * 1656
+
+
+class TestBatchedGradients:
+    def test_polynomial_matches_the_per_term_loop(self, rng):
+        terms = {tuple(rng.integers(0, 4, size=4)): float(rng.normal()) for _ in range(12)}
+        r = DefiningFunction.from_polynomial(RealPolynomial(2, terms))
+        Z = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+        coords = np.empty((50, 4))
+        coords[:, 0::2], coords[:, 1::2] = Z.real, Z.imag
+        expect = np.zeros((50, 4))   # in (x1, y1, x2, y2) order
+        for expo, c in r.polynomial.terms.items():
+            e = np.array(expo)
+            for j in np.flatnonzero(e):
+                expect[:, j] += c * e[j] * np.prod(coords ** (e - (np.arange(4) == j)), axis=1)
+        assert r.grad_batch(Z).tolist() == expect[:, [0, 2, 1, 3]].tolist()
+        assert [r.grad(z).tolist() for z in Z[:5]] == expect[:5, [0, 2, 1, 3]].tolist()
+
+    def test_callable_takes_central_differences_row_by_row(self, rng):
+        r = DefiningFunction(2, lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1))
+        Z = (rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))) * 0.5
+        h, expect = 1e-6, []
+        for z in Z:
+            x0 = np.concatenate([z.real, z.imag])
+            row = []
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = h
+                plus, minus = x0 + e, x0 - e
+                row.append((r.value(plus[:2] + 1j * plus[2:]) - r.value(minus[:2] + 1j * minus[2:])) / (2 * h))
+            expect.append(row)
+        assert r.grad_batch(Z).tolist() == expect
+        assert [r.grad(z).tolist() for z in Z] == expect
+
+    def test_own_gradient_is_called_per_row(self, rng):
+        s = np.array([1.0, 2.0])
+        r = DefiningFunction(2, lambda z: float(np.sum(s * np.abs(z) ** 2) - 1),
+                             gradient=lambda z: np.concatenate([2 * s * z.real, 2 * s * z.imag]))
+        Z = rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))
+        assert r.grad_batch(Z).tolist() == [r.gradient(z).tolist() for z in Z]
+        assert r.grad_batch(Z[:0]).shape == (0, 4)
+
+
+def test_thin_lens_anchor_is_interior():
+    # neither member's anchor nor their mean lies in this lens, whose cap is
+    # 0.05 high, and a search from the best of them never entered it
+    D = Intersection([Disk(0.1953125j, 0.203125),
+                      HalfPlane(0.14333162132059643 + 0.14369211164741544j,
+                                0.9408434630275048 - 0.3388415235451705j)])
+    assert D.contains(D.anchor())
+
+
 class TestRayShooting:
     @pytest.mark.parametrize("D, start, t_max", [
         (Disk(0.2, 1.5), [0.1j], 1e12),

@@ -160,6 +160,13 @@ def test_graph_supports_run_no_optimizer():
     assert ("Graph", "support_upper") not in _domain_methods()
 
 
+def test_graph_supports_take_their_normals_from_one_batched_gradient():
+    # every row's normal comes from one grad_batch: no grad call per row
+    called = _static_calls(_tree(SRC / "domains.py"), "Graph", "supporting_half_planes")
+    assert "grad_batch" in called
+    assert "grad" not in called
+
+
 def _static_calls(tree: ast.Module, cls: str, method: str) -> set[str]:
     """Names called from ``cls.method`` and, transitively, from the module
     functions it calls by name and the methods it calls on ``self``, looked
