@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import ConvexDomain, Product
 from .errors import DegenerateInput, KCat0Error
-from .metric import DistanceInterval, distance, midpoint_search, midpoint_tol
+from .metric import DistanceInterval, _certified_midpoint, distance, midpoint_search
 from .points import as_point, point_to_json
 
 SCHEMA = "kcat0/1"
@@ -65,8 +65,7 @@ def midpoint_defect(D: ConvexDomain, x, y, z, tol: float | None = None) -> Cat0C
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)
     z = as_point(z, D.dimension)
-    tol = midpoint_tol(D, x, y, tol)
-    m, eta = midpoint_search(D, x, y, tol)
+    m, eta, tol = _certified_midpoint(D, x, y, tol)
 
     d_xy = distance(D, x, y, optimize_path=False)
     d_zx = distance(D, z, x, optimize_path=False)

@@ -28,9 +28,8 @@ forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
 form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
 ``metric_bounds`` (closed forms, or the generic convex estimate),
-``polydisk_slack``, ``polydisk_room`` (per coordinate, a planar node
-holding the factor disk of every inscribed polydisk through two points whose
-distance stays below a level; an intersection couples its members' rooms),
+``polydisk_slack`` (batched over rows of centres and radii, the one
+containment test behind the sandwich's inscribed-polydisk bound),
 ``depth_lower`` and the sandwich's reductions.  A slice is itself a planar
 node; a lens is the Mobius image of a sector.
 
@@ -72,16 +71,6 @@ _FALLBACK_SEED = 0x5EC7
 _TANGENT_RAYS = 64  # from each of a pair's three points
 # ``ray_min_batch``: grid rays (plane, higher spheres), kept rays, steps (rad)
 _PLANE_GRID, _SPHERE_GRID, _KEEP, _STEP, _STEP_MIN = 96, 512, 3, 0.1, 1e-8
-
-# ``polydisk_room``'s answer where no polydisk fits: distinct from None
-NO_POLYDISK: tuple = ()
-# relative round-off padding of a ball's room radii, far above the few-ulp
-# error of the closed-form root
-_ROOM_PAD = 1e-12
-# bisection steps of a ball's coupled room root, and a bound on the rounds of
-# an intersection's coupling, which stops once no room shrinks
-_ROOM_STEPS = 6
-_ROOM_ROUNDS = 8
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -510,20 +499,10 @@ class ConvexDomain:
         """The chart that geodesics and rays through x and y are walked in."""
         return self.chart()
 
-    def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> float | None:
-        """Margin by which the closed polydisk with these centers/radii sits
-        inside (positive: strictly), or None where no structural test exists."""
-        return None
-
-    def polydisk_room(self, x: np.ndarray, y: np.ndarray, level: float,
-                      within: Sequence | None = None):
-        """Planar nodes, one per coordinate j, each holding the j-th factor
-        disk of every polydisk P inside the domain with x, y in P and
-        K_P(x, y) <= level; ``NO_POLYDISK`` when no such polydisk exists, or
-        None where no structural test exists.  ``within``, when given, holds
-        per coordinate planar nodes already known to hold those factor disks
-        (an intersection's other members' rooms); a ball uses them to tighten
-        its rooms, and other nodes ignore them."""
+    def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray | None:
+        """For each row of the (k, d) centres and radii, the margin by which
+        that closed polydisk sits inside (positive: strictly), or None where
+        no structural test exists."""
         return None
 
     def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
@@ -600,7 +579,7 @@ class Disk(ConvexDomain):
                                       "exact-chart")
 
     def polydisk_slack(self, centers, radii):
-        return self.radius - (abs(centers[0] - self.center) + radii[0])
+        return self.radius - (np.abs(centers[:, 0] - self.center) + radii[:, 0])
 
 
 class HalfPlane(ConvexDomain):
@@ -668,8 +647,8 @@ class HalfPlane(ConvexDomain):
         return DistanceInterval.exact(math.asinh(abs(x[0] - y[0]) / (2.0 * gaps)), "exact-chart")
 
     def polydisk_slack(self, centers, radii):
-        margin = ((centers[0] - self.boundary_point) * np.conj(self.inward_normal)).real
-        return margin - radii[0]
+        margin = ((centers[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
+        return margin - radii[:, 0]
 
 
 class Sector(ConvexDomain):
@@ -699,13 +678,14 @@ class Sector(ConvexDomain):
         ang = np.where(ang <= -math.pi, ang + _TWO_PI, ang)
         return (w != 0) & (ang > 0) & (ang < self.opening)
 
-    def _ray_distance(self, w: complex, theta: float) -> float:
+    def _ray_distance(self, w: np.ndarray, theta: float) -> np.ndarray:
+        """Distance of each w (taken from the vertex) to the ray at angle theta."""
         u = w * np.exp(-1j * theta)
-        return abs(u.imag) if u.real >= 0 else abs(u)
+        return np.where(u.real >= 0, np.abs(u.imag), np.abs(u))
 
     def _delta(self, z):
         w = z[0] - self.vertex
-        return min(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta))
+        return float(min(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta)))
 
     def _slice_set(self, p, v):
         rot = np.angle(v[0])
@@ -778,9 +758,9 @@ class Sector(ConvexDomain):
         return k, k.copy()
 
     def polydisk_slack(self, centers, radii):
-        if not self._contains(centers[:1]):
-            return -abs(centers[0] - self.vertex) - radii[0]
-        return self._delta(centers[:1]) - radii[0]
+        w = centers[:, 0] - self.vertex
+        depth = np.minimum(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta))
+        return np.where(self.contains_batch(centers), depth, -np.abs(w)) - radii[:, 0]
 
 
 def sector(vertex: complex = 0.0, alpha: float = 0.0, beta: float = math.pi / 2) -> ConvexDomain:
@@ -894,50 +874,7 @@ class Ball(ConvexDomain):
 
     def polydisk_slack(self, centers, radii):
         reach = np.abs(centers - self.center) + radii
-        return self.radius - math.sqrt(float(np.sum(reach ** 2)))
-
-    def polydisk_room(self, x, y, level, within=None):
-        # a factor disk lies in Disk(C_i, rho_i), rho_i = |c_i - C_i| + r_i,
-        # so by monotonicity rho_i^2 >= s_i, the larger root of
-        # t^2 s^2 - B s + t^2 |a|^2 |b|^2 (a, b = x_i - C_i, y_i - C_i,
-        # t = tanh level); with sum rho_i^2 <= R^2 the j-th factor disk lies
-        # in Disk(C_j, sqrt(R^2 - sum_{i != j} s_i))
-        t2 = math.tanh(level) ** 2
-        if t2 == 0.0:
-            return None
-        a, b = np.abs(x - self.center), np.abs(y - self.center)
-        sep2 = np.abs(x - y) ** 2 / math.cosh(level) ** 2   # (1 - t^2) |a - b|^2
-        B = t2 * (a * a + b * b) + sep2
-        # the discriminant B^2 - 4 t^4 |a|^2 |b|^2 as a product of sums
-        root = np.sqrt((t2 * (a - b) ** 2 + sep2) * (B + 2.0 * t2 * a * b))
-        s = (B + root) / (2.0 * t2) * (1.0 - _ROOM_PAD)
-        R2 = self.radius ** 2 * (1.0 + _ROOM_PAD)
-        free = R2 - (s.sum() - s)
-        if within is not None and np.all(free > 0.0):
-            # the j-th factor disk also lies in each node w of within[j], so
-            # the lens Disk(C_j, rho_j) n w holds it and keeps x_j, y_j within
-            # the level; the lens grows with rho, so where it misses at the
-            # room radius no polydisk fits, and elsewhere a bisection of rho
-            # from sqrt(s_j) lifts s_j to the end known to miss
-            ends = [np.array([[xj], [yj]]) for xj, yj in zip(x, y)]
-
-            def misses(j, rho):
-                disk = Disk(self.center[j], rho)
-                return any(_room_misses(intersection([disk, w]), ends[j], level) for w in within[j])
-
-            if any(misses(j, math.sqrt(f)) for j, f in enumerate(free)):
-                return NO_POLYDISK
-            lift = s.copy()
-            for j in range(self.dimension):
-                lo, hi = math.sqrt(s[j]), math.sqrt(free[j])
-                for _ in range(_ROOM_STEPS):
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if misses(j, mid) else (lo, mid)
-                lift[j] = max(s[j], lo * lo * (1.0 - _ROOM_PAD))
-            free = R2 - (lift.sum() - lift)
-        if np.any(free <= 0.0):
-            return NO_POLYDISK
-        return tuple(Disk(c, math.sqrt(f)) for c, f in zip(self.center, free))
+        return self.radius - np.sqrt((reach * reach).sum(axis=1))
 
 
 def ball_mobius(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -1065,15 +1002,7 @@ class Product(ConvexDomain):
     def polydisk_slack(self, centers, radii):
         slacks = [f.polydisk_slack(c, r)
                   for f, c, r in zip(self.factors, self.split(centers), self.split(radii))]
-        return None if None in slacks else min(slacks)
-
-    def polydisk_room(self, x, y, level, within=None):
-        # a planar factor holds the factor disk in its coordinate
-        rooms = [(f,) if f.dimension == 1 else f.polydisk_room(xf, yf, level)
-                 for f, xf, yf in zip(self.factors, self.split(x), self.split(y))]
-        if None in rooms:
-            return None
-        return NO_POLYDISK if NO_POLYDISK in rooms else sum(rooms, ())
+        return None if any(s is None for s in slacks) else reduce(np.minimum, slacks)
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each coordinate projection is a holomorphic contraction
@@ -1312,27 +1241,7 @@ class Intersection(ConvexDomain):
 
     def polydisk_slack(self, centers, radii):
         slacks = [m.polydisk_slack(centers, radii) for m in self.members]
-        return None if None in slacks else min(slacks)
-
-    def polydisk_room(self, x, y, level, within=None):
-        # each member holds every factor disk in its room, so the other
-        # members' rooms bound a member's own: couple them in rounds until no
-        # room shrinks; two disks meet in a lens, which has an exact distance
-        rooms = [m.polydisk_room(x, y, level) for m in self.members]
-        for _ in range(_ROOM_ROUNDS):
-            before = _room_specs(rooms)
-            for k, m in enumerate(self.members):
-                if NO_POLYDISK in rooms:
-                    return NO_POLYDISK
-                rooms[k] = m.polydisk_room(x, y, level, _other_rooms(rooms, k))
-            if _room_specs(rooms) == before:
-                break
-        if NO_POLYDISK in rooms:
-            return NO_POLYDISK
-        rooms = [r for r in rooms if r is not None]
-        if not rooms:
-            return None
-        return tuple(intersection(list(per_coordinate)) for per_coordinate in zip(*rooms))
+        return None if any(s is None for s in slacks) else reduce(np.minimum, slacks)
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each C-proper member contains the domain: inclusion is a contraction
@@ -1400,25 +1309,6 @@ def _lens_sector(members: Sequence[ConvexDomain]):
     normals = [m.center - P if isinstance(m, Disk) else m.inward_normal for m in (m1, m2)]
     wedge = _wedge_sector(*(HalfPlane(0.0, n * np.conj(P - Q)) for n in normals))
     return None if wedge is None else (P, Q, wedge)
-
-
-def _room_misses(room: ConvexDomain, ends: np.ndarray, level: float) -> bool:
-    """True when no disk inside the planar node ``room`` holds both rows of
-    ``ends`` within ``level`` of each other."""
-    if not room.contains_batch(ends).all():
-        return True
-    dist = room.exact_distance(ends[0], ends[1])
-    return dist is not None and dist.lo > level
-
-
-def _other_rooms(rooms: list, k: int) -> list | None:
-    """Per coordinate, the rooms of every member but the k-th; None if none."""
-    known = [r for i, r in enumerate(rooms) if i != k and r is not None]
-    return [list(nodes) for nodes in zip(*known)] if known else None
-
-
-def _room_specs(rooms: list) -> list:
-    return [r if r is None else [node.to_spec() for node in r] for r in rooms]
 
 
 def intersection(members: Sequence[ConvexDomain]) -> ConvexDomain:

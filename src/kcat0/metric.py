@@ -5,8 +5,8 @@ factors, affine images) evaluate exactly, each node from its own
 ``exact_distance``.  Everything else gets
 a certified sandwich: lower bounds from holomorphic contractions (factor
 projections, member inclusions, supporting half-planes), upper bounds from
-the planar slice through the two points and from an optimized discrete
-path.  The public contract for non-catalog domains is always a
+the planar slice through the two points, from inscribed polydisks and from
+an optimized discrete path.  The public contract for non-catalog domains is always a
 ``DistanceInterval``, never a point estimate.
 
 Infinitesimal bounds on general convex domains use the standard two-sided
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import ConvexDomain, PlanarOracle, _room_misses
+from .domains import ConvexDomain, PlanarOracle
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -42,6 +42,13 @@ OPTIMIZER_REL_TOL = 1e-6    # relative improvement over 5 iterations
 OPTIMIZER_MAX_ROUNDS = 40
 MIDPOINT_TOL_EXACT = 1e-9
 MIDPOINT_TOL_NUMERIC = 5e-2
+# the inscribed-polydisk family: centres (as exponents of the first one's
+# fraction of the way to the anchor), growth ratios, doubling and bisection
+# steps of the growth
+_INCLUSION_CENTERS = np.linspace(1.0, 0.0, 12)
+_INCLUSION_RATIOS = np.geomspace(0.25, 4.0, 5)
+_INCLUSION_DOUBLINGS = 64
+_INCLUSION_BISECTIONS = 40
 _PENALTY = 1e6
 
 
@@ -268,106 +275,66 @@ def _oracle_upper(S: ConvexDomain, z0: complex, z1: complex,
     return sum(float(np.sum(ws * abs(v) / row)) for row in delta)
 
 
-def _no_polydisk_below(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                       level: float) -> bool:
-    """True when D's polydisk rooms prove that no polydisk P inside D with
-    x, y in P has K_P(x, y) <= level: no room at all, or a room that misses
-    (``_room_misses``)."""
-    rooms = D.polydisk_room(x, y, level)
-    if rooms is None:
-        return False
-    return not rooms or any(_room_misses(room, np.array([[xj], [yj]]), level)
-                            for room, xj, yj in zip(rooms, x, y))
-
-
-def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                             target: float) -> float | None:
+def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float | None:
     """Upper bound from an inscribed polydisk through both points.
 
     Flat slices cannot see max-type geometry (a slice of a product limit
     degenerates to a strip), but any polydisk P inside D bounds K_D by the
-    exact product value max_j K_disk_j.  The disk centers and radii are
-    optimized with the containment margin as a hard penalty.  Returns None
-    without searching when D's polydisk rooms prove that no polydisk beats
-    ``target`` (``math.inf`` always searches).
+    exact product value max_j K_disk_j.  One fixed family is tried in one
+    array pass: 12 centres on the line from the points' midpoint towards
+    ``D.anchor()``, each with radii just holding both points, grown along
+    5 directions (1, rho, ..., rho) by doubling and then bisecting the
+    growth on batched ``polydisk_slack`` calls.  Returns the least value
+    over the polydisks with positive slack that hold both points strictly,
+    else None.
     """
-    from scipy.optimize import minimize
-
     d = D.dimension
-    if d < 2:
+    # a node without a structural containment test (a graph) answers None
+    # for any polydisk: return before asking for its anchor
+    if d < 2 or D.polydisk_slack(x[None, :], np.zeros((1, d))) is None:
         return None
-    probe = D.polydisk_slack(x, np.zeros(d))
-    if probe is None:
-        return None
-    # padded past the target by round-off, so rounding can only keep a search
-    if target < math.inf and _no_polydisk_below(D, x, y, target * (1.0 + 1e-9)):
-        return None
-
-    def assemble(params: np.ndarray):
-        centers = params[:d] + 1j * params[d:2 * d]
-        radii = np.exp(params[2 * d:])
-        return centers, radii
-
-    def objective(params: np.ndarray) -> float:
-        centers, radii = assemble(params)
-        point_slack = min(float(np.min(radii - np.abs(x - centers))),
-                          float(np.min(radii - np.abs(y - centers))))
-        dom_slack = D.polydisk_slack(centers, radii)
-        slack = min(point_slack, dom_slack)
-        if slack <= 0.0:
-            return _PENALTY * (1.0 - slack)
-        vals = np.arctanh(np.abs((x - centers) / radii - (y - centers) / radii)
-                          / np.abs(1 - np.conj((y - centers) / radii)
-                                   * ((x - centers) / radii)))
-        return float(np.max(vals))
-
     mid = 0.5 * (x + y)
     anchor = D.anchor()
-    need = np.maximum(np.abs(x - mid), np.abs(y - mid)) + 1e-9
-
-    def grow_radii(centers: np.ndarray) -> np.ndarray | None:
-        base = np.maximum(np.abs(x - centers), np.abs(y - centers)) * 1.000001 + 1e-12
-        slack = D.polydisk_slack(centers, base)
-        if slack is None or slack <= 0:
-            return None
-        lo_s, hi_s = 0.0, 1.0
-        while D.polydisk_slack(centers, base + hi_s) > 0 and hi_s < 1e12:
-            lo_s, hi_s = hi_s, hi_s * 4.0
-        for _ in range(50):
-            mid_s = 0.5 * (lo_s + hi_s)
-            if D.polydisk_slack(centers, base + mid_s) > 0:
-                lo_s = mid_s
-            else:
-                hi_s = mid_s
-        return base + lo_s
-
-    # scan center positions from the points' own scale up to the anchor
     span = max(float(np.linalg.norm(anchor - mid)), 1e-300)
     sep = max(float(np.linalg.norm(y - x)), 1e-300)
-    t_lo = min(0.03 * sep / span, 0.5)
-    best_val, best_params = math.inf, None
-    for t in np.geomspace(t_lo, 1.0, 24):
-        centers = mid + t * (anchor - mid)
-        radii = grow_radii(centers)
-        if radii is None:
-            continue
-        params = np.concatenate([centers.real, centers.imag, np.log(radii)])
-        val = objective(params)
-        if val < best_val:
-            best_val, best_params = val, params
-    if best_params is None:
+    # centres from the points' own scale up to the anchor, one row per
+    # (centre, growth direction) pair
+    ts = min(0.03 * sep / span, 0.5) ** _INCLUSION_CENTERS
+    centers = np.repeat(mid + ts[:, None] * (anchor - mid), len(_INCLUSION_RATIOS), axis=0)
+    base = np.maximum(np.abs(x - centers), np.abs(y - centers)) * 1.000001 + 1e-12
+    grow = np.ones((len(_INCLUSION_RATIOS), d))
+    grow[:, 1:] = _INCLUSION_RATIOS[:, None]
+    grow = np.tile(grow, (len(_INCLUSION_CENTERS), 1))
+    fits = D.polydisk_slack(centers, base) > 0
+    if not fits.any():
         return None
-    res = minimize(objective, best_params, method="Nelder-Mead",
-                   options={"maxiter": 400 * d, "fatol": 1e-12, "xatol": 1e-12})
-    if res.fun < best_val:
-        best_val, best_params = float(res.fun), res.x
-    centers, radii = assemble(best_params)
-    slack = min(D.polydisk_slack(centers, radii),
-                float(np.min(radii - np.abs(x - centers))),
-                float(np.min(radii - np.abs(y - centers))))
-    if slack <= 0.0 or best_val >= _PENALTY:
+    centers, base, grow = centers[fits], base[fits], grow[fits]
+    # the growth s keeps slack at lo and has none at hi: doubled from the
+    # points' scale until every row stops, then bisected
+    lo, hi = np.zeros(len(base)), base.max(axis=1)
+    for _ in range(_INCLUSION_DOUBLINGS):
+        inside = D.polydisk_slack(centers, base + hi[:, None] * grow) > 0
+        if not inside.any():
+            break
+        lo, hi = np.where(inside, hi, lo), np.where(inside, 2.0 * hi, hi)
+    for _ in range(_INCLUSION_BISECTIONS):
+        s = 0.5 * (lo + hi)
+        inside = D.polydisk_slack(centers, base + s[:, None] * grow) > 0
+        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
+    radii = base + lo[:, None] * grow
+    # each factor disk's distance in its unit coordinates a, b:
+    # sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2))
+    a, b = (x - centers) / radii, (y - centers) / radii
+    gap_a, gap_b = 1.0 - np.abs(a) ** 2, 1.0 - np.abs(b) ** 2
+    held = np.all((gap_a > 0) & (gap_b > 0), axis=1)
+    if not held.any():
         return None
-    return best_val
+    a, b, gap_a, gap_b = a[held], b[held], gap_a[held], gap_b[held]
+    K = np.arcsinh(np.abs(a - b) / (np.sqrt(gap_a) * np.sqrt(gap_b)))
+    # round-off padding: each gap is good to a few ulps of 1, so K is good
+    # to that many ulps over the gaps
+    K *= 1.0 + _round_off(D) * (1.0 / gap_a + 1.0 / gap_b)
+    return float(K.max(axis=1).min())
 
 
 def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
@@ -399,7 +366,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     # the flat slice cannot see max-type geometry; when it is visibly loose
     # an inscribed polydisk often is the better analytic disk family
     if D.dimension >= 2 and slice_val > 1.15 * lo:
-        incl = _product_inclusion_upper(D, x, y, min(his))
+        incl = _product_inclusion_upper(D, x, y)
         if incl is not None and incl < min(his):
             his.append(incl)
             tags.add("inclusion-upper")
@@ -612,19 +579,6 @@ def midpoint_residual(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     return abs(a - b) + abs(a + b - d_xy)
 
 
-def midpoint_tol(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                 tol: float | None = None) -> float:
-    """The tolerance ``midpoint_search`` applies to the pair x, y: ``tol``
-    when given, else ``MIDPOINT_TOL_EXACT`` for a closed-form midpoint and
-    ``MIDPOINT_TOL_NUMERIC`` for a numeric one."""
-    if tol is None:
-        return MIDPOINT_TOL_NUMERIC if D.exact_midpoint(x, y) is None else MIDPOINT_TOL_EXACT
-    # a NaN tolerance would certify any midpoint
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidDomain(f"the midpoint tolerance must be finite and at least 0, got {tol}")
-    return tol
-
-
 def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     """Geodesic midpoint and its certified radius eta.
 
@@ -634,22 +588,34 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     sqrt(d(x,m)^2 / 2 + d(m,y)^2 / 2 - d(x,y)^2 / 4) from the ``hi``, ``hi``
     and ``lo`` bounds: by the Bruhat-Tits CN inequality, if D were CAT(0),
     m would lie within eta of the geodesic midpoint.  Raises
-    MidpointNotCertified when the residual or eta exceeds ``tol``
-    (``midpoint_tol``).
+    MidpointNotCertified when the residual or eta exceeds ``tol``, by
+    default ``MIDPOINT_TOL_EXACT`` for a closed-form midpoint and
+    ``MIDPOINT_TOL_NUMERIC`` for a numeric one.
     """
-    x = as_point(x, D.dimension)
-    y = as_point(y, D.dimension)
-    tol = midpoint_tol(D, x, y, tol)
-    if np.array_equal(x, y):
-        return x.copy(), 0.0
+    m, eta, _ = _certified_midpoint(D, as_point(x, D.dimension), as_point(y, D.dimension), tol)
+    return m, eta
 
+
+def _certified_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
+                        tol: float | None):
+    """``midpoint_search`` on validated points, with the tolerance it
+    applied: (m, eta, tol).  The closed-form midpoint is computed once and
+    serves both the default tolerance and the midpoint."""
     exact = D.exact_midpoint(x, y)
+    if tol is None:
+        tol = MIDPOINT_TOL_NUMERIC if exact is None else MIDPOINT_TOL_EXACT
+    # a NaN tolerance would certify any midpoint
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidDomain(f"the midpoint tolerance must be finite and at least 0, got {tol}")
+    if np.array_equal(x, y):
+        return x.copy(), 0.0, tol
+
     if exact is not None:
         resid = midpoint_residual(D, x, y, exact)
         if resid > max(tol, 1e-12):
             raise MidpointNotCertified(
                 f"midpoint not certified: residual {resid:.3e} > tol {tol:.3e}")
-        return exact, 0.0
+        return exact, 0.0, tol
 
     path, _ = geodesic_approx(D, x, y)
     m = path.length_parametrization(D)(0.5)
@@ -664,4 +630,4 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     if eta > tol:
         raise MidpointNotCertified(
             f"midpoint not certified: CN radius {eta:.3e} > tol {tol:.3e}")
-    return m, eta
+    return m, eta, tol

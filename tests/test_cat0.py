@@ -70,6 +70,15 @@ class TestMidpointDefect:
         exact = midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3])
         assert (exact.midpoint_radius, exact.tol) == (0.0, 1e-9)
 
+    def test_closed_form_midpoint_is_computed_once(self, monkeypatch):
+        # the default tolerance and the midpoint share one closed form
+        calls = []
+        original = Product.exact_midpoint
+        monkeypatch.setattr(Product, "exact_midpoint",
+                            lambda self, x, y: calls.append(1) or original(self, x, y))
+        cert = midpoint_defect(hp_x_disk(), [1j, 0.0], [4j, 0.0], [2j, 1 / 3])
+        assert (len(calls), cert.tol) == (1, 1e-9)
+
     def test_z_at_midpoint_gives_zero(self):
         cert = midpoint_defect(upper_half_plane(), [1j], [4j], [2j])
         assert cert.defect == pytest.approx(0.0, abs=1e-12)

@@ -369,9 +369,9 @@ class TestPolydiskSlack:
     def test_near_diagonal_affine_matrix_gives_no_slack(self):
         centers, radii = np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10)
         assert not _NEAR_DIAGONAL.contains([1 - 2e-10, -(1 - 2e-10)])  # in that polydisk
-        assert _NEAR_DIAGONAL.polydisk_slack(centers, radii) is None
+        assert _NEAR_DIAGONAL.polydisk_slack(centers[None, :], radii[None, :]) is None
         D = AffineImage(np.diag([2.0, 0.5]), [0, 0], Polydisk([0, 0], [1, 1]))
-        assert D.polydisk_slack(np.zeros(2, dtype=complex), np.array([1.0, 0.25])) == 0.5
+        assert D.polydisk_slack(np.zeros((1, 2), dtype=complex), np.array([[1.0, 0.25]])) == [0.5]
 
     # the closed polydisk is the convex hull of its torus, so a sampled torus
     # inside the (convex) domain is the containment condition, sampled
@@ -380,9 +380,23 @@ class TestPolydiskSlack:
     @settings(max_examples=200, deadline=None)
     def test_positive_slack_puts_the_torus_inside(self, case):
         D, centers, radii = case
-        slack = D.polydisk_slack(centers, radii)
-        if slack is not None and slack > 0:
+        slack = D.polydisk_slack(centers[None, :], radii[None, :])
+        if slack is not None and slack[0] > 0:
             assert D.contains_batch(_torus(centers, radii)).all()
+
+    @given(_slack_cases(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_answers_as_its_own_batch(self, case, seed):
+        D, centers, radii = case
+        rng = np.random.default_rng(seed)
+        C = centers + 0.5 * (rng.normal(size=(6, D.dimension)) + 1j * rng.normal(size=(6, D.dimension)))
+        R = radii * rng.uniform(0.2, 4.0, size=(6, D.dimension))
+        rows = [D.polydisk_slack(C[k:k + 1], R[k:k + 1]) for k in range(6)]
+        slack = D.polydisk_slack(C, R)
+        if slack is None:
+            assert rows == [None] * 6
+        else:
+            assert slack.tolist() == [row[0] for row in rows]
 
 
 @st.composite

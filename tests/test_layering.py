@@ -167,10 +167,11 @@ def test_graph_supports_take_their_normals_from_one_batched_gradient():
     assert "grad" not in called
 
 
-def _static_calls(tree: ast.Module, cls: str, method: str) -> set[str]:
-    """Names called from ``cls.method`` and, transitively, from the module
-    functions it calls by name and the methods it calls on ``self``, looked
-    up in ``cls`` and then its bases in the module."""
+def _static_calls(tree: ast.Module, cls: str | None, method: str) -> set[str]:
+    """Names called from ``cls.method`` (the module function ``method`` when
+    ``cls`` is None) and, transitively, from the module functions it calls
+    by name and the methods it calls on ``self``, looked up in ``cls`` and
+    then its bases in the module."""
     classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
@@ -183,7 +184,7 @@ def _static_calls(tree: ast.Module, cls: str, method: str) -> set[str]:
             owner = next((b.id for b in classes[owner].bases if isinstance(b, ast.Name)), None)
         return None
 
-    todo, seen, called = [lookup(method)], set(), set()
+    todo, seen, called = [lookup(method) if cls else functions.get(method)], set(), set()
     while todo:
         fn = todo.pop()
         if fn is None or id(fn) in seen:
@@ -209,6 +210,19 @@ def test_least_ray_distances_run_no_optimizer(cls, method):
     called = _static_calls(_tree(SRC / "domains.py"), cls, method)
     assert "ray_min_batch" in called
     assert not {name for name in called if "minimize" in name}
+
+
+@pytest.mark.parametrize("module, cls, method", [("metric.py", None, "_product_inclusion_upper")] + [
+    ("domains.py", cls, "polydisk_slack") for cls in sorted(NODE_CLASSES - {"Polydisk"})])
+def test_inscribed_polydisks_run_no_optimizer(module, cls, method):
+    # the inclusion bound is one fixed family grown on batched slacks: no
+    # search over polydisks, and no optimizer behind any node's slack
+    called = _static_calls(_tree(SRC / module), cls, method)
+    assert not {name for name in called if name and "minimize" in name}
+
+
+def test_polydisk_rooms_stay_gone():
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "polydisk_room" in path.read_text()] == []
 
 
 def _unused_imports(path: Path) -> list[str]:
