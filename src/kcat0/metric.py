@@ -323,16 +323,15 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> f
         lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
     radii = base + lo[:, None] * grow
     # each factor disk's distance in its unit coordinates a, b:
-    # sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2))
-    a, b = (x - centers) / radii, (y - centers) / radii
-    gap_a, gap_b = 1.0 - np.abs(a) ** 2, 1.0 - np.abs(b) ** 2
-    held = np.all((gap_a > 0) & (gap_b > 0), axis=1)
-    if not held.any():
-        return None
-    a, b, gap_a, gap_b = a[held], b[held], gap_a[held], gap_b[held]
-    K = np.arcsinh(np.abs(a - b) / (np.sqrt(gap_a) * np.sqrt(gap_b)))
-    # round-off padding: each gap is good to a few ulps of 1, so K is good
-    # to that many ulps over the gaps
+    # sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2)); the radii are at
+    # least base, so |a| and |b| stay below 1 / 1.000001 and both gaps are
+    # positive
+    gap_a = 1.0 - np.abs((x - centers) / radii) ** 2
+    gap_b = 1.0 - np.abs((y - centers) / radii) ** 2
+    # |a - b| as |x - y| / r, with no cancellation between close points
+    K = np.arcsinh(np.abs(x - y) / radii / (np.sqrt(gap_a) * np.sqrt(gap_b)))
+    # round-off padding: the numerator is good to a few ulps and each gap
+    # to a few ulps of 1, so K is good to that many ulps over the gaps
     K *= 1.0 + _round_off(D) * (1.0 / gap_a + 1.0 / gap_b)
     return float(K.max(axis=1).min())
 

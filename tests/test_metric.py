@@ -577,6 +577,23 @@ class TestPolydiskRoom:
         bound = _product_inclusion_upper(D, x, y)
         assert bound is None or bound >= _floor(D, x, y) * (1 - 1e-9)
 
+    def test_close_points_stay_above_the_true_distance(self):
+        # a polydisk of the family nearly matches D, and points 1e-7 apart
+        # near its boundary would lose digits to cancellation in a - b; the
+        # bound must stay above the distance itself, with no tolerance
+        centers, radii = np.array([0.1 + 0.2j, -0.3j]), np.array([1.0, 2.0])
+        D = Polydisk(centers, radii)
+        rng = np.random.default_rng(0)
+        with mpmath.workdps(50):
+            for _ in range(60):
+                x = centers + radii * rng.uniform(0.45, 0.9, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+                y = x + 1e-7 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+                a, b = [[(mpmath.mpc(p) - mpmath.mpc(c)) / mpmath.mpf(r)
+                         for p, c, r in zip(z, centers, radii)] for z in (x, y)]
+                true = max(mpmath.asinh(abs(u - v) / mpmath.sqrt((1 - abs(u) ** 2) * (1 - abs(v) ** 2)))
+                           for u, v in zip(a, b))
+                assert mpmath.mpf(_product_inclusion_upper(D, x, y)) >= true
+
     def test_the_large_n_win_is_kept(self):
         D = example36_domain()
         z, y = np.array([2.0, 2.0]) / 1e6, np.array([4.0, 1.0]) / 1e6
