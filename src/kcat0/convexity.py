@@ -165,7 +165,7 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     V[:, :d] = np.eye(d)
     V[:, d] = unit_rows(rng, n, d)
     V = V.reshape(-1, d)
-    deltas = np.repeat([D.delta(z) for z in zs], d + 1)
+    deltas = np.repeat(D.delta_batch(np.array(zs)), d + 1)
     dirs = D.delta_dir_batch(Z, V)
     samples = [MConvexitySample(*row) for row in zip(Z, V, deltas.tolist(), dirs.tolist())]
 

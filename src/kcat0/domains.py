@@ -8,7 +8,9 @@ is the product of its coordinate disks.  Every node answers:
 * ``contains_batch(Z)``    strict interior membership of each row, the
                            one membership implementation; ``contains(z)``
                            is its validated one-row view,
-* ``delta(z)``             Euclidean distance to the boundary,
+* ``delta_batch(Z)``       Euclidean distance to the boundary of each row,
+                           the one Euclidean implementation; ``delta(z)``
+                           is its validated one-row view,
 * ``delta_dir_batch(Z, V)`` distance to the boundary inside the complex
                            line ``z + C v`` (ambient Euclidean units) of
                            each row pair, the one directional
@@ -29,8 +31,8 @@ form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
 ``metric_bounds`` (closed forms, or the generic convex estimate),
 ``polydisk_slack`` (batched over rows of centres and radii, the one
-containment test behind the sandwich's inscribed-polydisk bound),
-``depth_lower`` and the sandwich's reductions.  A slice is itself a planar
+containment test behind the sandwich's inscribed-polydisk bound) and the
+sandwich's reductions.  A slice is itself a planar
 node; a lens is the Mobius image of a sector.
 
 Domains known only through membership (graph domains and their slices)
@@ -372,9 +374,11 @@ class ConvexDomain:
         z = as_point(z, self.dimension)
         if not self._contains(z):
             raise OutsideDomain(f"point {z} is not interior to the domain")
-        return self._delta(z)
+        return float(self.delta_batch(z[None, :])[0])
 
-    def _delta(self, z: np.ndarray) -> float:
+    def delta_batch(self, Z: np.ndarray) -> np.ndarray:
+        """``delta`` of each interior row of Z; every node's one Euclidean
+        implementation, and ``delta`` is its validated one-row view."""
         raise NotImplementedError
 
     def delta_dir(self, z, v) -> float:
@@ -392,7 +396,7 @@ class ConvexDomain:
         one directional implementation, and ``delta_dir`` is its validated
         one-row view.  Nodes with closed forms override this default."""
         if self.dimension == 1:   # the only complex line is the whole plane
-            return np.array([self._delta(z) for z in Z])
+            return self.delta_batch(Z)
         U = V / np.linalg.norm(V, axis=1, keepdims=True)   # searched on the line's own membership
         return ray_min_batch(self.contains_batch, Z, np.stack([U, 1j * U], axis=1))
 
@@ -418,10 +422,6 @@ class ConvexDomain:
     def anchor(self) -> np.ndarray:
         """Some interior point, used as a ray-shooting origin."""
         raise NotImplementedError
-
-    def depth_lower(self, z: np.ndarray) -> float:
-        """A lower bound for ``_delta(z)`` that needs no numeric search."""
-        return self._delta(z)
 
     def support_upper(self, a) -> float:
         """Upper bound for sup_{z in D} Re<z, a>; +inf when unbounded."""
@@ -536,8 +536,8 @@ class Disk(ConvexDomain):
     def contains_batch(self, Z):
         return np.abs(Z[:, 0] - self.center) < self.radius
 
-    def _delta(self, z):
-        return self.radius - abs(z[0] - self.center)
+    def delta_batch(self, Z):
+        return self.radius - np.abs(Z[:, 0] - self.center)
 
     def _slice_set(self, p, v):
         return Disk((self.center - p[0]) / v[0], self.radius / abs(v[0]))
@@ -596,8 +596,8 @@ class HalfPlane(ConvexDomain):
     def contains_batch(self, Z):
         return ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real > 0
 
-    def _delta(self, z):
-        return ((z[0] - self.boundary_point) * np.conj(self.inward_normal)).real
+    def delta_batch(self, Z):
+        return ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
 
     def _slice_set(self, p, v):
         m = np.conj(v[0]) * self.inward_normal
@@ -643,8 +643,8 @@ class HalfPlane(ConvexDomain):
 
     def exact_distance(self, x, y):
         # in the half-plane's own coordinates: sinh K = |x - y| / (2 sqrt(delta(x) delta(y)))
-        gaps = math.sqrt(self._delta(x)) * math.sqrt(self._delta(y))
-        return DistanceInterval.exact(math.asinh(abs(x[0] - y[0]) / (2.0 * gaps)), "exact-chart")
+        gx, gy = np.sqrt(self.delta_batch(np.array([x, y])))
+        return DistanceInterval.exact(math.asinh(abs(x[0] - y[0]) / (2.0 * float(gx * gy))), "exact-chart")
 
     def polydisk_slack(self, centers, radii):
         margin = ((centers[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
@@ -683,9 +683,9 @@ class Sector(ConvexDomain):
         u = w * np.exp(-1j * theta)
         return np.where(u.real >= 0, np.abs(u.imag), np.abs(u))
 
-    def _delta(self, z):
-        w = z[0] - self.vertex
-        return float(min(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta)))
+    def delta_batch(self, Z):
+        w = Z[:, 0] - self.vertex
+        return np.minimum(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta))
 
     def _slice_set(self, p, v):
         rot = np.angle(v[0])
@@ -800,8 +800,8 @@ class Ball(ConvexDomain):
     def contains_batch(self, Z):
         return np.linalg.norm(Z - self.center[None, :], axis=1) < self.radius
 
-    def _delta(self, z):
-        return self.radius - float(np.linalg.norm(z - self.center))
+    def delta_batch(self, Z):
+        return self.radius - np.linalg.norm(Z - self.center[None, :], axis=1)
 
     def _slice_set(self, p, v):
         # the slice of a ball is always a disk in the parameter plane
@@ -914,11 +914,8 @@ class Product(ConvexDomain):
         return reduce(np.logical_and, [f.contains_batch(Zf)
                                        for f, Zf in zip(self.factors, self.split(Z))])
 
-    def _delta(self, z):
-        return min(f._delta(zf) for f, zf in zip(self.factors, self.split(z)))
-
-    def depth_lower(self, z):
-        return min(f.depth_lower(zf) for f, zf in zip(self.factors, self.split(z)))
+    def delta_batch(self, Z):
+        return reduce(np.minimum, [f.delta_batch(Zf) for f, Zf in zip(self.factors, self.split(Z))])
 
     def _slice_set(self, p, v):
         return intersection([f._slice_set(pf, vf) for f, pf, vf
@@ -1047,8 +1044,6 @@ class AffineImage(ConvexDomain):
             self._conformal_scale = math.sqrt(s2)
         else:
             self._conformal_scale = None
-        # A maps a ball of radius r onto a set holding the ball of radius s_min r
-        self._sigma_min = float(np.linalg.svd(A, compute_uv=False)[-1])
 
     def pull_back(self, z: np.ndarray) -> np.ndarray:
         return self.inverse @ (z - self.offset)
@@ -1062,14 +1057,11 @@ class AffineImage(ConvexDomain):
     def contains_batch(self, Z):
         return self.inner.contains_batch(self._pull_back_rows(Z))
 
-    def _delta(self, z):
+    def delta_batch(self, Z):
         if self._conformal_scale is not None:
-            return self._conformal_scale * self.inner._delta(self.pull_back(z))
+            return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
         unit = np.eye(self.dimension)   # search all of C^d
-        return float(ray_min_batch(self.contains_batch, z[None, :], np.concatenate([unit, 1j * unit]))[0])
-
-    def depth_lower(self, z):
-        return self._sigma_min * self.inner.depth_lower(self.pull_back(z))
+        return ray_min_batch(self.contains_batch, Z, np.concatenate([unit, 1j * unit]))
 
     def _slice_set(self, p, v):
         # the parameter plane is preserved exactly under the pullback
@@ -1153,6 +1145,7 @@ class Intersection(ConvexDomain):
         self.members = members
         self.dimension = d
         self.fast_delta_dir = all(m.fast_delta_dir for m in members)
+        self._lens = _lens_sector(members)   # (P, Q, sector) of a two-member lens, else None
 
     def contains_batch(self, Z):
         out = self.members[0].contains_batch(Z)
@@ -1160,11 +1153,8 @@ class Intersection(ConvexDomain):
             out = out & m.contains_batch(Z)
         return out
 
-    def _delta(self, z):
-        return min(m._delta(z) for m in self.members)
-
-    def depth_lower(self, z):
-        return min(m.depth_lower(z) for m in self.members)
+    def delta_batch(self, Z):
+        return reduce(np.minimum, [m.delta_batch(Z) for m in self.members])
 
     def _slice_set(self, p, v):
         return intersection([m.slice(p, v) for m in self.members])
@@ -1186,28 +1176,16 @@ class Intersection(ConvexDomain):
         inside = np.flatnonzero(self.contains_batch(np.array(candidates)))
         if inside.size:
             return candidates[inside[0]]
-        # maximize a cheap lower bound on the joint boundary distance
-        from scipy.optimize import minimize as _minimize
-
-        def neg_depth(x):
-            # outside a member, the distance to its anchor stands in for depth
-            z = _from_real(x)
-            return -min(m.depth_lower(z) if m._contains(z) else -float(np.linalg.norm(z - a))
-                        for m, a in zip(self.members, candidates))
-
-        # a thin intersection can miss them all: start from the first point
-        # inside it on seeded rings around each, where there is one
+        # a thin intersection can miss them all: the points inside it on seeded
+        # rings around each span an interior centroid, by convexity
         U = unit_rows(np.random.default_rng(_FALLBACK_SEED), 64, self.dimension)
         rings = np.array(candidates)[:, None, None] + np.geomspace(1e-3, 1e3, 25)[:, None, None] * U
         rings = rings.reshape(-1, self.dimension)
         rings = rings[self.contains_batch(rings)]
-        best = rings[0] if len(rings) else min(candidates, key=lambda c: neg_depth(_real_view(c)))
-        res = _minimize(neg_depth, _real_view(best), method="Nelder-Mead",
-                        options={"maxiter": 400, "fatol": 1e-12})
-        z = _from_real(res.x)
-        if not self._contains(z):
+        if not len(rings):
             raise EmptyWindow("could not locate an interior point of the intersection")
-        return z
+        z = rings.mean(axis=0)
+        return z if self._contains(z) else rings[0]   # the centroid can round outside
 
     def support_upper_batch(self, A):
         return reduce(np.minimum, [m.support_upper_batch(A) for m in self.members])
@@ -1217,26 +1195,23 @@ class Intersection(ConvexDomain):
                 "members": [m.to_spec() for m in self.members]}
 
     def chart(self):
-        lens = _lens_sector(self.members)
-        if lens is None:
+        if self._lens is None:
             return None
-        P, Q, sec = lens
+        P, Q, sec = self._lens
         inner = sec.chart()   # of T(z) = (z - P) / (z - Q), whose inverse is Q + (P - Q) / (1 - w)
         return ConformalChart(lambda z: inner.forward((z - P) / (z - Q)),
                               lambda s: Q + (P - Q) / (1 - inner.inverse(s)), "lens")
 
     def exact_distance(self, x, y):
-        lens = _lens_sector(self.members)
-        if lens is None:
+        if self._lens is None:
             return None
-        P, Q, sec = lens
+        P, Q, sec = self._lens
         return sec.exact_distance((x - P) / (x - Q), (y - P) / (y - Q))
 
     def metric_bounds(self, Z, V):
-        lens = _lens_sector(self.members)
-        if lens is None:
+        if self._lens is None:
             return super().metric_bounds(Z, V)
-        P, Q, sec = lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
+        P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
         return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
 
     def polydisk_slack(self, centers, radii):
@@ -1387,32 +1362,38 @@ class Graph(ConvexDomain):
     def contains_batch(self, Z):
         return self.r.value_batch(Z) < 0
 
-    def _delta(self, z):
+    def delta_batch(self, Z):
+        """One gradient ray shot for all rows, an SLSQP solve per row for the
+        nearest boundary point from its hit, and one polishing shot along
+        the solved directions."""
         from scipy.optimize import minimize as _minimize
 
-        gz = _from_real(self.r.grad(z))
-        if not np.any(gz):
-            gz = self._interior - z if np.any(self._interior - z) else as_point([1.0] * self.dimension)
-        u = gz / np.linalg.norm(gz)
-        t0 = ray_boundary_batch(self.contains_batch, z, u[None, :])[0]
-        zr = _real_view(z)
+        G = _from_real(self.r.grad_batch(Z))
+        flat = ~np.any(G, axis=1)
+        G[flat] = self._interior - Z[flat]
+        G[~np.any(G, axis=1)] = 1.0
+        U = G / np.linalg.norm(G, axis=1, keepdims=True)
+        t0 = ray_boundary_batch(self.contains_batch, Z, U)
         cons = {"type": "eq",
                 "fun": lambda xr: self.r.value(_from_real(xr)),
                 "jac": lambda xr: self.r.grad(_from_real(xr))}
-        res = _minimize(lambda xr: float(np.sum((xr - zr) ** 2)), _real_view(z + t0 * u),
-                        jac=lambda xr: 2.0 * (xr - zr), method="SLSQP",
-                        constraints=[cons], options={"maxiter": 200, "ftol": 1e-16})
-        best = t0
-        if res.success or res.status == 8:
-            xr = _from_real(res.x)
-            direction = xr - z
-            norm = np.linalg.norm(direction)
-            if norm > 0:
-                # polish along the optimal direction: second order in the
-                # direction error, so this recovers ~1e-12 accuracy
-                t = ray_boundary_batch(self.contains_batch, z, (direction / norm)[None, :])[0]
-                best = min(best, t)
-        return float(best)
+        polish = np.zeros_like(Z)
+        for k, z in enumerate(Z):
+            zr = _real_view(z)
+            res = _minimize(lambda xr: float(np.sum((xr - zr) ** 2)), _real_view(z + t0[k] * U[k]),
+                            jac=lambda xr: 2.0 * (xr - zr), method="SLSQP",
+                            constraints=[cons], options={"maxiter": 200, "ftol": 1e-16})
+            if res.success or res.status == 8:
+                direction = _from_real(res.x) - z
+                norm = np.linalg.norm(direction)
+                if norm > 0:
+                    polish[k] = direction / norm
+        # along the optimal direction the distance is second order in the
+        # direction error, so this recovers ~1e-12 accuracy
+        ok = np.flatnonzero(np.any(polish, axis=1))
+        best = t0.copy()
+        best[ok] = np.minimum(t0[ok], ray_boundary_batch(self.contains_batch, Z[ok], polish[ok]))
+        return best
 
     def _slice_set(self, p, v):
         return PlanarOracle(lambda T: self.contains_batch(p + T[:, None] * v),
@@ -1467,8 +1448,7 @@ class PlanarOracle(ConvexDomain):
 
     ``member_batch`` maps a complex array of points to a bool array.
     Produced by slicing non-catalog domains; boundary distances come from
-    ``ray_min_batch`` over the plane, and ``_delta`` is the one-row view of
-    ``delta_dir_batch``.
+    ``ray_min_batch`` over the plane.
     """
 
     def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
@@ -1482,10 +1462,7 @@ class PlanarOracle(ConvexDomain):
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
 
-    def _delta(self, z):
-        return float(self.delta_dir_batch(z[None, :], np.ones((1, 1)))[0])
-
-    def delta_dir_batch(self, Z, V):   # the only complex line is the plane
+    def delta_batch(self, Z):
         return ray_min_batch(self.contains_batch, Z, np.array([[1.0], [1j]]))
 
     def _slice_set(self, p, v):

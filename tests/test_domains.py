@@ -38,6 +38,15 @@ def ball2():
     return Ball(np.zeros(2, dtype=complex), 1.0)
 
 
+_ELLIPSOID = {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0,
+              (0, 0, 0, 2): 2.0, (0, 0, 0, 0): -1.0}
+
+
+def _ellipsoid_graph():
+    poly = RealPolynomial(2, _ELLIPSOID)
+    return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
+
+
 class TestContains:
     def test_disk_interior(self):
         assert Disk(0, 1).contains([0.5])
@@ -131,17 +140,6 @@ class TestDelta:
         A = AffineImage(np.diag([1 + 4e-6, 1.0]), [0, 0], ball2())
         assert A.delta([0.0, 1 - 1e-3]) == pytest.approx(1e-3, abs=1e-12)
 
-    def test_depth_lower_bounds_delta(self, rng):
-        # an affine image holds the ball of radius s_min * (inner depth)
-        A = AffineImage([[2, 0.5], [0, 1]], [0.3, -0.2j], ball2())
-        D = intersection([A, Ball([0.5, 0.0], 1.2)])
-        z = sample_in(D, rng, scale=0.5)
-        assert 0 < D.depth_lower(z) <= D.delta(z) + 1e-12   # one numeric delta, about 1 s
-        for _ in range(10):
-            z = sample_in(D, rng, scale=0.5)
-            assert A.depth_lower(z) == pytest.approx(
-                np.linalg.svd(A.matrix, compute_uv=False)[-1] * ball2().delta(A.pull_back(z)))
-
     def test_intersection_anchor_needs_no_numeric_delta(self):
         # neither member anchor nor their mean is inside; the search used to
         # maximize the exact depth, a direction search per step on the
@@ -161,6 +159,25 @@ class TestDelta:
         for _ in range(10):
             z = sample_in(B, rng, scale=0.4)
             assert G.delta(z) == pytest.approx(B.delta(z), abs=1e-9)
+
+    @pytest.mark.parametrize("D", [
+        Disk(0.2 - 0.1j, 1.5), HalfPlane(0.3, 1 + 1j), sector(0.1, 0.2, 1.9), ball2(),
+        Product(upper_half_plane(), Ball([0.5, -0.5j], 2.0)),
+        AffineImage([[0, 2j], [2, 0]], [0.3, -0.2j], ball2()),
+        AffineImage([[2, 0.5], [0, 1]], [0.3, -0.2j], ball2()),
+        intersection([Ball([1.0, 0.0], 1.0), Ball([0.0, 1.0], 1.0)]),
+        _ellipsoid_graph(),
+        Graph(DefiningFunction(2, lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)), [0.0, 0.0]),
+        _ellipsoid_graph().slice([0.1, 0.2j], [1, 0.3 + 0.1j]),
+    ], ids=["disk", "halfplane", "sector", "ball", "product", "affine-conformal",
+            "affine-nonconformal", "intersection", "graph-polynomial", "graph-callable",
+            "planar-oracle"])
+    def test_delta_batch_rows_are_one_row_calls(self, D, rng):
+        # a k-row call gives each row the float of its own one-row call
+        Z = np.array([sample_in(D, rng, scale=0.5) for _ in range(5)])
+        batch = D.delta_batch(Z)
+        assert batch.tolist() == [D.delta_batch(z[None, :])[0] for z in Z]
+        assert batch.tolist() == [D.delta(z) for z in Z]
 
 
 class TestDeltaDir:
@@ -533,15 +550,6 @@ def _scalar_ray_boundary(inside, start, direction, t_max=1e12, rtol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-_ELLIPSOID = {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0,
-              (0, 0, 0, 2): 2.0, (0, 0, 0, 0): -1.0}
-
-
-def _ellipsoid_graph():
-    poly = RealPolynomial(2, _ELLIPSOID)
-    return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
 
 
 @st.composite

@@ -117,6 +117,17 @@ def test_directional_distance_has_one_implementation_per_node():
     assert "delta_dir" not in called
 
 
+def test_euclidean_distance_has_one_implementation_per_node():
+    # each node answers delta in delta_batch; ConvexDomain.delta is its
+    # validated one-row view, and the planar default of delta_dir_batch
+    # hands all its rows to delta_batch
+    methods = _domain_methods()
+    assert [c for c, name in methods if name == "delta"] == ["ConvexDomain"]
+    assert [c for c, name in methods if name == "_delta"] == []
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    assert not any(isinstance(n, loops) for n in ast.walk(methods["ConvexDomain", "delta_dir_batch"]))
+
+
 def test_midpoint_search_runs_no_optimizer_of_its_own():
     # a numeric midpoint is the optimized path's half-length point, certified
     # by its CN radius; nothing refines it
@@ -202,8 +213,8 @@ def _static_calls(tree: ast.Module, cls: str | None, method: str) -> set[str]:
 
 
 @pytest.mark.parametrize("cls, method", [
-    ("PlanarOracle", "_delta"), ("PlanarOracle", "delta_dir_batch"),
-    ("AffineImage", "_delta"), ("ConvexDomain", "delta_dir_batch")])
+    ("PlanarOracle", "delta_batch"), ("PlanarOracle", "delta_dir_batch"),
+    ("AffineImage", "delta_batch"), ("ConvexDomain", "delta_dir_batch")])
 def test_least_ray_distances_run_no_optimizer(cls, method):
     # a boundary distance known only through membership is one search,
     # ray_min_batch, whatever the span of directions: no scipy optimizer
@@ -218,6 +229,13 @@ def test_inscribed_polydisks_run_no_optimizer(module, cls, method):
     # the inclusion bound is one fixed family grown on batched slacks: no
     # search over polydisks, and no optimizer behind any node's slack
     called = _static_calls(_tree(SRC / module), cls, method)
+    assert not {name for name in called if name and "minimize" in name}
+
+
+def test_intersection_anchor_runs_no_optimizer():
+    # a thin intersection's anchor is the centroid of seeded ring points
+    # inside it, interior by convexity: no search for a deep point
+    called = _static_calls(_tree(SRC / "domains.py"), "Intersection", "anchor")
     assert not {name for name in called if name and "minimize" in name}
 
 
