@@ -30,8 +30,9 @@ forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
 form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
 ``metric_bounds`` (closed forms, or the generic convex estimate),
-``polydisk_slack`` (batched over rows of centres and radii, the one
-containment test behind the sandwich's inscribed-polydisk bound) and the
+``polydisk_growth`` (batched over rows of centres, base radii and growth
+directions: the closed-form growth at which each polydisk meets the
+boundary, behind the sandwich's inscribed-polydisk bound) and the
 sandwich's reductions.  A slice is itself a planar
 node; a lens is the Mobius image of a sector.
 
@@ -487,22 +488,24 @@ class ConvexDomain:
         return None if g is None else g(0.5)
 
     def unit_speed_ray(self, w: np.ndarray) -> Callable | None:
-        """rho -> the point at distance arctanh(rho) from w on a geodesic ray, or None."""
+        """t -> the point at distance t from w on a geodesic ray, or None."""
         ch = self._walk_chart(w, w)
         if ch is None:
             return None
         s = complex(ch.forward(complex(w[0])))
-        # vertical in the chart: Im s grows by (1 + rho) / (1 - rho)
-        return lambda rho: as_point([ch.inverse(complex(s.real, s.imag * (1.0 + rho) / (1.0 - rho)))])
+        # vertical in the chart: |ds| / (2 Im s) makes Im s grow by e^(2t)
+        return lambda t: as_point([ch.inverse(complex(s.real, s.imag * math.exp(2.0 * t)))])
 
     def _walk_chart(self, x: np.ndarray, y: np.ndarray) -> ConformalChart | None:
         """The chart that geodesics and rays through x and y are walked in."""
         return self.chart()
 
-    def polydisk_slack(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray | None:
-        """For each row of the (k, d) centres and radii, the margin by which
-        that closed polydisk sits inside (positive: strictly), or None where
-        no structural test exists."""
+    def polydisk_growth(self, centers: np.ndarray, base: np.ndarray,
+                        grow: np.ndarray) -> np.ndarray | None:
+        """For each row of the (k, d) centres, base radii and positive growth
+        directions, the s at which the closed polydisk with radii
+        ``base + s * grow`` meets the boundary (negative: ``base`` does not
+        fit), or None where no structural test exists."""
         return None
 
     def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
@@ -578,8 +581,9 @@ class Disk(ConvexDomain):
         return DistanceInterval.exact(planar.ball_distance(x, y, [self.center], self.radius),
                                       "exact-chart")
 
-    def polydisk_slack(self, centers, radii):
-        return self.radius - (np.abs(centers[:, 0] - self.center) + radii[:, 0])
+    def polydisk_growth(self, centers, base, grow):
+        margin = self.radius - np.abs(centers[:, 0] - self.center)
+        return (margin - base[:, 0]) / grow[:, 0]
 
 
 class HalfPlane(ConvexDomain):
@@ -646,9 +650,9 @@ class HalfPlane(ConvexDomain):
         gx, gy = np.sqrt(self.delta_batch(np.array([x, y])))
         return DistanceInterval.exact(math.asinh(abs(x[0] - y[0]) / (2.0 * float(gx * gy))), "exact-chart")
 
-    def polydisk_slack(self, centers, radii):
+    def polydisk_growth(self, centers, base, grow):
         margin = ((centers[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
-        return margin - radii[:, 0]
+        return (margin - base[:, 0]) / grow[:, 0]
 
 
 class Sector(ConvexDomain):
@@ -757,10 +761,10 @@ class Sector(ConvexDomain):
         k = q * np.abs(V[:, 0]) / (2.0 * np.abs(w) * np.sin(q * np.angle(w)))
         return k, k.copy()
 
-    def polydisk_slack(self, centers, radii):
+    def polydisk_growth(self, centers, base, grow):
         w = centers[:, 0] - self.vertex
         depth = np.minimum(self._ray_distance(w, self.alpha), self._ray_distance(w, self.beta))
-        return np.where(self.contains_batch(centers), depth, -np.abs(w)) - radii[:, 0]
+        return (np.where(self.contains_batch(centers), depth, -np.abs(w)) - base[:, 0]) / grow[:, 0]
 
 
 def sector(vertex: complex = 0.0, alpha: float = 0.0, beta: float = math.pi / 2) -> ConvexDomain:
@@ -870,11 +874,17 @@ class Ball(ConvexDomain):
         unit_w = (w - self.center) / self.radius
         e1 = np.zeros(self.dimension, dtype=complex)
         e1[0] = 1.0
-        return lambda rho: self.center + self.radius * ball_mobius(unit_w, rho * e1)
+        return lambda t: self.center + self.radius * ball_mobius(unit_w, math.tanh(t) * e1)
 
-    def polydisk_slack(self, centers, radii):
-        reach = np.abs(centers - self.center) + radii
-        return self.radius - np.sqrt((reach * reach).sum(axis=1))
+    def polydisk_growth(self, centers, base, grow):
+        # the root of |a + s g| = R, without cancellation: (R^2 - |a|^2) over
+        # a.g + sqrt((a.g)^2 + |g|^2 (R^2 - |a|^2)); where no root exists the
+        # base does not fit, and a clipped discriminant keeps s negative
+        a = np.abs(centers - self.center) + base
+        room = self.radius ** 2 - (a * a).sum(axis=1)
+        ag = (a * grow).sum(axis=1)
+        disc = np.maximum(ag * ag + (grow * grow).sum(axis=1) * room, 0.0)
+        return room / (ag + np.sqrt(disc))
 
 
 def ball_mobius(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -996,10 +1006,10 @@ class Product(ConvexDomain):
             else f.exact_midpoint(px, py)
             for (f, px, py), e in zip(parts, dists)])
 
-    def polydisk_slack(self, centers, radii):
-        slacks = [f.polydisk_slack(c, r)
-                  for f, c, r in zip(self.factors, self.split(centers), self.split(radii))]
-        return None if any(s is None for s in slacks) else reduce(np.minimum, slacks)
+    def polydisk_growth(self, centers, base, grow):
+        growths = [f.polydisk_growth(c, b, g) for f, c, b, g in
+                   zip(self.factors, self.split(centers), self.split(base), self.split(grow))]
+        return None if any(s is None for s in growths) else reduce(np.minimum, growths)
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each coordinate projection is a holomorphic contraction
@@ -1122,13 +1132,14 @@ class AffineImage(ConvexDomain):
         inner = self.inner.exact_midpoint(self.pull_back(x), self.pull_back(y))
         return None if inner is None else self.push_forward(inner)
 
-    def polydisk_slack(self, centers, radii):
+    def polydisk_growth(self, centers, base, grow):
         # only an exactly diagonal matrix maps polydisks to polydisks; a tiny
         # off-diagonal entry shears the preimage outside the inner test
         diag = np.diag(self.matrix)
         if not np.array_equal(self.matrix, np.diag(diag)):
             return None
-        return self.inner.polydisk_slack((centers - self.offset) / diag, radii / np.abs(diag))
+        scale = np.abs(diag)
+        return self.inner.polydisk_growth((centers - self.offset) / diag, base / scale, grow / scale)
 
     def preimage_pair(self, x, y):
         return self.inner, self.pull_back(x), self.pull_back(y)
@@ -1214,9 +1225,9 @@ class Intersection(ConvexDomain):
         P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
         return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
 
-    def polydisk_slack(self, centers, radii):
-        slacks = [m.polydisk_slack(centers, radii) for m in self.members]
-        return None if any(s is None for s in slacks) else reduce(np.minimum, slacks)
+    def polydisk_growth(self, centers, base, grow):
+        growths = [m.polydisk_growth(centers, base, grow) for m in self.members]
+        return None if any(s is None for s in growths) else reduce(np.minimum, growths)
 
     def projection_lower(self, x, y, distance, optimize_path):
         # each C-proper member contains the domain: inclusion is a contraction
@@ -1383,11 +1394,12 @@ class Graph(ConvexDomain):
             res = _minimize(lambda xr: float(np.sum((xr - zr) ** 2)), _real_view(z + t0[k] * U[k]),
                             jac=lambda xr: 2.0 * (xr - zr), method="SLSQP",
                             constraints=[cons], options={"maxiter": 200, "ftol": 1e-16})
-            if res.success or res.status == 8:
-                direction = _from_real(res.x) - z
-                norm = np.linalg.norm(direction)
-                if norm > 0:
-                    polish[k] = direction / norm
+            # any ray is at least delta long, so any finite direction is safe
+            # to polish along, even from a solve that stopped short
+            direction = _from_real(res.x) - z
+            norm = np.linalg.norm(direction)
+            if np.isfinite(norm) and norm > 0:
+                polish[k] = direction / norm
         # along the optimal direction the distance is second order in the
         # direction error, so this recovers ~1e-12 accuracy
         ok = np.flatnonzero(np.any(polish, axis=1))

@@ -15,6 +15,7 @@ estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,12 +44,9 @@ OPTIMIZER_MAX_ROUNDS = 40
 MIDPOINT_TOL_EXACT = 1e-9
 MIDPOINT_TOL_NUMERIC = 5e-2
 # the inscribed-polydisk family: centres (as exponents of the first one's
-# fraction of the way to the anchor), growth ratios, doubling and bisection
-# steps of the growth
+# fraction of the way to the anchor) and growth ratios
 _INCLUSION_CENTERS = np.linspace(1.0, 0.0, 12)
 _INCLUSION_RATIOS = np.geomspace(0.25, 4.0, 5)
-_INCLUSION_DOUBLINGS = 64
-_INCLUSION_BISECTIONS = 40
 _PENALTY = 1e6
 
 
@@ -135,9 +133,12 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _quad_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # transplanted to [0, 1]
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w  # transplanted to [0, 1]
+    nodes.flags.writeable = weights.flags.writeable = False   # shared by every caller
+    return nodes, weights
 
 
 def curve_length(D: ConvexDomain, path: DiscretePath,
@@ -283,15 +284,13 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> f
     exact product value max_j K_disk_j.  One fixed family is tried in one
     array pass: 12 centres on the line from the points' midpoint towards
     ``D.anchor()``, each with radii just holding both points, grown along
-    5 directions (1, rho, ..., rho) by doubling and then bisecting the
-    growth on batched ``polydisk_slack`` calls.  Returns the least value
-    over the polydisks with positive slack that hold both points strictly,
-    else None.
+    5 directions (1, rho, ..., rho) as far as one batched
+    ``polydisk_growth`` call allows, less a relative 1e-12.  Returns the
+    least value over the polydisks that fit, else None (also when D has no
+    structural containment test).
     """
     d = D.dimension
-    # a node without a structural containment test (a graph) answers None
-    # for any polydisk: return before asking for its anchor
-    if d < 2 or D.polydisk_slack(x[None, :], np.zeros((1, d))) is None:
+    if d < 2:
         return None
     mid = 0.5 * (x + y)
     anchor = D.anchor()
@@ -305,23 +304,16 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> f
     grow = np.ones((len(_INCLUSION_RATIOS), d))
     grow[:, 1:] = _INCLUSION_RATIOS[:, None]
     grow = np.tile(grow, (len(_INCLUSION_CENTERS), 1))
-    fits = D.polydisk_slack(centers, base) > 0
+    s = D.polydisk_growth(centers, base, grow)
+    if s is None:
+        return None
+    # padded inward: the polydisk stops just short of the boundary
+    s = s * (1.0 - 1e-12)
+    fits = s > 0
     if not fits.any():
         return None
-    centers, base, grow = centers[fits], base[fits], grow[fits]
-    # the growth s keeps slack at lo and has none at hi: doubled from the
-    # points' scale until every row stops, then bisected
-    lo, hi = np.zeros(len(base)), base.max(axis=1)
-    for _ in range(_INCLUSION_DOUBLINGS):
-        inside = D.polydisk_slack(centers, base + hi[:, None] * grow) > 0
-        if not inside.any():
-            break
-        lo, hi = np.where(inside, hi, lo), np.where(inside, 2.0 * hi, hi)
-    for _ in range(_INCLUSION_BISECTIONS):
-        s = 0.5 * (lo + hi)
-        inside = D.polydisk_slack(centers, base + s[:, None] * grow) > 0
-        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
-    radii = base + lo[:, None] * grow
+    radii = base[fits] + s[fits, None] * grow[fits]
+    centers = centers[fits]
     # each factor disk's distance in its unit coordinates a, b:
     # sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2)); the radii are at
     # least base, so |a| and |b| stay below 1 / 1.000001 and both gaps are

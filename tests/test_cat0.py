@@ -161,8 +161,7 @@ class TestProductCertificate:
         assert planar_geodesic(S, x, y, 0.5) == pytest.approx(math.sqrt(40) * x, rel=1e-12)
         cert = product_certificate(S, unit_disk(), [x], [y], base=[0])
         assert cert.verdict == "violation-certified"
-        # the ray's rho = tanh K resolves K = 9.66 only to about 1e-8
-        assert cert.defect == pytest.approx((0.5 * distance(S, [x], [y]).lo) ** 2, rel=1e-8)
+        assert cert.defect == pytest.approx((0.5 * distance(S, [x], [y]).lo) ** 2, rel=1e-12)
 
     def test_ball_factor(self):
         B = Ball(np.zeros(2, dtype=complex), 1.0)

@@ -160,6 +160,14 @@ class TestDelta:
             z = sample_in(B, rng, scale=0.4)
             assert G.delta(z) == pytest.approx(B.delta(z), abs=1e-9)
 
+    def test_graph_polishes_along_a_solve_that_stops_short(self):
+        # SLSQP stops at its iteration limit here (status 9); its direction
+        # still polishes the gradient ray's 5% overshoot down to the exact
+        # distance, the ellipsoid's closed form as an affine image of the ball
+        z = [0.10973538876956297 - 0.31268018127482533j, -0.12651579046981656 + 0.05422323198765315j]
+        exact = AffineImage(np.diag([1, 1 / math.sqrt(2)]), [0, 0], ball2()).delta(z)
+        assert _ellipsoid_graph().delta(z) == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("D", [
         Disk(0.2 - 0.1j, 1.5), HalfPlane(0.3, 1 + 1j), sector(0.1, 0.2, 1.9), ball2(),
         Product(upper_half_plane(), Ball([0.5, -0.5j], 2.0)),
@@ -353,14 +361,15 @@ def _node(draw, d, depth=2):
 
 
 @st.composite
-def _slack_cases(draw):
+def _growth_cases(draw):
     D = draw(_node(draw(st.integers(1, 3))))
     d = D.dimension
     # center the polydisk at a random point of the domain when one is found
     raw = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-3, 3, (256, 2 * d))
     inside = np.flatnonzero(D.contains_batch(raw[:, :d] + 1j * raw[:, d:]))
     centers = raw[inside[0], :d] + 1j * raw[inside[0], d:] if inside.size else np.zeros(d, complex)
-    return D, centers, np.array([draw(st.floats(1e-3, 0.5)) for _ in range(d)])
+    return (D, centers, np.array([draw(st.floats(1e-3, 0.5)) for _ in range(d)]),
+            np.array([draw(st.floats(0.1, 4.0)) for _ in range(d)]))
 
 
 @st.composite
@@ -383,37 +392,44 @@ _NEAR_DIAGONAL = AffineImage([[1, 5e-9], [0, 1]], [0, 0], Polydisk([0, 0], [1, 1
 
 
 class TestPolydiskSlack:
+    """``polydisk_growth``: the room a polydisk has to grow inside a node."""
+
     def test_near_diagonal_affine_matrix_gives_no_slack(self):
         centers, radii = np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10)
         assert not _NEAR_DIAGONAL.contains([1 - 2e-10, -(1 - 2e-10)])  # in that polydisk
-        assert _NEAR_DIAGONAL.polydisk_slack(centers[None, :], radii[None, :]) is None
+        assert _NEAR_DIAGONAL.polydisk_growth(centers[None, :], radii[None, :], np.ones((1, 2))) is None
+        # radii 1 + 2s, 0.25 + 0.5s are the image of the inner radii 0.5 + s
         D = AffineImage(np.diag([2.0, 0.5]), [0, 0], Polydisk([0, 0], [1, 1]))
-        assert D.polydisk_slack(np.zeros((1, 2), dtype=complex), np.array([[1.0, 0.25]])) == [0.5]
+        assert D.polydisk_growth(np.zeros((1, 2), dtype=complex), np.array([[1.0, 0.25]]),
+                                 np.array([[2.0, 0.5]])) == [0.5]
 
     # the closed polydisk is the convex hull of its torus, so a sampled torus
-    # inside the (convex) domain is the containment condition, sampled
-    @given(_slack_cases())
-    @example((_NEAR_DIAGONAL, np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10)))
+    # inside the (convex) domain is the containment condition, sampled; the
+    # growth is padded inward as the inclusion bound pads it
+    @given(_growth_cases())
+    @example((_NEAR_DIAGONAL, np.zeros(2, dtype=complex), np.full(2, 1 - 1e-10), np.ones(2)))
+    @example((Ball([0.3j, -0.2], 1.0), np.array([0.1, 0.2j]), np.array([0.3, 0.1]), np.array([0.25, 4.0])))
     @settings(max_examples=200, deadline=None)
     def test_positive_slack_puts_the_torus_inside(self, case):
-        D, centers, radii = case
-        slack = D.polydisk_slack(centers[None, :], radii[None, :])
-        if slack is not None and slack[0] > 0:
-            assert D.contains_batch(_torus(centers, radii)).all()
+        D, centers, base, grow = case
+        s = D.polydisk_growth(centers[None, :], base[None, :], grow[None, :])
+        if s is not None and s[0] > 0:
+            assert D.contains_batch(_torus(centers, base + s[0] * (1 - 1e-12) * grow)).all()
 
-    @given(_slack_cases(), st.integers(0, 2 ** 32 - 1))
+    @given(_growth_cases(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_each_row_answers_as_its_own_batch(self, case, seed):
-        D, centers, radii = case
+        D, centers, base, grow = case
         rng = np.random.default_rng(seed)
         C = centers + 0.5 * (rng.normal(size=(6, D.dimension)) + 1j * rng.normal(size=(6, D.dimension)))
-        R = radii * rng.uniform(0.2, 4.0, size=(6, D.dimension))
-        rows = [D.polydisk_slack(C[k:k + 1], R[k:k + 1]) for k in range(6)]
-        slack = D.polydisk_slack(C, R)
-        if slack is None:
+        B = base * rng.uniform(0.2, 4.0, size=(6, D.dimension))
+        G = grow * rng.uniform(0.2, 4.0, size=(6, D.dimension))
+        rows = [D.polydisk_growth(C[k:k + 1], B[k:k + 1], G[k:k + 1]) for k in range(6)]
+        s = D.polydisk_growth(C, B, G)
+        if s is None:
             assert rows == [None] * 6
         else:
-            assert slack.tolist() == [row[0] for row in rows]
+            assert s.tolist() == [row[0] for row in rows]
 
 
 @st.composite

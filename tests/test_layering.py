@@ -224,12 +224,22 @@ def test_least_ray_distances_run_no_optimizer(cls, method):
 
 
 @pytest.mark.parametrize("module, cls, method", [("metric.py", None, "_product_inclusion_upper")] + [
-    ("domains.py", cls, "polydisk_slack") for cls in sorted(NODE_CLASSES - {"Polydisk"})])
+    ("domains.py", cls, "polydisk_growth") for cls in sorted(NODE_CLASSES - {"Polydisk"})])
 def test_inscribed_polydisks_run_no_optimizer(module, cls, method):
-    # the inclusion bound is one fixed family grown on batched slacks: no
-    # search over polydisks, and no optimizer behind any node's slack
+    # the inclusion bound is one fixed family grown in closed form: no
+    # search over polydisks, and no optimizer behind any node's growth
     called = _static_calls(_tree(SRC / module), cls, method)
     assert not {name for name in called if name and "minimize" in name}
+
+
+def test_inclusion_bound_grows_its_polydisks_in_one_call():
+    # each node's containment is linear in the radii (quadratic on a ball),
+    # so one polydisk_growth call gives every row's growth: no loop searches it
+    fn = next(n for n in _tree(SRC / "metric.py").body
+              if isinstance(n, ast.FunctionDef) and n.name == "_product_inclusion_upper")
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension)) for n in ast.walk(fn))
+    assert [n.func.attr for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "polydisk_growth"] == ["polydisk_growth"]
 
 
 def test_intersection_anchor_runs_no_optimizer():

@@ -476,8 +476,8 @@ class TestPolydiskIsProductOfDisks:
         assert np.array_equal(P.contains_batch(W), Q.contains_batch(W))
         for _ in range(10):
             c = 0.2 * (rng.normal(size=d) + 1j * rng.normal(size=d))
-            r = rng.uniform(0.1, 0.6, size=d)
-            assert P.polydisk_slack(c[None, :], r[None, :]) == Q.polydisk_slack(c[None, :], r[None, :])
+            r, g = rng.uniform(0.1, 0.6, size=(2, 1, d))
+            assert P.polydisk_growth(c[None, :], r, g) == Q.polydisk_growth(c[None, :], r, g)
         assert np.array_equal(P.exact_midpoint(x, y), Q.exact_midpoint(x, y))
 
     def test_midpoint_holds_the_slack_coordinate(self):
@@ -500,14 +500,15 @@ def _touching_ball(center, centers, radii):
     """The smallest float-radius ball around ``center`` that holds the closed
     polydisk with these centers and radii strictly inside."""
     R = float(np.linalg.norm(np.abs(centers - center) + radii))
-    while not Ball(center, R).polydisk_slack(centers[None, :], radii[None, :])[0] > 0:
+    grow = np.ones((1, len(radii)))
+    while not Ball(center, R).polydisk_growth(centers[None, :], radii[None, :], grow)[0] > 0:
         R = float(np.nextafter(R, math.inf))
     return Ball(center, R)
 
 
 @st.composite
 def _room_cases(draw):
-    """A domain in C^2 or C^3, a polydisk with positive slack inside it, and
+    """A domain in C^2 or C^3, a polydisk with room to grow inside it, and
     two of its points.  The domain is an intersection of 1-3 balls (mostly 2
     or 3), a product with a disk factor, or a tight intersection: 2-3 balls
     that touch the polydisk, the first centred on it.  There the points sit
@@ -541,7 +542,7 @@ def _room_cases(draw):
     while not D.contains(centers):
         centers *= 0.5
     radii = rng.uniform(0.05, 1.0, d)
-    while not D.polydisk_slack(centers[None, :], radii[None, :])[0] > 0:
+    while not D.polydisk_growth(centers[None, :], radii[None, :], np.ones((1, d)))[0] > 0:
         radii *= 0.7
     x, y = (centers + radii * np.sqrt(rng.uniform(0.0, 0.98, d))
             * np.exp(2j * np.pi * rng.uniform(size=d)) for _ in range(2))
