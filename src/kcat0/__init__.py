@@ -1,6 +1,8 @@
 """Kobayashi distances, CAT(0) certificates, m-convexity and rescaling
 limits on convex domains in C^d."""
 
+import gc
+
 from .domains import (
     AffineImage,
     Ball,
@@ -71,3 +73,11 @@ from .limits import (
 from . import errors
 
 __version__ = "0.1.0"
+
+# Importing numpy, scipy and the modules above leaves tens of thousands of
+# young container objects, and the collector's oldest generation then falls
+# due within a few thousand further allocations (CPython 3.11): a full
+# collection of the whole import-time heap, tens of milliseconds, would land
+# inside whichever early query happened to be running.  It is taken here,
+# once, as part of import.
+gc.collect()

@@ -21,7 +21,7 @@ is the product of its coordinate disks.  Every node answers:
                            the domain for each row ``a`` of ``A`` (``+inf``
                            when unbounded in that direction), used to build
                            certified half-plane bounds; ``support_upper(a)``
-                           is its one-row form (``+inf`` on a graph domain),
+                           is its one-row form (``+inf`` on a graph or oracle set),
 * ``supporting_half_planes(x, y)`` unit functionals with certified supports
                            for the pair (a graph's tangent planes), else None.
 
@@ -40,10 +40,11 @@ Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter, and
 it hands each batched membership call all the rays still running;
 ``ray_min_batch``, the least ray distance over a span of directions, is the
-one search built on it.  A graph slice is a ``PlanarOracle``.
+one search built on it.  A graph slice is a ``PlanarOracle``, and the
+sandwich bounds it from membership alone, by disks inside its ray polygon.
 
-All values are immutable after construction and all queries are pure, so
-instances are safe to share between threads.
+All values are immutable after construction (no node caches anything) and
+all queries are pure, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -429,8 +430,9 @@ class ConvexDomain:
         return float(self.support_upper_batch(as_point(a, self.dimension)[None, :])[0])
 
     def support_upper_batch(self, A: np.ndarray) -> np.ndarray:
-        """``support_upper`` of each row of A."""
-        raise NotImplementedError
+        """``support_upper`` of each row of A; +inf, which certifies nothing,
+        where a node knows no support (a graph domain or an oracle set)."""
+        return np.full(A.shape[0], math.inf)
 
     def supporting_half_planes(self, x: np.ndarray, y: np.ndarray):
         """(F, h) for the pair x, y: unit functionals a as rows of F, with h an
@@ -446,7 +448,6 @@ class ConvexDomain:
     # -- Kobayashi geometry (defaults; catalog nodes override them) ----------
 
     exact_tag = "exact-chart"   # method tag of a closed-form metric value
-    fast_delta_dir = False      # directional boundary distances in closed form
 
     def chart(self) -> ConformalChart | None:
         """Conformal chart onto the upper half-plane, or None."""
@@ -509,7 +510,7 @@ class ConvexDomain:
         return None
 
     def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
-                         optimize_path: bool | None) -> float | None:
+                         optimize_path: bool = False) -> float | None:
         """Lower bound for K(x, y) from ``distance`` on the domains this one
         maps into holomorphically (factors, members), or None."""
         return None
@@ -559,8 +560,6 @@ class Disk(ConvexDomain):
         return {"type": "disk",
                 "center": [self.center.real, self.center.imag],
                 "radius": self.radius}
-
-    fast_delta_dir = True
 
     def chart(self):
         # s = i (1 + u) / (1 - u) = (i (1 - |u|^2) - 2 Im u) / |1 - u|^2 with
@@ -630,8 +629,6 @@ class HalfPlane(ConvexDomain):
         return {"type": "halfplane",
                 "boundary_point": [self.boundary_point.real, self.boundary_point.imag],
                 "inward_normal": [self.inward_normal.real, self.inward_normal.imag]}
-
-    fast_delta_dir = True
 
     def chart(self):
         # the rigid motion taking the inward normal to i
@@ -717,8 +714,6 @@ class Sector(ConvexDomain):
         return {"type": "sector",
                 "vertex": [self.vertex.real, self.vertex.imag],
                 "alpha": self.alpha, "beta": self.beta}
-
-    fast_delta_dir = True
 
     def chart(self):
         return self._dilated_chart(1.0)
@@ -841,8 +836,6 @@ class Ball(ConvexDomain):
         return {"type": "ball", "center": point_to_json(self.center),
                 "radius": self.radius}
 
-    fast_delta_dir = True
-
     def chart(self):
         # a one-dimensional ball is a disk
         return Disk(self.center[0], self.radius).chart() if self.dimension == 1 else None
@@ -914,7 +907,6 @@ class Product(ConvexDomain):
         # evaluation
         self._slices = tuple(slice(int(e) - f.dimension, int(e))
                              for f, e in zip(self.factors, ends))
-        self.fast_delta_dir = all(f.fast_delta_dir for f in self.factors)
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         """One view per factor along the last axis (a point or rows of points)."""
@@ -1046,7 +1038,6 @@ class AffineImage(ConvexDomain):
         self.inner = inner
         self.inverse = np.linalg.inv(A)
         self.dimension = inner.dimension
-        self.fast_delta_dir = inner.fast_delta_dir
         # conformal factor when A is a scalar multiple of a unitary matrix
         gram = A.conj().T @ A
         s2 = gram[0, 0].real
@@ -1155,7 +1146,6 @@ class Intersection(ConvexDomain):
             raise DimensionMismatch("intersection members must share a dimension")
         self.members = members
         self.dimension = d
-        self.fast_delta_dir = all(m.fast_delta_dir for m in members)
         self._lens = _lens_sector(members)   # (P, Q, sector) of a two-member lens, else None
 
     def contains_batch(self, Z):
@@ -1418,10 +1408,6 @@ class Graph(ConvexDomain):
     def anchor(self):
         return self._interior.copy()
 
-    def support_upper_batch(self, A):
-        # certifies nothing: ``supporting_half_planes`` has the tangent planes
-        return np.full(A.shape[0], math.inf)
-
     def supporting_half_planes(self, x, y):
         """Tangent planes where fixed seeded rays from x, y and their midpoint
         leave the domain.  Past a ray's bracket, at p with r(p) >= 0 (rows still
@@ -1468,8 +1454,6 @@ class PlanarOracle(ConvexDomain):
         self.member_batch = member_batch
         self.label = label
         self.dimension = 1
-        self._anchor_cache: complex | None = None
-        self._boundary_cache: dict[int, np.ndarray] = {}
 
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
@@ -1486,32 +1470,13 @@ class PlanarOracle(ConvexDomain):
         return True  # oracle sets arise as slices of C-proper domains
 
     def anchor(self):
-        if self._anchor_cache is None:
-            rings = np.geomspace(1e-3, 1e3, 25)[:, None] * np.exp(
-                1j * np.linspace(0.0, _TWO_PI, 64, endpoint=False))
-            candidates = np.append(rings.ravel(), 0.0)
-            found = np.flatnonzero(self.member_batch(candidates))
-            if not found.size:
-                raise EmptyWindow(f"could not find an interior point of {self.label}")
-            self._anchor_cache = complex(candidates[found[0]])
-        return as_point([self._anchor_cache])
-
-    def boundary_points(self, n: int = 256) -> np.ndarray:
-        if n not in self._boundary_cache:
-            z0 = self.anchor()
-            angles = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-            ts = ray_boundary_batch(self.contains_batch, z0, np.exp(1j * angles)[:, None], 1e8)
-            finite = np.isfinite(ts)
-            self._boundary_cache[n] = z0[0] + ts[finite] * np.exp(1j * angles[finite])
-        return self._boundary_cache[n]
-
-    def support_upper_batch(self, A):
-        pts = self.boundary_points(512)
-        if pts.size == 0:
-            return np.full(A.shape[0], math.inf)
-        mesh = float(np.max(np.abs(np.diff(np.r_[pts, pts[:1]]))))
-        # sampled support: inflate by one mesh cell to stay on the safe side
-        return (pts * np.conj(A)).real.max(axis=1) + mesh * np.abs(A[:, 0]) + 1e-9
+        rings = np.geomspace(1e-3, 1e3, 25)[:, None] * np.exp(
+            1j * np.linspace(0.0, _TWO_PI, 64, endpoint=False))
+        candidates = np.append(rings.ravel(), 0.0)
+        found = np.flatnonzero(self.member_batch(candidates))
+        if not found.size:
+            raise EmptyWindow(f"could not find an interior point of {self.label}")
+        return as_point([candidates[found[0]]])
 
     def to_spec(self):
         raise InvalidDomain("oracle planar sets are not serializable")

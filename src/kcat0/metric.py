@@ -2,11 +2,12 @@
 
 Catalog compositions (planar models, balls, products of any number of
 factors, affine images) evaluate exactly, each node from its own
-``exact_distance``.  Everything else gets
-a certified sandwich: lower bounds from holomorphic contractions (factor
-projections, member inclusions, supporting half-planes), upper bounds from
-the planar slice through the two points, from inscribed polydisks and from
-an optimized discrete path.  The public contract for non-catalog domains is always a
+``exact_distance``.  Everything else gets a certified sandwich: lower
+bounds from holomorphic contractions (factor projections, member
+inclusions, supporting half-planes), upper bounds from the planar slice
+through the two points (exact, or from disks inscribed by membership),
+from inscribed polydisks and, on request, from an optimized discrete path.
+The public contract for non-catalog domains is always a
 ``DistanceInterval``, never a point estimate.
 
 Infinitesimal bounds on general convex domains use the standard two-sided
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import ConvexDomain, PlanarOracle
+from .domains import ConvexDomain, ray_boundary_batch
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -48,6 +49,14 @@ MIDPOINT_TOL_NUMERIC = 5e-2
 _INCLUSION_CENTERS = np.linspace(1.0, 0.0, 12)
 _INCLUSION_RATIOS = np.geomspace(0.25, 4.0, 5)
 _PENALTY = 1e6
+# the inscribed-disk slice bound: rays, reach, zoom rounds, searches, path
+# knots; centre fractions towards each ray's end with their spacing to their
+# neighbours along and across rays; a 9 x 9 zoom grid
+_SLICE_RAYS, _SLICE_REACH, _SLICE_ZOOMS, _SLICE_SEARCHES, _SLICE_KNOTS = 96, 1e6, 3, 64, 65
+_SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arange(1, 9) / 9]
+_SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.diff(
+    _SLICE_FRACTIONS, append=1.0), _SLICE_FRACTIONS * 2.0 * math.pi / _SLICE_RAYS])
+_ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
 
 
 @dataclass
@@ -188,27 +197,21 @@ def exact_geodesic(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> Geodesic | 
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _functional_grid(dim: int) -> np.ndarray:
     rng = np.random.default_rng(FUNCTIONAL_GRID_SEED)
     raw = rng.normal(size=(FUNCTIONAL_GRID_SIZE, 2 * dim))
     vecs = raw[:, :dim] + 1j * raw[:, dim:]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    axes = []
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        axes.extend([e, -e, 1j * e])
-    return np.vstack([vecs, axes])
-
-
-_GRID_CACHE: dict[int, np.ndarray] = {}
+    e = np.eye(dim, dtype=complex)   # then e_j, -e_j, i e_j for each axis j
+    grid = np.vstack([vecs, np.stack([e, -e, 1j * e], axis=1).reshape(-1, dim)])
+    grid.flags.writeable = False   # shared by every caller
+    return grid
 
 
 def _functionals(dim: int, chord: np.ndarray) -> np.ndarray:
-    if dim not in _GRID_CACHE:
-        _GRID_CACHE[dim] = _functional_grid(dim)
     chord = chord / np.linalg.norm(chord)
-    return np.vstack([_GRID_CACHE[dim], chord[None, :], -chord[None, :]])
+    return np.vstack([_functional_grid(dim), chord[None, :], -chord[None, :]])
 
 
 def _round_off(D: ConvexDomain) -> float:
@@ -245,35 +248,91 @@ def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
-    """Upper bound through the planar slice spanned by x and y: the slice
-    node's exact distance between the parameters 0 and 1, else the oracle
-    integral.
-
-    Returns (value, exact_flag, tags).
-    """
+    """(value, exact_flag, tags): an upper bound through the planar slice
+    spanned by x and y, the slice node's exact distance between the
+    parameters 0 and 1, else ``_inscribed_disk_upper`` on the slice."""
     S = D.slice(x, y - x)
     exact = S.exact_distance(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
     if exact is not None:
         return exact.hi, True, {"slice-upper"}
-    val = _oracle_upper(S, 0.0 + 0.0j, 1.0 + 0.0j)
-    return val, False, {"slice-upper", "delta-bound"}
+    return _inscribed_disk_upper(S), False, {"slice-upper", "inscribed-disk"}
 
 
-def _oracle_upper(S: ConvexDomain, z0: complex, z1: complex,
-                  quad: int = 24, pieces: int = 8) -> float:
-    """Straight-path integral of |dz| / delta on a planar oracle set."""
-    xs, ws = _quad_rule(quad)
-    v = (z1 - z0) / pieces
-    pts = (z0 + np.arange(pieces)[:, None] * v) + xs * v   # one row per piece
-    if isinstance(S, PlanarOracle):
-        cloud = S.boundary_points(512)
-        delta = [np.min(np.abs(row[:, None] - cloud), axis=1) for row in pts]
-    else:
-        inside = S.contains_batch(pts.reshape(-1, 1))
-        if not inside.all():
-            raise OutsideDomain(f"point {pts.ravel()[~inside][0]} is not interior to the domain")
-        delta = S.delta_dir_batch(pts.reshape(-1, 1), np.ones((pts.size, 1))).reshape(pts.shape)
-    return sum(float(np.sum(ws * abs(v) / row)) for row in delta)
+def _inscribed_disk_upper(S: ConvexDomain) -> float:
+    """Upper bound for K_S(0, 1) on a planar convex S holding 0 and 1, from
+    membership alone: a disk inside the hull P of rays' inside ends from 1/2
+    lies in S, so its exact distance bounds K_S.  A piece of [0, 1] that no
+    disk holds is halved; the straight path's integral of 1/rho caps the
+    sum, which is +inf only when 0 or 1 is not certified inside P."""
+    u = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
+    t = ray_boundary_batch(S.contains_batch, np.array([0.5 + 0j]), u[:, None], t_max=_SLICE_REACH)
+    # a ray past the reach was found inside at half of it; a bracket's inside
+    # end lies within 1e-13 relative below its midpoint t
+    t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
+    ends = 0.5 + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * u
+    # their hull: drop reflex vertices until every turn is left.  Rounding
+    # can only drop or keep a vertex wrongly, and a point strictly left of
+    # every edge of any closed chain of the ends is enclosed by it, so in S
+    P = ends
+    while len(P) > 2:
+        left = ((P - np.roll(P, 1)).conj() * (np.roll(P, -1) - P)).imag > 0
+        if left.all():
+            break
+        P = P[left]
+    if len(P) < 3:
+        return math.inf
+    Q = np.roll(P, -1)
+    n = 1j * (Q - P) / np.abs(Q - P)   # unit inward normals: P runs counter-clockwise
+    # each edge line passes through its nearer end N, moved inward by 1e-12
+    # (1 + |N|); with 1e-12 |c| in ``rho`` that covers, hundreds of times
+    # over, the rounding of N, of the products and of the normal (a tilt of
+    # a few ulps, which moves the line by that many ulps of |c - N| at c)
+    N = np.where(np.abs(P) <= np.abs(Q), P, Q)
+    offset, normals = (N * n.conj()).real + 1e-12 * (1.0 + np.abs(N)), np.stack([n.real, n.imag])
+
+    def rho(c: np.ndarray) -> np.ndarray:
+        """Safe radius at each centre: the disk D(c, rho(c)) lies in P."""
+        heights = np.stack([c.real, c.imag], axis=1) @ normals
+        heights -= offset   # in place: the one (centres, edges) temporary
+        return heights.min(axis=1) - 1e-12 * np.abs(c)
+
+    def best(a: float, b: float) -> float:
+        """Least padded disk distance of a and b over the searched centres."""
+        mid = 0.5 * (a + b)
+        centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
+        value, step = math.inf, 0.0
+        for _ in range(_SLICE_ZOOMS + 1):
+            r = rho(centers)
+            fit = r > 1.000001 * np.maximum(np.abs(a - centers), np.abs(b - centers))   # holds both
+            K = np.full(centers.shape, math.inf)
+            K[fit] = _padded_disk_upper(a, b, centers[fit], r[fit], _round_off(S))
+            k = int(np.argmin(K))
+            if K[k] == math.inf:
+                return value
+            if K[k] < value:
+                value, at = float(K[k]), centers[k]
+            if not step:   # the first zoom spans the best centre's neighbours
+                step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
+            step /= 4.0
+            centers = at + step * _ZOOM_GRID
+        return value
+
+    r = rho(np.linspace(0.0, 1.0, _SLICE_KNOTS) + 0j)
+    if not (r > 0.0).all():   # in exact arithmetic: 0 or 1 is not inside P
+        return math.inf
+    # rho is concave, so at least linear between knots, and a piece's
+    # integral of 1/rho is at most h ln(r1 / r0) / (r1 - r0)
+    q = r[1:] / r[:-1] - 1.0
+    straight = np.sum(np.divide(np.log1p(q), q, out=np.ones_like(q), where=q != 0.0) / r[:-1])
+    chain, pieces = 0.0, [(0.0, 1.0)]
+    for _ in range(_SLICE_SEARCHES):
+        if pieces:
+            a, b = pieces.pop(0)
+            value = best(a, b)
+            chain += value if value < math.inf else 0.0
+            pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)] if value == math.inf else []
+    # the straight sum padded for its rounding
+    return min(float(straight) / (_SLICE_KNOTS - 1) * (1.0 + 1e-12), math.inf if pieces else chain)
 
 
 def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float | None:
@@ -312,24 +371,27 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> f
     fits = s > 0
     if not fits.any():
         return None
+    # the radii are at least base, so every factor disk holds both with room
     radii = base[fits] + s[fits, None] * grow[fits]
-    centers = centers[fits]
-    # each factor disk's distance in its unit coordinates a, b:
-    # sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2)); the radii are at
-    # least base, so |a| and |b| stay below 1 / 1.000001 and both gaps are
-    # positive
+    K = _padded_disk_upper(x, y, centers[fits], radii, _round_off(D))
+    return float(K.max(axis=1).min())
+
+
+def _padded_disk_upper(x, y, centers, radii, ulp: float) -> np.ndarray:
+    """The distance of x and y in each disk D(centers, radii) holding both
+    with room, elementwise, padded up by its round-off.  In unit
+    coordinates a, b: sinh K = |a - b| / sqrt((1 - |a|^2)(1 - |b|^2))."""
     gap_a = 1.0 - np.abs((x - centers) / radii) ** 2
     gap_b = 1.0 - np.abs((y - centers) / radii) ** 2
     # |a - b| as |x - y| / r, with no cancellation between close points
     K = np.arcsinh(np.abs(x - y) / radii / (np.sqrt(gap_a) * np.sqrt(gap_b)))
     # round-off padding: the numerator is good to a few ulps and each gap
     # to a few ulps of 1, so K is good to that many ulps over the gaps
-    K *= 1.0 + _round_off(D) * (1.0 / gap_a + 1.0 / gap_b)
-    return float(K.max(axis=1).min())
+    return K * (1.0 + ulp * (1.0 / gap_a + 1.0 / gap_b))
 
 
 def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-              optimize_path: bool | None) -> DistanceInterval:
+              optimize_path: bool = False) -> DistanceInterval:
     preimage = D.preimage_pair(x, y)
     if preimage is not None:
         return _sandwich(*preimage, optimize_path).with_tags("affine-invariance")
@@ -362,13 +424,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
             his.append(incl)
             tags.add("inclusion-upper")
 
-    if optimize_path is None:
-        # auto policy: optimize only when the slice is inexact and the
-        # domain evaluates directional deltas in closed form
-        run_optimizer = not slice_exact and D.fast_delta_dir
-    else:
-        run_optimizer = optimize_path
-    if run_optimizer:
+    if optimize_path:
         _, length = geodesic_approx(D, x, y, OPTIMIZER_NODES)
         his.append(length.hi)
         tags |= length.methods & {"path-optimizer", "optimizer-no-improvement"}
@@ -393,7 +449,7 @@ def _require_inside(D: ConvexDomain, x: np.ndarray, y: np.ndarray, what: str) ->
 
 
 def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
-             optimize_path: bool | None = None) -> DistanceInterval:
+             optimize_path: bool = False) -> DistanceInterval:
     """Kobayashi distance as a certified interval (exact where structural)."""
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)

@@ -724,8 +724,6 @@ class TestRayShooting:
         G = _ellipsoid_graph()
         S = G.slice([0.1, 0.2j], [1, 0.3 + 0.1j])
         assert S.delta([0.05]) == 0.6899111631639983
-        assert S.support_upper([1 + 1j]) == 1.0519052134924742
-        assert S.boundary_points(512)[7] == 0.7521391498530944 + 0.06468423611831195j
         assert G.delta([0.2, 0.1j]) == 0.5820396435630357
 
     def test_polynomial_matches_the_per_term_loop(self, rng):

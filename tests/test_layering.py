@@ -8,9 +8,15 @@ an import hidden in a function body.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from kcat0 import Ball, PlanarOracle, distance, intersection, metric
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kcat0"
 NODE_CLASSES = {"Disk", "HalfPlane", "Sector", "Ball", "Product", "Polydisk",
@@ -71,6 +77,58 @@ def test_engine_modules_do_not_dispatch_on_node_classes(module):
             if names & NODE_CLASSES:
                 hits.append(f"{module}:{node.lineno}")
     assert hits == []
+
+
+def _node_classes() -> set[str]:
+    """The classes of domains.py that derive from ConvexDomain."""
+    bases = {n.name: {getattr(b, "id", None) for b in n.bases}
+             for n in _tree(SRC / "domains.py").body if isinstance(n, ast.ClassDef)}
+    nodes = {"ConvexDomain"}
+    while new := {c for c, named in bases.items() if named & nodes} - nodes:
+        nodes |= new
+    return nodes - {"ConvexDomain"}
+
+
+def test_metric_names_no_domain_class():
+    # the sandwich asks each node, never which node it holds: metric.py
+    # imports no node class and tests no domains class with isinstance
+    tree = _tree(SRC / "metric.py")
+    imported = {a.name for n in tree.body if isinstance(n, ast.ImportFrom)
+                and n.module == "domains" for a in n.names}
+    tested = {getattr(m, "id", None) or getattr(m, "attr", None) for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance"
+              for m in ast.walk(n.args[1])}
+    assert {"Graph", "PlanarOracle", "Disk"} <= _node_classes()
+    assert imported & _node_classes() == set()
+    assert tested & (_node_classes() | {"ConvexDomain"}) == set()
+
+
+def test_no_node_declares_fast_delta_dir():
+    # the closed-form flag only fed the automatic path optimizer, which is gone
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "fast_delta_dir" in p.read_text()] == []
+
+
+def test_oracle_set_caches_nothing():
+    # nodes are immutable after construction: an oracle set's attributes are
+    # as they were after its anchor, a boundary distance and a distance
+    O = PlanarOracle(lambda T: np.abs(T - 0.2) < 1.0)
+    before = dict(vars(O))
+    O.anchor()
+    O.delta([0.5])
+    distance(O, [0.1j], [0.6])
+    assert vars(O) == before
+
+
+def test_default_distance_runs_no_path_optimizer(monkeypatch):
+    # the optimizer runs only when a caller asks for it, even on a domain
+    # whose slices have no closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("a default distance ran the path optimizer")
+
+    monkeypatch.setattr(metric, "geodesic_approx", refuse)
+    D = intersection([Ball([0.5, 0], 1), Ball([0, 0.5], 1), Ball([0.3, 0.3], 0.9)])
+    iv = distance(D, [0.1 + 0.2j, 0.3 - 0.1j], [0.5 - 0.2j, -0.1 + 0.3j])
+    assert "inscribed-disk" in iv.methods and iv.hi <= 1.7
 
 
 def test_metric_holds_no_chart_arithmetic():
@@ -272,3 +330,14 @@ def test_no_unused_module_imports():
     paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
     unused = [hit for path in paths if path.name != "__init__.py" for hit in _unused_imports(path)]
     assert unused == []
+
+
+def test_import_leaves_no_full_collection_due():
+    # the import collects its own young objects, so the collector's older
+    # generations start from zero rather than falling due in the first queries
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", "import gc, kcat0; print(*gc.get_count()[1:])"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]

@@ -16,6 +16,7 @@ from kcat0 import (
     Disk,
     Graph,
     HalfPlane,
+    PlanarOracle,
     Polydisk,
     Product,
     RealPolynomial,
@@ -921,3 +922,77 @@ class TestSandwichOnGraph:
         inner = distance(Ball(np.zeros(2, dtype=complex), 1 / math.sqrt(2)), x, y).lo
         assert iv.lo <= inner + 1e-9
         assert iv.hi >= outer - 1e-9
+
+
+def _oracle_copy(N):
+    """The planar node N known only through its membership test."""
+    return PlanarOracle(lambda T: N.contains_batch(T[:, None]))
+
+
+_THIN_SECTOR = sector(0.0, 0.0, 0.05)
+_PLANAR_NODES = [Disk(0.2 + 0.1j, 1.3), HalfPlane(0.1, 1j), sector(0.1, 0.2, 1.4), _THIN_SECTOR,
+                 intersection([Disk(0.0, 1.0), Disk(0.8, 0.7)])]
+
+
+class TestInscribedDiskSlice:
+    """The slice bound of a set known only through membership: the least
+    distance over disks inside its ray polygon, certified by inclusion."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_never_below_the_exact_distance(self, data):
+        # two points on seeded rays from the node's anchor, each pushed to a
+        # relative gap of 1e-9 to 1e-1 from the boundary (or from 3)
+        N = data.draw(st.sampled_from(_PLANAR_NODES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        base = N.anchor()
+        U = np.exp(2j * math.pi * rng.uniform(size=2))[:, None]
+        reach = np.minimum(ray_boundary_batch(N.contains_batch, base, U), 3.0)
+        z, w = base + (reach * (1.0 - 10.0 ** rng.uniform(-9, -1, size=2)))[:, None] * U
+        assume(N.contains(z) and N.contains(w) and z[0] != w[0])
+        exact = N.exact_distance(z, w).lo
+        value, exact_flag, tags = _slice_upper(_oracle_copy(N), z, w)
+        assert not exact_flag and tags == {"slice-upper", "inscribed-disk"}
+        assert value >= exact - 1e-9 * max(1.0, exact)
+
+    def test_thin_sector_pair_is_not_undercut(self):
+        # the boundary-cloud integral read 10.577 here
+        z = np.array([0.9567697058300455 + 0.04787839035502885j])
+        w = np.array([0.9822074845203985 + 0.04915127683189463j])
+        exact = _THIN_SECTOR.exact_distance(z, w).lo
+        assert exact == pytest.approx(15.788, abs=1e-3)
+        assert exact <= _slice_upper(_oracle_copy(_THIN_SECTOR), z, w)[0] < math.inf
+
+    @pytest.mark.parametrize("polynomial", [True, False], ids=["polynomial", "callable"])
+    def test_graph_oracle_pairs_within_one_percent(self, polynomial):
+        # the benchmark's ellipsoid sampler: w uniform in the ball of radius
+        # 0.7, mapped to (w1, w2 / sqrt 2); the integral read up to 1.64x
+        s = np.array([1.0, 2.0])
+        G = _ellipsoid(s, polynomial)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            x, y = (_in_ellipsoid(s, rng, 0.7) for _ in range(2))
+            exact = _ellipsoid_distance(s, x, y)
+            assert exact - 1e-9 <= _slice_upper(G, x, y)[0] <= 1.01 * exact
+
+    def test_bare_oracle_distance_brackets_the_thin_sector(self):
+        # needs no anchor: the slice's rays start from the pair's midpoint
+        x, y = [cmath.exp(0.025j)], [2.0 * cmath.exp(0.02j)]
+        exact = _THIN_SECTOR.exact_distance(np.array(x), np.array(y)).lo
+        assert exact == pytest.approx(21.80095, abs=1e-5)
+        iv = distance(_oracle_copy(_THIN_SECTOR), x, y)
+        assert iv.lo <= exact <= iv.hi < math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_functional_grid_is_cached_read_only_and_unchanged(dim):
+    # the axes were built in a loop; the stacked form keeps every bit,
+    # signed zeros included
+    grid = metric._functional_grid(dim)
+    assert grid is metric._functional_grid(dim) and not grid.flags.writeable
+    axes = []
+    for j in range(dim):
+        e = np.zeros(dim, dtype=complex)
+        e[j] = 1.0
+        axes.extend([e, -e, 1j * e])
+    assert grid[metric.FUNCTIONAL_GRID_SIZE:].tobytes() == np.array(axes).tobytes()
