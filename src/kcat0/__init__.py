@@ -34,10 +34,8 @@ from .planar import (
     planar_metric,
 )
 from .metric import (
-    DiscretePath,
     DistanceInterval,
     Geodesic,
-    curve_length,
     distance,
     exact_geodesic,
     geodesic_approx,

@@ -509,8 +509,7 @@ class ConvexDomain:
         fit), or None where no structural test exists."""
         return None
 
-    def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable,
-                         optimize_path: bool = False) -> float | None:
+    def projection_lower(self, x: np.ndarray, y: np.ndarray, distance: Callable) -> float | None:
         """Lower bound for K(x, y) from ``distance`` on the domains this one
         maps into holomorphically (factors, members), or None."""
         return None
@@ -1003,9 +1002,9 @@ class Product(ConvexDomain):
                    zip(self.factors, self.split(centers), self.split(base), self.split(grow))]
         return None if any(s is None for s in growths) else reduce(np.minimum, growths)
 
-    def projection_lower(self, x, y, distance, optimize_path):
+    def projection_lower(self, x, y, distance):
         # each coordinate projection is a holomorphic contraction
-        return max(distance(f, xf, yf, optimize_path=optimize_path).lo
+        return max(distance(f, xf, yf).lo
                    for f, xf, yf in zip(self.factors, self.split(x), self.split(y)))
 
 
@@ -1219,9 +1218,9 @@ class Intersection(ConvexDomain):
         growths = [m.polydisk_growth(centers, base, grow) for m in self.members]
         return None if any(s is None for s in growths) else reduce(np.minimum, growths)
 
-    def projection_lower(self, x, y, distance, optimize_path):
+    def projection_lower(self, x, y, distance):
         # each C-proper member contains the domain: inclusion is a contraction
-        return max((distance(m, x, y, optimize_path=False).lo
+        return max((distance(m, x, y).lo
                     for m in self.members if m.c_proper), default=0.0)
 
 

@@ -10,6 +10,9 @@ from inscribed polydisks and, on request, from an optimized discrete path.
 The public contract for non-catalog domains is always a
 ``DistanceInterval``, never a point estimate.
 
+A numeric midpoint is the geodesic midpoint of the slice bound's witness
+(the slice node itself, or its winning inscribed disk), with its CN radius.
+
 Infinitesimal bounds on general convex domains use the standard two-sided
 estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
 """
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domains import ConvexDomain, ray_boundary_batch
+from .domains import ConvexDomain, ray_boundary_batch, unit_disk
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -57,48 +60,6 @@ _SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arang
 _SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.diff(
     _SLICE_FRACTIONS, append=1.0), _SLICE_FRACTIONS * 2.0 * math.pi / _SLICE_RAYS])
 _ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
-
-
-@dataclass
-class DiscretePath:
-    """Piecewise-linear path through domain points."""
-
-    nodes: np.ndarray                  # (N, d) complex
-
-    def __post_init__(self):
-        self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=complex))
-
-    def validate_in(self, D: ConvexDomain):
-        probes = [self.nodes]
-        if self.nodes.shape[0] > 1:
-            probes.append(0.5 * (self.nodes[:-1] + self.nodes[1:]))
-        for block in probes:
-            ok = D.contains_batch(block)
-            if not np.all(ok):
-                bad = block[np.argmin(ok)]
-                raise OutsideDomain(f"path point {bad} leaves the domain")
-
-    def length_parametrization(self, D: ConvexDomain) -> Callable[[float], np.ndarray]:
-        """Map a fraction t in [0, 1] of the path's metric length to its point.
-
-        Segment lengths are 4-point quadrature midpoints; within a segment
-        the point is interpolated linearly.
-        """
-        nodes = self.nodes
-        if nodes.shape[0] == 1:
-            return lambda t: nodes[0]
-        cum = np.concatenate([[0.0], np.cumsum(
-            [curve_length(D, DiscretePath(nodes[k:k + 2]), 4).midpoint
-             for k in range(nodes.shape[0] - 1)])])
-
-        def point_at(t: float) -> np.ndarray:
-            s = t * cum[-1]
-            k = int(np.searchsorted(cum, s) - 1)
-            k = min(max(k, 0), nodes.shape[0] - 2)
-            frac = (s - cum[k]) / max(cum[k + 1] - cum[k], 1e-300)
-            return nodes[k] + frac * (nodes[k + 1] - nodes[k])
-
-        return point_at
 
 
 @dataclass
@@ -135,41 +96,6 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
     if hi == lo:
         return DistanceInterval.exact(lo, D.exact_tag)
     return DistanceInterval(lo, hi, frozenset({"delta-bound"}))
-
-
-# ---------------------------------------------------------------------------
-# curve length
-# ---------------------------------------------------------------------------
-
-
-@functools.cache
-def _quad_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w  # transplanted to [0, 1]
-    nodes.flags.writeable = weights.flags.writeable = False   # shared by every caller
-    return nodes, weights
-
-
-def curve_length(D: ConvexDomain, path: DiscretePath,
-                 quad_order: int = REPORT_QUAD) -> DistanceInterval:
-    """Composite Gauss-Legendre length of a piecewise-linear path."""
-    path = path if isinstance(path, DiscretePath) else DiscretePath(path)
-    path.validate_in(D)
-    n = path.nodes.shape[0]
-    if n < 2:
-        return DistanceInterval.exact(0.0, "exact-chart")
-    xs, ws = _quad_rule(quad_order)
-    seg_a = path.nodes[:-1]
-    seg_v = path.nodes[1:] - path.nodes[:-1]
-    Z = (seg_a[:, None, :] + xs[None, :, None] * seg_v[:, None, :]).reshape(-1, D.dimension)
-    V = np.repeat(seg_v, len(xs), axis=0)
-    lo, hi = metric_bounds_batch(D, Z, V)
-    weights = np.tile(ws, n - 1)
-    lo_len = float(np.sum(lo * weights))
-    hi_len = float(np.sum(hi * weights))
-    if lo_len == hi_len:
-        return DistanceInterval.exact(lo_len, D.exact_tag)
-    return DistanceInterval(lo_len, hi_len, frozenset({"delta-bound"}))
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +174,26 @@ def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
-    """(value, exact_flag, tags): an upper bound through the planar slice
-    spanned by x and y, the slice node's exact distance between the
-    parameters 0 and 1, else ``_inscribed_disk_upper`` on the slice."""
+    """(value, exact_flag, tags, witness): an upper bound through the planar
+    slice spanned by x and y, the slice node's exact distance between the
+    parameters 0 and 1, else ``_inscribed_disk_upper`` on the slice.  The
+    witness is the slice node when exact, else the winning disk or None."""
     S = D.slice(x, y - x)
     exact = S.exact_distance(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
     if exact is not None:
-        return exact.hi, True, {"slice-upper"}
-    return _inscribed_disk_upper(S), False, {"slice-upper", "inscribed-disk"}
+        return exact.hi, True, {"slice-upper"}, S
+    value, disk = _inscribed_disk_upper(S)
+    return value, False, {"slice-upper", "inscribed-disk"}, disk
 
 
-def _inscribed_disk_upper(S: ConvexDomain) -> float:
-    """Upper bound for K_S(0, 1) on a planar convex S holding 0 and 1, from
-    membership alone: a disk inside the hull P of rays' inside ends from 1/2
-    lies in S, so its exact distance bounds K_S.  A piece of [0, 1] that no
-    disk holds is halved; the straight path's integral of 1/rho caps the
-    sum, which is +inf only when 0 or 1 is not certified inside P."""
+def _inscribed_disk_upper(S: ConvexDomain):
+    """(value, disk): an upper bound for K_S(0, 1) on a planar convex S
+    holding 0 and 1, from membership alone, with the (centre, radius) of
+    the one disk whose distance it is, else None.  A disk inside the hull P
+    of rays' inside ends from 1/2 lies in S, so its exact distance bounds
+    K_S.  A piece of [0, 1] that no disk holds is halved; the straight
+    path's integral of 1/rho caps the sum, which is +inf only when 0 or 1
+    is not certified inside P."""
     u = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
     t = ray_boundary_batch(S.contains_batch, np.array([0.5 + 0j]), u[:, None], t_max=_SLICE_REACH)
     # a ray past the reach was found inside at half of it; a bracket's inside
@@ -280,7 +210,7 @@ def _inscribed_disk_upper(S: ConvexDomain) -> float:
             break
         P = P[left]
     if len(P) < 3:
-        return math.inf
+        return math.inf, None
     Q = np.roll(P, -1)
     n = 1j * (Q - P) / np.abs(Q - P)   # unit inward normals: P runs counter-clockwise
     # each edge line passes through its nearer end N, moved inward by 1e-12
@@ -296,11 +226,12 @@ def _inscribed_disk_upper(S: ConvexDomain) -> float:
         heights -= offset   # in place: the one (centres, edges) temporary
         return heights.min(axis=1) - 1e-12 * np.abs(c)
 
-    def best(a: float, b: float) -> float:
-        """Least padded disk distance of a and b over the searched centres."""
+    def best(a: float, b: float):
+        """Least padded disk distance of a and b over the searched centres,
+        with its disk (centre, radius); (inf, None) when no disk holds both."""
         mid = 0.5 * (a + b)
         centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
-        value, step = math.inf, 0.0
+        value, disk, step = math.inf, None, 0.0
         for _ in range(_SLICE_ZOOMS + 1):
             r = rho(centers)
             fit = r > 1.000001 * np.maximum(np.abs(a - centers), np.abs(b - centers))   # holds both
@@ -308,31 +239,35 @@ def _inscribed_disk_upper(S: ConvexDomain) -> float:
             K[fit] = _padded_disk_upper(a, b, centers[fit], r[fit], _round_off(S))
             k = int(np.argmin(K))
             if K[k] == math.inf:
-                return value
+                return value, disk
             if K[k] < value:
-                value, at = float(K[k]), centers[k]
+                value, disk = float(K[k]), (complex(centers[k]), float(r[k]))
             if not step:   # the first zoom spans the best centre's neighbours
                 step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
             step /= 4.0
-            centers = at + step * _ZOOM_GRID
-        return value
+            centers = disk[0] + step * _ZOOM_GRID
+        return value, disk
 
     r = rho(np.linspace(0.0, 1.0, _SLICE_KNOTS) + 0j)
     if not (r > 0.0).all():   # in exact arithmetic: 0 or 1 is not inside P
-        return math.inf
+        return math.inf, None
     # rho is concave, so at least linear between knots, and a piece's
     # integral of 1/rho is at most h ln(r1 / r0) / (r1 - r0)
     q = r[1:] / r[:-1] - 1.0
     straight = np.sum(np.divide(np.log1p(q), q, out=np.ones_like(q), where=q != 0.0) / r[:-1])
-    chain, pieces = 0.0, [(0.0, 1.0)]
+    chain, pieces, disks = 0.0, [(0.0, 1.0)], []
     for _ in range(_SLICE_SEARCHES):
         if pieces:
             a, b = pieces.pop(0)
-            value = best(a, b)
+            value, disk = best(a, b)
             chain += value if value < math.inf else 0.0
             pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)] if value == math.inf else []
-    # the straight sum padded for its rounding
-    return min(float(straight) / (_SLICE_KNOTS - 1) * (1.0 + 1e-12), math.inf if pieces else chain)
+            disks.append(disk)
+    # the straight sum padded for its rounding; one search is one disk's distance
+    straight = float(straight) / (_SLICE_KNOTS - 1) * (1.0 + 1e-12)
+    if pieces or straight <= chain:
+        return straight, None
+    return chain, disks[0] if len(disks) == 1 else None
 
 
 def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float | None:
@@ -398,7 +333,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
 
     tags: set[str] = set()
     lows = [0.0]
-    projected = D.projection_lower(x, y, distance, optimize_path)
+    projected = D.projection_lower(x, y, distance)
     if projected is not None:
         # padded by its round-off, as the half-plane and slice bounds are
         lows.append(projected * (1.0 - _round_off(D)))
@@ -411,7 +346,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
 
     lo = max(lows)
 
-    slice_val, slice_exact, slice_tags = _slice_upper(D, x, y)
+    slice_val, slice_exact, slice_tags, _ = _slice_upper(D, x, y)
     # an exact slice value is padded by its round-off, as the half-plane bound is
     his = [slice_val * (1.0 + _round_off(D)) if slice_exact else slice_val]
     tags |= slice_tags
@@ -468,6 +403,14 @@ def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
 # ---------------------------------------------------------------------------
 # discrete geodesics
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _quad_rule(order: int):
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w  # transplanted to [0, 1]
+    nodes.flags.writeable = weights.flags.writeable = False   # shared by every caller
+    return nodes, weights
 
 
 def _path_objective(D: ConvexDomain, x: np.ndarray, y: np.ndarray, n: int,
@@ -539,16 +482,20 @@ def _coloured_gradient(lengths, n: int, dim: int):
 
 def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
                     quad_order: int = OPTIMIZER_QUAD):
-    """Shortest discrete path found by local search from the straight segment.
+    """Shortest discrete path found by local search from the straight
+    segment, for ``distance(..., optimize_path=True)`` alone.
 
     L-BFGS-B minimizes the ``quad_order``-point quadrature length, first on
     the smoothed metric, then in polish rounds on the true one; each
     gradient is a coloured forward difference from one batched evaluation
     of 1 + 4d paths (``_coloured_gradient``).
 
-    Returns ``(DiscretePath, DistanceInterval)``; the reported length never
-    exceeds the straight-segment length (falls back with a warning tag when
-    the optimizer fails to improve).
+    Returns ``(nodes, DistanceInterval)``: the (n, d) path nodes and an
+    interval whose ``hi`` is their ``REPORT_QUAD``-point quadrature length,
+    which does not certify an upper bound, and whose ``lo`` is 0.  The
+    straight segment is returned instead, tagged
+    ``optimizer-no-improvement``, when the optimized path leaves D or is
+    no shorter.
     """
     from scipy.optimize import minimize
 
@@ -558,8 +505,7 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
         raise InvalidDomain("need at least 3 path nodes")
     _require_inside(D, x, y, "endpoint")
     if np.array_equal(x, y):
-        path = DiscretePath(x[None, :])
-        return path, DistanceInterval.exact(0.0, "path-optimizer")
+        return x[None, :].copy(), DistanceInterval.exact(0.0, "path-optimizer")
 
     ts = np.linspace(0.0, 1.0, n)
     straight = x[None, :] + ts[:, None] * (y - x)[None, :]
@@ -591,25 +537,15 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
         f_prev = f_new
 
     interior = u.reshape(n - 2, 2 * D.dimension)
-    nodes = np.empty((n, D.dimension), dtype=complex)
-    nodes[0] = x
-    nodes[-1] = y
-    nodes[1:-1] = interior[:, : D.dimension] + 1j * interior[:, D.dimension:]
-    path = DiscretePath(nodes)
-    warned = False
-    try:
-        length = curve_length(D, path, REPORT_QUAD)
-    except OutsideDomain:
-        warned = True
-        path = DiscretePath(straight)
-        length = curve_length(D, path, REPORT_QUAD)
-    straight_len = curve_length(D, DiscretePath(straight), REPORT_QUAD)
-    if length.hi > straight_len.hi:
-        warned = True
-        path = DiscretePath(straight)
-        length = straight_len
+    nodes = np.vstack([x, interior[:, : D.dimension] + 1j * interior[:, D.dimension:], y])
+    scored = _path_objective(D, x, y, n, REPORT_QUAD)(np.stack([u, u0]))
+    length, straight_length = scored.sum(axis=1)
+    inside = D.contains_batch(np.vstack([nodes, 0.5 * (nodes[:-1] + nodes[1:])])).all()
+    warned = not inside or length > straight_length
+    if warned:
+        nodes, length = straight, straight_length
     tags = {"path-optimizer"} | ({"optimizer-no-improvement"} if warned else set())
-    return path, length.with_tags(*tags)
+    return nodes, DistanceInterval(0.0, float(length), frozenset(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +566,9 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     """Geodesic midpoint and its certified radius eta.
 
     On catalog compositions the midpoint is the closed form, checked by its
-    residual against ``tol``, and eta is 0.  Otherwise it is the half-length
-    point m of an optimized path, and eta is its CN radius
+    residual against ``tol``, and eta is 0.  Otherwise it is the point m of
+    the segment [x, y] at the geodesic midpoint of the slice bound's
+    witness, and eta is its CN radius
     sqrt(d(x,m)^2 / 2 + d(m,y)^2 / 2 - d(x,y)^2 / 4) from the ``hi``, ``hi``
     and ``lo`` bounds: by the Bruhat-Tits CN inequality, if D were CAT(0),
     m would lie within eta of the geodesic midpoint.  Raises
@@ -648,6 +585,7 @@ def _certified_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     """``midpoint_search`` on validated points, with the tolerance it
     applied: (m, eta, tol).  The closed-form midpoint is computed once and
     serves both the default tolerance and the midpoint."""
+    _require_inside(D, x, y, "point")
     exact = D.exact_midpoint(x, y)
     if tol is None:
         tol = MIDPOINT_TOL_NUMERIC if exact is None else MIDPOINT_TOL_EXACT
@@ -664,8 +602,17 @@ def _certified_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
                 f"midpoint not certified: residual {resid:.3e} > tol {tol:.3e}")
         return exact, 0.0, tol
 
-    path, _ = geodesic_approx(D, x, y)
-    m = path.length_parametrization(D)(0.5)
+    # the midpoint of 0 and 1 on the slice witness's geodesic: the slice
+    # node's closed form, else the winning disk's (in unit coordinates), else
+    # 1/2.  A witness lies in the slice, so each half is at most half its bound
+    _, slice_exact, _, witness = _slice_upper(D, x, y)
+    zero, one, t = np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.5
+    if slice_exact:
+        t = witness.exact_midpoint(zero, one)[0]
+    elif witness is not None:
+        c, r = witness
+        t = c + r * unit_disk().exact_midpoint((zero - c) / r, (one - c) / r)[0]
+    m = x + t * (y - x)
     d_xm = distance(D, x, m, optimize_path=False).hi
     d_my = distance(D, m, y, optimize_path=False).hi
     d_xy = distance(D, x, y, optimize_path=False).lo

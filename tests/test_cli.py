@@ -161,6 +161,13 @@ class TestBadInput:
         (["certify", "--builtin", "example36", "--x", "1e-6,1e-6", "--y", "4e-6,1e-6",
           "--z", "2e-6,2e-6", "--tol", "-1"],
          "error: the midpoint tolerance must be finite and at least 0, got -1.0\n"),
+        # points outside the domain: the closed-form midpoint used to raise
+        # a math domain error, and the numeric one must not shoot its slice
+        (["certify", "--builtin", "disk", "--x", "2", "--y", "0.1", "--z", "0"],
+         "error: point [2.+0.j] is not in the domain\n"),
+        (["certify", "--builtin", "example36", "--x", "0.2,0.2", "--y", "3,0.4",
+          "--z", "0.3,0.3"],
+         "error: point [3. +0.j 0.4+0.j] is not in the domain\n"),
         (["mconvex", "--builtin", "ball2", "--m", "nan"],
          "error: m must be finite and at least 1, got nan\n"),
         (["mconvex", "--builtin", "ball2", "--target-c", "nan"],
@@ -195,7 +202,8 @@ class TestBadInput:
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "mconvex-window-inf",
-            "certify-tol-nan", "certify-tol-negative", "mconvex-m-nan", "mconvex-target-c-nan",
+            "certify-tol-nan", "certify-tol-negative", "certify-closed-form-point-outside",
+            "certify-numeric-point-outside", "mconvex-m-nan", "mconvex-target-c-nan",
             "linetype-cap-0", "product-tol", "linetype-off-boundary",
             "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative",
             "certify-mode-comparison", "unknown-flag", "no-subcommand", "seed-not-int"])

@@ -16,7 +16,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kcat0 import Ball, PlanarOracle, distance, intersection, metric
+from kcat0 import (
+    AffineImage,
+    Ball,
+    PlanarOracle,
+    Product,
+    distance,
+    example36_domain,
+    intersection,
+    metric,
+    midpoint_search,
+    unit_disk,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kcat0"
 NODE_CLASSES = {"Disk", "HalfPlane", "Sector", "Ball", "Product", "Polydisk",
@@ -131,6 +142,40 @@ def test_default_distance_runs_no_path_optimizer(monkeypatch):
     assert "inscribed-disk" in iv.methods and iv.hi <= 1.7
 
 
+def test_numeric_midpoints_run_no_path_optimizer(monkeypatch):
+    # a numeric midpoint is the slice witness's geodesic midpoint: the lens
+    # slice of the large-n pair, the inscribed disk of a three-ball pair
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numeric midpoint ran the path optimizer")
+
+    monkeypatch.setattr(metric, "geodesic_approx", refuse)
+    big = AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain())
+    m, eta = midpoint_search(big, [1.0, 1.0], [4.0, 1.0])
+    assert m[0].real == pytest.approx(2.0000049, abs=1e-7) and 0.0 < eta <= 5e-2
+    three = intersection([Ball([0.5, 0], 1), Ball([0, 0.5], 1), Ball([0.3, 0.3], 0.9)])
+    _, eta = midpoint_search(three, [0.1 + 0.2j, 0.3 - 0.1j], [0.5 - 0.2j, -0.1 + 0.3j], tol=1.0)
+    assert 0.0 < eta < 0.5
+
+
+def test_projection_lower_runs_no_path_optimizer(monkeypatch):
+    # the factors' distances give the projection bound their lo alone, which
+    # the optimizer never raises: only the product's own sandwich runs it
+    D = Product(intersection([Ball([0.5, 0], 1), Ball([0, 0.5], 1), Ball([0.3, 0.3], 0.9)]),
+                unit_disk())
+    x, y = [0.1 + 0.2j, 0.3 - 0.1j, 0.1], [0.5 - 0.2j, -0.1 + 0.3j, -0.2j]
+    calls = []
+    real = metric.geodesic_approx
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "geodesic_approx", counted)
+    iv = distance(D, x, y, force_sandwich=True, optimize_path=True)
+    assert calls == [D]
+    assert iv.lo == distance(D, x, y, force_sandwich=True).lo
+
+
 def test_metric_holds_no_chart_arithmetic():
     # exact planar distances come from the nodes' own exact_distance
     text = (SRC / "metric.py").read_text()
@@ -187,7 +232,7 @@ def test_euclidean_distance_has_one_implementation_per_node():
 
 
 def test_midpoint_search_runs_no_optimizer_of_its_own():
-    # a numeric midpoint is the optimized path's half-length point, certified
+    # a numeric midpoint is the slice witness's geodesic midpoint, certified
     # by its CN radius; nothing refines it
     fn = next(n for n in _tree(SRC / "metric.py").body
               if isinstance(n, ast.FunctionDef) and n.name == "midpoint_search")

@@ -12,7 +12,6 @@ from kcat0 import (
     AffineImage,
     Ball,
     DefiningFunction,
-    DiscretePath,
     Disk,
     Graph,
     HalfPlane,
@@ -20,7 +19,6 @@ from kcat0 import (
     Polydisk,
     Product,
     RealPolynomial,
-    curve_length,
     distance,
     exact_geodesic,
     geodesic_approx,
@@ -93,38 +91,6 @@ class TestInfinitesimal:
     def test_outside_raises(self):
         with pytest.raises(OutsideDomain):
             infinitesimal(unit_disk(), [1.5], [1.0])
-
-
-class TestCurveLength:
-    def test_disk_straight_segment(self):
-        nodes = np.linspace(0.0, 0.5, 64)[:, None].astype(complex)
-        iv = curve_length(unit_disk(), DiscretePath(nodes))
-        assert iv.is_exact
-        assert iv.lo == pytest.approx(HALF_LN3, abs=1e-7)
-
-    def test_single_node(self):
-        iv = curve_length(unit_disk(), DiscretePath(np.array([[0.2 + 0.1j]])))
-        assert iv.lo == iv.hi == 0.0
-
-    def test_product_vertical_path(self):
-        P = Product(upper_half_plane(), unit_disk())
-        ts = np.linspace(1.0, 4.0, 64)
-        nodes = np.stack([1j * ts, np.zeros_like(ts, dtype=complex)], axis=1)
-        iv = curve_length(P, DiscretePath(nodes))
-        assert iv.lo == pytest.approx(0.5 * math.log(4.0), abs=1e-7)
-
-    def test_length_parametrization(self):
-        # on the vertical segment from i to 4i, K(i, i s) = ln(s) / 2
-        path = DiscretePath(1j * np.linspace(1.0, 4.0, 64)[:, None])
-        point_at = path.length_parametrization(upper_half_plane())
-        assert point_at(0.0)[0] == 1j
-        for t in (0.25, 0.5, 1.0):
-            assert point_at(t)[0] == pytest.approx(1j * 4.0 ** t, abs=1e-3)
-
-    def test_node_outside_raises(self):
-        nodes = np.array([[0.0], [1.5]], dtype=complex)
-        with pytest.raises(OutsideDomain):
-            curve_length(unit_disk(), DiscretePath(nodes))
 
 
 class TestDistance:
@@ -239,7 +205,7 @@ class TestDistance:
         D = Product(right_half_plane(), right_half_plane())
         x = np.array([1.09116942 + 0.63170711j, 2.38725662 - 0.994523j])
         y = np.array([2.04379537 + 0.45931089j, 0.39343915 - 0.64868876j])
-        value, exact, tags = _slice_upper(D, x, y)
+        value, exact, tags, _ = _slice_upper(D, x, y)
         assert exact and tags == {"slice-upper"}
         assert value == pytest.approx(1.03944414462602820081, rel=1e-12)
         iv = distance(D, x, y, force_sandwich=True)
@@ -256,7 +222,7 @@ class TestDistance:
                       1.1116332052239921 - 0.9258995736483681j])
         y = np.array([0.584058311025248 - 0.2148289111268558j,
                       0.5825384186556901 - 0.7828085779639662j])
-        value, exact, tags = _slice_upper(D, x, y)
+        value, exact, tags, _ = _slice_upper(D, x, y)
         assert exact and tags == {"slice-upper"}
         assert value == pytest.approx(0.71366177923477025613, rel=1e-12)
         truth = distance(D, x, y).lo
@@ -278,8 +244,8 @@ class TestDistance:
     def test_thin_sector_slice_is_exact(self):
         # q = pi / 0.01: w^q overflows at |w| = 10; 50-digit value
         D = Product(sector(0.0, 0.0, 0.01), unit_disk())
-        value, exact, _ = _slice_upper(D, np.array([10 * cmath.exp(0.005j), 0.0]),
-                                       np.array([cmath.exp(0.005j), 0.0]))
+        value, exact, _, _ = _slice_upper(D, np.array([10 * cmath.exp(0.005j), 0.0]),
+                                          np.array([cmath.exp(0.005j), 0.0]))
         assert exact
         assert value == pytest.approx(361.68922062077324007, rel=1e-13)
 
@@ -615,7 +581,7 @@ class TestGeodesicApprox:
 
     def test_same_point(self):
         path, length = geodesic_approx(ball2(), [0.1, 0.1], [0.1, 0.1])
-        assert path.nodes.shape[0] == 1
+        assert path.shape == (1, 2)
         assert length.lo == length.hi == 0.0
 
     def test_never_beats_exact(self):
@@ -732,8 +698,8 @@ class TestMidpoint:
             assert half == pytest.approx(d / 2, rel=1e-12)
 
     def test_numeric_midpoint_on_intersection(self):
-        # the path's half-length point on omega has CN radius 0.148: the
-        # sandwich intervals there are too wide to place it near the midpoint
+        # the lens slice's geodesic midpoint on omega has CN radius 0.142:
+        # the sandwich intervals there are too wide to place it near the midpoint
         with pytest.raises(MidpointNotCertified):
             midpoint_search(example36_domain(), [0.2, 0.2], [0.5, 0.4], tol=5e-2)
         # at large n they are tight, and the large-n pair certifies
@@ -758,6 +724,35 @@ class TestMidpoint:
                   + 0.5 * distance(D, m, y, optimize_path=False).hi ** 2
                   - 0.25 * distance(D, x, y, optimize_path=False).lo ** 2)
         assert eta ** 2 >= excess
+
+    @given(data=st.data(), base=st.sampled_from(["omega", "lens"]),
+           scale=st.sampled_from([1.0, 1e3, 1e6]))
+    @settings(max_examples=40, deadline=None)
+    def test_witness_midpoint_radius_is_half_the_slice_width(self, data, base, scale):
+        # on an exact slice both halves are at most half the padded slice
+        # bound s, so eta^2 <= (s^2 - lo^2) / 4 up to the round-off padding
+        inner = example36_domain() if base == "omega" else intersection(
+            [Ball([0.5, 0.0], 1.0), Ball([0.0, 0.5], 1.2)])
+        D = AffineImage(scale * np.eye(2), np.zeros(2), inner)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x, y = (scale * sample_in(inner, rng, scale=0.6) for _ in range(2))
+        value, exact, _, _ = _slice_upper(D, x, y)
+        assert exact
+        ulp = _round_off(D)
+        s = value * (1.0 + ulp)
+        lo = distance(D, x, y).lo
+        _, eta = midpoint_search(D, x, y, tol=1e3)
+        assert eta ** 2 <= (0.25 * (s ** 2 - lo ** 2) + 2.0 * ulp * s ** 2) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("D, x, y", [
+        (upper_half_plane(), [-1j], [4j]),
+        (Product(upper_half_plane(), unit_disk()), [-1j, 0.0], [4j, 0.0]),
+        (example36_domain(), [0.2, 0.2], [3.0, 0.4]),
+    ], ids=["half-plane", "product", "numeric"])
+    def test_outside_points_raise(self, D, x, y):
+        # the closed forms used to raise a math domain error or a nan interval
+        with pytest.raises(OutsideDomain):
+            midpoint_search(D, x, y)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("D, x, y", [
@@ -951,9 +946,16 @@ class TestInscribedDiskSlice:
         z, w = base + (reach * (1.0 - 10.0 ** rng.uniform(-9, -1, size=2)))[:, None] * U
         assume(N.contains(z) and N.contains(w) and z[0] != w[0])
         exact = N.exact_distance(z, w).lo
-        value, exact_flag, tags = _slice_upper(_oracle_copy(N), z, w)
+        value, exact_flag, tags, disk = _slice_upper(_oracle_copy(N), z, w)
         assert not exact_flag and tags == {"slice-upper", "inscribed-disk"}
         assert value >= exact - 1e-9 * max(1.0, exact)
+        if disk is not None:
+            # the witness is the disk whose distance the bound is: it lies in
+            # N (its circle, shrunk by a relative 1e-6, maps inside)
+            c, r = disk
+            assert value == pytest.approx(disk_distance(-c / r, (1.0 - c) / r), rel=1e-8)
+            ring = c + (1.0 - 1e-6) * r * np.exp(2j * math.pi * np.arange(64) / 64)
+            assert N.contains_batch((z[0] + ring * (w[0] - z[0]))[:, None]).all()
 
     def test_thin_sector_pair_is_not_undercut(self):
         # the boundary-cloud integral read 10.577 here
