@@ -35,9 +35,7 @@ from .planar import (
 )
 from .metric import (
     DistanceInterval,
-    Geodesic,
     distance,
-    exact_geodesic,
     geodesic_approx,
     infinitesimal,
     midpoint_search,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import ConvexDomain, Product
 from .errors import DegenerateInput, KCat0Error
-from .metric import DistanceInterval, _certified_midpoint, distance, midpoint_search
+from .metric import DistanceInterval, _certified_midpoint, _distance, distance
 from .points import as_point, point_to_json
 
 SCHEMA = "kcat0/1"
@@ -65,12 +65,10 @@ def midpoint_defect(D: ConvexDomain, x, y, z, tol: float | None = None) -> Cat0C
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)
     z = as_point(z, D.dimension)
-    m, eta, tol = _certified_midpoint(D, x, y, tol)
-
-    d_xy = distance(D, x, y, optimize_path=False)
-    d_zx = distance(D, z, x, optimize_path=False)
-    d_zy = distance(D, z, y, optimize_path=False)
-    d_zm = distance(D, z, m, optimize_path=False)
+    m, eta, tol, d_xy = _certified_midpoint(D, x, y, tol)
+    # checks z, and D's C-properness when x == y; x, y and m are checked
+    d_zx = distance(D, z, x)
+    d_zy, d_zm = _distance(D, z, y), _distance(D, z, m)
     # worst case over the interval endpoints, d_zm less the midpoint's radius
     defect = max(0.0, d_zm.lo - eta) ** 2 - (
         0.5 * (d_zx.hi ** 2 + d_zy.hi ** 2) - 0.25 * d_xy.lo ** 2)
@@ -91,10 +89,11 @@ def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
                         base=None) -> Cat0Certificate:
     """CAT(0) violation certificate for the product D1 x D2.
 
-    Takes the midpoint m of [x, y] in D1, the point z at distance
-    K_D1(x, y)/2 from the base point w on a geodesic ray of D2, and
+    Takes the closed-form midpoint m of [x, y] in D1, the point z at
+    distance K_D1(x, y)/2 from the base point w on a geodesic ray of D2, and
     certifies the triple ((x,w), (y,w), (m,z)); the defect equals
-    K_D2(w, z)^2 by construction.
+    K_D2(w, z)^2 by construction.  ``midpoint_defect`` checks m's residual
+    as that of the product's midpoint (m, w).
     """
     x = as_point(x, D1.dimension)
     y = as_point(y, D1.dimension)
@@ -103,13 +102,13 @@ def product_certificate(D1: ConvexDomain, D2: ConvexDomain, x, y,
     w = as_point(base, D2.dimension) if base is not None else D2.anchor()
 
     d1 = distance(D1, x, y)
-    if not d1.is_exact:
+    m = D1.exact_midpoint(x, y)
+    if m is None or not d1.is_exact:
         raise KCat0Error("product_certificate needs an exact distance on D1")
     target = 0.5 * d1.lo
     if target > 14.0:
         raise KCat0Error("choose closer x, y: target distance exceeds the "
                          "resolvable range of the bounded factor")
-    m, _ = midpoint_search(D1, x, y)
 
     ray = D2.unit_speed_ray(w)
     if ray is None:

@@ -154,6 +154,8 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         raise InvalidDomain(f"the window radius must be positive, got {window_radius}")
     if not math.isfinite(window_radius):
         raise InvalidDomain(f"the window radius must be finite, got {window_radius}")
+    if not sample_count >= 1:
+        raise InvalidDomain(f"the sample count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     zs = _window_samples(D, window_radius, sample_count, rng)
     zs += _boundary_probes(D, window_radius, rng)

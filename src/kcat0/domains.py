@@ -780,6 +780,10 @@ def right_half_plane() -> HalfPlane:
     return HalfPlane(0.0, 1.0)
 
 
+def disk(center: complex, radius: float) -> Disk:
+    return Disk(center, radius)
+
+
 def unit_disk() -> Disk:
     return Disk(0.0, 1.0)
 

@@ -484,8 +484,8 @@ def convergence_check(sequence_or_domains, target: ConvexDomain, test_pairs,
             for p in (x, y):
                 if not dom.contains(p):
                     raise OutsideDomain(f"test pair {i} leaves the domain at n={n}")
-            k_n = distance(dom, x, y, optimize_path=False).midpoint
-            k_t = distance(target, x, y, optimize_path=False).midpoint
+            k_n = distance(dom, x, y).midpoint
+            k_t = distance(target, x, y).midpoint
             gap = abs(k_n - k_t)
             rows.append((int(n), i, float(gap)))
             worst = max(worst, gap)

@@ -8,7 +8,8 @@ inclusions, supporting half-planes), upper bounds from the planar slice
 through the two points (exact, or from disks inscribed by membership),
 from inscribed polydisks and, on request, from an optimized discrete path.
 The public contract for non-catalog domains is always a
-``DistanceInterval``, never a point estimate.
+``DistanceInterval``, never a point estimate.  ``distance`` checks its
+points once, and the sandwich and its projections run on checked points.
 
 A numeric midpoint is the geodesic midpoint of the slice bound's witness
 (the slice node itself, or its winning inscribed disk), with its CN radius.
@@ -22,12 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .domains import ConvexDomain, ray_boundary_batch, unit_disk
+from .domains import ConvexDomain, disk, ray_boundary_batch
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -62,17 +61,6 @@ _SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.d
 _ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
 
 
-@dataclass
-class Geodesic:
-    """Constant-speed geodesic with an attached total length."""
-
-    point_at: Callable[[float], np.ndarray]
-    length: float
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.point_at(t)
-
-
 # ---------------------------------------------------------------------------
 # infinitesimal metric
 # ---------------------------------------------------------------------------
@@ -87,35 +75,23 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
     """Infinitesimal Kobayashi metric at z applied to the vector v."""
     z = as_point(z, D.dimension)
     v = as_point(v, D.dimension)
-    if not D.contains(z):
-        raise OutsideDomain(f"point {z} is not in the domain")
+    _require_inside(D, z)
     if not np.any(v):
         return DistanceInterval.exact(0.0, "exact-chart")
-    lo, hi = metric_bounds_batch(D, z[None, :], v[None, :])
-    lo, hi = float(lo[0]), float(hi[0])
+    lo, hi = (float(b[0]) for b in metric_bounds_batch(D, z[None, :], v[None, :]))
     if hi == lo:
         return DistanceInterval.exact(lo, D.exact_tag)
     return DistanceInterval(lo, hi, frozenset({"delta-bound"}))
 
 
 # ---------------------------------------------------------------------------
-# exact distance / geodesic dispatch
+# exact distance dispatch
 # ---------------------------------------------------------------------------
 
 
 def exact_distance(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> DistanceInterval | None:
     """Structurally exact Kobayashi distance, or None."""
     return D.exact_distance(x, y)
-
-
-def exact_geodesic(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> Geodesic | None:
-    """Constant-speed geodesic on catalog compositions, or None."""
-    dist = exact_distance(D, x, y)
-    if dist is None:
-        return None
-    if np.array_equal(x, y):
-        return Geodesic(lambda t: x.copy(), 0.0)
-    return Geodesic(D.exact_geodesic(x, y), dist.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +153,8 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
     """(value, exact_flag, tags, witness): an upper bound through the planar
     slice spanned by x and y, the slice node's exact distance between the
     parameters 0 and 1, else ``_inscribed_disk_upper`` on the slice.  The
-    witness is the slice node when exact, else the winning disk or None."""
+    witness, a node of that length from 0 to 1, is the slice node when
+    exact, else the winning disk or None."""
     S = D.slice(x, y - x)
     exact = S.exact_distance(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
     if exact is not None:
@@ -188,9 +165,9 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
 
 def _inscribed_disk_upper(S: ConvexDomain):
     """(value, disk): an upper bound for K_S(0, 1) on a planar convex S
-    holding 0 and 1, from membership alone, with the (centre, radius) of
-    the one disk whose distance it is, else None.  A disk inside the hull P
-    of rays' inside ends from 1/2 lies in S, so its exact distance bounds
+    holding 0 and 1, from membership alone, with the ``Disk`` whose distance
+    it is, else None.  A disk inside the hull P of rays' inside ends from
+    1/2 lies in S, so its exact distance bounds
     K_S.  A piece of [0, 1] that no disk holds is halved; the straight
     path's integral of 1/rho caps the sum, which is +inf only when 0 or 1
     is not certified inside P."""
@@ -228,10 +205,10 @@ def _inscribed_disk_upper(S: ConvexDomain):
 
     def best(a: float, b: float):
         """Least padded disk distance of a and b over the searched centres,
-        with its disk (centre, radius); (inf, None) when no disk holds both."""
+        with its (centre, radius); (inf, None) when no disk holds both."""
         mid = 0.5 * (a + b)
         centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
-        value, disk, step = math.inf, None, 0.0
+        value, win, step = math.inf, None, 0.0
         for _ in range(_SLICE_ZOOMS + 1):
             r = rho(centers)
             fit = r > 1.000001 * np.maximum(np.abs(a - centers), np.abs(b - centers))   # holds both
@@ -239,14 +216,14 @@ def _inscribed_disk_upper(S: ConvexDomain):
             K[fit] = _padded_disk_upper(a, b, centers[fit], r[fit], _round_off(S))
             k = int(np.argmin(K))
             if K[k] == math.inf:
-                return value, disk
+                return value, win
             if K[k] < value:
-                value, disk = float(K[k]), (complex(centers[k]), float(r[k]))
+                value, win = float(K[k]), (complex(centers[k]), float(r[k]))
             if not step:   # the first zoom spans the best centre's neighbours
                 step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
             step /= 4.0
-            centers = disk[0] + step * _ZOOM_GRID
-        return value, disk
+            centers = win[0] + step * _ZOOM_GRID
+        return value, win
 
     r = rho(np.linspace(0.0, 1.0, _SLICE_KNOTS) + 0j)
     if not (r > 0.0).all():   # in exact arithmetic: 0 or 1 is not inside P
@@ -255,19 +232,19 @@ def _inscribed_disk_upper(S: ConvexDomain):
     # integral of 1/rho is at most h ln(r1 / r0) / (r1 - r0)
     q = r[1:] / r[:-1] - 1.0
     straight = np.sum(np.divide(np.log1p(q), q, out=np.ones_like(q), where=q != 0.0) / r[:-1])
-    chain, pieces, disks = 0.0, [(0.0, 1.0)], []
+    chain, pieces, wins = 0.0, [(0.0, 1.0)], []
     for _ in range(_SLICE_SEARCHES):
         if pieces:
             a, b = pieces.pop(0)
-            value, disk = best(a, b)
+            value, win = best(a, b)
             chain += value if value < math.inf else 0.0
             pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)] if value == math.inf else []
-            disks.append(disk)
+            wins.append(win)
     # the straight sum padded for its rounding; one search is one disk's distance
     straight = float(straight) / (_SLICE_KNOTS - 1) * (1.0 + 1e-12)
     if pieces or straight <= chain:
         return straight, None
-    return chain, disks[0] if len(disks) == 1 else None
+    return chain, disk(*wins[0]) if len(wins) == 1 else None
 
 
 def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float | None:
@@ -325,15 +302,19 @@ def _padded_disk_upper(x, y, centers, radii, ulp: float) -> np.ndarray:
     return K * (1.0 + ulp * (1.0 / gap_a + 1.0 / gap_b))
 
 
-def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-              optimize_path: bool = False) -> DistanceInterval:
+def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray, optimize_path: bool = False):
+    """(interval, witness): the certified bounds on K_D(x, y) for checked
+    points, with the witness of the slice bound (``_slice_upper``).  An
+    affine image's slice is its inner node's, so the witness carries over."""
     preimage = D.preimage_pair(x, y)
     if preimage is not None:
-        return _sandwich(*preimage, optimize_path).with_tags("affine-invariance")
+        iv, witness = _sandwich(*preimage, optimize_path)
+        return iv.with_tags("affine-invariance"), witness
 
     tags: set[str] = set()
     lows = [0.0]
-    projected = D.projection_lower(x, y, distance)
+    # factors and members are C-proper and hold the points: no check again
+    projected = D.projection_lower(x, y, _distance)
     if projected is not None:
         # padded by its round-off, as the half-plane and slice bounds are
         lows.append(projected * (1.0 - _round_off(D)))
@@ -346,7 +327,7 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
 
     lo = max(lows)
 
-    slice_val, slice_exact, slice_tags, _ = _slice_upper(D, x, y)
+    slice_val, slice_exact, slice_tags, witness = _slice_upper(D, x, y)
     # an exact slice value is padded by its round-off, as the half-plane bound is
     his = [slice_val * (1.0 + _round_off(D)) if slice_exact else slice_val]
     tags |= slice_tags
@@ -373,14 +354,19 @@ def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
                 f"sandwich bounds crossed: lo={lo!r} hi={hi!r}; this indicates a bug")
         lo = hi = 0.5 * (lo + hi)
         tags.add("bounds-crossed")
-    return DistanceInterval(lo, hi, frozenset(tags))
+    return DistanceInterval(lo, hi, frozenset(tags)), witness
 
 
-def _require_inside(D: ConvexDomain, x: np.ndarray, y: np.ndarray, what: str) -> None:
-    """Raise OutsideDomain naming the first of x, y outside D; one membership call."""
-    for p, inside in zip((x, y), D.contains_batch(np.array([x, y]))):
+def _require_inside(D: ConvexDomain, *points: np.ndarray, what: str = "point") -> None:
+    """Raise OutsideDomain naming the first point outside D; one membership call."""
+    for p, inside in zip(points, D.contains_batch(np.array(points))):
         if not inside:
             raise OutsideDomain(f"{what} {p} is not in the domain")
+
+
+def _require_c_proper(D: ConvexDomain) -> None:
+    if not D.c_proper:
+        raise PseudoDistanceOnly("pseudo-distance only: the domain is not C-proper")
 
 
 def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
@@ -388,16 +374,21 @@ def distance(D: ConvexDomain, x, y, *, force_sandwich: bool = False,
     """Kobayashi distance as a certified interval (exact where structural)."""
     x = as_point(x, D.dimension)
     y = as_point(y, D.dimension)
-    if not D.c_proper:
-        raise PseudoDistanceOnly("pseudo-distance only: the domain is not C-proper")
-    _require_inside(D, x, y, "point")
+    _require_c_proper(D)
+    _require_inside(D, x, y)
+    return _distance(D, x, y, force_sandwich, optimize_path)
+
+
+def _distance(D: ConvexDomain, x: np.ndarray, y: np.ndarray, force_sandwich: bool = False,
+              optimize_path: bool = False) -> DistanceInterval:
+    """``distance`` on points already checked to lie in the C-proper D."""
     if np.array_equal(x, y):
         return DistanceInterval.exact(0.0, "exact-chart")
     if not force_sandwich:
         exact = exact_distance(D, x, y)
         if exact is not None:
             return exact
-    return _sandwich(D, x, y, optimize_path)
+    return _sandwich(D, x, y, optimize_path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +494,7 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
     y = as_point(y, D.dimension)
     if n < 3:
         raise InvalidDomain("need at least 3 path nodes")
-    _require_inside(D, x, y, "endpoint")
+    _require_inside(D, x, y, what="endpoint")
     if np.array_equal(x, y):
         return x[None, :].copy(), DistanceInterval.exact(0.0, "path-optimizer")
 
@@ -553,22 +544,13 @@ def geodesic_approx(D: ConvexDomain, x, y, n: int = OPTIMIZER_NODES,
 # ---------------------------------------------------------------------------
 
 
-def midpoint_residual(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
-                      m: np.ndarray) -> float:
-    """|K(x,m) - K(m,y)| + |K(x,m) + K(m,y) - K(x,y)| on interval midpoints."""
-    d_xy = distance(D, x, y, optimize_path=False).midpoint
-    a = distance(D, x, m, optimize_path=False).midpoint
-    b = distance(D, m, y, optimize_path=False).midpoint
-    return abs(a - b) + abs(a + b - d_xy)
-
-
 def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     """Geodesic midpoint and its certified radius eta.
 
     On catalog compositions the midpoint is the closed form, checked by its
-    residual against ``tol``, and eta is 0.  Otherwise it is the point m of
-    the segment [x, y] at the geodesic midpoint of the slice bound's
-    witness, and eta is its CN radius
+    residual |d(x,m) - d(m,y)| + |d(x,m) + d(m,y) - d(x,y)| against ``tol``,
+    and eta is 0.  Otherwise it is the point m of the segment [x, y] at the
+    geodesic midpoint of the slice bound's witness, and eta is its CN radius
     sqrt(d(x,m)^2 / 2 + d(m,y)^2 / 2 - d(x,y)^2 / 4) from the ``hi``, ``hi``
     and ``lo`` bounds: by the Bruhat-Tits CN inequality, if D were CAT(0),
     m would lie within eta of the geodesic midpoint.  Raises
@@ -576,16 +558,16 @@ def midpoint_search(D: ConvexDomain, x, y, tol: float | None = None):
     default ``MIDPOINT_TOL_EXACT`` for a closed-form midpoint and
     ``MIDPOINT_TOL_NUMERIC`` for a numeric one.
     """
-    m, eta, _ = _certified_midpoint(D, as_point(x, D.dimension), as_point(y, D.dimension), tol)
+    m, eta, _, _ = _certified_midpoint(D, as_point(x, D.dimension), as_point(y, D.dimension), tol)
     return m, eta
 
 
 def _certified_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
                         tol: float | None):
-    """``midpoint_search`` on validated points, with the tolerance it
-    applied: (m, eta, tol).  The closed-form midpoint is computed once and
-    serves both the default tolerance and the midpoint."""
-    _require_inside(D, x, y, "point")
+    """``midpoint_search`` on points of the right dimension, with the
+    tolerance it applied and d(x, y): (m, eta, tol, d_xy).  The closed-form
+    midpoint serves both the default tolerance and the midpoint."""
+    _require_inside(D, x, y)
     exact = D.exact_midpoint(x, y)
     if tol is None:
         tol = MIDPOINT_TOL_NUMERIC if exact is None else MIDPOINT_TOL_EXACT
@@ -593,35 +575,34 @@ def _certified_midpoint(D: ConvexDomain, x: np.ndarray, y: np.ndarray,
     elif not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidDomain(f"the midpoint tolerance must be finite and at least 0, got {tol}")
     if np.array_equal(x, y):
-        return x.copy(), 0.0, tol
+        return x.copy(), 0.0, tol, DistanceInterval.exact(0.0, "exact-chart")
+    _require_c_proper(D)
 
     if exact is not None:
-        resid = midpoint_residual(D, x, y, exact)
+        m, d_xy = exact, _distance(D, x, y)
+    else:
+        # the midpoint of 0 and 1 on the slice witness's geodesic, else 1/2.
+        # A witness lies in the slice, so each half is at most half its bound
+        d_xy, witness = _sandwich(D, x, y)
+        t = 0.5 if witness is None else witness.exact_midpoint(as_point(0), as_point(1))[0]
+        m = x + t * (y - x)
+    _require_inside(D, m)
+    d_xm, d_my = _distance(D, x, m), _distance(D, m, y)
+
+    if exact is not None:
+        a, b = d_xm.midpoint, d_my.midpoint
+        resid = abs(a - b) + abs(a + b - d_xy.midpoint)
         if resid > max(tol, 1e-12):
             raise MidpointNotCertified(
                 f"midpoint not certified: residual {resid:.3e} > tol {tol:.3e}")
-        return exact, 0.0, tol
+        return m, 0.0, tol, d_xy
 
-    # the midpoint of 0 and 1 on the slice witness's geodesic: the slice
-    # node's closed form, else the winning disk's (in unit coordinates), else
-    # 1/2.  A witness lies in the slice, so each half is at most half its bound
-    _, slice_exact, _, witness = _slice_upper(D, x, y)
-    zero, one, t = np.zeros(1, dtype=complex), np.ones(1, dtype=complex), 0.5
-    if slice_exact:
-        t = witness.exact_midpoint(zero, one)[0]
-    elif witness is not None:
-        c, r = witness
-        t = c + r * unit_disk().exact_midpoint((zero - c) / r, (one - c) / r)[0]
-    m = x + t * (y - x)
-    d_xm = distance(D, x, m, optimize_path=False).hi
-    d_my = distance(D, m, y, optimize_path=False).hi
-    d_xy = distance(D, x, y, optimize_path=False).lo
     # round-off padding: the sum of squares is good to a few ulps of its
     # terms' size, and the root to one more
-    terms = (0.5 * d_xm ** 2, 0.5 * d_my ** 2, 0.25 * d_xy ** 2)
+    terms = (0.5 * d_xm.hi ** 2, 0.5 * d_my.hi ** 2, 0.25 * d_xy.lo ** 2)
     eta2 = terms[0] + terms[1] - terms[2] + _round_off(D) * sum(terms)
     eta = math.sqrt(max(0.0, eta2)) * (1.0 + _round_off(D))
     if eta > tol:
         raise MidpointNotCertified(
             f"midpoint not certified: CN radius {eta:.3e} > tol {tol:.3e}")
-    return m, eta, tol
+    return m, eta, tol, d_xy

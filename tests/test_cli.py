@@ -199,6 +199,11 @@ class TestBadInput:
         ([], "error: the following arguments are required: command\n"),
         (["--seed", "abc", "selftest"],
          "error: argument --seed: invalid int value: 'abc'\n"),
+        # a bad sample count used to blame the window
+        (["mconvex", "--builtin", "ball2", "--samples", "0"],
+         "error: the sample count must be at least 1, got 0\n"),
+        (["example36", "--samples", "-1"],
+         "error: the sample count must be at least 1, got -1\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "mconvex-window-inf",
@@ -206,7 +211,8 @@ class TestBadInput:
             "certify-numeric-point-outside", "mconvex-m-nan", "mconvex-target-c-nan",
             "linetype-cap-0", "product-tol", "linetype-off-boundary",
             "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative",
-            "certify-mode-comparison", "unknown-flag", "no-subcommand", "seed-not-int"])
+            "certify-mode-comparison", "unknown-flag", "no-subcommand", "seed-not-int",
+            "mconvex-samples-0", "example36-samples-negative"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")

@@ -83,6 +83,12 @@ class TestLocalMConvex:
         with pytest.raises(InvalidDomain):
             local_m_convex_check(ball2(), 2.0, 2, sample_count=10, target_c=target_c)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_must_be_at_least_one(self, count):
+        # a bad count used to read as an empty window (EmptyWindow)
+        with pytest.raises(InvalidDomain, match=f"the sample count must be at least 1, got {count}"):
+            local_m_convex_check(ball2(), 2.0, 2, sample_count=count)
+
     def test_monotone_in_m_on_ball(self):
         # window covers the whole unit ball, so delta <= 1 and the same
         # constant works for any larger m

@@ -25,6 +25,7 @@ from kcat0 import (
     example36_domain,
     intersection,
     metric,
+    midpoint_defect,
     midpoint_search,
     unit_disk,
 )
@@ -174,6 +175,37 @@ def test_projection_lower_runs_no_path_optimizer(monkeypatch):
     iv = distance(D, x, y, force_sandwich=True, optimize_path=True)
     assert calls == [D]
     assert iv.lo == distance(D, x, y, force_sandwich=True).lo
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of the metric helper ``name``."""
+    calls, real = [], getattr(metric, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metric, name, counted)
+    return calls
+
+
+def test_a_certificate_bounds_each_pair_once(monkeypatch):
+    # one sandwich on (x, y) gives the witness, eta's lo and d_xy; then
+    # (x, m), (m, y), (z, x), (z, y) and (z, m), each on the inner omega
+    calls = _counted(monkeypatch, "_slice_upper")
+    big = AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain())
+    cert = midpoint_defect(big, [1.0, 1.0], [4.0, 1.0], [2.0, 2.0], tol=5e-2)
+    assert cert.verdict == "violation-certified"
+    pairs = {(x.tobytes(), y.tobytes()) for _, x, y in calls}
+    assert (len(calls), len(pairs)) == (6, 6)
+
+
+def test_distance_checks_its_points_once(monkeypatch):
+    # omega's member projections run on the points distance has checked
+    calls = _counted(monkeypatch, "_require_inside")
+    iv = distance(example36_domain(), [0.2, 0.2], [0.5, 0.4])
+    assert "projection-lower" in iv.methods
+    assert len(calls) == 1
 
 
 def test_metric_holds_no_chart_arithmetic():

@@ -20,10 +20,10 @@ from kcat0 import (
     Product,
     RealPolynomial,
     distance,
-    exact_geodesic,
     geodesic_approx,
     infinitesimal,
     intersection,
+    midpoint_defect,
     midpoint_search,
     right_half_plane,
     sector,
@@ -174,6 +174,20 @@ class TestDistance:
                   c_proper=False)
         with pytest.raises(PseudoDistanceOnly):
             distance(G, [0.0], [0.5])
+
+    @pytest.mark.parametrize("call", [
+        lambda G: midpoint_search(G, [0.0], [0.5]),
+        lambda G: midpoint_defect(G, [0.0], [0.5], [0.2j]),
+        lambda G: midpoint_defect(G, [0.1], [0.1], [0.2j]),
+    ], ids=["midpoint_search", "midpoint_defect", "midpoint_defect-same-points"])
+    def test_pseudo_distance_midpoints_raise(self, call):
+        # the midpoint checks C-properness itself, since its sandwich runs on
+        # checked points; with x == y the certificate's distances check it
+        poly = RealPolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+        G = Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0],
+                  c_proper=False)
+        with pytest.raises(PseudoDistanceOnly, match="not C-proper"):
+            call(G)
 
     def test_exactness_collapse_on_embedded_axis(self, rng):
         # projection lower bound meets slice upper bound for (z, 0) pairs
@@ -744,6 +758,29 @@ class TestMidpoint:
         _, eta = midpoint_search(D, x, y, tol=1e3)
         assert eta ** 2 <= (0.25 * (s ** 2 - lo ** 2) + 2.0 * ulp * s ** 2) * (1.0 + 1e-9)
 
+    @given(data=st.data(), scale=st.sampled_from([1.0, 1e3, 1e6]))
+    @settings(max_examples=25, deadline=None)
+    def test_disk_witness_midpoint_halves_the_slice_bound(self, data, scale):
+        # the slice bound on three balls is mostly one inscribed disk's
+        # distance, and the witness is that disk as a node: its own geodesic
+        # midpoint t splits its distance into halves of at most half the
+        # bound.  Unlike an exact slice's, eta^2 is not bounded by
+        # (s^2 - lo^2) / 4 here: a fresh sandwich on (x, m) can find a worse
+        # disk than the witness
+        inner = intersection([Ball([0.5, 0], 1), Ball([0, 0.5], 1), Ball([0.3, 0.3], 0.9)])
+        D = AffineImage(scale * np.eye(2), np.zeros(2), inner)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x, y = (scale * sample_in(inner, rng, scale=0.6) for _ in range(2))
+        value, exact, _, witness = _slice_upper(D, x, y)
+        assume(not exact and witness is not None)
+        zero, one = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+        t = witness.exact_midpoint(zero, one)
+        halves = witness.exact_distance(zero, t).lo, witness.exact_distance(t, one).lo
+        assert halves[0] == pytest.approx(halves[1], rel=1e-9)
+        assert max(halves) <= 0.5 * value * (1.0 + 1e-12)
+        m, eta = midpoint_search(D, x, y, tol=1e3)
+        assert D.contains(m) and eta > 0.0
+
     @pytest.mark.parametrize("D, x, y", [
         (upper_half_plane(), [-1j], [4j]),
         (Product(upper_half_plane(), unit_disk()), [-1j, 0.0], [4j, 0.0]),
@@ -794,7 +831,7 @@ class TestBallAutomorphism:
         D = ball2()
         x = sample_in(D, rng, scale=0.5)
         y = sample_in(D, rng, scale=0.5)
-        g = exact_geodesic(D, x, y)
+        g = D.exact_geodesic(x, y)
         s, t, u = sorted(rng.uniform(0, 1, 3))
         lhs = distance(D, g(s), g(t)).lo + distance(D, g(t), g(u)).lo
         assert lhs == pytest.approx(distance(D, g(s), g(u)).lo, abs=1e-9)
@@ -952,7 +989,7 @@ class TestInscribedDiskSlice:
         if disk is not None:
             # the witness is the disk whose distance the bound is: it lies in
             # N (its circle, shrunk by a relative 1e-6, maps inside)
-            c, r = disk
+            c, r = disk.center, disk.radius
             assert value == pytest.approx(disk_distance(-c / r, (1.0 - c) / r), rel=1e-8)
             ring = c + (1.0 - 1e-6) * r * np.exp(2j * math.pi * np.arange(64) / 64)
             assert N.contains_batch((z[0] + ring * (w[0] - z[0]))[:, None]).all()
