@@ -30,6 +30,7 @@ from .errors import DegenerateInput, EmptyWindow, InvalidDomain, OrderNotResolve
 from .points import as_point, point_to_json
 
 ORDER_CAP = 16
+GRID_SIZE = 256
 SLOPE_RESIDUAL_TOL = 0.1
 DIVERGENCE_FACTOR = 4.0
 
@@ -232,19 +233,15 @@ def _exact_order(poly: RealPolynomial, line: AffineLine) -> int:
 
 def _numeric_order_estimate(r: DefiningFunction, line: AffineLine) -> float:
     """Slope of log max_theta |r(l(rho e^i theta))| against log rho, over 8
-    angles theta and 7 radii rho from 1e-2 to 1e-5."""
-    thetas = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    logs_r, logs_v = [], []
-    for rho in np.geomspace(1e-2, 1e-5, 7):
-        vals = [abs(r.value(line(rho * np.exp(1j * th)))) for th in thetas]
-        top = max(vals)
-        if top <= 0.0:
-            continue
-        logs_r.append(math.log(rho))
-        logs_v.append(math.log(top))
-    if len(logs_r) < 3:
+    angles theta and 7 radii rho from 1e-2 to 1e-5, in one batch."""
+    rhos = np.geomspace(1e-2, 1e-5, 7)
+    ts = rhos[:, None] * np.exp(1j * np.linspace(0.0, 2 * math.pi, 8, endpoint=False))
+    Z = line.base + ts[..., None] * line.direction
+    tops = np.abs(r.value_batch(Z.reshape(-1, r.dimension))).reshape(ts.shape).max(axis=1)
+    kept = tops > 0.0
+    if np.count_nonzero(kept) < 3:
         return math.inf  # the function is flatter than any tracked order
-    return float(np.polyfit(logs_r, logs_v, 1)[0])
+    return float(np.polyfit(np.log(rhos[kept]), np.log(tops[kept]), 1)[0])
 
 
 def _check_on_boundary(r: DefiningFunction, x: np.ndarray) -> None:
@@ -289,10 +286,14 @@ def _tangent_basis(r: DefiningFunction, x: np.ndarray) -> np.ndarray:
     return vh[1:].conj().T  # columns span {w : sum dr/dz_j w_j = 0}
 
 
-def line_type(r: DefiningFunction, x, grid_size: int = 256,
-              refine_rounds: int = 3, cap: int = ORDER_CAP) -> LineTypeResult:
+def line_type(r: DefiningFunction, x, cap: int = ORDER_CAP) -> LineTypeResult:
     """Sup of vanishing orders over complex tangent lines through x.
 
+    Each line is taken once: in C^2 the complex tangent space is one line;
+    in higher dimension it is sampled by a fixed grid of ``GRID_SIZE``
+    seeded directions, with no refinement.  The directions of order at
+    least m form a closed algebraic set, so an order above the generic one
+    holds on a set of measure zero, which no seeded direction meets.
     Orders beyond ``cap`` (numeric path) are reported as infinite type.
     Transversal lines vanish to first order, so the sup is attained on the
     complex tangent space whenever the dimension exceeds one.
@@ -308,40 +309,23 @@ def line_type(r: DefiningFunction, x, grid_size: int = 256,
 
     basis = _tangent_basis(r, x)
     k = basis.shape[1]
+    if k == 1:
+        us = np.ones((1, 1), dtype=complex)
+    else:
+        raw = np.random.default_rng(0xA11CE).normal(size=(GRID_SIZE, 2 * k))
+        us = raw[:, :k] + 1j * raw[:, k:]
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
 
-    def directions(count: int, center=None, spread: float = 1.0):
-        if k == 1:
-            phases = np.linspace(0.0, math.pi, count, endpoint=False)
-            base = np.exp(1j * phases)[:, None]
-        else:
-            raw = np.random.default_rng(0xA11CE).normal(size=(count, 2 * k))
-            base = raw[:, :k] + 1j * raw[:, k:]
-            base /= np.linalg.norm(base, axis=1, keepdims=True)
-        if center is not None:
-            base = center[None, :] + spread * base
-            base /= np.linalg.norm(base, axis=1, keepdims=True)
-        return base
-
-    def order_of(u: np.ndarray) -> float:
+    per_line = []
+    for u in us:
+        w = basis @ u
         try:
-            return _line_order(r, AffineLine(x, basis @ u), cap)
+            nu = _line_order(r, AffineLine(x, w), cap)
         except OrderNotResolved:
             if r.polynomial is None:
                 raise
-            return math.inf  # r vanishes on the line
-
-    per_line = []
-    best_u, best_order = None, -math.inf
-    us = directions(grid_size if k > 1 else min(grid_size, 16))
-    for rounds in range(refine_rounds + 1):
-        for u in us:
-            nu = order_of(u)
-            per_line.append((basis @ u, nu))
-            if nu > best_order:
-                best_order, best_u = nu, u
-        if math.isinf(best_order) or k == 1:
-            break
-        us = directions(32, center=best_u, spread=0.5 ** (rounds + 1))
-
+            nu = math.inf  # r vanishes on the line
+        per_line.append((w, nu))
+    best_w, best_order = max(per_line, key=lambda pair: pair[1])
     value = math.inf if best_order > cap else best_order
-    return LineTypeResult(x, value, basis @ best_u, per_line)
+    return LineTypeResult(x, value, best_w, per_line)

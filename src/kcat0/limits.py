@@ -40,7 +40,8 @@ from .domains import (
     unit_disk,
     unit_rows,
 )
-from .errors import EmptyWindow, GridBoundary, InvalidDomain, KCat0Error, OutsideDomain
+from .errors import (DimensionMismatch, EmptyWindow, GridBoundary, InvalidDomain, KCat0Error,
+                     OutsideDomain)
 from .metric import distance
 from .points import as_point, point_to_json
 
@@ -343,8 +344,10 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
 
     def row_argmax(ws: np.ndarray, vals: np.ndarray, rho: float, n: int):
         """The row's largest f(0, w)/rho^n and its first point; NaN ranks
-        lowest, as it never passes a scalar ``>`` test."""
-        ratios = vals / rho ** n
+        lowest, as it never passes a scalar ``>`` test; an underflowed rho^n
+        gives an infinite ratio or a NaN, both ranked, so numpy need not warn."""
+        with np.errstate(all="ignore"):
+            ratios = vals / rho ** n
         ratios[np.isnan(ratios)] = -math.inf
         j = int(np.argmax(ratios))
         return ratios[j], ws[j]
@@ -469,9 +472,15 @@ class ConvergenceTable:
 
 def convergence_check(sequence_or_domains, target: ConvexDomain, test_pairs,
                       n_list: Sequence[int]) -> ConvergenceTable:
-    """Gaps |K_n(x, y) - K_target(x, y)| per pair per n (interval midpoints)."""
+    """Gaps |K_n(x, y) - K_target(x, y)| per pair per n (interval midpoints).
+
+    K_target(x, y) does not depend on n, so it is computed once per pair,
+    at its first use; each n checks all pair points in one membership batch.
+    """
     pairs = [(as_point(x, target.dimension), as_point(y, target.dimension))
              for x, y in test_pairs]
+    points = np.array([p for pair in pairs for p in pair], dtype=complex)
+    k_target: list[float] = []
     rows = []
     max_gap: dict[int, float] = {}
     for idx_n, n in enumerate(n_list):
@@ -479,14 +488,18 @@ def convergence_check(sequence_or_domains, target: ConvexDomain, test_pairs,
             dom = sequence_or_domains.domain(n)
         else:
             dom = sequence_or_domains[idx_n]
+        if dom.dimension != target.dimension:
+            raise DimensionMismatch(f"expected dimension {dom.dimension}, got {target.dimension}")
+        if pairs:
+            inside = dom.contains_batch(points).reshape(-1, 2).all(axis=1)
+            if not inside.all():
+                raise OutsideDomain(f"test pair {int(np.argmin(inside))} leaves the domain at n={n}")
         worst = 0.0
         for i, (x, y) in enumerate(pairs):
-            for p in (x, y):
-                if not dom.contains(p):
-                    raise OutsideDomain(f"test pair {i} leaves the domain at n={n}")
             k_n = distance(dom, x, y).midpoint
-            k_t = distance(target, x, y).midpoint
-            gap = abs(k_n - k_t)
+            if i == len(k_target):
+                k_target.append(distance(target, x, y).midpoint)
+            gap = abs(k_n - k_target[i])
             rows.append((int(n), i, float(gap)))
             worst = max(worst, gap)
         max_gap[int(n)] = float(worst)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -258,6 +259,25 @@ class TestOtherCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,pairIndex,gap"
         assert len(lines) == 3
+
+    def test_limits_dilation_json(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        code, _, _ = run(["--output", str(out), "limits",
+                          "--experiment", "dilation-disk", "--n", "10", "100"], capsys)
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert (data["schema"], data["kind"]) == ("kcat0/1", "convergence-table")
+        assert [(row["n"], row["pairIndex"]) for row in data["rows"]] == [(10, 0), (100, 0)]
+        assert data["monotone_decreasing"] is True
+
+    def test_limits_frankel_quartic_has_no_anchor(self, capsys):
+        # f(0, w)/|w|^n = |w|^(4 - n), so every argmax sits on a grid edge;
+        # numpy warnings would print more lines on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["limits", "--experiment", "frankel-quartic"], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: n=10: argmax of f(0,w)/|w|^n pinned")
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(["selftest"], capsys)

@@ -24,7 +24,8 @@ from kcat0 import (
     local_m_convex_check,
     vanishing_order,
 )
-from kcat0.convexity import _exact_order, _tangent_basis
+from kcat0 import convexity
+from kcat0.convexity import GRID_SIZE, _exact_order, _numeric_order_estimate, _tangent_basis
 from kcat0.errors import InvalidDomain, OrderNotResolved
 
 
@@ -158,6 +159,20 @@ class TestVanishingOrder:
         line = AffineLine(np.zeros(2, dtype=complex), np.array([0.0, 1.0], dtype=complex))
         assert vanishing_order(r, line) == 4
 
+    @pytest.mark.parametrize("direction", [[0.0, 1.0], [1.0, 0.0], [0.3j, 1.0 - 0.2j]])
+    def test_numeric_estimate_matches_the_per_point_loop(self, direction):
+        # the reference evaluates r point by point, as before the batch
+        r = DefiningFunction(2, evaluate=lambda z: -z[0].imag + abs(z[1]) ** 4 + z[0].real ** 2)
+        line = AffineLine(np.zeros(2, dtype=complex), np.array(direction, dtype=complex))
+        logs_r, logs_v = [], []
+        for rho in np.geomspace(1e-2, 1e-5, 7):
+            top = max(abs(r.value(line(rho * np.exp(1j * th))))
+                      for th in np.linspace(0.0, 2 * math.pi, 8, endpoint=False))
+            logs_r.append(math.log(rho))
+            logs_v.append(math.log(top))
+        expected = float(np.polyfit(logs_r, logs_v, 1)[0])
+        assert _numeric_order_estimate(r, line) == pytest.approx(expected, rel=1e-12)
+
     def test_base_off_boundary_rejected(self):
         r = DefiningFunction.from_polynomial(ball_poly())
         line = AffineLine(np.array([0.5, 0.0], dtype=complex),
@@ -285,6 +300,32 @@ class TestLineType:
         # extremal line is the z2 axis up to phase
         assert abs(res.extremal_direction[0]) < 1e-9
         assert abs(res.extremal_direction[1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_c2_substitutes_its_tangent_line_once(self, monkeypatch):
+        # in C^2 the complex tangent space is one line, whatever its phase
+        calls = []
+
+        def counted(poly, line):
+            calls.append(line.direction)
+            return _exact_order(poly, line)
+
+        monkeypatch.setattr(convexity, "_exact_order", counted)
+        res = line_type(DefiningFunction.from_polynomial(quartic_poly()), [0.0, 0.0])
+        assert res.line_type == 4
+        assert len(calls) == 1 and len(res.per_line_orders) == 1
+
+    def test_c3_grid_reads_the_common_order(self):
+        # -Im z1 + |z2|^4 + |z3|^4: every complex tangent line at 0 has order 4
+        poly = RealPolynomial(3, {(0, 1, 0, 0, 0, 0): -1.0,
+                                  (0, 0, 4, 0, 0, 0): 1.0, (0, 0, 0, 4, 0, 0): 1.0,
+                                  (0, 0, 2, 2, 0, 0): 2.0,
+                                  (0, 0, 0, 0, 4, 0): 1.0, (0, 0, 0, 0, 0, 4): 1.0,
+                                  (0, 0, 0, 0, 2, 2): 2.0})
+        res = line_type(DefiningFunction.from_polynomial(poly), [0.0, 0.0, 0.0])
+        assert res.line_type == 4
+        assert len(res.per_line_orders) == GRID_SIZE
+        assert all(nu == 4 for _, nu in res.per_line_orders)
+        assert abs(res.extremal_direction[0]) < 1e-12
 
     def test_numeric_path_agrees(self):
         r = DefiningFunction(2, evaluate=lambda z: -z[0].imag + abs(z[1]) ** 4)

@@ -10,6 +10,7 @@ from kcat0 import (
     Product,
     convergence_check,
     dilation_sequence,
+    distance,
     example36_domain,
     frankel_2b,
     hausdorff,
@@ -251,6 +252,21 @@ class TestConvergence:
         with pytest.raises(OutsideDomain) as err:
             convergence_check(seq, Disk(0.0, 1.2), [([0.0], [1.05])], [10, 100])
         assert "n=100" in str(err.value)
+
+    def test_target_distance_once_per_pair(self, monkeypatch):
+        # K_target(x, y) does not depend on n
+        target, calls = unit_disk(), []
+
+        def counted(D, x, y):
+            calls.append(D is target)
+            return distance(D, x, y)
+
+        monkeypatch.setattr(limits, "distance", counted)
+        seq = dilation_sequence(unit_disk(), unit_disk(), lambda n: 1 + 1 / n)
+        pairs = [([0.0], [0.5]), ([0.1], [-0.3j]), ([0.2j], [0.6])]
+        table = convergence_check(seq, target, pairs, [10, 100, 1000])
+        assert len(table.rows) == 9
+        assert calls.count(True) == 3
 
     def test_csv_shape(self):
         seq = dilation_sequence(unit_disk(), unit_disk(), lambda n: 1 + 1 / n)

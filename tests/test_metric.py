@@ -92,6 +92,16 @@ class TestInfinitesimal:
         with pytest.raises(OutsideDomain):
             infinitesimal(unit_disk(), [1.5], [1.0])
 
+    def test_affine_image_pulls_back_the_ball(self):
+        A, b = np.array([[2, 0.5], [0, 1]], dtype=complex), np.array([0.3j, -0.2])
+        D = AffineImage(A, b, Ball([0, 0], 1))
+        zs, vs = np.array([0.2 + 0.1j, -0.3j]), np.array([1.0, 0.5j])
+        iv = infinitesimal(D, A @ zs + b, A @ vs)
+        # the ball's closed form at the pulled-back point and vector
+        one = 1.0 - np.vdot(zs, zs).real
+        exact = math.sqrt(np.vdot(vs, vs).real * one + abs(np.vdot(zs, vs)) ** 2) / one
+        assert iv.is_exact and iv.lo == pytest.approx(exact, rel=1e-12)
+
 
 class TestDistance:
     def test_product_formula(self):
