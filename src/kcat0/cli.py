@@ -232,6 +232,8 @@ def _pair_option(text: str):
 
 
 def cmd_example36(args) -> int:
+    if args.big_n < 1:
+        raise KCat0Error(f"--big-n must be at least 1, got {args.big_n}")
     report = limits.example36(n_list=tuple(n_option(args.n)), big_n=args.big_n,
                               seed=args.seed, mconvex_samples=args.samples,
                               hausdorff_directions=args.directions)

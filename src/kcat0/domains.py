@@ -21,7 +21,7 @@ is the product of its coordinate disks.  Every node answers:
                            the domain for each row ``a`` of ``A`` (``+inf``
                            when unbounded in that direction), used to build
                            certified half-plane bounds; ``support_upper(a)``
-                           is its one-row form (``+inf`` on a graph or oracle set),
+                           is its one-row form (``+inf`` off the leaves),
 * ``supporting_half_planes(x, y)`` unit functionals with certified supports
                            for the pair (a graph's tangent planes), else None.
 
@@ -299,16 +299,15 @@ class RealPolynomial:
 class DefiningFunction:
     """Smooth convex defining function r with {r < 0} the domain.
 
-    ``evaluate`` maps a C^d point to a real, ``gradient`` to the real gradient
-    (d/dRe, then d/dIm).  ``value`` and ``grad`` are the one-row views of
-    ``value_batch`` and ``grad_batch``: a ``polynomial`` (which also gives
-    exact vanishing orders) takes all rows at once; an opaque callable is
-    called per row, and without ``gradient`` central differences run batched.
+    ``evaluate`` maps a C^d point to a real.  ``value`` and ``grad`` (the
+    real gradient, d/dRe then d/dIm) are the one-row views of ``value_batch``
+    and ``grad_batch``: a ``polynomial`` (which also gives exact vanishing
+    orders) takes all rows at once; an opaque callable is called per row, and
+    its gradient is central differences of all rows in one batch.
     """
 
     dimension: int
     evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
     polynomial: RealPolynomial | None = None
 
     @staticmethod
@@ -329,10 +328,7 @@ class DefiningFunction:
     def grad_batch(self, Z: np.ndarray) -> np.ndarray:
         if self.polynomial is not None:
             return self.polynomial.gradient_batch(Z)
-        n = 2 * self.dimension
-        if self.gradient is not None:
-            return np.array([np.asarray(self.gradient(z), dtype=float) for z in Z]).reshape(-1, n)
-        h = 1e-6
+        n, h = 2 * self.dimension, 1e-6
         X, E = np.concatenate([Z.real, Z.imag], axis=1)[:, None, :], h * np.eye(n)
         P = _from_real(np.concatenate([X + E, X - E], axis=1)).reshape(-1, self.dimension)
         v = self.value_batch(P).reshape(-1, 2, n)
@@ -431,7 +427,7 @@ class ConvexDomain:
 
     def support_upper_batch(self, A: np.ndarray) -> np.ndarray:
         """``support_upper`` of each row of A; +inf, which certifies nothing,
-        where a node knows no support (a graph domain or an oracle set)."""
+        where a node knows no support (a composite, a graph or an oracle set)."""
         return np.full(A.shape[0], math.inf)
 
     def supporting_half_planes(self, x: np.ndarray, y: np.ndarray):
@@ -619,9 +615,9 @@ class HalfPlane(ConvexDomain):
         a = A[:, 0]
         mag = np.abs(a)
         u = np.divide(a, mag, out=np.zeros_like(a), where=mag > 0)
-        # finite only along the outward normal; the zero functional gives 0
-        out = np.where(np.abs(u + self.inward_normal) < 1e-12,
-                       (self.boundary_point * np.conj(a)).real, math.inf)
+        # finite only along the outward normal, to the bit: any tilt makes
+        # the sup infinite.  The zero functional gives 0
+        out = np.where(u == -self.inward_normal, (self.boundary_point * np.conj(a)).real, math.inf)
         return np.where(mag > 0, out, 0.0)
 
     def to_spec(self):
@@ -946,9 +942,6 @@ class Product(ConvexDomain):
     def anchor(self):
         return np.concatenate([f.anchor() for f in self.factors])
 
-    def support_upper_batch(self, A):
-        return sum(f.support_upper_batch(Af) for f, Af in zip(self.factors, self.split(A)))
-
     def to_spec(self):
         # the wire format is binary: three or more factors nest to the right
         if len(self.factors) == 1:
@@ -1084,11 +1077,6 @@ class AffineImage(ConvexDomain):
     def anchor(self):
         return self.push_forward(self.inner.anchor())
 
-    def support_upper_batch(self, A):
-        # Re<Mz + b, a> = Re<z, M^H a> + Re<b, a>; rows of A @ conj(M) are M^H a
-        return (np.sum(self.offset * np.conj(A), axis=1).real
-                + self.inner.support_upper_batch(A @ self.matrix.conj()))
-
     def to_spec(self):
         return {"type": "affine_image",
                 "matrix": [[c.real, c.imag] for c in self.matrix.reshape(-1)],
@@ -1191,9 +1179,6 @@ class Intersection(ConvexDomain):
         z = rings.mean(axis=0)
         return z if self._contains(z) else rings[0]   # the centroid can round outside
 
-    def support_upper_batch(self, A):
-        return reduce(np.minimum, [m.support_upper_batch(A) for m in self.members])
-
     def to_spec(self):
         return {"type": "intersection",
                 "members": [m.to_spec() for m in self.members]}
@@ -1264,7 +1249,9 @@ def _wedge_sector(h1: HalfPlane, h2: HalfPlane) -> ConvexDomain | None:
     d = math.remainder(l2 - l1, 2 * math.pi)
     alpha = l1 + max(d, 0.0)
     opening = math.pi - abs(d)
-    if opening <= 1e-13:
+    # ``sector`` would read an opening within 1e-12 of pi as a half-plane
+    # through the vertex, far off and holding the wedge, which is no bound
+    if opening <= 1e-13 or math.pi - opening <= 1e-12:
         return None
     return sector(vertex, alpha, alpha + opening)
 
@@ -1329,14 +1316,10 @@ def reduce_planar_intersection(members: list[ConvexDomain]) -> ConvexDomain | No
             return margin >= b.radius - 1e-15
         return False
 
-    keep = []
-    for i, m in enumerate(members):
-        redundant = any(j != i and covers(m, other)
-                        for j, other in enumerate(members))
-        if not redundant:
-            keep.append(m)
-    if not keep:
-        keep = [members[0]]
+    # of members that cover each other (equal disks), the first stays
+    keep = [m for i, m in enumerate(members)
+            if not any(covers(m, other) and not (j > i and covers(other, m))
+                       for j, other in enumerate(members) if j != i)]
     if len(keep) == 1:
         return keep[0]
     if len(keep) == 2 and all(isinstance(m, HalfPlane) for m in keep):
@@ -1473,9 +1456,10 @@ class PlanarOracle(ConvexDomain):
         return True  # oracle sets arise as slices of C-proper domains
 
     def anchor(self):
-        rings = np.geomspace(1e-3, 1e3, 25)[:, None] * np.exp(
-            1j * np.linspace(0.0, _TWO_PI, 64, endpoint=False))
-        candidates = np.append(rings.ravel(), 0.0)
+        # 25 rings of 64 points, each turned by the golden angle pi (3 - sqrt 5)
+        # from the last: no two share a direction, so thin wedges from 0 hold some
+        turns = math.pi * (3.0 - math.sqrt(5.0)) * np.arange(25 * 64)
+        candidates = np.append(np.geomspace(1e-3, 1e3, 25).repeat(64) * np.exp(1j * turns), 0.0)
         found = np.flatnonzero(self.member_batch(candidates))
         if not found.size:
             raise EmptyWindow(f"could not find an interior point of {self.label}")

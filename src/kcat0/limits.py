@@ -470,7 +470,7 @@ class ConvergenceTable:
         return buf.getvalue()
 
 
-def convergence_check(sequence_or_domains, target: ConvexDomain, test_pairs,
+def convergence_check(sequence: ScalingSequence, target: ConvexDomain, test_pairs,
                       n_list: Sequence[int]) -> ConvergenceTable:
     """Gaps |K_n(x, y) - K_target(x, y)| per pair per n (interval midpoints).
 
@@ -483,11 +483,8 @@ def convergence_check(sequence_or_domains, target: ConvexDomain, test_pairs,
     k_target: list[float] = []
     rows = []
     max_gap: dict[int, float] = {}
-    for idx_n, n in enumerate(n_list):
-        if isinstance(sequence_or_domains, ScalingSequence):
-            dom = sequence_or_domains.domain(n)
-        else:
-            dom = sequence_or_domains[idx_n]
+    for n in n_list:
+        dom = sequence.domain(n)
         if dom.dimension != target.dimension:
             raise DimensionMismatch(f"expected dimension {dom.dimension}, got {target.dimension}")
         if pairs:

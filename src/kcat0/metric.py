@@ -3,8 +3,8 @@
 Catalog compositions (planar models, balls, products of any number of
 factors, affine images) evaluate exactly, each node from its own
 ``exact_distance``.  Everything else gets a certified sandwich: lower
-bounds from holomorphic contractions (factor projections, member
-inclusions, supporting half-planes), upper bounds from the planar slice
+bounds from holomorphic contractions (factor projections or member
+inclusions, else supporting half-planes), upper bounds from the planar slice
 through the two points (exact, or from disks inscribed by membership),
 from inscribed polydisks and, on request, from an optimized discrete path.
 The public contract for non-catalog domains is always a
@@ -122,7 +122,9 @@ def _round_off(D: ConvexDomain) -> float:
 
 
 def _half_plane_lower(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float:
-    """Best lower bound from affine functionals into supporting half-planes.
+    """Best lower bound from affine functionals into supporting half-planes,
+    for nodes without ``projection_lower``: a leaf's supports on the
+    functional grid, a graph's tangent planes (an oracle set's read +inf).
 
     A functional f with support bound h maps D into {Re w < h}, where the
     distance is asinh(|f(x - y)| / (2 sqrt((h - Re f(x)) (h - Re f(y))))),
@@ -305,27 +307,21 @@ def _padded_disk_upper(x, y, centers, radii, ulp: float) -> np.ndarray:
 def _sandwich(D: ConvexDomain, x: np.ndarray, y: np.ndarray, optimize_path: bool = False):
     """(interval, witness): the certified bounds on K_D(x, y) for checked
     points, with the witness of the slice bound (``_slice_upper``).  An
-    affine image's slice is its inner node's, so the witness carries over."""
+    affine image is pulled back, and its slice is its inner node's, so the
+    witness carries over.  Each node takes one lower bound: its parts'
+    distances (``projection_lower``), else its supporting half-planes."""
     preimage = D.preimage_pair(x, y)
     if preimage is not None:
         iv, witness = _sandwich(*preimage, optimize_path)
         return iv.with_tags("affine-invariance"), witness
 
-    tags: set[str] = set()
-    lows = [0.0]
-    # factors and members are C-proper and hold the points: no check again
+    # a projection dominates the half-planes: a unit functional maps the
+    # member of least support, or each factor through the sum map, into the
+    # same half-plane.  Factors and members are C-proper and hold the points
     projected = D.projection_lower(x, y, _distance)
-    if projected is not None:
-        # padded by its round-off, as the half-plane and slice bounds are
-        lows.append(projected * (1.0 - _round_off(D)))
-        tags.add("projection-lower")
-
-    hp = _half_plane_lower(D, x, y)
-    if hp > 0:
-        lows.append(hp)
-        tags.add("projection-lower")
-
-    lo = max(lows)
+    # padded by its round-off, as the half-plane and slice bounds are
+    lo = _half_plane_lower(D, x, y) if projected is None else projected * (1.0 - _round_off(D))
+    tags = {"projection-lower"} if projected is not None or lo > 0 else set()
 
     slice_val, slice_exact, slice_tags, witness = _slice_upper(D, x, y)
     # an exact slice value is padded by its round-off, as the half-plane bound is

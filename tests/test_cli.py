@@ -205,6 +205,10 @@ class TestBadInput:
          "error: the sample count must be at least 1, got 0\n"),
         (["example36", "--samples", "-1"],
          "error: the sample count must be at least 1, got -1\n"),
+        # each used to run the m-convexity and Hausdorff stages first, then
+        # fail in the large-n certificate
+        (["example36", "--big-n", "0"], "error: --big-n must be at least 1, got 0\n"),
+        (["example36", "--big-n", "-1"], "error: --big-n must be at least 1, got -1\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "mconvex-window-inf",
@@ -213,7 +217,8 @@ class TestBadInput:
             "linetype-cap-0", "product-tol", "linetype-off-boundary",
             "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative",
             "certify-mode-comparison", "unknown-flag", "no-subcommand", "seed-not-int",
-            "mconvex-samples-0", "example36-samples-negative"])
+            "mconvex-samples-0", "example36-samples-negative", "example36-big-n-0",
+            "example36-big-n-negative"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")

@@ -243,8 +243,8 @@ class TestConvergence:
         assert table.monotone
 
     def test_constant_sequence_gap_zero(self):
-        doms = [unit_disk(), unit_disk()]
-        table = convergence_check(doms, unit_disk(), [([0.1], [0.4])], [1, 2])
+        seq = dilation_sequence(unit_disk(), unit_disk(), lambda n: 1.0)
+        table = convergence_check(seq, unit_disk(), [([0.1], [0.4])], [1, 2])
         assert all(g == 0.0 for _, _, g in table.rows)
 
     def test_pair_exiting_domain_is_reported(self):

@@ -32,7 +32,13 @@ from kcat0 import (
 )
 from kcat0 import metric
 from kcat0.domains import Intersection, ball_mobius, ray_boundary_batch, unit_rows
-from kcat0.errors import InvalidDomain, MidpointNotCertified, OutsideDomain, PseudoDistanceOnly
+from kcat0.errors import (
+    EmptyWindow,
+    InvalidDomain,
+    MidpointNotCertified,
+    OutsideDomain,
+    PseudoDistanceOnly,
+)
 from kcat0.metric import (
     OPTIMIZER_NODES,
     OPTIMIZER_QUAD,
@@ -169,7 +175,8 @@ class TestDistance:
             assert distance(D, x, y).lo <= d_slice + 1e-9
 
     def test_crossed_bounds_are_tagged(self, monkeypatch):
-        D, x, y = example36_domain(), [0.2, 0.2], [0.4, 0.3]
+        # a leaf's forced sandwich takes its lower bound from the half-planes
+        D, x, y = ball2(), [0.2, 0.1], [-0.3j, 0.4]
         iv = distance(D, x, y, force_sandwich=True, optimize_path=False)
         assert "bounds-crossed" not in iv.methods
         # a lower bound above the slice bound, by less than the 5e-9 tolerance
@@ -398,12 +405,14 @@ def _exact_pair(data, min_dim):
 
 
 class TestHalfPlaneLower:
+    # the half-plane bound serves the nodes without a projection: the leaves
     @pytest.mark.parametrize("D", [
-        example36_domain(),
-        intersection([Ball([0.0, 0.0], 1.0), Ball([0.5, 0.5j], 0.9), Ball([-0.3j, 0.2], 1.1)]),
-        Product(upper_half_plane(), unit_disk()),
-        Polydisk([0.1, -0.2j], [1.0, 1.5]),
-    ], ids=["example36", "three-balls", "HxD", "polydisk"])
+        Ball([0.3 - 0.2j, 0.5], 1.2),
+        Ball([0.1, -0.4j, 0.2 + 0.1j], 0.8),
+        Disk(0.3 + 0.1j, 1.5),
+        sector(0.2j, 0.5, 2.0),
+        HalfPlane(0.1, -1j),   # the grid's i e_1 is its outward normal
+    ], ids=["ball-c2", "ball-c3", "disk", "sector", "halfplane"])
     def test_matches_the_per_functional_loop(self, D, rng):
         for _ in range(20):
             x, y = _deep_point(D, rng), _deep_point(D, rng)
@@ -411,14 +420,13 @@ class TestHalfPlaneLower:
                 _half_plane_lower_loop(D, x, y), rel=1e-12)
 
     def test_scaled_domain_keeps_its_digits(self, rng):
-        # a dilation is a biholomorphism; the charted half-plane distance
-        # lost about 1e-5 relative at this scale, the closed form keeps it
-        omega = example36_domain()
-        big = AffineImage(1e6 * np.eye(2), np.zeros(2), omega)
+        # the charted half-plane distance lost about 1e-5 relative at this
+        # scale, the closed form keeps it
+        unit, big = ball2(), Ball([0.0, 0.0], 1e6)
         for _ in range(20):
-            x, y = _deep_point(omega, rng), _deep_point(omega, rng)
+            x, y = _deep_point(unit, rng), _deep_point(unit, rng)
             assert _half_plane_lower(big, 1e6 * x, 1e6 * y) == pytest.approx(
-                _half_plane_lower_loop(omega, x, y), rel=1e-12)
+                _half_plane_lower_loop(unit, x, y), rel=1e-12)
 
     @staticmethod
     def _forced_case(data):
@@ -440,6 +448,84 @@ class TestHalfPlaneLower:
         # bound); a slice's exact distance must never fall below K_D
         exact, iv = self._forced_case(data)
         assert iv.hi >= exact - 1e-9 * max(1.0, exact)
+
+
+def _composite_support(D, A):
+    """Support bounds of the rows of A that a composite's parts imply: the
+    sum over a product's factors, the least over an intersection's members,
+    and an affine image's inner support at M^H a plus Re<b, a>."""
+    if isinstance(D, Product):
+        return sum(_composite_support(f, Af) for f, Af in zip(D.factors, D.split(A)))
+    if isinstance(D, Intersection):
+        return np.min([_composite_support(m, A) for m in D.members], axis=0)
+    if isinstance(D, AffineImage):
+        return (A.conj() @ D.offset).real + _composite_support(D.inner, A @ D.matrix.conj())
+    return D.support_upper_batch(A)
+
+
+@st.composite
+def _composite_pair(draw):
+    """A product or an intersection of ``_node`` draws, or an intersection of
+    three balls about a common point, with two points on seeded rays from
+    the middle of the longest of 8 seeded chords from its anchor (an anchor
+    can lie within 1e-98 of a member's boundary)."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["intersection", "three-balls"] + (["product"] if d > 1 else [])))
+    if kind == "product":
+        cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1)))
+        D = Product(*[draw(_node(int(k), 1)) for k in np.diff([0, *cuts, d])])
+    elif kind == "intersection":
+        D = Intersection([draw(_node(d, 1)) for _ in range(2)])
+    else:
+        common = np.array([draw(_cplx) for _ in range(d)])
+        centers = [common + np.array([draw(_cplx) for _ in range(d)]) for _ in range(3)]
+        D = Intersection([Ball(c, np.linalg.norm(c - common) + draw(_size)) for c in centers])
+    try:
+        base = D.anchor()
+    except EmptyWindow:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = unit_rows(rng, 8, d)
+    reach = np.minimum(ray_boundary_batch(D.contains_batch, base, U), 3.0)
+    base = base + 0.5 * reach.max() * U[np.argmax(reach)]
+    U = unit_rows(rng, 2, d)
+    reach = np.minimum(ray_boundary_batch(D.contains_batch, base, U), 3.0)
+    x, y = base + (rng.uniform(size=2) * reach)[:, None] * U
+    assume(D.contains_batch(np.array([x, y])).all())
+    return D, x, y
+
+
+class TestOneLowerBoundPerNode:
+    @pytest.mark.parametrize("call, runs", [
+        (lambda: distance(example36_domain(), [0.2, 0.2], [0.4, 0.3]), 0),
+        (lambda: distance(Product(upper_half_plane(), unit_disk()), [1j, 0.2], [2 + 0.5j, -0.3j],
+                          force_sandwich=True), 0),
+        (lambda: distance(Polydisk([0.1, -0.2j], [1.0, 1.5]), [0.3, 0.1j], [-0.2j, 0.5],
+                          force_sandwich=True), 0),
+        (lambda: midpoint_defect(AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain()),
+                                 [1.0, 1.0], [4.0, 1.0], [2.0, 2.0]), 0),
+        (lambda: distance(ball2(), [0.2, 0.1], [-0.3j, 0.4], force_sandwich=True), 1),
+        (lambda: distance(_ellipsoid(np.array([1.0, 2.0]), True), [0.2, 0.1j], [-0.3, 0.4]), 1),
+    ], ids=["example36", "forced-HxD", "forced-polydisk", "large-n-defect", "forced-ball",
+            "graph"])
+    def test_half_planes_run_only_without_a_projection(self, call, runs, monkeypatch):
+        calls, original = [], metric._half_plane_lower
+        monkeypatch.setattr(metric, "_half_plane_lower",
+                            lambda D, x, y: calls.append(D) or original(D, x, y))
+        call()
+        assert len(calls) == runs
+
+    @given(_composite_pair())
+    @settings(max_examples=80, deadline=None)
+    def test_projection_dominates_the_half_planes(self, case):
+        # the premise of taking a composite's lower bound from its parts
+        # alone: a unit functional maps the member attaining the least
+        # support, or the factors through the sum map, into the same
+        # half-plane, so the grid bound is at most the padded projection
+        D, x, y = case
+        D.support_upper_batch = lambda A: _composite_support(D, A)
+        projected = D.projection_lower(x, y, metric._distance)
+        assert _half_plane_lower(D, x, y) <= projected * (1.0 - _round_off(D))
 
 
 class TestPolydiskIsProductOfDisks:
