@@ -29,7 +29,7 @@ and answers for the Kobayashi geometry in ``metric`` from its own closed
 forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
 form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
-``metric_bounds`` (closed forms, or the generic convex estimate),
+``metric_bounds`` (closed forms, ray hulls, or the generic convex estimate),
 ``polydisk_growth`` (batched over rows of centres, base radii and growth
 directions: the closed-form growth at which each polydisk meets the
 boundary, behind the sandwich's inscribed-polydisk bound) and the
@@ -40,8 +40,9 @@ Domains known only through membership (graph domains and their slices)
 answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter, and
 it hands each batched membership call all the rays still running;
 ``ray_min_batch``, the least ray distance over a span of directions, is the
-one search built on it.  A graph slice is a ``PlanarOracle``, and the
-sandwich bounds it from membership alone, by disks inside its ray polygon.
+one search built on it.  A graph slice is a ``PlanarOracle``; the sandwich
+bounds it, and both bound their infinitesimal metric, from membership alone
+by disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -75,6 +76,15 @@ _FALLBACK_SEED = 0x5EC7
 _TANGENT_RAYS = 64  # from each of a pair's three points
 # ``ray_min_batch``: grid rays (plane, higher spheres), kept rays, steps (rad)
 _PLANE_GRID, _SPHERE_GRID, _KEEP, _STEP, _STEP_MIN = 96, 512, 3, 0.1, 1e-8
+# disks inside a slice's ray hull: rays, reach, zoom rounds; centre fractions
+# towards each ray's end with their spacing to their neighbours along and
+# across rays; a 9 x 9 zoom grid
+_SLICE_RAYS, _SLICE_REACH, _SLICE_ZOOMS = 96, 1e6, 3
+_SLICE_DIRS = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
+_SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arange(1, 9) / 9]
+_SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.diff(
+    _SLICE_FRACTIONS, append=1.0), _SLICE_FRACTIONS * 2.0 * math.pi / _SLICE_RAYS])
+_ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -206,6 +216,99 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         c[run[shorter]], t[run[shorter]] = nb[shorter, best[shorter]], tn[shorter, best[shorter]]
         h[run[~shorter]] *= 0.5
     return t.reshape(n, _KEEP).min(axis=1)
+
+
+def ray_hulls(contains_batch: Callable[[np.ndarray], np.ndarray], Z: np.ndarray, U: np.ndarray,
+              origin: complex = 0.0):
+    """(t, hulls): ``_SLICE_RAYS`` rays from each row z of Z within the line
+    z + C u (u the unit row of U) in one ``ray_boundary_batch`` call, and per
+    row (ends, rho): the rays' inside ends in the line's coordinate about
+    ``origin``, and a safe radius at centres c, so that D(c, rho(c)) lies in
+    the ends' hull P (so in the slice), or None when P has under 3 vertices."""
+    t = ray_boundary_batch(contains_batch, np.repeat(Z, _SLICE_RAYS, axis=0),
+                           (_SLICE_DIRS[:, None] * U[:, None, :]).reshape(-1, Z.shape[1]),
+                           t_max=_SLICE_REACH).reshape(-1, _SLICE_RAYS)
+
+    def hull(t: np.ndarray):
+        # a ray past the reach was found inside at half of it; a bracket's
+        # inside end lies within 1e-13 relative below its midpoint t
+        t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
+        ends = origin + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * _SLICE_DIRS
+        # their hull: drop reflex vertices until every turn is left.  Rounding
+        # can only drop or keep a vertex wrongly, and a point strictly left of
+        # every edge of any closed chain of the ends is enclosed by it, so in S
+        P = ends
+        while len(P) > 2:
+            left = ((P - np.roll(P, 1)).conj() * (np.roll(P, -1) - P)).imag > 0
+            if left.all():
+                break
+            P = P[left]
+        if len(P) < 3:
+            return ends, None
+        Q = np.roll(P, -1)
+        n = 1j * (Q - P) / np.abs(Q - P)   # unit inward normals: P runs counter-clockwise
+        # each edge line passes through its nearer end N, moved inward by 1e-12
+        # (1 + |N|); with 1e-12 |c| in ``rho`` that covers, hundreds of times
+        # over, the rounding of N, of the products and of the normal (a tilt of
+        # a few ulps, which moves the line by that many ulps of |c - N| at c)
+        N = np.where(np.abs(P) <= np.abs(Q), P, Q)
+        offset, normals = (N * n.conj()).real + 1e-12 * (1.0 + np.abs(N)), np.stack([n.real, n.imag])
+
+        def rho(c: np.ndarray) -> np.ndarray:
+            heights = np.stack([c.real, c.imag], axis=1) @ normals
+            heights -= offset   # in place: the one (centres, edges) temporary
+            return heights.min(axis=1) - 1e-12 * np.abs(c)
+
+        return ends, rho
+
+    return t, [hull(row) for row in t]
+
+
+def hull_disk_search(ends: np.ndarray, rho: Callable, points: np.ndarray, value: Callable):
+    """(value, (centre, radius)): the least ``value(centres, radii)`` over disks
+    D(c, rho(c)) holding the ``points`` with room, centred towards each ray's
+    end from their mean at the ``_SLICE_FRACTIONS``, then on ``_SLICE_ZOOMS``
+    ever finer grids about the best; (inf, None) when no disk holds them."""
+    mid = points.mean()
+    centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
+    best, win, step = math.inf, None, 0.0
+    for _ in range(_SLICE_ZOOMS + 1):
+        r = rho(centers)
+        fit = r > 1.000001 * np.abs(points[:, None] - centers).max(axis=0)
+        K = np.full(centers.shape, math.inf)
+        K[fit] = value(centers[fit], r[fit])
+        k = int(np.argmin(K))
+        if K[k] == math.inf:
+            return best, win
+        if K[k] < best:
+            best, win = float(K[k]), (complex(centers[k]), float(r[k]))
+        if not step:   # the first zoom spans the best centre's neighbours
+            step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
+        step /= 4.0
+        centers = win[0] + step * _ZOOM_GRID
+    return best, win
+
+
+def ray_metric_bounds(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
+    """``metric_bounds`` from membership alone, by one ``ray_hulls`` shot within
+    each line z + Cv: lo = |v| / (2 t_out), t_out the least outer bracket end,
+    at least the line's boundary distance; hi = |v| r / (r^2 - |c|^2), least
+    over the disk about z and the searched disks D(c, r), which lie in the slice."""
+    def metric(c, r):   # at z, padded: the gap is good to a few ulps of 1
+        gap = 1.0 - np.abs(c / r) ** 2
+        return (1.0 + 8e-15 / gap) / (r * gap)
+
+    norms = np.linalg.norm(V, axis=1)
+    lo, hi, run = np.zeros(len(Z)), np.zeros(len(Z)), np.flatnonzero(norms > 0)
+    t, hulls = ray_hulls(D.contains_batch, Z[run], V[run] / norms[run, None])
+    lo[run] = norms[run] / (2.0 * np.min(t + 1e-13 * np.maximum(1.0, t), axis=1))
+    zero = np.zeros(1, dtype=complex)
+    for i, (ends, rho) in zip(run, hulls):
+        # the disk about z itself, then the search; no disk holds z unless rho(z) > 0
+        r0 = 0.0 if rho is None else rho(zero)[0]
+        hi[i] = math.inf if r0 <= 0.0 else norms[i] * min(
+            (1.0 + 8e-15) / r0, hull_disk_search(ends, rho, zero, metric)[0])
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +909,8 @@ class Ball(ConvexDomain):
         w = p - self.center
         nv2 = float(np.vdot(v, v).real)
         wv = _hdot(w, v)  # <w, v>
-        center = -wv / nv2
-        rho2 = (self.radius ** 2 - float(np.vdot(w, w).real)) / nv2 + abs(wv) ** 2 / nv2 ** 2
+        center = -wv / nv2   # |center|^2, not |<w, v>|^2 / |v|^4, which underflows
+        rho2 = (self.radius ** 2 - float(np.vdot(w, w).real)) / nv2 + abs(center) ** 2
         if rho2 <= 0:
             raise OutsideDomain("complex line does not meet the ball")
         return Disk(center, math.sqrt(rho2))
@@ -815,10 +918,10 @@ class Ball(ConvexDomain):
     def delta_dir_batch(self, Z, V):
         W = Z - self.center[None, :]
         nv2 = np.sum(np.abs(V) ** 2, axis=1)
-        wv = np.sum(W * np.conj(V), axis=1)
-        rho2 = (self.radius ** 2 - np.sum(np.abs(W) ** 2, axis=1)) / nv2 + np.abs(wv) ** 2 / nv2 ** 2
+        center = np.abs(np.sum(W * np.conj(V), axis=1)) / nv2   # |the slice's centre|
+        rho2 = (self.radius ** 2 - np.sum(np.abs(W) ** 2, axis=1)) / nv2 + center ** 2
         rho = np.sqrt(np.maximum(rho2, 0.0))
-        return np.sqrt(nv2) * (rho - np.abs(wv) / nv2)
+        return np.sqrt(nv2) * (rho - center)
 
     @property
     def c_proper(self):
@@ -1198,8 +1301,11 @@ class Intersection(ConvexDomain):
         return sec.exact_distance((x - P) / (x - Q), (y - P) / (y - Q))
 
     def metric_bounds(self, Z, V):
-        if self._lens is None:
-            return super().metric_bounds(Z, V)
+        if self._lens is None:   # each member contains the domain: inclusion contracts
+            lo, hi = super().metric_bounds(Z, V)
+            lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members], lo)
+            # at the centre of a binding ball member both read |v| / R, to rounding
+            return np.minimum(lo, hi), hi
         P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
         return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
 
@@ -1335,7 +1441,8 @@ class Graph(ConvexDomain):
     """{z : r(z) < 0} for a smooth convex defining function r.
 
     C-properness is a user declaration; structural detection is out of
-    reach for oracle-defined boundaries.
+    reach for oracle-defined boundaries.  Directional distances come from
+    ``ray_min_batch``, the infinitesimal metric from ``ray_metric_bounds``.
     """
 
     def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True):
@@ -1387,6 +1494,8 @@ class Graph(ConvexDomain):
         return PlanarOracle(lambda T: self.contains_batch(p + T[:, None] * v),
                             label="graph-slice")
 
+    metric_bounds = ray_metric_bounds
+
     @property
     def c_proper(self):
         return self._c_proper
@@ -1432,7 +1541,8 @@ class PlanarOracle(ConvexDomain):
 
     ``member_batch`` maps a complex array of points to a bool array.
     Produced by slicing non-catalog domains; boundary distances come from
-    ``ray_min_batch`` over the plane.
+    ``ray_min_batch`` over the plane, the infinitesimal metric from
+    ``ray_metric_bounds``.
     """
 
     def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
@@ -1450,6 +1560,8 @@ class PlanarOracle(ConvexDomain):
     def _slice_set(self, p, v):
         member_batch = self.member_batch
         return PlanarOracle(lambda T: member_batch(p[0] + T * v[0]), label=self.label)
+
+    metric_bounds = ray_metric_bounds
 
     @property
     def c_proper(self):

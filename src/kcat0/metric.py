@@ -14,8 +14,9 @@ points once, and the sandwich and its projections run on checked points.
 A numeric midpoint is the geodesic midpoint of the slice bound's witness
 (the slice node itself, or its winning inscribed disk), with its CN radius.
 
-Infinitesimal bounds on general convex domains use the standard two-sided
-estimate ``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
+Infinitesimal bounds are each node's ``metric_bounds``: closed forms, a ray
+hull's disks on graphs and oracle sets, and elsewhere the two-sided estimate
+``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .domains import ConvexDomain, disk, ray_boundary_batch
+from .domains import ConvexDomain, disk, hull_disk_search, ray_hulls
 from .errors import (
     InvalidDomain,
     KCat0Error,
@@ -51,14 +52,8 @@ MIDPOINT_TOL_NUMERIC = 5e-2
 _INCLUSION_CENTERS = np.linspace(1.0, 0.0, 12)
 _INCLUSION_RATIOS = np.geomspace(0.25, 4.0, 5)
 _PENALTY = 1e6
-# the inscribed-disk slice bound: rays, reach, zoom rounds, searches, path
-# knots; centre fractions towards each ray's end with their spacing to their
-# neighbours along and across rays; a 9 x 9 zoom grid
-_SLICE_RAYS, _SLICE_REACH, _SLICE_ZOOMS, _SLICE_SEARCHES, _SLICE_KNOTS = 96, 1e6, 3, 64, 65
-_SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arange(1, 9) / 9]
-_SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.diff(
-    _SLICE_FRACTIONS, append=1.0), _SLICE_FRACTIONS * 2.0 * math.pi / _SLICE_RAYS])
-_ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
+# the inscribed-disk slice bound: searches, path knots
+_SLICE_SEARCHES, _SLICE_KNOTS = 64, 65
 
 
 # ---------------------------------------------------------------------------
@@ -173,59 +168,9 @@ def _inscribed_disk_upper(S: ConvexDomain):
     K_S.  A piece of [0, 1] that no disk holds is halved; the straight
     path's integral of 1/rho caps the sum, which is +inf only when 0 or 1
     is not certified inside P."""
-    u = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
-    t = ray_boundary_batch(S.contains_batch, np.array([0.5 + 0j]), u[:, None], t_max=_SLICE_REACH)
-    # a ray past the reach was found inside at half of it; a bracket's inside
-    # end lies within 1e-13 relative below its midpoint t
-    t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
-    ends = 0.5 + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * u
-    # their hull: drop reflex vertices until every turn is left.  Rounding
-    # can only drop or keep a vertex wrongly, and a point strictly left of
-    # every edge of any closed chain of the ends is enclosed by it, so in S
-    P = ends
-    while len(P) > 2:
-        left = ((P - np.roll(P, 1)).conj() * (np.roll(P, -1) - P)).imag > 0
-        if left.all():
-            break
-        P = P[left]
-    if len(P) < 3:
+    _, [(ends, rho)] = ray_hulls(S.contains_batch, np.array([[0.5 + 0j]]), np.ones((1, 1)), 0.5)
+    if rho is None:
         return math.inf, None
-    Q = np.roll(P, -1)
-    n = 1j * (Q - P) / np.abs(Q - P)   # unit inward normals: P runs counter-clockwise
-    # each edge line passes through its nearer end N, moved inward by 1e-12
-    # (1 + |N|); with 1e-12 |c| in ``rho`` that covers, hundreds of times
-    # over, the rounding of N, of the products and of the normal (a tilt of
-    # a few ulps, which moves the line by that many ulps of |c - N| at c)
-    N = np.where(np.abs(P) <= np.abs(Q), P, Q)
-    offset, normals = (N * n.conj()).real + 1e-12 * (1.0 + np.abs(N)), np.stack([n.real, n.imag])
-
-    def rho(c: np.ndarray) -> np.ndarray:
-        """Safe radius at each centre: the disk D(c, rho(c)) lies in P."""
-        heights = np.stack([c.real, c.imag], axis=1) @ normals
-        heights -= offset   # in place: the one (centres, edges) temporary
-        return heights.min(axis=1) - 1e-12 * np.abs(c)
-
-    def best(a: float, b: float):
-        """Least padded disk distance of a and b over the searched centres,
-        with its (centre, radius); (inf, None) when no disk holds both."""
-        mid = 0.5 * (a + b)
-        centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
-        value, win, step = math.inf, None, 0.0
-        for _ in range(_SLICE_ZOOMS + 1):
-            r = rho(centers)
-            fit = r > 1.000001 * np.maximum(np.abs(a - centers), np.abs(b - centers))   # holds both
-            K = np.full(centers.shape, math.inf)
-            K[fit] = _padded_disk_upper(a, b, centers[fit], r[fit], _round_off(S))
-            k = int(np.argmin(K))
-            if K[k] == math.inf:
-                return value, win
-            if K[k] < value:
-                value, win = float(K[k]), (complex(centers[k]), float(r[k]))
-            if not step:   # the first zoom spans the best centre's neighbours
-                step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
-            step /= 4.0
-            centers = win[0] + step * _ZOOM_GRID
-        return value, win
 
     r = rho(np.linspace(0.0, 1.0, _SLICE_KNOTS) + 0j)
     if not (r > 0.0).all():   # in exact arithmetic: 0 or 1 is not inside P
@@ -237,8 +182,9 @@ def _inscribed_disk_upper(S: ConvexDomain):
     chain, pieces, wins = 0.0, [(0.0, 1.0)], []
     for _ in range(_SLICE_SEARCHES):
         if pieces:
-            a, b = pieces.pop(0)
-            value, win = best(a, b)
+            a, b = pieces.pop(0)   # the least padded disk distance of a and b
+            value, win = hull_disk_search(ends, rho, np.array([a, b]), functools.partial(
+                _padded_disk_upper, a, b, ulp=_round_off(S)))
             chain += value if value < math.inf else 0.0
             pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)] if value == math.inf else []
             wins.append(win)

@@ -19,10 +19,15 @@ import pytest
 from kcat0 import (
     AffineImage,
     Ball,
+    DefiningFunction,
+    Graph,
     PlanarOracle,
     Product,
+    RealPolynomial,
     distance,
+    domains,
     example36_domain,
+    infinitesimal,
     intersection,
     metric,
     midpoint_defect,
@@ -129,6 +134,23 @@ def test_oracle_set_caches_nothing():
     O.delta([0.5])
     distance(O, [0.1j], [0.6])
     assert vars(O) == before
+
+
+def test_graph_infinitesimal_runs_no_least_ray_search(monkeypatch):
+    # both bounds of a graph's (and an oracle set's) infinitesimal metric come
+    # from one ray shot within the complex line: no grid and compass search
+    calls, real = [], domains.ray_min_batch
+    monkeypatch.setattr(domains, "ray_min_batch", lambda *args: calls.append(args) or real(*args))
+    G = Graph(DefiningFunction.from_polynomial(RealPolynomial(2, {
+        (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0, (0, 0, 0, 2): 2.0,
+        (0, 0, 0, 0): -1.0})), interior_point=[0.0, 0.0])
+    for D, z, v in [(G, [0.1, 0.2j], [1.0, 0.5j]),
+                    (PlanarOracle(lambda T: np.abs(T - 0.2) < 1.0), [0.1j], [1.0])]:
+        iv = infinitesimal(D, z, v)
+        assert 0.0 < iv.lo < iv.hi < np.inf
+    assert calls == []
+    G.delta_dir([0.1, 0.2j], [1.0, 0.5j])   # the least-ray search is still there, and seen
+    assert len(calls) == 1
 
 
 def test_default_distance_runs_no_path_optimizer(monkeypatch):

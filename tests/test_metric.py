@@ -84,9 +84,36 @@ class TestInfinitesimal:
         assert iv.is_exact and iv.lo == 0.0
 
     def test_intersection_interval_ratio(self):
-        iv = infinitesimal(example36_domain(), [0.1, 0.1], [1.0, 0.0])
+        # off a lens, hi is the generic |v| / delta_dir, and lo the largest
+        # member metric, which dominates |v| / (2 delta_dir): here the first
+        # ball's 5.528 against 5.263
+        D = example36_domain()
+        iv = infinitesimal(D, [0.1, 0.1], [1.0, 0.0])
         assert not iv.is_exact
-        assert iv.hi / iv.lo == pytest.approx(2.0, abs=1e-9)
+        assert iv.hi == pytest.approx(1.0 / D.delta_dir([0.1, 0.1], [1.0, 0.0]), rel=1e-12)
+        assert iv.lo == pytest.approx(infinitesimal(D.members[0], [0.1, 0.1], [1.0, 0.0]).lo,
+                                      rel=1e-14)
+        assert 1.0 < iv.hi / iv.lo < 2.0
+
+    def test_intersection_lo_takes_the_members_metrics(self):
+        # inclusion contracts: each member's metric bounds the intersection's
+        # from below; the generic |v| / (2 delta_dir) reads 2.8101 here
+        D = example36_domain()
+        z, v = [0.2, 0.2], [1.0, 0.3j]
+        iv = infinitesimal(D, z, v)
+        assert iv.lo >= 3.1131
+        assert iv.lo == max(infinitesimal(m, z, v).lo for m in D.members)
+        assert iv.hi == pytest.approx(np.linalg.norm(v) / D.delta_dir(z, v), rel=1e-12)
+
+    def test_intersection_at_a_binding_ball_centre(self, rng):
+        # there the member ball's metric and |v| / delta_dir are both |v| / R,
+        # and rounding crossed them by up to 4e-11 at R = 1.6e-5
+        for R in 10.0 ** np.linspace(-8, 2, 41):
+            c = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            D = intersection([Ball(c, R), Ball(c + np.array([0.1 * R, 0.0]), 3.0 * R)])
+            iv = infinitesimal(D, c, v)
+            assert iv.lo <= iv.hi == pytest.approx(np.linalg.norm(v) / R, rel=1e-12)
 
     def test_ball_matches_tangential_slice(self):
         # through (0.5, 0) in the (0, 1) direction the affine disk is extremal
@@ -120,6 +147,18 @@ class TestDistance:
     def test_same_point(self):
         iv = distance(ball2(), [0.2, 0.1], [0.2, 0.1])
         assert iv.lo == iv.hi == 0.0
+
+    @pytest.mark.parametrize("force_sandwich", [False, True], ids=["default", "forced"])
+    def test_ball_slice_of_a_tiny_chord(self, force_sandwich):
+        # a ball's slice reads |centre|^2 = |<w, v> / |v|^2|^2, not
+        # |<w, v>|^2 / |v|^4, which underflowed to 0 / 0 below a chord of
+        # about 1e-77; both nodes bracket the unit ball's closed form
+        x, y = [0.3, 0.0], [0.3, 1e-100]
+        exact = distance(ball2(), x, y).lo
+        assert exact == pytest.approx(1e-100 / math.sqrt(0.91), rel=1e-12)
+        for D in (intersection([Ball([0, 0], 1), Ball([0.5, 0], 1)]), ball2()):
+            iv = distance(D, x, y, force_sandwich=force_sandwich)
+            assert 0.0 < iv.lo <= exact * (1 + 1e-12) and exact * (1 - 1e-12) <= iv.hi < math.inf
 
     def test_sandwich_quality_on_intersection(self):
         iv = distance(example36_domain(), [0.2, 0.2], [0.4, 0.3])
@@ -1117,6 +1156,53 @@ class TestInscribedDiskSlice:
         assert exact == pytest.approx(21.80095, abs=1e-5)
         iv = distance(_oracle_copy(_THIN_SECTOR), x, y)
         assert iv.lo <= exact <= iv.hi < math.inf
+
+
+class TestInscribedDiskMetric:
+    """The infinitesimal metric of a set known only through membership, from
+    one ray shot within the complex line: lo from the least outer ray end,
+    hi from the disks inside the rays' hull, certified by inclusion."""
+
+    @given(st.booleans(), st.integers(0, 2 ** 32 - 1), st.floats(-9.0, -1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_graph_brackets_the_ellipsoid(self, polynomial, seed, log_gap):
+        # z at a relative gap of 1e-9 to 1e-1 from the sphere's preimage; the
+        # closed form's own rounding grows as 1 / gap, and is padded so.  Below
+        # a gap of about 1e-8 the least centre fraction (1e-6 of a ray's end)
+        # is too far out, and hi can fall back to |v| / rho(z), near twice k
+        s = np.array([1.0, 2.0])
+        E = AffineImage(np.diag([1.0, 1.0 / math.sqrt(2.0)]), np.zeros(2), Ball([0, 0], 1))
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z = (1.0 - 10.0 ** log_gap) * w / np.linalg.norm(w) / np.sqrt(s)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        exact = float(E.metric_bounds(z[None, :], v[None, :])[0][0])
+        iv = infinitesimal(_ellipsoid(s, polynomial), z, v)
+        pad = 1e-15 / 10.0 ** log_gap * exact
+        assert 0.0 < iv.lo <= exact + pad
+        assert exact - pad <= iv.hi < (1.05 if log_gap >= -8.0 else 2.05) * exact
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_copies_bracket_the_closed_form(self, data):
+        # z on a seeded ray from the node's anchor at a relative gap of 1e-9
+        # to 1e-1 from the boundary (or from 3), any direction; the closed
+        # form's own rounding grows as 1 / gap, and is padded so
+        N = data.draw(st.sampled_from(_PLANAR_NODES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        base = N.anchor()
+        U = np.exp(2j * math.pi * rng.uniform(size=1))[:, None]
+        reach = min(ray_boundary_batch(N.contains_batch, base, U)[0], 3.0)
+        gap = 10.0 ** rng.uniform(-9, -1)
+        z = base + reach * (1.0 - gap) * U[0]
+        assume(N.contains(z))
+        v = np.exp(2j * math.pi * rng.uniform(size=1)) * 10.0 ** rng.uniform(-3, 3)
+        lo, hi = N.metric_bounds(z[None, :], v[None, :])
+        assert lo[0] == hi[0]
+        iv = infinitesimal(_oracle_copy(N), z, v)
+        pad = 1e-15 / gap * hi[0]
+        assert 0.0 < iv.lo <= hi[0] + pad
+        assert hi[0] - pad <= iv.hi < math.inf
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
