@@ -77,13 +77,10 @@ _TANGENT_RAYS = 64  # from each of a pair's three points
 # ``ray_min_batch``: grid rays (plane, higher spheres), kept rays, steps (rad)
 _PLANE_GRID, _SPHERE_GRID, _KEEP, _STEP, _STEP_MIN = 96, 512, 3, 0.1, 1e-8
 # disks inside a slice's ray hull: rays, reach, zoom rounds; centre fractions
-# towards each ray's end with their spacing to their neighbours along and
-# across rays; a 9 x 9 zoom grid
+# towards each ray's end; a 9 x 9 zoom grid
 _SLICE_RAYS, _SLICE_REACH, _SLICE_ZOOMS = 96, 1e6, 3
 _SLICE_DIRS = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
 _SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arange(1, 9) / 9]
-_SLICE_SPACING = np.maximum.reduce([np.diff(_SLICE_FRACTIONS, prepend=0.0), np.diff(
-    _SLICE_FRACTIONS, append=1.0), _SLICE_FRACTIONS * 2.0 * math.pi / _SLICE_RAYS])
 _ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
 
 
@@ -264,13 +261,17 @@ def ray_hulls(contains_batch: Callable[[np.ndarray], np.ndarray], Z: np.ndarray,
     return t, [hull(row) for row in t]
 
 
-def hull_disk_search(ends: np.ndarray, rho: Callable, points: np.ndarray, value: Callable):
+def hull_disk_search(ends: np.ndarray, rho: Callable, points: np.ndarray, value: Callable,
+                     fractions: np.ndarray = _SLICE_FRACTIONS):
     """(value, (centre, radius)): the least ``value(centres, radii)`` over disks
     D(c, rho(c)) holding the ``points`` with room, centred towards each ray's
-    end from their mean at the ``_SLICE_FRACTIONS``, then on ``_SLICE_ZOOMS``
-    ever finer grids about the best; (inf, None) when no disk holds them."""
+    end from their mean at the ``fractions``, then on ``_SLICE_ZOOMS`` ever
+    finer grids about the best; (inf, None) when no disk holds them."""
     mid = points.mean()
-    centers = (mid + _SLICE_FRACTIONS[:, None] * (ends - mid)).ravel()
+    # a centre's spacing to its neighbours along and across rays
+    spacing = np.maximum.reduce([np.diff(fractions, prepend=0.0), np.diff(fractions, append=1.0),
+                                 fractions * 2.0 * math.pi / _SLICE_RAYS])
+    centers = (mid + fractions[:, None] * (ends - mid)).ravel()
     best, win, step = math.inf, None, 0.0
     for _ in range(_SLICE_ZOOMS + 1):
         r = rho(centers)
@@ -283,17 +284,38 @@ def hull_disk_search(ends: np.ndarray, rho: Callable, points: np.ndarray, value:
         if K[k] < best:
             best, win = float(K[k]), (complex(centers[k]), float(r[k]))
         if not step:   # the first zoom spans the best centre's neighbours
-            step = abs(ends[k % _SLICE_RAYS] - mid) * _SLICE_SPACING[k // _SLICE_RAYS]
+            step = abs(ends[k % _SLICE_RAYS] - mid) * spacing[k // _SLICE_RAYS]
         step /= 4.0
         centers = win[0] + step * _ZOOM_GRID
     return best, win
 
 
+def _lower_radii(t: np.ndarray) -> np.ndarray:
+    """Per row of ray brackets t about z = 0: min(2 t_out, R), with t_out the
+    least outer end b_i, at least z's distance to the boundary, and the slice
+    in D(0, R).  Between rays i and i + 1 it lies on z's side of the line
+    through b_i and the inner end a_(i-1) (else the triangle (z, x, a_(i-1))
+    would hold b_i) and of the line through b_(i+1) and a_(i+2), so within
+    max(|b_i|, |b_(i+1)|, |X|) when the lines meet at X between the rays."""
+    with np.errstate(all="ignore"):   # a ray past the reach reads inf, so X nan
+        pad = 1e-13 * np.maximum(1.0, t)   # as in ``ray_hulls``
+        out, a = t + pad, np.maximum(t - pad, 0.0) * _SLICE_DIRS
+        b = out * _SLICE_DIRS
+        A, B = np.roll(a, 1, axis=1) - b, np.roll(a, -2, axis=1) - np.roll(b, -1, axis=1)
+        X = b + A * ((np.roll(b, -1, axis=1) - b).conj() * B).imag / (A.conj() * B).imag
+        between = (((_SLICE_DIRS.conj() * X).imag >= 0)
+                   & ((np.roll(_SLICE_DIRS, -1).conj() * X).imag <= 0))
+        R = np.where(between, np.maximum.reduce([np.abs(X), out, np.roll(out, -1, axis=1)]),
+                     math.inf).max(axis=1)
+    R = np.where((a != 0).all(axis=1) & np.isfinite(t).all(axis=1), R * (1.0 + 1e-9), math.inf)
+    return np.minimum(2.0 * out.min(axis=1), R)
+
+
 def ray_metric_bounds(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
     """``metric_bounds`` from membership alone, by one ``ray_hulls`` shot within
-    each line z + Cv: lo = |v| / (2 t_out), t_out the least outer bracket end,
-    at least the line's boundary distance; hi = |v| r / (r^2 - |c|^2), least
-    over the disk about z and the searched disks D(c, r), which lie in the slice."""
+    each line z + Cv: lo = |v| / ``_lower_radii``, as the slice lies in D(z, R)
+    and in a half-plane at most t_out from z; hi = |v| r / (r^2 - |c|^2), least
+    over the searched disks D(c, r), from z itself on, which lie in the slice."""
     def metric(c, r):   # at z, padded: the gap is good to a few ulps of 1
         gap = 1.0 - np.abs(c / r) ** 2
         return (1.0 + 8e-15 / gap) / (r * gap)
@@ -301,13 +323,13 @@ def ray_metric_bounds(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
     norms = np.linalg.norm(V, axis=1)
     lo, hi, run = np.zeros(len(Z)), np.zeros(len(Z)), np.flatnonzero(norms > 0)
     t, hulls = ray_hulls(D.contains_batch, Z[run], V[run] / norms[run, None])
-    lo[run] = norms[run] / (2.0 * np.min(t + 1e-13 * np.maximum(1.0, t), axis=1))
-    zero = np.zeros(1, dtype=complex)
-    for i, (ends, rho) in zip(run, hulls):
-        # the disk about z itself, then the search; no disk holds z unless rho(z) > 0
-        r0 = 0.0 if rho is None else rho(zero)[0]
-        hi[i] = math.inf if r0 <= 0.0 else norms[i] * min(
-            (1.0 + 8e-15) / r0, hull_disk_search(ends, rho, zero, metric)[0])
+    lo[run] = norms[run] / _lower_radii(t)
+    for i, (ends, rho), row in zip(run, hulls, t):
+        # centres from z itself on, and as z nears the boundary, at a few times
+        # its distance, which the least fraction of a far ray's end overshoots
+        near = row.min() / np.abs(ends).max() * np.geomspace(1.0, 1e5, 6)
+        hi[i] = math.inf if rho is None else norms[i] * hull_disk_search(ends, rho, np.zeros(
+            1, dtype=complex), metric, np.r_[0.0, near[near < 1e-6], _SLICE_FRACTIONS])[0]
     return lo, hi
 
 
@@ -1302,12 +1324,17 @@ class Intersection(ConvexDomain):
 
     def metric_bounds(self, Z, V):
         if self._lens is None:   # each member contains the domain: inclusion contracts
-            lo, hi = super().metric_bounds(Z, V)
-            lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members], lo)
-            # at the centre of a binding ball member both read |v| / R, to rounding
-            return np.minimum(lo, hi), hi
+            lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members])
+            return lo, self.metric_hi_smooth(Z, V, math.inf)
         P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
         return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
+
+    def metric_hi_smooth(self, Z, V, p):
+        if self._lens is not None:
+            return super().metric_hi_smooth(Z, V, p)
+        # |v| / delta_dir, good to rounding: at the centre of a binding ball
+        # member that member's lo reads the same |v| / R
+        return super().metric_bounds(Z, V)[1] * (1.0 + 1e-13)
 
     def polydisk_growth(self, centers, base, grow):
         growths = [m.polydisk_growth(centers, base, grow) for m in self.members]

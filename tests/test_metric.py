@@ -35,6 +35,7 @@ from kcat0.domains import Intersection, ball_mobius, ray_boundary_batch, unit_ro
 from kcat0.errors import (
     EmptyWindow,
     InvalidDomain,
+    KCat0Error,
     MidpointNotCertified,
     OutsideDomain,
     PseudoDistanceOnly,
@@ -107,13 +108,23 @@ class TestInfinitesimal:
 
     def test_intersection_at_a_binding_ball_centre(self, rng):
         # there the member ball's metric and |v| / delta_dir are both |v| / R,
-        # and rounding crossed them by up to 4e-11 at R = 1.6e-5
+        # and rounding crossed them by up to 4e-11 at R = 1.6e-5; hi is padded
+        # for it, so the two bounds stay an interval, not a closed form
         for R in 10.0 ** np.linspace(-8, 2, 41):
             c = rng.normal(size=2) + 1j * rng.normal(size=2)
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             D = intersection([Ball(c, R), Ball(c + np.array([0.1 * R, 0.0]), 3.0 * R)])
             iv = infinitesimal(D, c, v)
+            assert not iv.is_exact
             assert iv.lo <= iv.hi == pytest.approx(np.linalg.norm(v) / R, rel=1e-12)
+
+    def test_intersection_bounds_crossed_past_rounding_raise(self, monkeypatch):
+        # a member lo above |v| / delta_dir past its pad is a bug, not clipped
+        D = example36_domain()
+        first = type(D.members[0])
+        monkeypatch.setattr(first, "metric_bounds", lambda self, Z, V: (np.full(len(Z), 1e3),) * 2)
+        with pytest.raises(KCat0Error, match="inconsistent interval"):
+            infinitesimal(D, [0.1, 0.1], [1.0, 0.0])
 
     def test_ball_matches_tangential_slice(self):
         # through (0.5, 0) in the (0, 1) direction the affine disk is extremal
@@ -1167,9 +1178,7 @@ class TestInscribedDiskMetric:
     @settings(max_examples=30, deadline=None)
     def test_graph_brackets_the_ellipsoid(self, polynomial, seed, log_gap):
         # z at a relative gap of 1e-9 to 1e-1 from the sphere's preimage; the
-        # closed form's own rounding grows as 1 / gap, and is padded so.  Below
-        # a gap of about 1e-8 the least centre fraction (1e-6 of a ray's end)
-        # is too far out, and hi can fall back to |v| / rho(z), near twice k
+        # closed form's own rounding grows as 1 / gap, and is padded so
         s = np.array([1.0, 2.0])
         E = AffineImage(np.diag([1.0, 1.0 / math.sqrt(2.0)]), np.zeros(2), Ball([0, 0], 1))
         rng = np.random.default_rng(seed)
@@ -1180,7 +1189,27 @@ class TestInscribedDiskMetric:
         iv = infinitesimal(_ellipsoid(s, polynomial), z, v)
         pad = 1e-15 / 10.0 ** log_gap * exact
         assert 0.0 < iv.lo <= exact + pad
-        assert exact - pad <= iv.hi < (1.05 if log_gap >= -8.0 else 2.05) * exact
+        assert exact - pad <= iv.hi < 1.05 * exact
+        assert iv.hi / iv.lo <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("polynomial", [True, False])
+    def test_graph_ratio_at_a_slice_disk_centre_and_near_the_boundary(self, polynomial):
+        # each complex line meets the ellipsoid in a disk.  At its centre hi is
+        # |v| / rho(z), rho(z) about cos(pi / 96) of its radius, and the half
+        # plane's lo is half the metric: the slice's outer radius must carry
+        # lo.  At a gap of 1e-9 the disks must come from centres within about
+        # 1e-7 of z, far below the least fraction of the far rays' ends
+        s = np.array([1.0, 2.0])
+        E = AffineImage(np.diag([1.0, 1.0 / math.sqrt(2.0)]), np.zeros(2), Ball([0, 0], 1))
+        w = np.array([-0.253 + 0.649j, -0.709 + 0.109j])
+        z_near = (1.0 - 1e-9) * w / np.linalg.norm(w) / np.sqrt(s)
+        for z, v in [([0.0, 0.0], [0.3 - 0.4j, 1.0]), ([0.999, 0.0], [0.0, 1.0]),
+                     (z_near, [1.594 + 0.363j, -1.095 + 0.444j])]:
+            z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
+            exact = float(E.metric_bounds(z[None, :], v[None, :])[0][0])
+            iv = infinitesimal(_ellipsoid(s, polynomial), z, v)
+            assert iv.lo <= exact * (1.0 + 1e-6) and exact * (1.0 - 1e-6) <= iv.hi < 1.05 * exact
+            assert iv.hi / iv.lo <= 2.0 + 1e-9
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
