@@ -1325,7 +1325,7 @@ class Intersection(ConvexDomain):
     def metric_bounds(self, Z, V):
         if self._lens is None:   # each member contains the domain: inclusion contracts
             lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members])
-            return lo, self.metric_hi_smooth(Z, V, math.inf)
+            return lo, self.metric_hi_smooth(Z, V, math.inf)   # off a lens p is unused
         P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
         return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
 
