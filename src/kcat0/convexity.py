@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import (ConvexDomain, DefiningFunction, RealPolynomial, ray_boundary_batch,
-                      unit_rows)
+from .domains import ConvexDomain, DefiningFunction, RealPolynomial, unit_rows
 from .errors import DegenerateInput, EmptyWindow, InvalidDomain, OrderNotResolved
 from .points import as_point, point_to_json
 
@@ -128,7 +127,7 @@ def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12) -> list[np.
     """Points marching toward boundary pieces inside the window."""
     anchor = D.anchor()
     dirs = unit_rows(rng, rays, D.dimension)
-    ts = ray_boundary_batch(D.contains_batch, anchor, dirs)
+    ts = D.ray_exit_batch(anchor, dirs)
     hit = np.isfinite(ts)
     B = anchor + ts[hit, None] * dirs[hit]
     B = B[np.linalg.norm(B, axis=1) <= R]   # boundary met inside the window

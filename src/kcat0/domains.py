@@ -37,12 +37,13 @@ sandwich's reductions.  A slice is itself a planar
 node; a lens is the Mobius image of a sector.
 
 Domains known only through membership (graph domains and their slices)
-answer by ray shooting: ``ray_boundary_batch`` is the one ray shooter, and
-it hands each batched membership call all the rays still running;
-``ray_min_batch``, the least ray distance over a span of directions, is the
-one search built on it.  A graph slice is a ``PlanarOracle``; the sandwich
-bounds it, and both bound their infinitesimal metric, from membership alone
-by disks inside a ray hull (``ray_hulls``).
+answer by ray shooting, each node by its ``ray_exit_batch`` on the one ray
+shooter ``ray_boundary_batch``, which hands each batched membership call all
+the rays still running; a graph and its slice first cut each bracket on r's
+values, for the same floats in a quarter of the rounds.  ``ray_min_batch``,
+the least ray distance over a span of directions, is the one search built on
+it.  A graph slice is a ``PlanarOracle``; the sandwich bounds it, and both
+bound their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -102,20 +103,22 @@ def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
-                       start: np.ndarray, directions: np.ndarray,
-                       t_max: float = 1e12, guess: tuple | None = None) -> np.ndarray:
+                       start: np.ndarray, directions: np.ndarray, t_max: float = 1e12,
+                       guess: tuple | None = None, level: Callable | None = None) -> np.ndarray:
     """Distance along ``start + t*directions[k]`` to the boundary, per row.
 
     ``contains_batch`` maps rows of points to a bool array; ``start`` (one
     point, or one per row) must be inside.  Each row halves t = 1 until it is
     inside (0.0 below 1e-300), doubles until it leaves (``inf`` beyond
-    ``t_max``), then bisects its bracket [2^(k-1), 2^k] until it is within
-    1e-13 relative (at most 200 steps) and returns its midpoint.  Membership
-    sees running rows.  A ``guess`` (values g, relative half-widths s; per
-    row or broadcast) starts each row whose g lies in such a bracket from the
-    smallest cell of the bracket's dyadic grid that holds g and is wider than
-    2sg and the stop width, and widens it while an end fails its membership
-    check: where membership is monotone, every row returns its cold float.
+    ``t_max``), then bisects its bracket [2^(k-1), 2^k] until it is at most
+    1e-13 max(1, hi) wide, hi its outer end (absolute below t = 1; at most
+    200 steps), and returns its midpoint.  Membership sees running rows.  A
+    ``guess`` (values g, relative half-widths s; per row or broadcast) starts
+    each row whose g lies in such a bracket from the smallest cell of its
+    dyadic grid that holds g and is wider than 2sg and the stop width, and
+    widens it while an end fails its membership check; a ``level`` starts it
+    from the cell ``_level_cells`` finds.  Where membership is monotone along
+    a ray, every row returns its cold float.
     """
     n = directions.shape[0]
     out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
@@ -124,13 +127,15 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     def inside(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.asarray(contains_batch(start[rows] + t[:, None] * directions[rows]), dtype=bool)
 
+    if level is not None:   # checked cells; w is nan where a row ends at 0.0 or inf
+        lo[:], b = _level_cells(level, start, directions, t_max)
+        out[:], w[:] = np.where(lo > 0, math.inf, 0.0), np.where((lo > 0) & (b <= t_max), b - lo, math.nan)
+
     if guess is not None:
         g, s = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in guess)
         base = np.ldexp(0.5, np.frexp(g)[1])   # 2^(k-1) <= g < 2^k: the cold bracket's low end
         at = np.flatnonzero(np.isfinite(g) & (g > 0.0) & (base >= 1e-300) & (2.0 * base <= t_max))
-        stop = 1e-13 * np.maximum(1.0, 2.0 * base[at])   # no finer cell is bisected
-        w[at] = np.minimum(np.ldexp(1.0, np.frexp(np.maximum(2.0 * s[at] * g[at], stop))[1]), base[at])
-        lo[at] = g[at]
+        w[at], lo[at] = _cell(g[at], 2.0 * s[at] * g[at]), g[at]
         while at.size:   # exact: every term is dyadic
             lo[at] = base[at] + np.floor((lo[at] - base[at]) / w[at]) * w[at]
             ins = inside(np.tile(at, 2), np.concatenate([lo[at], lo[at] + w[at]]))
@@ -171,9 +176,52 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
-                  Z: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Least ``ray_boundary_batch`` distance from each row of Z over the unit
+def _cell(g: np.ndarray, width: np.ndarray | float = 0.0) -> np.ndarray:
+    """Width of the least dyadic cell of g's binade [2^(k-1), 2^k] above ``width`` and the stop."""
+    base = np.ldexp(0.5, np.frexp(g)[1])
+    width = np.maximum(width, 1e-13 * np.maximum(1.0, 2.0 * base))   # no finer cell is bisected
+    return np.minimum(np.ldexp(1.0, np.frexp(width)[1]), base)
+
+
+def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+                 directions: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) per row, a inside and b outside by the sign of a level of the rows
+    convex along each ray: the cold shot's halving and doubling, then cuts at the
+    chord's zero (inside) and the least of its mean with b and the zeros of the
+    lines through each side's last two points (outside), on the cold bisection's
+    grid, down to one of its cells (a = 0 or b > t_max: 0.0 or inf)."""
+    n = directions.shape[0]
+    a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
+    fa, fb, fqa, fqb = (np.full(n, math.nan) for _ in range(4))
+
+    def file(rows, t, v):   # a point inside [a, b] becomes its side's end, and
+        ok = (t > a[rows]) & (t < b[rows])   # the end it replaces that side's q
+        rows, t, v, ins = rows[ok], t[ok], v[ok], v[ok] < 0
+        i, o = rows[ins], rows[~ins]
+        qa[i], fqa[i], a[i], fa[i] = a[i], fa[i], t[ins], v[ins]
+        qb[o], fqb[o], b[o], fb[o] = b[o], fb[o], t[~ins], v[~ins]
+
+    run = np.arange(n)
+    while (run := run[np.where(a[run] == 0, 0.5 * b[run] >= 1e-300, np.where(
+            b[run] == math.inf, 2.0 * a[run] <= t_max,
+            (b[run] <= t_max) & (b[run] - a[run] > _cell(a[run]))))]).size:
+        A, B, W, FA, FB = a[run], b[run], _cell(a[run]), fa[run], fb[run]
+        cut = (A > 0) & (B < math.inf)
+        with np.errstate(all="ignore"):   # a nan cut falls back to a cell end
+            c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
+                (A, FA, B, FB), (A, FA, qa[run], fqa[run]), (B, FB, qb[run], fqb[run]))]
+            z = np.minimum.reduce([np.where(x > c, x, math.inf) for x in z] + [0.5 * (c + B)])
+            t = np.fmin(np.fmax([np.floor(c / W), np.ceil(z / W)] * W, A + W), B - W)
+        t[0] = np.where(cut, t[0], np.where(A > 0, 2.0 * A, np.minimum(1.0, 0.5 * B)))
+        rows, t = np.r_[run, run[cut]], np.r_[t[0], t[1, cut]]
+        v = level(start[rows] + t[:, None] * directions[rows])
+        for k in (slice(None, run.size), slice(run.size, None)):   # chord first
+            file(rows[k], t[k], v[k])
+    return a, b
+
+
+def ray_min_batch(D: ConvexDomain, Z: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Least ``D.ray_exit_batch`` distance from each row of Z over the unit
     directions in the real span of B, k real-orthonormal rows of C^d shared by
     all rows of Z or one set per row (shape (n, k, d)).
 
@@ -192,8 +240,8 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     else:
         grid = np.random.default_rng(_FALLBACK_SEED).normal(size=(_SPHERE_GRID, k))
         grid /= np.linalg.norm(grid, axis=1, keepdims=True)
-    t = ray_boundary_batch(contains_batch, np.repeat(Z, len(grid), axis=0),
-                           np.einsum("gk,nkd->ngd", grid, B).reshape(-1, d)).reshape(n, len(grid))
+    t = D.ray_exit_batch(np.repeat(Z, len(grid), axis=0),
+                         np.einsum("gk,nkd->ngd", grid, B).reshape(-1, d)).reshape(n, len(grid))
     keep = np.argsort(t, axis=1)[:, :_KEEP]
     c, t = grid[keep.ravel()], np.take_along_axis(t, keep, axis=1).ravel()
     h = np.where((t > 0.0) & (t < math.inf), _STEP, 0.0)
@@ -204,7 +252,7 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         nb = (np.cos(h[run])[:, None, None] * c[run][:, None, :]
               + np.sin(h[run])[:, None, None] * np.concatenate([T, -T], axis=1))
         nb /= np.linalg.norm(nb, axis=2, keepdims=True)
-        tn = ray_boundary_batch(contains_batch, np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
+        tn = ray_boundary_batch(D.contains_batch, np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
                                 np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d),
                                 guess=(t[run].repeat(nb.shape[1]), h[run].repeat(nb.shape[1]) ** 2)
                                 ).reshape(run.size, -1)
@@ -215,20 +263,19 @@ def ray_min_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     return t.reshape(n, _KEEP).min(axis=1)
 
 
-def ray_hulls(contains_batch: Callable[[np.ndarray], np.ndarray], Z: np.ndarray, U: np.ndarray,
-              origin: complex = 0.0):
+def ray_hulls(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, origin: complex = 0.0):
     """(t, hulls): ``_SLICE_RAYS`` rays from each row z of Z within the line
-    z + C u (u the unit row of U) in one ``ray_boundary_batch`` call, and per
+    z + C u (u the unit row of U) in one ``D.ray_exit_batch`` call, and per
     row (ends, rho): the rays' inside ends in the line's coordinate about
     ``origin``, and a safe radius at centres c, so that D(c, rho(c)) lies in
     the ends' hull P (so in the slice), or None when P has under 3 vertices."""
-    t = ray_boundary_batch(contains_batch, np.repeat(Z, _SLICE_RAYS, axis=0),
-                           (_SLICE_DIRS[:, None] * U[:, None, :]).reshape(-1, Z.shape[1]),
-                           t_max=_SLICE_REACH).reshape(-1, _SLICE_RAYS)
+    t = D.ray_exit_batch(np.repeat(Z, _SLICE_RAYS, axis=0),
+                         (_SLICE_DIRS[:, None] * U[:, None, :]).reshape(-1, Z.shape[1]),
+                         _SLICE_REACH).reshape(-1, _SLICE_RAYS)
 
     def hull(t: np.ndarray):
         # a ray past the reach was found inside at half of it; a bracket's
-        # inside end lies within 1e-13 relative below its midpoint t
+        # inside end lies within 1e-13 max(1, t) below its midpoint t
         t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
         ends = origin + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * _SLICE_DIRS
         # their hull: drop reflex vertices until every turn is left.  Rounding
@@ -322,7 +369,7 @@ def ray_metric_bounds(D: ConvexDomain, Z: np.ndarray, V: np.ndarray):
 
     norms = np.linalg.norm(V, axis=1)
     lo, hi, run = np.zeros(len(Z)), np.zeros(len(Z)), np.flatnonzero(norms > 0)
-    t, hulls = ray_hulls(D.contains_batch, Z[run], V[run] / norms[run, None])
+    t, hulls = ray_hulls(D, Z[run], V[run] / norms[run, None])
     lo[run] = norms[run] / _lower_radii(t)
     for i, (ends, rho), row in zip(run, hulls, t):
         # centres from z itself on, and as z nears the boundary, at a few times
@@ -475,6 +522,7 @@ class ConvexDomain:
     """Abstract base for catalog nodes and graph domains."""
 
     dimension: int
+    level_batch = None   # a defining function of the rows, on nodes that know one
 
     # -- membership ---------------------------------------------------------
 
@@ -489,6 +537,10 @@ class ConvexDomain:
 
     def _contains(self, z: np.ndarray) -> bool:
         return bool(self.contains_batch(z[None, :])[0])
+
+    def ray_exit_batch(self, Z: np.ndarray, U: np.ndarray, t_max: float = 1e12) -> np.ndarray:
+        """``ray_boundary_batch`` from rows Z (or one start) along U, led by ``level_batch``."""
+        return ray_boundary_batch(self.contains_batch, Z, U, t_max, level=self.level_batch)
 
     # -- boundary distances --------------------------------------------------
 
@@ -521,7 +573,7 @@ class ConvexDomain:
         if self.dimension == 1:   # the only complex line is the whole plane
             return self.delta_batch(Z)
         U = V / np.linalg.norm(V, axis=1, keepdims=True)   # searched on the line's own membership
-        return ray_min_batch(self.contains_batch, Z, np.stack([U, 1j * U], axis=1))
+        return ray_min_batch(self, Z, np.stack([U, 1j * U], axis=1))
 
     # -- slices ---------------------------------------------------------------
 
@@ -568,7 +620,8 @@ class ConvexDomain:
 
     # -- Kobayashi geometry (defaults; catalog nodes override them) ----------
 
-    exact_tag = "exact-chart"   # method tag of a closed-form metric value
+    exact_tag = "exact-chart"   # method tags of a closed-form metric value,
+    bound_tag = "delta-bound"   # and of bounds |v| / (2 delta_dir) and |v| / delta_dir
 
     def chart(self) -> ConformalChart | None:
         """Conformal chart onto the upper half-plane, or None."""
@@ -639,11 +692,6 @@ class ConvexDomain:
         """(inner, x', y') when this node is a biholomorphic image of ``inner``
         carrying x', y' to x, y; else None."""
         return None
-
-
-def _hdot(z: np.ndarray, a: np.ndarray) -> complex:
-    """Hermitian pairing <z, a> = sum z_j conj(a_j) (holomorphic in z)."""
-    return complex(np.sum(z * np.conj(a)))
 
 
 # -- planar catalog nodes ----------------------------------------------------
@@ -930,7 +978,7 @@ class Ball(ConvexDomain):
         # the slice of a ball is always a disk in the parameter plane
         w = p - self.center
         nv2 = float(np.vdot(v, v).real)
-        wv = _hdot(w, v)  # <w, v>
+        wv = complex(np.sum(w * np.conj(v)))  # <w, v>, holomorphic in w
         center = -wv / nv2   # |center|^2, not |<w, v>|^2 / |v|^4, which underflows
         rho2 = (self.radius ** 2 - float(np.vdot(w, w).real)) / nv2 + abs(center) ** 2
         if rho2 <= 0:
@@ -1183,7 +1231,7 @@ class AffineImage(ConvexDomain):
         if self._conformal_scale is not None:
             return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
         unit = np.eye(self.dimension)   # search all of C^d
-        return ray_min_batch(self.contains_batch, Z, np.concatenate([unit, 1j * unit]))
+        return ray_min_batch(self, Z, np.concatenate([unit, 1j * unit]))
 
     def _slice_set(self, p, v):
         # the parameter plane is preserved exactly under the pullback
@@ -1209,7 +1257,7 @@ class AffineImage(ConvexDomain):
                 "inner": self.inner.to_spec()}
 
     # an affine image is biholomorphic to its inner domain
-    exact_tag = "affine-invariance"
+    exact_tag, bound_tag = "affine-invariance", property(lambda self: self.inner.bound_tag)
 
     def chart(self):
         inner = self.inner.chart()
@@ -1494,7 +1542,7 @@ class Graph(ConvexDomain):
         G[flat] = self._interior - Z[flat]
         G[~np.any(G, axis=1)] = 1.0
         U = G / np.linalg.norm(G, axis=1, keepdims=True)
-        t0 = ray_boundary_batch(self.contains_batch, Z, U)
+        t0 = self.ray_exit_batch(Z, U)
         cons = {"type": "eq",
                 "fun": lambda xr: self.r.value(_from_real(xr)),
                 "jac": lambda xr: self.r.grad(_from_real(xr))}
@@ -1514,14 +1562,15 @@ class Graph(ConvexDomain):
         # direction error, so this recovers ~1e-12 accuracy
         ok = np.flatnonzero(np.any(polish, axis=1))
         best = t0.copy()
-        best[ok] = np.minimum(t0[ok], ray_boundary_batch(self.contains_batch, Z[ok], polish[ok]))
+        best[ok] = np.minimum(t0[ok], self.ray_exit_batch(Z[ok], polish[ok]))
         return best
 
-    def _slice_set(self, p, v):
-        return PlanarOracle(lambda T: self.contains_batch(p + T[:, None] * v),
-                            label="graph-slice")
+    def _slice_set(self, p, v):   # r along the line
+        level = lambda Z: self.r.value_batch(p + Z[:, :1] * v)
+        return PlanarOracle(lambda T: level(T[:, None]) < 0, label="graph-slice", level_batch=level)
 
-    metric_bounds = ray_metric_bounds
+    metric_bounds, bound_tag = ray_metric_bounds, "slice-hull"
+    level_batch = property(lambda self: self.r.value_batch)
 
     @property
     def c_proper(self):
@@ -1542,9 +1591,9 @@ class Graph(ConvexDomain):
         U = np.tile(unit_rows(np.random.default_rng(_FALLBACK_SEED), _TANGENT_RAYS, self.dimension),
                     (3, 1))
         starts = np.repeat([x, y, 0.5 * (x + y)], _TANGENT_RAYS, axis=0)
-        t = ray_boundary_batch(self.contains_batch, starts, U)
+        t = self.ray_exit_batch(starts, U)
         hit = np.isfinite(t)
-        # the bracket's outer end lies within 1e-13 relative past t
+        # the bracket's outer end lies within 1e-13 max(1, t) past t
         P = starts[hit] + (t[hit] + 1e-13 * np.maximum(1.0, t[hit]))[:, None] * U[hit]
         P = P[~self.contains_batch(P)]
         N = _from_real(self.r.grad_batch(P))
@@ -1569,26 +1618,28 @@ class PlanarOracle(ConvexDomain):
     ``member_batch`` maps a complex array of points to a bool array.
     Produced by slicing non-catalog domains; boundary distances come from
     ``ray_min_batch`` over the plane, the infinitesimal metric from
-    ``ray_metric_bounds``.
-    """
+    ``ray_metric_bounds``.  A graph's slice knows r along its line as a
+    ``level_batch`` of rows (n, 1), whose sign is ``member_batch``."""
 
     def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
-                 label: str = "oracle"):
+                 label: str = "oracle", level_batch: Callable | None = None):
         self.member_batch = member_batch
         self.label = label
+        self.level_batch = level_batch
         self.dimension = 1
 
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
 
     def delta_batch(self, Z):
-        return ray_min_batch(self.contains_batch, Z, np.array([[1.0], [1j]]))
+        return ray_min_batch(self, Z, np.array([[1.0], [1j]]))
 
     def _slice_set(self, p, v):
-        member_batch = self.member_batch
-        return PlanarOracle(lambda T: member_batch(p[0] + T * v[0]), label=self.label)
+        member_batch, level = self.member_batch, self.level_batch
+        return PlanarOracle(lambda T: member_batch(p[0] + T * v[0]), self.label,
+                            level and (lambda Z: level(p[0] + Z * v[0])))
 
-    metric_bounds = ray_metric_bounds
+    metric_bounds, bound_tag = ray_metric_bounds, "slice-hull"
 
     @property
     def c_proper(self):

@@ -76,7 +76,7 @@ def infinitesimal(D: ConvexDomain, z, v) -> DistanceInterval:
     lo, hi = (float(b[0]) for b in metric_bounds_batch(D, z[None, :], v[None, :]))
     if hi == lo:
         return DistanceInterval.exact(lo, D.exact_tag)
-    return DistanceInterval(lo, hi, frozenset({"delta-bound"}))
+    return DistanceInterval(lo, hi, frozenset({D.bound_tag}))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def _inscribed_disk_upper(S: ConvexDomain):
     K_S.  A piece of [0, 1] that no disk holds is halved; the straight
     path's integral of 1/rho caps the sum, which is +inf only when 0 or 1
     is not certified inside P."""
-    _, [(ends, rho)] = ray_hulls(S.contains_batch, np.array([[0.5 + 0j]]), np.ones((1, 1)), 0.5)
+    _, [(ends, rho)] = ray_hulls(S, np.array([[0.5 + 0j]]), np.ones((1, 1)), 0.5)
     if rho is None:
         return math.inf, None
 

@@ -24,6 +24,7 @@ from kcat0 import (
     domain_from_json,
     distance,
     domain_to_json,
+    infinitesimal,
     intersection,
     sector,
     unit_disk,
@@ -633,7 +634,8 @@ def _warm_cases(draw):
     G = _ellipsoid_graph()
     D, start = draw(st.sampled_from([
         (Disk(0.2, 1.5), [0.1j]), (HalfPlane(0.0, 1j), [0.5j]), (HalfPlane(0.0, 1j), [0.5]),
-        (G, [0.1, -0.2j]), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05])]))
+        (G, [0.1, -0.2j]), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05]),
+        (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j])]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     raw = rng.normal(size=(24, 2 * D.dimension)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
     return (D, np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:],
@@ -658,6 +660,8 @@ def test_warm_started_rays_return_the_cold_shots_floats(case):
              "above its binade": np.ldexp(1.0, np.frexp(t)[1])}[how]
     warm = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max, guess=(guess, spread))
     assert warm.tolist() == cold.tolist()
+    # the node's own exit: on the graph and its slice, led by r's values
+    assert D.ray_exit_batch(start, dirs, t_max).tolist() == cold.tolist()
 
 
 def test_warm_started_compass_rounds_cut_the_membership_calls():
@@ -667,7 +671,32 @@ def test_warm_started_compass_rounds_cut_the_membership_calls():
     contains = G.contains_batch
     G.contains_batch = lambda Z: calls.append(len(Z)) or contains(Z)
     G.delta_dir_batch(np.array([[0.2 + 0.1j, -0.3j]]), np.array([[1.0, 0.5j]]))
-    assert len(calls) == 732 <= 0.6 * 1656
+    # the grid shot's cells come from r's values: one membership call is its
+    # bisection's (732 calls when it bisected membership from t = 1)
+    assert len(calls) == 687 <= 0.6 * 1656
+
+
+def test_level_led_rays_cut_the_r_rows():
+    # one infinitesimal row on the ellipsoid known through a callable r,
+    # evaluated once per row: 4418 rows when its 96 rays bisected membership
+    rows = []
+    r = DefiningFunction(2, lambda z: rows.append(1) or abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)
+    iv = infinitesimal(Graph(r, interior_point=[0.0, 0.0]), [0.3 + 0.1j, -0.2j], [1.0, 0.5j])
+    assert 0.0 < iv.lo < iv.hi and len(rows) <= 2000
+
+
+def test_level_led_rays_bracket_the_boundary_off_convexity():
+    # the cuts lean on r's convexity for speed only: with r not convex along
+    # the rays, every row still returns a float whose bracket membership checked
+    G = Graph(DefiningFunction(1, lambda z: abs(z[0]) ** 2 - 1 + 0.9 * math.sin(7 * z[0].real)),
+              interior_point=[0.0])
+    rng = np.random.default_rng(7)
+    dirs = np.exp(2j * math.pi * rng.uniform(size=64))[:, None] * 10.0 ** rng.uniform(-2, 2, (64, 1))
+    t = G.ray_exit_batch(np.zeros(1), dirs)
+    pad = 1e-13 * np.maximum(1.0, t)
+    assert np.isfinite(t).all()
+    assert G.contains_batch((t - pad)[:, None] * dirs).all()
+    assert not G.contains_batch((t + pad)[:, None] * dirs).any()
 
 
 class TestBatchedGradients:

@@ -126,6 +126,21 @@ class TestInfinitesimal:
         with pytest.raises(KCat0Error, match="inconsistent interval"):
             infinitesimal(D, [0.1, 0.1], [1.0, 0.0])
 
+    def test_bounds_name_the_node_that_made_them(self):
+        # graphs, their affine images and oracle sets bound the metric by a
+        # slice hull; the |v| / delta_dir estimate keeps its own tag
+        G = Graph(DefiningFunction.from_polynomial(RealPolynomial(2, {
+            (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0, (0, 0, 0, 2): 2.0,
+            (0, 0, 0, 0): -1.0})), interior_point=[0.0, 0.0])
+        A = AffineImage(np.array([[2, 0.5], [0, 1]], dtype=complex), np.zeros(2), G)
+        for D, z, v, tag in [(G, [0.1, 0.2j], [1.0, 0.5j], "slice-hull"),
+                             (A, [0.1, 0.2j], [1.0, 0.5j], "slice-hull"),
+                             (G.slice([0.1, 0.2j], [1.0, 0.5j]), [0.1j], [1.0], "slice-hull"),
+                             (PlanarOracle(lambda T: np.abs(T - 0.2) < 1.0), [0.1j], [1.0], "slice-hull"),
+                             (example36_domain(), [0.1, 0.1], [1.0, 0.0], "delta-bound")]:
+            iv = infinitesimal(D, z, v)
+            assert not iv.is_exact and iv.methods == {tag}, (D, iv)
+
     def test_ball_matches_tangential_slice(self):
         # through (0.5, 0) in the (0, 1) direction the affine disk is extremal
         iv = infinitesimal(ball2(), [0.5, 0.0], [0.0, 1.0])
