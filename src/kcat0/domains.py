@@ -36,14 +36,17 @@ boundary, behind the sandwich's inscribed-polydisk bound) and the
 sandwich's reductions.  A slice is itself a planar
 node; a lens is the Mobius image of a sector.
 
-Domains known only through membership (graph domains and their slices)
-answer by ray shooting, each node by its ``ray_exit_batch`` on the one ray
-shooter ``ray_boundary_batch``, which hands each batched membership call all
-the rays still running; a graph and its slice first cut each bracket on r's
-values, for the same floats in a quarter of the rounds.  ``ray_min_batch``,
-the least ray distance over a span of directions, is the one search built on
-it.  A graph slice is a ``PlanarOracle``; the sandwich bounds it, and both
-bound their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
+Every node shoots rays by its ``ray_exit_batch``: a catalog node in closed
+form (a disk or ball at a quadratic root, a half-plane or sector at its
+sides' linear ones, a composite at its parts' least exit, an affine image
+along the pulled-back ray); graph domains and their slices, known only
+through membership, by the one ray shooter ``ray_boundary_batch``, which
+hands each batched membership call all the rays still running, after cutting
+each bracket on r's values (also inside an affine image), for the same
+floats in a quarter of the rounds.  ``ray_min_batch``, the least ray
+distance over a span of directions, is the one search built on them.  A
+graph slice is a ``PlanarOracle``; the sandwich bounds it, and both bound
+their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -150,8 +153,8 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         out[run[t[run] < 1e-300]] = 0.0
         run = run[t[run] >= 1e-300]
     run = cold[t[cold] >= 1e-300]
-    hi = 2.0 * t  # t is inside, so doubling starts from 2t
-    grow = run[hi[run] <= t_max]
+    hi = 2.0 * t  # t is inside, so doubling starts from 2t; a row that halved read 2t outside
+    grow = run[(t[run] == 1.0) & (hi[run] <= t_max)]
     while grow.size:
         grow = grow[inside(grow, hi[grow])]
         hi[grow] *= 2.0
@@ -274,8 +277,9 @@ def ray_hulls(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, origin: complex = 0
                          _SLICE_REACH).reshape(-1, _SLICE_RAYS)
 
     def hull(t: np.ndarray):
-        # a ray past the reach was found inside at half of it; a bracket's
-        # inside end lies within 1e-13 max(1, t) below its midpoint t
+        # a ray past the reach was found inside at half of it; an exit t lies
+        # within 1e-13 max(1, t) above the ray's last inside point (a bisection's
+        # checked inside end; a closed form's true exit, to its rounding)
         t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
         ends = origin + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * _SLICE_DIRS
         # their hull: drop reflex vertices until every turn is left.  Rounding
@@ -539,7 +543,8 @@ class ConvexDomain:
         return bool(self.contains_batch(z[None, :])[0])
 
     def ray_exit_batch(self, Z: np.ndarray, U: np.ndarray, t_max: float = 1e12) -> np.ndarray:
-        """``ray_boundary_batch`` from rows Z (or one start) along U, led by ``level_batch``."""
+        """Distance from rows Z (or one start) along U to the boundary, 0.0 from a start
+        not inside, inf past ``t_max``: ``ray_boundary_batch``, led by ``level_batch``."""
         return ray_boundary_batch(self.contains_batch, Z, U, t_max, level=self.level_batch)
 
     # -- boundary distances --------------------------------------------------
@@ -697,6 +702,25 @@ class ConvexDomain:
 # -- planar catalog nodes ----------------------------------------------------
 
 
+def _exits(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, t: np.ndarray, t_max: float) -> np.ndarray:
+    """Exits t on ``ray_boundary_batch``'s contract: 0.0 from a start not in D, inf past t_max."""
+    inside = D.contains_batch(np.broadcast_to(Z, U.shape))
+    return np.where(inside, np.where(t > t_max, math.inf, t), 0.0)
+
+
+def _sphere_exit(D: Disk | Ball, Z: np.ndarray, U: np.ndarray, t_max: float = 1e12) -> np.ndarray:
+    """A disk's or ball's ``ray_exit_batch``: the positive root of
+    |w + t u|^2 = R^2, w = z - c, as room / (p + s) or (s - p) / |u|^2 with
+    p = Re<w, u>, so that neither subtracts (inf where u = 0)."""
+    W = np.broadcast_to(Z - D.center, U.shape)
+    a, p = np.sum(np.abs(U) ** 2, axis=1), np.sum(W * U.conj(), axis=1).real
+    room = np.maximum(D.radius ** 2 - np.sum(np.abs(W) ** 2, axis=1), 0.0)
+    s = np.sqrt(p * p + a * room)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(p > 0, room / (p + s), (s - p) / a)
+    return _exits(D, Z, U, np.where(a > 0, t, math.inf), t_max)
+
+
 class Disk(ConvexDomain):
     def __init__(self, center: complex = 0.0, radius: float = 1.0):
         if radius <= 0:
@@ -707,6 +731,8 @@ class Disk(ConvexDomain):
 
     def contains_batch(self, Z):
         return np.abs(Z[:, 0] - self.center) < self.radius
+
+    ray_exit_batch = _sphere_exit
 
     def delta_batch(self, Z):
         return self.radius - np.abs(Z[:, 0] - self.center)
@@ -766,6 +792,14 @@ class HalfPlane(ConvexDomain):
 
     def contains_batch(self, Z):
         return ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real > 0
+
+    def ray_exit_batch(self, Z, U, t_max=1e12):
+        n = np.conj(self.inward_normal)   # the depth, and the speed towards the line
+        depth = ((np.broadcast_to(Z, U.shape)[:, 0] - self.boundary_point) * n).real
+        rate = -(U[:, 0] * n).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(rate > 0, depth / rate, math.inf)
+        return _exits(self, Z, U, t, t_max)
 
     def delta_batch(self, Z):
         return ((Z[:, 0] - self.boundary_point) * np.conj(self.inward_normal)).real
@@ -846,6 +880,12 @@ class Sector(ConvexDomain):
         ang = np.angle(w * np.exp(-1j * self.alpha))
         ang = np.where(ang <= -math.pi, ang + _TWO_PI, ang)
         return (w != 0) & (ang > 0) & (ang < self.opening)
+
+    def ray_exit_batch(self, Z, U, t_max=1e12):
+        # an opening below pi: left of the ray at alpha and right of the ray at beta
+        sides = (HalfPlane(self.vertex, 1j * np.exp(1j * self.alpha)),
+                 HalfPlane(self.vertex, -1j * np.exp(1j * self.beta)))
+        return _exits(self, Z, U, np.minimum(*(h.ray_exit_batch(Z, U, math.inf) for h in sides)), t_max)
 
     def _ray_distance(self, w: np.ndarray, theta: float) -> np.ndarray:
         """Distance of each w (taken from the vertex) to the ray at angle theta."""
@@ -971,6 +1011,8 @@ class Ball(ConvexDomain):
     def contains_batch(self, Z):
         return np.linalg.norm(Z - self.center[None, :], axis=1) < self.radius
 
+    ray_exit_batch = _sphere_exit
+
     def delta_batch(self, Z):
         return self.radius - np.linalg.norm(Z - self.center[None, :], axis=1)
 
@@ -1087,6 +1129,10 @@ class Product(ConvexDomain):
     def contains_batch(self, Z):
         return reduce(np.logical_and, [f.contains_batch(Zf)
                                        for f, Zf in zip(self.factors, self.split(Z))])
+
+    def ray_exit_batch(self, Z, U, t_max=1e12):
+        return reduce(np.minimum, [f.ray_exit_batch(Zf, Uf, t_max)
+                                   for f, Zf, Uf in zip(self.factors, self.split(Z), self.split(U))])
 
     def delta_batch(self, Z):
         return reduce(np.minimum, [f.delta_batch(Zf) for f, Zf in zip(self.factors, self.split(Z))])
@@ -1227,6 +1273,10 @@ class AffineImage(ConvexDomain):
     def contains_batch(self, Z):
         return self.inner.contains_batch(self._pull_back_rows(Z))
 
+    def ray_exit_batch(self, Z, U, t_max=1e12):
+        # the same t along the pulled-back ray, so a graph inside keeps r's lead
+        return self.inner.ray_exit_batch(self._pull_back_rows(Z), U @ self.inverse.T, t_max)
+
     def delta_batch(self, Z):
         if self._conformal_scale is not None:
             return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
@@ -1317,6 +1367,9 @@ class Intersection(ConvexDomain):
         for m in self.members[1:]:
             out = out & m.contains_batch(Z)
         return out
+
+    def ray_exit_batch(self, Z, U, t_max=1e12):
+        return reduce(np.minimum, [m.ray_exit_batch(Z, U, t_max) for m in self.members])
 
     def delta_batch(self, Z):
         return reduce(np.minimum, [m.delta_batch(Z) for m in self.members])

@@ -2,7 +2,8 @@
 intersection-of-balls pipeline.
 
 Windowed Hausdorff distances are estimated by ray shooting boundary
-samples from interior anchors over a fixed direction grid; every reading
+samples from interior anchors over a fixed direction grid, each ray ending at
+the nearer of the domain's own exit and the window ball's; every reading
 carries its sampling mesh.  Scaling sequences cover the two concrete
 constructions the proofs use: the first-coordinate dilation onto a cone
 times the untouched remainder, and the graph-function rescaling
@@ -34,7 +35,6 @@ from .domains import (
     Sector,
     domain_to_json,
     intersection,
-    ray_boundary_batch,
     right_half_plane,
     sector,
     unit_disk,
@@ -138,14 +138,11 @@ def _sphere_directions(dim: int, count: int) -> np.ndarray:
 
 
 def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.ndarray:
-    """Samples of the boundary of (closure of D) intersected with B(0, R)."""
+    """Samples of the boundary of (closure of D) intersected with B(0, R): rays
+    from an anchor inside both, to the nearer of D's own exit and the ball's."""
     anchor = _window_anchor(D, R)
-
-    def inside(Z: np.ndarray) -> np.ndarray:
-        return D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) < R)
-
-    ts = ray_boundary_batch(inside, anchor, directions, t_max=1e9)
-    ts = np.where(np.isfinite(ts), ts, 0.0)
+    ts = np.minimum(D.ray_exit_batch(anchor, directions, 1e9),
+                    Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, directions, 1e9))
     return anchor[None, :] + ts[:, None] * directions
 
 
@@ -338,9 +335,9 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
         return float(f(0.0, w))
 
     def row(rho: float, circle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points rho * circle and f(0, w) at each of them."""
+        """The points rho * circle and f(0, w) at each of them, taken as Python complexes."""
         ws = rho * circle
-        return ws, np.fromiter(map(f0, ws), dtype=float, count=len(ws))
+        return ws, np.fromiter((f(0.0, w) for w in ws.tolist()), dtype=float, count=len(ws))
 
     def row_argmax(ws: np.ndarray, vals: np.ndarray, rho: float, n: int):
         """The row's largest f(0, w)/rho^n and its first point; NaN ranks

@@ -30,7 +30,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
-from kcat0.domains import ray_boundary_batch
+from kcat0.domains import ConvexDomain, ray_boundary_batch, unit_rows
 from kcat0.errors import DimensionMismatch, InvalidDomain, OutsideDomain
 
 from conftest import sample_in
@@ -660,8 +660,81 @@ def test_warm_started_rays_return_the_cold_shots_floats(case):
              "above its binade": np.ldexp(1.0, np.frexp(t)[1])}[how]
     warm = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max, guess=(guess, spread))
     assert warm.tolist() == cold.tolist()
-    # the node's own exit: on the graph and its slice, led by r's values
-    assert D.ray_exit_batch(start, dirs, t_max).tolist() == cold.tolist()
+    shot = D.ray_exit_batch(start, dirs, t_max)
+    if D.level_batch is not None:   # the graph and its slices, led by r's values
+        assert shot.tolist() == cold.tolist()
+        return
+    # a closed form: 0.0 from a start on the boundary, which the cold shot
+    # reads only along rays that leave at once; else the cold shot's float to
+    # its stop width, and inf alike, except where its doubling passed t_max
+    # below the exit
+    if not D.contains(start):
+        assert (shot == 0.0).all()
+        return
+    done = np.isfinite(cold)
+    assert (np.abs(shot[done] - cold[done]) <= 1e-13 * np.maximum(1.0, shot[done])).all()
+    assert (shot[~done] > np.ldexp(0.5, np.frexp(t_max)[1])).all()
+
+
+def test_cold_shot_bisects_a_halved_rows_bracket_at_once():
+    # a row that halved from t = 1 read 2t outside, so [t, 2t] is its bracket
+    D, ts = Disk(0.0, 0.3), []
+    inside = lambda Z: ts.extend(Z[:, 0].real.tolist()) or D.contains_batch(Z)
+    t = ray_boundary_batch(inside, np.zeros(1), np.ones((1, 1)))
+    assert ts[:4] == [1.0, 0.5, 0.25, 0.375] and ts.count(0.5) == 1
+    assert t == _scalar_ray_boundary(lambda z: D.contains(z), np.zeros(1), np.ones(1))
+
+
+_CATALOG = [intersection([Disk(0, 1), Disk(0.8 + 0.3j, 1.2)]),
+            Intersection([Ball([0, 0], 1.0), Ball([0.5, 0], 1.0), Ball([0, 0.5j], 1.0)]),
+            Polydisk([0.1, -0.2j], [1.0, 0.5]),
+            AffineImage(1.5j * np.array([[0.6, 0.8], [-0.8, 0.6]]), [0.3, 0.1j],
+                        Ball([0.2, 0], 1.0)),
+            AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], Polydisk([0, 0], [1, 1])),
+            AffineImage(1e6 * np.eye(2), [0, 0], intersection([Ball([1, 0], 1.0),
+                                                               Ball([0, 1], 1.0)]))]
+
+
+@st.composite
+def _exit_cases(draw):
+    """A catalog node, a start inside and one not, unit rays (as every
+    caller shoots, so that the pad is 1e-13 max(1, t) in space) and a t_max."""
+    D = draw(st.one_of(st.sampled_from(_CATALOG), st.integers(1, 3).flatmap(_node)))
+    d, scale = D.dimension, 1e6 if D is _CATALOG[-1] else 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = scale * rng.uniform(-3, 3, (512, 2 * d))
+    Z = raw[:, :d] + 1j * raw[:, d:]
+    inside = D.contains_batch(Z)
+    assume(inside.any() and not inside.all())
+    return (D, Z[np.argmax(inside)], Z[np.argmin(inside)], unit_rows(rng, 32, d),
+            scale * draw(st.sampled_from([1e12, 3.0, 0.3])))
+
+
+@given(_exit_cases())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_exits_keep_the_ray_contract(case):
+    D, z, out, U, t_max = case
+    t = D.ray_exit_batch(z, U, t_max)
+    done = np.isfinite(t)
+    # delta is concave along the ray, so the ray meets the boundary at an
+    # incidence sine of at least delta(z) / t; where that falls below 1e-2 the
+    # membership's own rounding, stretched by 1 / sine along the ray, can
+    # outgrow 1e-13 max(1, t) (a ray grazing a half-plane at sine 4e-4 did),
+    # so the pad widens by the same factor
+    graze = np.maximum(1.0, 1e-2 * t[done] / D.delta_batch(z[None, :])[0])
+    pad = 1e-13 * np.maximum(1.0, t[done]) * graze
+    assert (t[done] <= t_max).all()
+    assert D.contains_batch(z + (t[done] - pad)[:, None] * U[done]).all()
+    assert not D.contains_batch(z + (t[done] + pad)[:, None] * U[done]).any()
+    assert D.contains_batch(z + t_max * (1.0 - 1e-13) * U[~done]).all()
+    assert (D.ray_exit_batch(out, U, t_max) == 0.0).all()
+
+
+def test_every_catalog_node_has_its_own_exit():
+    for cls in (Disk, HalfPlane, Sector, Ball, Product, Polydisk, AffineImage, Intersection):
+        assert cls.ray_exit_batch is not ConvexDomain.ray_exit_batch
+    for cls in (Graph, PlanarOracle):
+        assert cls.ray_exit_batch is ConvexDomain.ray_exit_batch
 
 
 def test_warm_started_compass_rounds_cut_the_membership_calls():

@@ -5,7 +5,10 @@ import pytest
 
 from kcat0 import (
     AffineImage,
+    Ball,
+    DefiningFunction,
     Disk,
+    Graph,
     HalfPlane,
     Product,
     convergence_check,
@@ -117,6 +120,32 @@ class TestHausdorff:
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
             hausdorff(Disk(10.0, 1.0), Disk(0, 1), 1.0, directions=256)
+
+    def test_clouds_take_the_nodes_own_exits(self, monkeypatch):
+        # each ray ends at its closed-form exit: the balls' membership checks
+        # the anchors, the starts and the excess points (104 calls when the
+        # rays bisected the window-cut membership)
+        calls, real = [], Ball.contains_batch
+        monkeypatch.setattr(Ball, "contains_batch", lambda self, Z: calls.append(len(Z)) or real(self, Z))
+        dom = AffineImage(10 * np.eye(2), np.zeros(2), example36_domain())
+        hausdorff(dom, Product(right_half_plane(), right_half_plane()), 1.0, directions=256)
+        assert len(calls) <= 12
+
+    def test_frankel_image_rays_are_led_by_r(self):
+        # an affine image of a graph shoots the graph's own exit along the
+        # pulled-back rays: 24,056 r rows when the window-cut membership bisected
+        rows = []
+
+        def evaluate(z):
+            rows.append(1)
+            return f_flat(z[0].real, z[1]) - z[0].imag
+
+        G = Graph(DefiningFunction(2, evaluate), interior_point=np.array([0.5j, 0.0]))
+        rows.clear()
+        dom = AffineImage(np.diag([math.exp(1.0 / 0.3), 1.0 / 0.3]), np.zeros(2), G)
+        r = hausdorff(dom, Product(HalfPlane(0.0, 1j), unit_disk()), 1.0, directions=512)
+        assert r.value == pytest.approx(0.35165384116263, rel=1e-12)
+        assert len(rows) <= 24056 // 2
 
     def test_triangle_inequality_within_mesh(self):
         a, b, c = Disk(0, 1), Disk(0.3, 1.2), Disk(-0.2, 0.8)
