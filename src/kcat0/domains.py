@@ -112,8 +112,9 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
 
     ``contains_batch`` maps rows of points to a bool array; ``start`` (one
     point, or one per row) must be inside.  Each row halves t = 1 until it is
-    inside (0.0 below 1e-300), doubles until it leaves (``inf`` beyond
-    ``t_max``), then bisects its bracket [2^(k-1), 2^k] until it is at most
+    inside (0.0 below 1e-300), doubles until it leaves (``inf`` where it is
+    still inside at the largest power of two not above ``t_max``, its reach),
+    then bisects its bracket [2^(k-1), 2^k] until it is at most
     1e-13 max(1, hi) wide, hi its outer end (absolute below t = 1; at most
     200 steps), and returns its midpoint.  Membership sees running rows.  A
     ``guess`` (values g, relative half-widths s; per row or broadcast) starts
@@ -121,7 +122,8 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     dyadic grid that holds g and is wider than 2sg and the stop width, and
     widens it while an end fails its membership check; a ``level`` starts it
     from the cell ``_level_cells`` finds.  Where membership is monotone along
-    a ray, every row returns its cold float.
+    a ray, every row returns its cold float, and with ``t_max`` a power of two
+    a finite row returns the float of any larger ``t_max``.
     """
     n = directions.shape[0]
     out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
@@ -192,7 +194,8 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
     convex along each ray: the cold shot's halving and doubling, then cuts at the
     chord's zero (inside) and the least of its mean with b and the zeros of the
     lines through each side's last two points (outside), on the cold bisection's
-    grid, down to one of its cells (a = 0 or b > t_max: 0.0 or inf)."""
+    grid, down to one of its cells (a = 0 or b > t_max: 0.0 or inf, so a row
+    reads inf past the largest power of two not above t_max, as the cold shot)."""
     n = directions.shape[0]
     a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
     fa, fb, fqa, fqb = (np.full(n, math.nan) for _ in range(4))
@@ -544,7 +547,9 @@ class ConvexDomain:
 
     def ray_exit_batch(self, Z: np.ndarray, U: np.ndarray, t_max: float = 1e12) -> np.ndarray:
         """Distance from rows Z (or one start) along U to the boundary, 0.0 from a start
-        not inside, inf past ``t_max``: ``ray_boundary_batch``, led by ``level_batch``."""
+        not inside, inf past ``t_max``: ``ray_boundary_batch``, led by ``level_batch``.
+        This bisection reads inf past the largest power of two not above ``t_max``,
+        a closed form (``_exits``) past ``t_max`` itself; both agree at a power of two."""
         return ray_boundary_batch(self.contains_batch, Z, U, t_max, level=self.level_batch)
 
     # -- boundary distances --------------------------------------------------
@@ -703,7 +708,8 @@ class ConvexDomain:
 
 
 def _exits(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, t: np.ndarray, t_max: float) -> np.ndarray:
-    """Exits t on ``ray_boundary_batch``'s contract: 0.0 from a start not in D, inf past t_max."""
+    """Exits t on ``ray_boundary_batch``'s contract: 0.0 from a start not in D,
+    inf past t_max itself (bisection: past the largest power of two not above it)."""
     inside = D.contains_batch(np.broadcast_to(Z, U.shape))
     return np.where(inside, np.where(t > t_max, math.inf, t), 0.0)
 

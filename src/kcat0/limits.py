@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,10 +140,15 @@ def _sphere_directions(dim: int, count: int) -> np.ndarray:
 
 def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.ndarray:
     """Samples of the boundary of (closure of D) intersected with B(0, R): rays
-    from an anchor inside both, to the nearer of D's own exit and the ball's."""
+    from an anchor inside both, to the nearer of D's own exit and the ball's.
+
+    D is shot only as far as the least power of two at or above the longest
+    ball exit: past such a reach every node reads inf exactly where its exit
+    lies beyond it, so each ray ends at the float an unbounded shot gives."""
     anchor = _window_anchor(D, R)
-    ts = np.minimum(D.ray_exit_batch(anchor, directions, 1e9),
-                    Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, directions, 1e9))
+    window = Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, directions, 1e9)
+    frac, exp = math.frexp(float(np.max(window)))
+    ts = np.minimum(D.ray_exit_batch(anchor, directions, math.ldexp(1.0, exp - (frac == 0.5))), window)
     return anchor[None, :] + ts[:, None] * directions
 
 
@@ -156,7 +162,9 @@ def hausdorff(A: ConvexDomain, B: ConvexDomain, R: float,
 
     Convexity puts the maximizers of the point-to-set distance on the
     boundary, so boundary clouds suffice up to the sampling mesh (which is
-    reported with the value).
+    reported with the value).  Cloud points lie in the closed window by
+    construction, so a one-sided excess queries the other cloud only for the
+    points outside the other set (0.0 when there are none).
     """
     if A.dimension != B.dimension:
         raise InvalidDomain("both domains must share a dimension")
@@ -174,10 +182,8 @@ def hausdorff(A: ConvexDomain, B: ConvexDomain, R: float,
     tree_b = cKDTree(_as_real(cloud_b))
 
     def excess(cloud: np.ndarray, other: ConvexDomain, other_tree) -> float:
-        inside = other.contains_batch(cloud) & (np.linalg.norm(cloud, axis=1) <= R)
-        dists, _ = other_tree.query(_as_real(cloud))
-        dists = np.where(inside, 0.0, dists)
-        return float(np.max(dists))
+        off = cloud[~other.contains_batch(cloud)]
+        return float(np.max(other_tree.query(_as_real(off))[0])) if off.size else 0.0
 
     excess_ab = excess(cloud_a, B, tree_b)
     excess_ba = excess(cloud_b, A, tree_a)
@@ -326,43 +332,44 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
     f(0, w) once per grid point whatever the length of ``n_grid``; then per
     n, at most 33 refinement rows of ``4 * angular`` points around the best
     cell, at most 163 golden-section and anchor calls, and
-    ``verify_samples`` verification calls.  The Hausdorff readings evaluate f through the
-    rescaled domains' membership on top of that.  Each argmax is the first
+    ``verify_samples`` verification calls.  Grid and band are evaluated in
+    blocks of whole rows, at most 8,192 points each (or one row), with the same
+    calls in the same order.  The Hausdorff readings evaluate f through the
+    rescaled domains' rays on top of that.  Each argmax is the first
     maximum in row-major order, and a NaN value never wins.
     """
 
     def f0(w: complex) -> float:
         return float(f(0.0, w))
 
-    def row(rho: float, circle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points rho * circle and f(0, w) at each of them, taken as Python complexes."""
-        ws = rho * circle
-        return ws, np.fromiter((f(0.0, w) for w in ws.tolist()), dtype=float, count=len(ws))
-
-    def row_argmax(ws: np.ndarray, vals: np.ndarray, rho: float, n: int):
-        """The row's largest f(0, w)/rho^n and its first point; NaN ranks
-        lowest, as it never passes a scalar ``>`` test; an underflowed rho^n
-        gives an infinite ratio or a NaN, both ranked, so numpy need not warn."""
-        with np.errstate(all="ignore"):
-            ratios = vals / rho ** n
-        ratios[np.isnan(ratios)] = -math.inf
-        j = int(np.argmax(ratios))
-        return ratios[j], ws[j]
+    def sweep(rhos: np.ndarray, circle: np.ndarray, best: dict) -> dict:
+        """Raise each best[n] = (ratio, w, row) to the first row-major maximum of
+        f(0, w)/rho^n (rho^n a scalar power per row) over the rows rho * circle,
+        block by block, a block replacing a best only when strictly larger; NaN
+        ranks lowest, as it never passes a scalar ``>`` test, and an underflowed
+        rho^n gives an infinite ratio or a NaN, both ranked, so numpy need not warn."""
+        m = len(circle)
+        step = max(1, 8192 // m)
+        powers = {n: np.array([rho ** n for rho in rhos]) for n in best}
+        for i in range(0, len(rhos), step):
+            ws = (rhos[i:i + step, None] * circle).ravel()
+            vals = np.fromiter(map(f, repeat(0.0), ws.tolist()), dtype=float, count=ws.size)
+            for n in best:
+                with np.errstate(all="ignore"):
+                    ratios = vals / np.repeat(powers[n][i:i + step], m)
+                ratios[np.isnan(ratios)] = -math.inf
+                j = int(np.argmax(ratios))
+                if ratios[j] > best[n][0]:
+                    best[n] = (ratios[j], ws[j], i + j // m)
+        return best
 
     rng = np.random.default_rng(seed)
     radii = np.linspace(r0 / radial, r0, radial)
     ring = np.exp(1j * np.linspace(0.0, 2 * math.pi, angular, endpoint=False))
     fine = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * angular, endpoint=False))
 
-    # one sweep of the grid serves every n; a row replaces a best only when
-    # strictly larger, so each n keeps the row-major scan's first maximum
-    best = {n: (-math.inf, None, None) for n in n_grid}
-    for i, rho in enumerate(radii):
-        ws, vals = row(rho, ring)
-        for n in best:
-            val, w = row_argmax(ws, vals, rho, n)
-            if val > best[n][0]:
-                best[n] = (val, w, i)
+    # one sweep of the grid serves every n
+    best = sweep(radii, ring, {n: (-math.inf, None, None) for n in n_grid})
 
     entries = []
     matrices: dict[int, np.ndarray] = {}
@@ -374,15 +381,11 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
             raise GridBoundary(
                 f"n={n}: argmax of f(0,w)/|w|^n pinned to the radial grid edge; "
                 "enlarge the search radius or the data has finite type")
-        # one local refinement round around the best cell
+        # one local refinement band around the best cell
         rho0 = radii[best_i]
         cell = radii[1] - radii[0]
-        for rho in np.linspace(rho0 - cell, rho0 + cell, 33):
-            if rho <= 0:
-                continue
-            val, w = row_argmax(*row(rho, fine), rho, n)
-            if val > best_val:
-                best_val, best_w = val, w
+        band = np.linspace(rho0 - cell, rho0 + cell, 33)
+        best_val, best_w, _ = sweep(band[band > 0], fine, {n: (best_val, best_w, best_i)})[n]
         # golden-section polish of the radial profile at the best angle,
         # so the displayed bound holds to round-off and not just to mesh
         theta_star = float(np.angle(best_w))
@@ -420,7 +423,8 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
         entries.append(Frankel2bEntry(int(n), z_n, fz, a_n, ok, excess))
 
     def evaluate(z: np.ndarray) -> float:
-        return float(f(z[0].real, z[1]) - z[0].imag)
+        z1, z2 = z.tolist()
+        return float(f(z1.real, z2) - z1.imag)
 
     source = Graph(DefiningFunction(2, evaluate),
                    interior_point=np.array([0.5j, 0.0]), c_proper=True)

@@ -730,6 +730,42 @@ def test_closed_form_exits_keep_the_ray_contract(case):
     assert (D.ray_exit_batch(out, U, t_max) == 0.0).all()
 
 
+@st.composite
+def _reach_cases(draw):
+    """A node (catalog, graph, graph slice or affine image of a graph), a start
+    inside, rays whose exits span many binades and a power-of-two t_max."""
+    G = _ellipsoid_graph()
+    graphs = [(G, [0.1, -0.2j]),
+              (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j]),
+              (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05]),
+              (AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], G), [0.1, 0.2])]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        D, start = draw(st.sampled_from(graphs))
+        start = np.asarray(start, dtype=complex)
+    else:
+        D = draw(st.one_of(st.sampled_from(_CATALOG), st.integers(1, 3).flatmap(_node)))
+        raw = (1e6 if D is _CATALOG[-1] else 1.0) * rng.uniform(-3, 3, (512, 2 * D.dimension))
+        Z = raw[:, :D.dimension] + 1j * raw[:, D.dimension:]
+        inside = D.contains_batch(Z)
+        assume(inside.any())
+        start = Z[np.argmax(inside)]
+    d = D.dimension
+    raw = rng.normal(size=(24, 2 * d)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
+    return D, start, raw[:, :d] + 1j * raw[:, d:], 2.0 ** draw(st.integers(-4, 12))
+
+
+@given(_reach_cases())
+@settings(max_examples=120, deadline=None)
+def test_power_of_two_reach_keeps_the_far_floats(case):
+    # a bisection reads inf past the largest power of two not above t_max, a
+    # closed form past t_max itself: at a power of two both cut at t_max, and
+    # every exit within it is the far shot's float
+    D, start, U, t_max = case
+    far = D.ray_exit_batch(start, U, 1e9)
+    assert D.ray_exit_batch(start, U, t_max).tolist() == np.where(far <= t_max, far, math.inf).tolist()
+
+
 def test_every_catalog_node_has_its_own_exit():
     for cls in (Disk, HalfPlane, Sector, Ball, Product, Polydisk, AffineImage, Intersection):
         assert cls.ray_exit_batch is not ConvexDomain.ray_exit_batch

@@ -147,6 +147,46 @@ class TestHausdorff:
         assert r.value == pytest.approx(0.35165384116263, rel=1e-12)
         assert len(rows) <= 24056 // 2
 
+    def test_frankel_image_rays_stop_at_the_window_reach(self, monkeypatch):
+        # the graph is shot only as far as the least power of two above the
+        # window's longest ray: 33 value_batch calls and 7,861 r rows when it
+        # was chased to t_max = 1e9
+        calls, real = [], DefiningFunction.value_batch
+        monkeypatch.setattr(DefiningFunction, "value_batch",
+                            lambda self, Z: calls.append(len(Z)) or real(self, Z))
+        G = Graph(DefiningFunction(2, lambda z: f_flat(z[0].real, z[1]) - z[0].imag),
+                  interior_point=np.array([0.5j, 0.0]))
+        calls.clear()
+        dom = AffineImage(np.diag([math.exp(1.0 / 0.3), 1.0 / 0.3]), np.zeros(2), G)
+        r = hausdorff(dom, Product(HalfPlane(0.0, 1j), unit_disk()), 1.0, directions=512)
+        assert r.value == pytest.approx(0.35165384116263, rel=1e-12)
+        assert len(calls) <= 16 and sum(calls) <= 6500
+
+    @pytest.mark.parametrize("which", ["frankel", "omega"])
+    def test_capped_clouds_keep_the_far_floats(self, which):
+        # every cloud point is min(D's exit, the window's) as shot to t = 1e9
+        if which == "frankel":
+            seq = frankel_2b(f_flat, [2, 3, 4], verify_samples=10, hausdorff_directions=2).sequence
+            doms = [seq.domain(n) for n in (2, 3, 4)]
+        else:
+            doms = [AffineImage(n * np.eye(2), np.zeros(2), example36_domain()) for n in (1, 10, 100)]
+        dirs = limits._sphere_directions(2, 512)
+        for D in doms:
+            anchor = limits._window_anchor(D, 1.0)
+            far = np.minimum(D.ray_exit_batch(anchor, dirs, 1e9),
+                             Ball(np.zeros(2), 1.0).ray_exit_batch(anchor, dirs, 1e9))
+            want = anchor[None, :] + far[:, None] * dirs
+            assert limits._boundary_cloud(D, 1.0, dirs).tolist() == want.tolist()
+
+    def test_dilated_omega_has_no_excess_over_the_quarter(self):
+        # omega lies in the quarter, and so does every cloud point; one on the
+        # window sphere used to count as outside when it rounded past R
+        # (excess_ab 0.0775 at n = 1)
+        quarter = Product(right_half_plane(), right_half_plane())
+        for n in (1, 10, 100):
+            dom = AffineImage(n * np.eye(2), np.zeros(2), example36_domain())
+            assert hausdorff(dom, quarter, 1.0, directions=2048).excess_ab == 0.0
+
     def test_triangle_inequality_within_mesh(self):
         a, b, c = Disk(0, 1), Disk(0.3, 1.2), Disk(-0.2, 0.8)
         rab = hausdorff(a, b, 2.5, directions=1024)
@@ -219,6 +259,27 @@ class TestFrankel2b:
                          verify_samples=10, hausdorff_directions=64)
         for e in res.entries:
             z_n, f_value, a_n = reference_anchor(f, e.n, r0, radial, angular)
+            assert (e.z_n, e.f_value, e.a_n) == (z_n, f_value, a_n)
+
+    def test_block_sweep_matches_the_row_scan(self, monkeypatch):
+        # blocks of whole rows (11 grid rows of 700 points, 2 band rows of
+        # 2,800, the last block short) against the point-by-point scan, with f
+        # NaN on a sector about the positive axis and tied along each circle;
+        # on the first row both f and rho^n underflow, so the ratio is NaN
+        monkeypatch.setattr(limits, "hausdorff", lambda *args, **kwargs: None)
+        r0, radial, angular = 0.9, 40, 700
+
+        def f(x, z):
+            if z.real > 0 and abs(z.imag) < 0.5 * z.real:
+                return math.nan
+            r = round(abs(z), 9)
+            return x * x + (math.exp(-125.0 / r) if r != 0 else 0.0)
+
+        assert (r0 / radial) ** 200 == f(0.0, -r0 / radial) == 0.0
+        res = frankel_2b(f, [200, 250], r0=r0, radial=radial, angular=angular, verify_samples=10)
+        for e in res.entries:
+            with np.errstate(invalid="ignore"):
+                z_n, f_value, a_n = reference_anchor(f, e.n, r0, radial, angular)
             assert (e.z_n, e.f_value, e.a_n) == (z_n, f_value, a_n)
 
     def test_grid_is_swept_once_for_every_n(self, monkeypatch):
