@@ -42,11 +42,11 @@ sides' linear ones, a composite at its parts' least exit, an affine image
 along the pulled-back ray); graph domains and their slices, known only
 through membership, by the one ray shooter ``ray_boundary_batch``, which
 hands each batched membership call all the rays still running, after cutting
-each bracket on r's values (also inside an affine image), for the same
-floats in a quarter of the rounds.  ``ray_min_batch``, the least ray
-distance over a span of directions, is the one search built on them.  A
-graph slice is a ``PlanarOracle``; the sandwich bounds it, and both bound
-their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
+each bracket on r's values (also inside an affine image) about a parabola's
+zero, for the same floats in about an eighth of the rounds.  ``ray_min_batch``,
+the least ray distance over a span of directions, is the one search built on
+them.  A graph slice is a ``PlanarOracle``; the sandwich bounds it, and both
+bound their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -191,14 +191,16 @@ def _cell(g: np.ndarray, width: np.ndarray | float = 0.0) -> np.ndarray:
 def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
                  directions: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) per row, a inside and b outside by the sign of a level of the rows
-    convex along each ray: the cold shot's halving and doubling, then cuts at the
-    chord's zero (inside) and the least of its mean with b and the zeros of the
-    lines through each side's last two points (outside), on the cold bisection's
-    grid, down to one of its cells (a = 0 or b > t_max: 0.0 or inf, so a row
-    reads inf past the largest power of two not above t_max, as the cold shot)."""
+    convex along each ray: the cold shot's halving and doubling, then cuts on the
+    cold bisection's grid down to one of its cells (a = 0 or b > t_max: 0.0 or
+    inf, so a row reads inf past the largest power of two not above t_max, as the
+    cold shot), at the chord's zero c (inside) and the least z of its mean with b
+    and the zeros of the lines through each side's last two points (outside), or,
+    where the zero e of the parabola through a, b and b's (else a's) last end lies
+    in [c, z] and the row had an e last round, at e -+ its move, within [c, z]."""
     n = directions.shape[0]
     a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
-    fa, fb, fqa, fqb = (np.full(n, math.nan) for _ in range(4))
+    fa, fb, fqa, fqb, ep = (np.full(n, math.nan) for _ in range(5))
 
     def file(rows, t, v):   # a point inside [a, b] becomes its side's end, and
         ok = (t > a[rows]) & (t < b[rows])   # the end it replaces that side's q
@@ -217,7 +219,14 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
             c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
                 (A, FA, B, FB), (A, FA, qa[run], fqa[run]), (B, FB, qb[run], fqb[run]))]
             z = np.minimum.reduce([np.where(x > c, x, math.inf) for x in z] + [0.5 * (c + B)])
-            t = np.fmin(np.fmax([np.floor(c / W), np.ceil(z / W)] * W, A + W), B - W)
+            Q, FQ = (np.where(np.isnan(fqb[run]), x[run], y[run]) for x, y in ((qa, qb), (fqa, fqb)))
+            f1 = (FB - FA) / (B - A)   # divided differences of the parabola through A, B, Q
+            f2 = ((FQ - FB) / (Q - B) - f1) / (Q - A)
+            p = f1 - f2 * (B - A)
+            e = A - 2.0 * FA / (p + np.sqrt(p * p - 4.0 * f2 * FA))   # its zero in (A, B), stably
+            h, ep[run] = np.abs(e - ep[run]), e   # e's move since last round; nan keeps c, z
+            lo, hi = np.where((c <= e) & (e <= z), [np.fmax(c, e - h), np.fmin(z, e + h)], [c, z]) / W
+            t = np.fmin(np.fmax([np.floor(lo), np.fmax(np.ceil(hi), np.floor(lo) + 1)] * W, A + W), B - W)
         t[0] = np.where(cut, t[0], np.where(A > 0, 2.0 * A, np.minimum(1.0, 0.5 * B)))
         rows, t = np.r_[run, run[cut]], np.r_[t[0], t[1, cut]]
         v = level(start[rows] + t[:, None] * directions[rows])

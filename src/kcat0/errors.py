@@ -39,3 +39,7 @@ class EmptyWindow(KCat0Error):
 
 class DegenerateInput(KCat0Error):
     """Coincident or otherwise degenerate points where distinct ones are needed."""
+
+
+class PowerUnderflow(KCat0Error):
+    """A power |w|^n underflows to 0 where a ratio divides by it."""

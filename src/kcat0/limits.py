@@ -42,7 +42,7 @@ from .domains import (
     unit_rows,
 )
 from .errors import (DimensionMismatch, EmptyWindow, GridBoundary, InvalidDomain, KCat0Error,
-                     OutsideDomain)
+                     OutsideDomain, PowerUnderflow)
 from .metric import distance
 from .points import as_point, point_to_json
 
@@ -321,12 +321,12 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
                hausdorff_directions: int = 1024, seed: int = 0) -> Frankel2bResult:
     """Graph-function rescaling diag(1/f(0, z_n), 1/z_n) for each n.
 
-    ``f(x, z)`` is the convex non-negative graph function of the boundary
-    near 0 (domain {Im z1 > f(Re z1, z2)}).  For each n the anchor z_n
-    maximizes f(0, w)/|w|^n over the radial grid on {|w| <= r0}; an argmax
-    pinned to either grid edge aborts (finite-type data or too small a
-    search radius).  The displayed bound f(0, z_n w)/f(0, z_n) <= |w|^n is
-    verified on samples of the unit disk.
+    ``f(x, z)`` is the convex non-negative graph function of the boundary near 0
+    (domain {Im z1 > f(Re z1, z2)}).  For each n the anchor z_n maximizes
+    f(0, w)/|w|^n over the radial grid on {|w| <= r0}; an argmax pinned to
+    either grid edge aborts (finite-type data or too small a search radius), as
+    does a |w|^n underflowed to 0 (``PowerUnderflow``).  The displayed bound
+    f(0, z_n w)/f(0, z_n) <= |w|^n is verified on samples of the unit disk.
 
     Evaluation budget: one sweep of the ``radial`` x ``angular`` grid,
     f(0, w) once per grid point whatever the length of ``n_grid``; then per
@@ -392,23 +392,24 @@ def frankel_2b(f: Callable[[float, complex], float], n_grid: Sequence[int],
         phase = np.exp(1j * theta_star)
         glo, ghi = max(abs(best_w) - cell, 1e-12), min(abs(best_w) + cell, r0)
         invphi = 0.381966011250105
+        def power(m):   # m^n, refused before any division where it underflows to 0
+            if (m_n := m ** n) == 0.0:
+                raise PowerUnderflow(f"n={n}: |w|^n underflows to 0 at |w| = {float(m)!r}")
+            return m_n
         for _ in range(80):
-            m1 = glo + invphi * (ghi - glo)
-            m2 = ghi - invphi * (ghi - glo)
-            if f0(m1 * phase) / m1 ** n >= f0(m2 * phase) / m2 ** n:
-                ghi = m2
-            else:
-                glo = m1
+            m1, m2 = glo + invphi * (ghi - glo), ghi - invphi * (ghi - glo)
+            left = f0(m1 * phase) / power(m1) >= f0(m2 * phase) / power(m2)
+            glo, ghi = (glo, m2) if left else (m1, ghi)
         rho_star = 0.5 * (glo + ghi)
-        if f0(rho_star * phase) / rho_star ** n > best_val:
-            best_val, best_w = f0(rho_star * phase) / rho_star ** n, rho_star * phase
+        if f0(rho_star * phase) / power(rho_star) > best_val:
+            best_val, best_w = f0(rho_star * phase) / power(rho_star), rho_star * phase
         z_n = complex(best_w)
         fz = f0(z_n)
         if fz == 0.0:
             raise InvalidDomain(
                 "f(0, z_n) = 0: the boundary contains an affine disk; "
                 "use the first-coordinate dilation construction instead")
-        a_n = fz / abs(z_n) ** n
+        a_n = fz / power(abs(z_n))
 
         excess = 0.0
         ok = True

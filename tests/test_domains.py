@@ -30,6 +30,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
+from kcat0 import domains
 from kcat0.domains import ConvexDomain, ray_boundary_batch, unit_rows
 from kcat0.errors import DimensionMismatch, InvalidDomain, OutsideDomain
 
@@ -47,6 +48,21 @@ _ELLIPSOID = {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0,
 def _ellipsoid_graph():
     poly = RealPolynomial(2, _ELLIPSOID)
     return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
+
+
+def _quartic_graph():
+    # |z1|^4 + |z2|^4 < 1: its level along a ray is a quartic, not a parabola
+    poly = RealPolynomial(2, {(4, 0, 0, 0): 1.0, (2, 2, 0, 0): 2.0, (0, 4, 0, 0): 1.0,
+                              (0, 0, 4, 0): 1.0, (0, 0, 2, 2): 2.0, (0, 0, 0, 4): 1.0,
+                              (0, 0, 0, 0): -1.0})
+    return Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0, 0.0])
+
+
+def _log_sum_exp_graph():
+    # log(e^(3 x1) + e^(-3 x1) + e^(2 |z2|)) < 2, known only through a callable
+    r = DefiningFunction(2, lambda z: float(np.logaddexp.reduce(
+        [3.0 * z[0].real, -3.0 * z[0].real, 2.0 * abs(z[1])])) - 2.0)
+    return Graph(r, interior_point=[0.0, 0.0])
 
 
 class TestContains:
@@ -635,7 +651,8 @@ def _warm_cases(draw):
     D, start = draw(st.sampled_from([
         (Disk(0.2, 1.5), [0.1j]), (HalfPlane(0.0, 1j), [0.5j]), (HalfPlane(0.0, 1j), [0.5]),
         (G, [0.1, -0.2j]), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05]),
-        (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j])]))
+        (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j]),
+        (_quartic_graph(), [0.1, -0.2j]), (_log_sum_exp_graph(), [0.1, -0.2j])]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     raw = rng.normal(size=(24, 2 * D.dimension)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
     return (D, np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:],
@@ -738,7 +755,8 @@ def _reach_cases(draw):
     graphs = [(G, [0.1, -0.2j]),
               (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j]),
               (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05]),
-              (AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], G), [0.1, 0.2])]
+              (AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], G), [0.1, 0.2]),
+              (_quartic_graph(), [0.1, -0.2j]), (_log_sum_exp_graph(), [0.1, -0.2j])]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         D, start = draw(st.sampled_from(graphs))
@@ -785,13 +803,32 @@ def test_warm_started_compass_rounds_cut_the_membership_calls():
     assert len(calls) == 687 <= 0.6 * 1656
 
 
-def test_level_led_rays_cut_the_r_rows():
+def _count_level_rounds(monkeypatch) -> list:
+    """The row count of each level call ``_level_cells`` makes from now on."""
+    rounds, level_cells = [], domains._level_cells
+    monkeypatch.setattr(domains, "_level_cells", lambda level, *args: level_cells(
+        lambda Z: rounds.append(len(Z)) or level(Z), *args))
+    return rounds
+
+
+def test_level_led_rays_cut_the_r_rows(monkeypatch):
     # one infinitesimal row on the ellipsoid known through a callable r,
-    # evaluated once per row: 4418 rows when its 96 rays bisected membership
-    rows = []
+    # evaluated once per row: 4418 rows when its 96 rays bisected membership,
+    # 1256 in 8 level rounds when each cut took a chord and one-sided secants;
+    # the parabola through three of r's values is exact on this quadratic r
+    rows, rounds = [], _count_level_rounds(monkeypatch)
     r = DefiningFunction(2, lambda z: rows.append(1) or abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)
     iv = infinitesimal(Graph(r, interior_point=[0.0, 0.0]), [0.3 + 0.1j, -0.2j], [1.0, 0.5j])
-    assert 0.0 < iv.lo < iv.hi and len(rows) <= 2000
+    assert 0.0 < iv.lo < iv.hi and len(rows) <= 900
+    assert len(rounds) <= 5
+
+
+def test_level_led_rays_on_a_quartic_take_no_more_rounds(monkeypatch):
+    # one 96-ray shot on |z1|^4 + |z2|^4 < 1, whose level is no parabola along
+    # a ray: 10 level rounds (1352 rows) with chord and secant cuts alone
+    rounds = _count_level_rounds(monkeypatch)
+    _quartic_graph().ray_exit_batch(np.array([0.1, -0.2j]), unit_rows(np.random.default_rng(0), 96, 2))
+    assert len(rounds) == 9 <= 10
 
 
 def test_level_led_rays_bracket_the_boundary_off_convexity():

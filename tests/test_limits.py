@@ -24,7 +24,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
-from kcat0.errors import EmptyWindow, GridBoundary, InvalidDomain, OutsideDomain
+from kcat0.errors import EmptyWindow, GridBoundary, InvalidDomain, OutsideDomain, PowerUnderflow
 
 
 def f_flat(x, z):
@@ -309,6 +309,15 @@ class TestFrankel2b:
         # with no grid point ranked, the argmax used to index the radii with None
         with pytest.raises(InvalidDomain, match=r"f\(0, w\)/\|w\|\^n .* every grid point"):
             frankel_2b(lambda x, z: value, [2], radial=24, angular=16)
+
+    def test_underflowed_power_names_n(self):
+        # |w|^250 underflows to 0 below |w| = 0.0508: the ratio used to divide by it,
+        # raising a bare ZeroDivisionError at z_n
+        def f(x, z):
+            return x * x + (math.exp(-1 / abs(z)) if abs(z) >= 0.03 else 0.0)
+
+        with pytest.raises(PowerUnderflow, match=r"n=250: \|w\|\^n underflows to 0"):
+            frankel_2b(f, [250], radial=40, angular=16)
 
     def test_sequence_json(self):
         res = frankel_2b(f_flat, [2, 3], verify_samples=10, hausdorff_directions=256)
