@@ -32,6 +32,7 @@ ORDER_CAP = 16
 GRID_SIZE = 256
 SLOPE_RESIDUAL_TOL = 0.1
 DIVERGENCE_FACTOR = 4.0
+PROBE_RAYS = 12   # rays from the anchor towards boundary pieces
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,10 @@ def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarr
     return out
 
 
-def _boundary_probes(D: ConvexDomain, R: float, rng, rays: int = 12) -> list[np.ndarray]:
+def _boundary_probes(D: ConvexDomain, R: float, rng) -> list[np.ndarray]:
     """Points marching toward boundary pieces inside the window."""
     anchor = D.anchor()
-    dirs = unit_rows(rng, rays, D.dimension)
+    dirs = unit_rows(rng, PROBE_RAYS, D.dimension)
     ts = D.ray_exit_batch(anchor, dirs)
     hit = np.isfinite(ts)
     B = anchor + ts[hit, None] * dirs[hit]

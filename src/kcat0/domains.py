@@ -45,8 +45,9 @@ hands each batched membership call all the rays still running, after cutting
 each bracket on r's values (also inside an affine image) about a parabola's
 zero, for the same floats in about an eighth of the rounds.  ``ray_min_batch``,
 the least ray distance over a span of directions, is the one search built on
-them.  A graph slice is a ``PlanarOracle``; the sandwich bounds it, and both
-bound their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
+them: its grid and each compass round are one ``ray_exit_batch`` call.  A
+graph slice is a ``PlanarOracle``; the sandwich bounds it, and both bound
+their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -107,7 +108,7 @@ def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
                        start: np.ndarray, directions: np.ndarray, t_max: float = 1e12,
-                       guess: tuple | None = None, level: Callable | None = None) -> np.ndarray:
+                       level: Callable | None = None) -> np.ndarray:
     """Distance along ``start + t*directions[k]`` to the boundary, per row.
 
     ``contains_batch`` maps rows of points to a bool array; ``start`` (one
@@ -117,13 +118,10 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     then bisects its bracket [2^(k-1), 2^k] until it is at most
     1e-13 max(1, hi) wide, hi its outer end (absolute below t = 1; at most
     200 steps), and returns its midpoint.  Membership sees running rows.  A
-    ``guess`` (values g, relative half-widths s; per row or broadcast) starts
-    each row whose g lies in such a bracket from the smallest cell of its
-    dyadic grid that holds g and is wider than 2sg and the stop width, and
-    widens it while an end fails its membership check; a ``level`` starts it
-    from the cell ``_level_cells`` finds.  Where membership is monotone along
-    a ray, every row returns its cold float, and with ``t_max`` a power of two
-    a finite row returns the float of any larger ``t_max``.
+    ``level`` starts each row from the cell of that bisection that
+    ``_level_cells`` finds, so where its sign agrees with membership every row
+    returns its cold float.  With ``t_max`` a power of two a finite row returns
+    the float of any larger ``t_max``.
     """
     n = directions.shape[0]
     out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
@@ -136,17 +134,6 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         lo[:], b = _level_cells(level, start, directions, t_max)
         out[:], w[:] = np.where(lo > 0, math.inf, 0.0), np.where((lo > 0) & (b <= t_max), b - lo, math.nan)
 
-    if guess is not None:
-        g, s = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in guess)
-        base = np.ldexp(0.5, np.frexp(g)[1])   # 2^(k-1) <= g < 2^k: the cold bracket's low end
-        at = np.flatnonzero(np.isfinite(g) & (g > 0.0) & (base >= 1e-300) & (2.0 * base <= t_max))
-        w[at], lo[at] = _cell(g[at], 2.0 * s[at] * g[at]), g[at]
-        while at.size:   # exact: every term is dyadic
-            lo[at] = base[at] + np.floor((lo[at] - base[at]) / w[at]) * w[at]
-            ins = inside(np.tile(at, 2), np.concatenate([lo[at], lo[at] + w[at]]))
-            at = at[~ins[:at.size] | ins[at.size:]]
-            w[at] = np.where(w[at] < base[at], 2.0 * w[at], math.inf)   # the parent cell, or cold
-            at = at[w[at] < math.inf]
     t = np.ones(n)
     run = cold = np.flatnonzero(w == math.inf)
     while run.size:  # shrink first in case the boundary is very close
@@ -181,10 +168,10 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def _cell(g: np.ndarray, width: np.ndarray | float = 0.0) -> np.ndarray:
-    """Width of the least dyadic cell of g's binade [2^(k-1), 2^k] above ``width`` and the stop."""
+def _cell(g: np.ndarray) -> np.ndarray:
+    """Width of the least dyadic cell of g's binade [2^(k-1), 2^k] above the stop."""
     base = np.ldexp(0.5, np.frexp(g)[1])
-    width = np.maximum(width, 1e-13 * np.maximum(1.0, 2.0 * base))   # no finer cell is bisected
+    width = 1e-13 * np.maximum(1.0, 2.0 * base)   # no finer cell is bisected
     return np.minimum(np.ldexp(1.0, np.frexp(width)[1]), base)
 
 
@@ -197,10 +184,12 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
     cold shot), at the chord's zero c (inside) and the least z of its mean with b
     and the zeros of the lines through each side's last two points (outside), or,
     where the zero e of the parabola through a, b and b's (else a's) last end lies
-    in [c, z] and the row had an e last round, at e -+ its move, within [c, z]."""
+    in [c, z] and the row had an e last round, at e -+ its move, within [c, z];
+    a row whose last round did not halve its bracket is cut about its middle
+    (its grid points next to (a + b) / 2)."""
     n = directions.shape[0]
     a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
-    fa, fb, fqa, fqb, ep = (np.full(n, math.nan) for _ in range(5))
+    fa, fb, fqa, fqb, ep, wp = (np.full(n, math.nan) for _ in range(6))
 
     def file(rows, t, v):   # a point inside [a, b] becomes its side's end, and
         ok = (t > a[rows]) & (t < b[rows])   # the end it replaces that side's q
@@ -214,7 +203,7 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
             b[run] == math.inf, 2.0 * a[run] <= t_max,
             (b[run] <= t_max) & (b[run] - a[run] > _cell(a[run]))))]).size:
         A, B, W, FA, FB = a[run], b[run], _cell(a[run]), fa[run], fb[run]
-        cut = (A > 0) & (B < math.inf)
+        cut, slow, wp[run] = (A > 0) & (B < math.inf), B - A > 0.5 * wp[run], B - A
         with np.errstate(all="ignore"):   # a nan cut falls back to a cell end
             c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
                 (A, FA, B, FB), (A, FA, qa[run], fqa[run]), (B, FB, qb[run], fqb[run]))]
@@ -226,6 +215,7 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
             e = A - 2.0 * FA / (p + np.sqrt(p * p - 4.0 * f2 * FA))   # its zero in (A, B), stably
             h, ep[run] = np.abs(e - ep[run]), e   # e's move since last round; nan keeps c, z
             lo, hi = np.where((c <= e) & (e <= z), [np.fmax(c, e - h), np.fmin(z, e + h)], [c, z]) / W
+            lo, hi = np.where(slow, 0.5 * (A + B) / W, [lo, hi])   # last round did not halve
             t = np.fmin(np.fmax([np.floor(lo), np.fmax(np.ceil(hi), np.floor(lo) + 1)] * W, A + W), B - W)
         t[0] = np.where(cut, t[0], np.where(A > 0, 2.0 * A, np.minimum(1.0, 0.5 * B)))
         rows, t = np.r_[run, run[cut]], np.r_[t[0], t[1, cut]]
@@ -244,8 +234,7 @@ def ray_min_batch(D: ConvexDomain, Z: np.ndarray, B: np.ndarray) -> np.ndarray:
     compass search on the sphere then moves each of a row's three shortest
     rays to its best shorter neighbour, one step along +-each tangent axis,
     or else halves its step, down to 1e-8 rad.  All rows run in lockstep, one
-    ``ray_boundary_batch`` call per round, warm-started from the current t
-    with relative half-width h^2 at step h.
+    ``D.ray_exit_batch`` call per round.
     """
     n, (k, d) = Z.shape[0], np.shape(B)[-2:]
     B = np.broadcast_to(B, (n, k, d))
@@ -267,10 +256,9 @@ def ray_min_batch(D: ConvexDomain, Z: np.ndarray, B: np.ndarray) -> np.ndarray:
         nb = (np.cos(h[run])[:, None, None] * c[run][:, None, :]
               + np.sin(h[run])[:, None, None] * np.concatenate([T, -T], axis=1))
         nb /= np.linalg.norm(nb, axis=2, keepdims=True)
-        tn = ray_boundary_batch(D.contains_batch, np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
-                                np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d),
-                                guess=(t[run].repeat(nb.shape[1]), h[run].repeat(nb.shape[1]) ** 2)
-                                ).reshape(run.size, -1)
+        tn = D.ray_exit_batch(np.repeat(Z[run // _KEEP], nb.shape[1], axis=0),
+                              np.einsum("rjk,rkd->rjd", nb, B[run // _KEEP]).reshape(-1, d)
+                              ).reshape(run.size, -1)
         best = np.argmin(tn, axis=1)
         shorter = tn[np.arange(run.size), best] < t[run]
         c[run[shorter]], t[run[shorter]] = nb[shorter, best[shorter]], tn[shorter, best[shorter]]

@@ -15,8 +15,9 @@ A numeric midpoint is the geodesic midpoint of the slice bound's witness
 (the slice node itself, or its winning inscribed disk), with its CN radius.
 
 Infinitesimal bounds are each node's ``metric_bounds``: closed forms, a ray
-hull's disks on graphs and oracle sets, and elsewhere the two-sided estimate
-``|v| / (2 delta(z, v)) <= k(z; v) <= |v| / delta(z, v)``.
+hull's disks on graphs and oracle sets, and on an intersection off a lens
+the largest of its members' ``lo`` (each member holds it) with
+``hi = |v| / delta(z, v)`` (its slice holds the disk of radius delta(z, v)).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kcat0 import (
     AffineImage,
@@ -644,9 +645,9 @@ def test_graph_delta_dir_matches_the_closed_form_disk():
 
 
 @st.composite
-def _warm_cases(draw):
+def _exit_float_cases(draw):
     """A domain known through membership, a start, rays whose boundary
-    distances span many binades, a t_max and a way of guessing each row."""
+    distances span many binades and a t_max."""
     G = _ellipsoid_graph()
     D, start = draw(st.sampled_from([
         (Disk(0.2, 1.5), [0.1j]), (HalfPlane(0.0, 1j), [0.5j]), (HalfPlane(0.0, 1j), [0.5]),
@@ -656,27 +657,14 @@ def _warm_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     raw = rng.normal(size=(24, 2 * D.dimension)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
     return (D, np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:],
-            draw(st.sampled_from([1e12, 0.6])),
-            draw(st.sampled_from(["exact", "10x over", "10x under", "just past", "just short",
-                                  "below its binade", "above its binade"])),
-            draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-2, 0.5])))
+            draw(st.sampled_from([1e12, 0.6])))
 
 
-@given(_warm_cases())
+@given(_exit_float_cases())
 @settings(max_examples=120, deadline=None)
-def test_warm_started_rays_return_the_cold_shots_floats(case):
-    D, start, dirs, t_max, how, spread = case
+def test_node_exits_return_the_cold_shots_floats(case):
+    D, start, dirs, t_max = case
     cold = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max)
-    # guessed from the far shot, so rows that end at inf under t_max = 0.6
-    # are guessed where their boundary lies
-    t = ray_boundary_batch(D.contains_batch, start, dirs)
-    t = np.where(np.isfinite(t), t, 0.5)
-    guess = {"exact": t, "10x over": 10.0 * t, "10x under": t / 10.0,
-             "just past": t * (1 + 1e-9), "just short": t * (1 - 1e-9),
-             "below its binade": np.ldexp(0.5, np.frexp(t)[1]) * (1 - 1e-9),
-             "above its binade": np.ldexp(1.0, np.frexp(t)[1])}[how]
-    warm = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max, guess=(guess, spread))
-    assert warm.tolist() == cold.tolist()
     shot = D.ray_exit_batch(start, dirs, t_max)
     if D.level_batch is not None:   # the graph and its slices, led by r's values
         assert shot.tolist() == cold.tolist()
@@ -791,16 +779,72 @@ def test_every_catalog_node_has_its_own_exit():
         assert cls.ray_exit_batch is ConvexDomain.ray_exit_batch
 
 
-def test_warm_started_compass_rounds_cut_the_membership_calls():
-    # one delta_dir row on the ellipsoid made 1656 contains_batch calls when
-    # every compass round shot cold
-    G, calls = _ellipsoid_graph(), []
-    contains = G.contains_batch
+def test_compass_rounds_shoot_one_exit_batch_each(monkeypatch):
+    # one delta_dir row on the ellipsoid: the 96-ray grid, then one exit shot
+    # of the two neighbours of each running kept ray per compass round, every
+    # one through the node's own exit (687 membership calls when the rounds
+    # bisected membership from a warm start, 1656 when they shot cold)
+    G, shots, bisections, calls = _ellipsoid_graph(), [], [], []
+    exit_batch, contains, shooter = G.ray_exit_batch, G.contains_batch, domains.ray_boundary_batch
+    G.ray_exit_batch = lambda Z, U, *args: shots.append(len(U)) or exit_batch(Z, U, *args)
     G.contains_batch = lambda Z: calls.append(len(Z)) or contains(Z)
+    monkeypatch.setattr(domains, "ray_boundary_batch",
+                        lambda *args, **kw: bisections.append(1) or shooter(*args, **kw))
     G.delta_dir_batch(np.array([[0.2 + 0.1j, -0.3j]]), np.array([[1.0, 0.5j]]))
-    # the grid shot's cells come from r's values: one membership call is its
-    # bisection's (732 calls when it bisected membership from t = 1)
-    assert len(calls) == 687 <= 0.6 * 1656
+    assert shots[0] == 96 and all(s in (2, 4, 6) for s in shots[1:])
+    # each level-led shot ends in one membership call of its last cells
+    assert len(shots) == len(bisections) == len(calls) == 36
+
+
+def test_affine_ball_compass_rounds_take_closed_form_exits(monkeypatch):
+    # a 2-row delta on a non-conformal affine image of the ball: each exit
+    # checks its starts by one Ball.contains_batch call and bisects nothing
+    # (1479 calls when the compass rounds bisected membership)
+    calls, exits = [], []
+    contains, exit_batch = Ball.contains_batch, Ball.ray_exit_batch
+    monkeypatch.setattr(Ball, "contains_batch", lambda *args: calls.append(1) or contains(*args))
+    monkeypatch.setattr(Ball, "ray_exit_batch", lambda *args: exits.append(1) or exit_batch(*args))
+    D = AffineImage([[1, 0.3], [0, 2]], [0, 0], Ball([0, 0], 1.0))
+    D.delta_batch(np.array([[0.1 + 0.2j, -0.3j], [0.5, 0.2 + 0.4j]]))
+    assert len(exits) > 1 and len(calls) <= len(exits)
+
+
+def _ellipsoid_delta(A: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
+    """Euclidean distance from z inside {A w + b : |w| < 1} to its boundary.
+
+    In the eigenbasis of the real form M of A^-H A^-1 the boundary is
+    sum mu_i q_i^2 = 1; the nearest point to p (z - b in that basis) is
+    q_i = p_i / (1 + lam mu_i), lam the root in (-1 / max mu, 0) of
+    sum mu_i p_i^2 / (1 + lam mu_i)^2 = 1, and it lies lam mu_i q_i from p."""
+    inv = np.linalg.inv(A)
+    H = inv.conj().T @ inv
+    mu, E = np.linalg.eigh(np.block([[H.real, -H.imag], [H.imag, H.real]]))
+    p = E.T @ np.r_[(z - b).real, (z - b).imag]
+
+    def excess(lam):
+        return np.sum(mu * p ** 2 / (1.0 + lam * mu) ** 2) - 1.0
+
+    k = 1
+    while excess(-(1.0 - 2.0 ** -k) / mu.max()) < 0:
+        k += 1
+    lam = brentq(excess, -(1.0 - 2.0 ** -k) / mu.max(), 0.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return float(np.linalg.norm(lam * mu * p / (1.0 + lam * mu)))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_affine_ball_delta_matches_the_ellipsoid_reference(seed):
+    # a non-conformal affine image of the ball is an ellipsoid, so its
+    # Euclidean delta is a one-dimensional root of the Lagrange condition
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    assume(np.linalg.cond(A) < 10.0)
+    W = unit_rows(rng, 4, 2) * rng.uniform(0.05, 0.95, size=(4, 1))
+    Z = W @ A.T + b
+    got = AffineImage(A, b, Ball([0, 0], 1.0)).delta_batch(Z)
+    exact = [_ellipsoid_delta(A, b, z) for z in Z]
+    np.testing.assert_allclose(got, exact, rtol=1e-11, atol=0.0)
 
 
 def _count_level_rounds(monkeypatch) -> list:
@@ -829,6 +873,23 @@ def test_level_led_rays_on_a_quartic_take_no_more_rounds(monkeypatch):
     rounds = _count_level_rounds(monkeypatch)
     _quartic_graph().ray_exit_batch(np.array([0.1, -0.2j]), unit_rows(np.random.default_rng(0), 96, 2))
     assert len(rounds) == 9 <= 10
+
+
+def test_level_cuts_on_dilated_graphs_halve_their_brackets(monkeypatch):
+    # on the ellipsoid dilated by s, exits near a power of two move r by less
+    # than its rounding per grid cell, so the chord and parabola cuts land in
+    # noise: 245, 472 and 246 level rounds when only the cell count bounded
+    # the loop; a round that fails to halve its bracket is followed by one cut
+    # about the middle, and every ray keeps the cold shot's float
+    G = _ellipsoid_graph()
+    z = np.array([-0.18916751285680092 + 0.35513625274314436j, -0.4532357344273185 + 0.4621940242714009j])
+    u = np.array([[0.0, (-1.0 + 1.0j) / math.sqrt(2.0)]])
+    for s in (1.3e6, 1.2946e6, 5.1786e6):
+        D, rounds = AffineImage(s * np.eye(2), [0, 0], G), _count_level_rounds(monkeypatch)
+        t = D.ray_exit_batch(s * z, u)
+        assert len(rounds) <= 64
+        cold = ray_boundary_batch(G.contains_batch, D._pull_back_rows(s * z[None, :]), u @ D.inverse.T)
+        assert t.tolist() == cold.tolist() and 0.9 < t[0] < 4.1
 
 
 def test_level_led_rays_bracket_the_boundary_off_convexity():

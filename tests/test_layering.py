@@ -380,6 +380,25 @@ def test_least_ray_distances_run_no_optimizer(cls, method):
     assert not {name for name in called if "minimize" in name}
 
 
+def test_every_ray_shot_goes_through_a_node_exit():
+    # the membership bisection is one node's exit, the default
+    # ConvexDomain.ray_exit_batch, and no shot takes a guessed start
+    callers, guesses = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        guesses += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                    if "guess" in {getattr(n, "arg", None), getattr(n, "id", None)}]
+        for owner in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            for fn in owner.body:
+                if isinstance(fn, ast.FunctionDef):
+                    callers += [(path.name, getattr(owner, "name", None), fn.name) for n in ast.walk(fn)
+                                if isinstance(n, ast.Call)
+                                and "ray_boundary_batch" in {getattr(n.func, "id", None),
+                                                             getattr(n.func, "attr", None)}]
+    assert guesses == []
+    assert callers == [("domains.py", "ConvexDomain", "ray_exit_batch")]
+
+
 @pytest.mark.parametrize("module, cls, method", [("metric.py", None, "_product_inclusion_upper")] + [
     ("domains.py", cls, "polydisk_growth") for cls in sorted(NODE_CLASSES - {"Polydisk"})])
 def test_inscribed_polydisks_run_no_optimizer(module, cls, method):
