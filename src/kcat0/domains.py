@@ -29,12 +29,12 @@ and answers for the Kobayashi geometry in ``metric`` from its own closed
 forms: ``exact_distance`` (each planar model's cancellation-free ``asinh``
 form; ``None`` by default), ``chart`` (onto the upper half-plane, where
 ``exact_geodesic``, ``exact_midpoint`` and ``unit_speed_ray`` walk),
-``metric_bounds`` (closed forms, ray hulls, or the generic convex estimate),
-``polydisk_growth`` (batched over rows of centres, base radii and growth
-directions: the closed-form growth at which each polydisk meets the
-boundary, behind the sandwich's inscribed-polydisk bound) and the
-sandwich's reductions.  A slice is itself a planar
-node; a lens is the Mobius image of a sector.
+``metric_bounds`` (closed forms, the members' bounds on an intersection, or
+from membership alone the slice hull ``ray_metric_bounds``), ``polydisk_growth``
+(batched over rows of centres, base radii and growth directions: the
+closed-form growth at which each polydisk meets the boundary, behind the
+sandwich's inscribed-polydisk bound) and the sandwich's reductions.  A slice
+is itself a planar node; a lens is the Mobius image of a sector.
 
 Every node shoots rays by its ``ray_exit_batch``: a catalog node in closed
 form (a disk or ball at a quadratic root, a half-plane or sector at its
@@ -45,9 +45,9 @@ hands each batched membership call all the rays still running, after cutting
 each bracket on r's values (also inside an affine image) about a parabola's
 zero, for the same floats in about an eighth of the rounds.  ``ray_min_batch``,
 the least ray distance over a span of directions, is the one search built on
-them: its grid and each compass round are one ``ray_exit_batch`` call.  A
-graph slice is a ``PlanarOracle``; the sandwich bounds it, and both bound
-their infinitesimal metric by disks inside a ray hull (``ray_hulls``).
+them, behind the default ``delta_batch`` and ``delta_dir_batch``: its grid and
+each compass round are one ``ray_exit_batch`` call.  Graphs and their slices
+(``PlanarOracle``) take the default metric, disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -55,6 +55,7 @@ all queries are pure, so instances are safe to share between threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -106,6 +107,11 @@ def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return _from_real(raw)
 
 
+def _bracket(t: np.ndarray) -> np.ndarray:
+    """1e-13 max(1, t): the width to which ``ray_boundary_batch`` bisects a bracket ending at t."""
+    return 1e-13 * np.maximum(1.0, t)
+
+
 def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
                        start: np.ndarray, directions: np.ndarray, t_max: float = 1e12,
                        level: Callable | None = None) -> np.ndarray:
@@ -115,13 +121,12 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     point, or one per row) must be inside.  Each row halves t = 1 until it is
     inside (0.0 below 1e-300), doubles until it leaves (``inf`` where it is
     still inside at the largest power of two not above ``t_max``, its reach),
-    then bisects its bracket [2^(k-1), 2^k] until it is at most
-    1e-13 max(1, hi) wide, hi its outer end (absolute below t = 1; at most
-    200 steps), and returns its midpoint.  Membership sees running rows.  A
-    ``level`` starts each row from the cell of that bisection that
-    ``_level_cells`` finds, so where its sign agrees with membership every row
-    returns its cold float.  With ``t_max`` a power of two a finite row returns
-    the float of any larger ``t_max``.
+    then bisects its bracket [2^(k-1), 2^k] until it is at most ``_bracket(hi)``
+    wide, hi its outer end (absolute below t = 1; at most 200 steps), and
+    returns its midpoint.  Membership sees running rows.  A ``level`` starts
+    each row from the cell of that bisection that ``_level_cells`` finds, so
+    where its sign agrees with membership every row returns its cold float.
+    With a power of two ``t_max``, a finite row returns any larger one's float.
     """
     n = directions.shape[0]
     out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
@@ -154,7 +159,7 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     run = np.flatnonzero(w < math.inf)
     lo, hi, dirs, starts = lo[run], lo[run] + w[run], directions[run], start[run]
     for _ in range(200):
-        going = hi - lo > 1e-13 * np.maximum(1.0, hi)
+        going = hi - lo > _bracket(hi)
         if not going.all():  # drop converged rows
             out[run[~going]] = 0.5 * (lo[~going] + hi[~going])
             run, lo, hi = run[going], lo[going], hi[going]
@@ -171,7 +176,7 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
 def _cell(g: np.ndarray) -> np.ndarray:
     """Width of the least dyadic cell of g's binade [2^(k-1), 2^k] above the stop."""
     base = np.ldexp(0.5, np.frexp(g)[1])
-    width = 1e-13 * np.maximum(1.0, 2.0 * base)   # no finer cell is bisected
+    width = _bracket(2.0 * base)   # no finer cell is bisected
     return np.minimum(np.ldexp(1.0, np.frexp(width)[1]), base)
 
 
@@ -278,10 +283,10 @@ def ray_hulls(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, origin: complex = 0
 
     def hull(t: np.ndarray):
         # a ray past the reach was found inside at half of it; an exit t lies
-        # within 1e-13 max(1, t) above the ray's last inside point (a bisection's
+        # within ``_bracket(t)`` above the ray's last inside point (a bisection's
         # checked inside end; a closed form's true exit, to its rounding)
         t = np.where(np.isinf(t), 0.5 * _SLICE_REACH, t)
-        ends = origin + np.maximum(t - 1e-13 * np.maximum(1.0, t), 0.0) * _SLICE_DIRS
+        ends = origin + np.maximum(t - _bracket(t), 0.0) * _SLICE_DIRS
         # their hull: drop reflex vertices until every turn is left.  Rounding
         # can only drop or keep a vertex wrongly, and a point strictly left of
         # every edge of any closed chain of the ends is enclosed by it, so in S
@@ -349,7 +354,7 @@ def _lower_radii(t: np.ndarray) -> np.ndarray:
     would hold b_i) and of the line through b_(i+1) and a_(i+2), so within
     max(|b_i|, |b_(i+1)|, |X|) when the lines meet at X between the rays."""
     with np.errstate(all="ignore"):   # a ray past the reach reads inf, so X nan
-        pad = 1e-13 * np.maximum(1.0, t)   # as in ``ray_hulls``
+        pad = _bracket(t)
         out, a = t + pad, np.maximum(t - pad, 0.0) * _SLICE_DIRS
         b = out * _SLICE_DIRS
         A, B = np.roll(a, 1, axis=1) - b, np.roll(a, -2, axis=1) - np.roll(b, -1, axis=1)
@@ -395,16 +400,18 @@ class RealPolynomial:
     Stored as a monomial table ``{(e_1, ..., e_2d): coefficient}``; this is
     also the JSON wire format for graph-domain defining functions.
     ``evaluate_batch`` and ``gradient_batch`` take rows, raising each coordinate
-    only to exponents of 2 and more; ``__call__`` and ``gradient`` are one-row views.
+    only to exponents of 2 and more; ``__call__`` is the one-row view of the first.
     """
 
     def __init__(self, dimension: int, terms: dict[tuple[int, ...], float]):
         self.dimension = int(dimension)
         self.terms = {tuple(int(e) for e in k): float(c)
                       for k, c in terms.items() if c != 0.0}
-        for k in self.terms:
+        for k, c in self.terms.items():
             if len(k) != 2 * self.dimension:
                 raise InvalidDomain("monomial exponent length must be 2*d")
+            if not math.isfinite(c):
+                raise InvalidDomain(f"polynomial coefficient of {list(k)} must be finite, got {c}")
         rows, n = [(np.array(k), c) for k, c in self.terms.items()], 2 * self.dimension
         self._value = self._table([rows])
         self._grad = self._table([[(e - (np.arange(n) == j), c * e[j]) for e, c in rows if e[j]]
@@ -452,9 +459,6 @@ class RealPolynomial:
         """Real gradient of each row in (Re z_1, ..., Re z_d, Im z_1, ..., Im z_d) order."""
         g = self._sums(Z, self._grad)
         return np.concatenate([g[0::2], g[1::2]]).T
-
-    def gradient(self, z) -> np.ndarray:
-        return self.gradient_batch(as_point(z, self.dimension)[None, :])[0]
 
     def to_json(self) -> dict:
         return {
@@ -560,8 +564,10 @@ class ConvexDomain:
 
     def delta_batch(self, Z: np.ndarray) -> np.ndarray:
         """``delta`` of each interior row of Z; every node's one Euclidean
-        implementation, and ``delta`` is its validated one-row view."""
-        raise NotImplementedError
+        implementation, and ``delta`` is its validated one-row view.  This
+        default, from membership alone, is the least ray over all of C^d."""
+        unit = np.eye(self.dimension)
+        return ray_min_batch(self, Z, np.concatenate([unit, 1j * unit]))
 
     def delta_dir(self, z, v) -> float:
         """Distance to the boundary within the complex line z + Cv."""
@@ -628,21 +634,15 @@ class ConvexDomain:
     # -- Kobayashi geometry (defaults; catalog nodes override them) ----------
 
     exact_tag = "exact-chart"   # method tags of a closed-form metric value,
-    bound_tag = "delta-bound"   # and of bounds |v| / (2 delta_dir) and |v| / delta_dir
+    bound_tag = "delta-bound"   # and of bounds lo < hi that no slice hull made
 
     def chart(self) -> ConformalChart | None:
         """Conformal chart onto the upper half-plane, or None."""
         return None
 
-    def metric_bounds(self, Z: np.ndarray, V: np.ndarray):
-        """Bounds (lo, hi) on the infinitesimal metric at rows Z on rows V."""
-        zero = ~np.any(V != 0, axis=1)
-        norms = np.linalg.norm(V, axis=1)
-        delta = np.ones(Z.shape[0])
-        if (~zero).any():
-            delta[~zero] = self.delta_dir_batch(Z[~zero], V[~zero])
-        hi = np.where(zero, 0.0, norms / delta)
-        return 0.5 * hi, hi
+    # bounds (lo, hi) on the infinitesimal metric at rows Z on rows V; this
+    # default, from membership alone, is the slice hull
+    metric_bounds = ray_metric_bounds
 
     def metric_hi_smooth(self, Z: np.ndarray, V: np.ndarray, p: float) -> np.ndarray:
         """Upper metric with max-type combinations softened to a p-norm, which
@@ -726,8 +726,9 @@ def _sphere_exit(D: Disk | Ball, Z: np.ndarray, U: np.ndarray, t_max: float = 1e
 
 class Disk(ConvexDomain):
     def __init__(self, center: complex = 0.0, radius: float = 1.0):
-        if radius <= 0:
-            raise InvalidDomain("disk radius must be positive")
+        if not (0 < radius < math.inf and cmath.isfinite(center)):
+            raise InvalidDomain(f"disk needs a finite center and a positive finite radius, "
+                                f"got center {center} and radius {radius}")
         self.center = complex(center)
         self.radius = float(radius)
         self.dimension = 1
@@ -787,8 +788,9 @@ class HalfPlane(ConvexDomain):
 
     def __init__(self, boundary_point: complex = 0.0, inward_normal: complex = 1j):
         n = complex(inward_normal)
-        if n == 0:
-            raise InvalidDomain("inward normal must be nonzero")
+        if n == 0 or not (cmath.isfinite(n) and cmath.isfinite(boundary_point)):
+            raise InvalidDomain(f"half-plane needs a finite boundary point and a nonzero finite inward "
+                                f"normal, got boundary point {boundary_point} and normal {n}")
         self.boundary_point = complex(boundary_point)
         self.inward_normal = n / abs(n)
         self.dimension = 1
@@ -869,6 +871,8 @@ class Sector(ConvexDomain):
     def __init__(self, vertex: complex = 0.0, alpha: float = 0.0, beta: float = math.pi / 2):
         if not 0 < beta - alpha < math.pi + 1e-15:
             raise InvalidDomain("sector opening must lie in (0, pi]")
+        if not cmath.isfinite(vertex):
+            raise InvalidDomain(f"sector vertex must be finite, got {vertex}")
         self.vertex = complex(vertex)
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -1005,8 +1009,8 @@ def unit_disk() -> Disk:
 
 class Ball(ConvexDomain):
     def __init__(self, center, radius: float = 1.0):
-        if radius <= 0:
-            raise InvalidDomain("ball radius must be positive")
+        if not 0 < radius < math.inf:
+            raise InvalidDomain(f"ball radius must be positive and finite, got {radius}")
         self.center = as_point(center)
         self.radius = float(radius)
         self.dimension = self.center.shape[0]
@@ -1233,8 +1237,8 @@ class Polydisk(Product):
     def __init__(self, centers, radii):
         self.centers = as_point(centers)
         self.radii = np.asarray(radii, dtype=float)
-        if self.radii.shape != self.centers.shape or np.any(self.radii <= 0):
-            raise InvalidDomain("polydisk needs one positive radius per center")
+        if self.radii.shape != self.centers.shape or not all(0 < r < math.inf for r in self.radii):
+            raise InvalidDomain("polydisk needs one positive finite radius per center")
         super().__init__(*(Disk(c, r) for c, r in zip(self.centers, self.radii)))
 
     def to_spec(self):
@@ -1249,6 +1253,8 @@ class AffineImage(ConvexDomain):
         A = np.asarray(matrix, dtype=complex)
         if A.shape != (inner.dimension, inner.dimension):
             raise InvalidDomain("matrix shape must match the inner dimension")
+        if not np.isfinite(A).all():
+            raise InvalidDomain("affine matrix entries must be finite")
         if abs(np.linalg.det(A)) < 1e-300:
             raise InvalidDomain("affine matrix must be invertible")
         self.matrix = A
@@ -1281,10 +1287,9 @@ class AffineImage(ConvexDomain):
         return self.inner.ray_exit_batch(self._pull_back_rows(Z), U @ self.inverse.T, t_max)
 
     def delta_batch(self, Z):
-        if self._conformal_scale is not None:
-            return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
-        unit = np.eye(self.dimension)   # search all of C^d
-        return ray_min_batch(self, Z, np.concatenate([unit, 1j * unit]))
+        if self._conformal_scale is None:
+            return super().delta_batch(Z)
+        return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
 
     def _slice_set(self, p, v):
         # the parameter plane is preserved exactly under the pullback
@@ -1427,18 +1432,15 @@ class Intersection(ConvexDomain):
         return sec.exact_distance((x - P) / (x - Q), (y - P) / (y - Q))
 
     def metric_bounds(self, Z, V):
-        if self._lens is None:   # each member contains the domain: inclusion contracts
-            lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members])
-            return lo, self.metric_hi_smooth(Z, V, math.inf)   # off a lens p is unused
-        P, Q, sec = self._lens   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
-        return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
-
-    def metric_hi_smooth(self, Z, V, p):
-        if self._lens is not None:
-            return super().metric_hi_smooth(Z, V, p)
-        # |v| / delta_dir, good to rounding: at the centre of a binding ball
-        # member that member's lo reads the same |v| / R
-        return super().metric_bounds(Z, V)[1] * (1.0 + 1e-13)
+        if self._lens is not None:   # T(z) = (z - P) / (z - Q), T'(z) = (P - Q) / (z - Q)^2
+            P, Q, sec = self._lens
+            return sec.metric_bounds((Z - P) / (Z - Q), V * (P - Q) / (Z - Q) ** 2)
+        # each member contains the domain: inclusion contracts.  hi = |v| / delta_dir, padded:
+        # at the centre of a binding ball member, that member's lo reads the same |v| / R
+        lo = reduce(np.maximum, [m.metric_bounds(Z, V)[0] for m in self.members])
+        hi, run = np.zeros(len(Z)), np.flatnonzero(np.any(V != 0, axis=1))
+        hi[run] = np.linalg.norm(V[run], axis=1) / self.delta_dir_batch(Z[run], V[run]) * (1.0 + 1e-13)
+        return lo, hi
 
     def polydisk_growth(self, centers, base, grow):
         growths = [m.polydisk_growth(centers, base, grow) for m in self.members]
@@ -1572,8 +1574,8 @@ class Graph(ConvexDomain):
     """{z : r(z) < 0} for a smooth convex defining function r.
 
     C-properness is a user declaration; structural detection is out of
-    reach for oracle-defined boundaries.  Directional distances come from
-    ``ray_min_batch``, the infinitesimal metric from ``ray_metric_bounds``.
+    reach for oracle-defined boundaries.  Directional distances and the
+    infinitesimal metric are ``ConvexDomain``'s membership-only defaults.
     """
 
     def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True):
@@ -1625,7 +1627,7 @@ class Graph(ConvexDomain):
         level = lambda Z: self.r.value_batch(p + Z[:, :1] * v)
         return PlanarOracle(lambda T: level(T[:, None]) < 0, label="graph-slice", level_batch=level)
 
-    metric_bounds, bound_tag = ray_metric_bounds, "slice-hull"
+    bound_tag = "slice-hull"
     level_batch = property(lambda self: self.r.value_batch)
 
     @property
@@ -1649,8 +1651,8 @@ class Graph(ConvexDomain):
         starts = np.repeat([x, y, 0.5 * (x + y)], _TANGENT_RAYS, axis=0)
         t = self.ray_exit_batch(starts, U)
         hit = np.isfinite(t)
-        # the bracket's outer end lies within 1e-13 max(1, t) past t
-        P = starts[hit] + (t[hit] + 1e-13 * np.maximum(1.0, t[hit]))[:, None] * U[hit]
+        # the bracket's outer end lies within ``_bracket(t)`` past t
+        P = starts[hit] + (t[hit] + _bracket(t[hit]))[:, None] * U[hit]
         P = P[~self.contains_batch(P)]
         N = _from_real(self.r.grad_batch(P))
         norms = np.linalg.norm(N, axis=1)
@@ -1672,10 +1674,10 @@ class PlanarOracle(ConvexDomain):
     """Planar convex set known only through a batched membership oracle.
 
     ``member_batch`` maps a complex array of points to a bool array.
-    Produced by slicing non-catalog domains; boundary distances come from
-    ``ray_min_batch`` over the plane, the infinitesimal metric from
-    ``ray_metric_bounds``.  A graph's slice knows r along its line as a
-    ``level_batch`` of rows (n, 1), whose sign is ``member_batch``."""
+    Produced by slicing non-catalog domains; its boundary distance and
+    infinitesimal metric are ``ConvexDomain``'s membership-only defaults.  A
+    graph's slice knows r along its line as a ``level_batch`` of rows (n, 1),
+    whose sign is ``member_batch``."""
 
     def __init__(self, member_batch: Callable[[np.ndarray], np.ndarray],
                  label: str = "oracle", level_batch: Callable | None = None):
@@ -1687,15 +1689,12 @@ class PlanarOracle(ConvexDomain):
     def contains_batch(self, Z):
         return np.asarray(self.member_batch(Z[:, 0]), dtype=bool)
 
-    def delta_batch(self, Z):
-        return ray_min_batch(self, Z, np.array([[1.0], [1j]]))
-
     def _slice_set(self, p, v):
         member_batch, level = self.member_batch, self.level_batch
         return PlanarOracle(lambda T: member_batch(p[0] + T * v[0]), self.label,
                             level and (lambda Z: level(p[0] + Z * v[0])))
 
-    metric_bounds, bound_tag = ray_metric_bounds, "slice-hull"
+    bound_tag = "slice-hull"
 
     @property
     def c_proper(self):

@@ -224,6 +224,29 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(message)
 
+    # JSON admits NaN and Infinity: the coefficient used to end in an SVD
+    # traceback, the radius in a misleading interior-point error, and the
+    # affine matrix in an "exact" distance and an m-convexity pass
+    @pytest.mark.parametrize("argv, text, message", [
+        (["linetype", "--polynomial", "{path}", "--point", "0,0"],
+         '{"dimension": 2, "monomials": [{"exponents": [0, 1, 0, 0], "coefficient": -1},'
+         ' {"exponents": [0, 0, 4, 0], "coefficient": NaN}]}',
+         "error: polynomial coefficient of [0, 0, 4, 0] must be finite, got nan\n"),
+        (["distance", "--domain", "{path}", "--from", "0", "--to", "0.5"],
+         '{"type": "disk", "center": [0, 0], "radius": Infinity}',
+         "error: disk needs a finite center and a positive finite radius, "
+         "got center 0j and radius inf\n"),
+        (["mconvex", "--domain", "{path}", "--samples", "5"],
+         '{"type": "affine_image", "matrix": [[1, 0], [0, 0], [0, 0], [Infinity, 0]],'
+         ' "offset": [[0, 0], [0, 0]], "inner": {"type": "ball", "center": [[0, 0], [0, 0]], "radius": 1}}',
+         "error: affine matrix entries must be finite\n"),
+    ], ids=["polynomial-nan", "disk-radius-infinity", "affine-matrix-infinity"])
+    def test_non_finite_json_is_one_line(self, argv, text, message, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run([a.format(path=path) for a in argv], capsys)
+        assert (code, out, err) == (1, "", message)
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

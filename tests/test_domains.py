@@ -1037,3 +1037,24 @@ class TestJsonErrors:
     def test_wrong_shape_names_node(self, spec):
         with pytest.raises(InvalidDomain, match=f"'{spec['type']}' domain node has a value of the wrong shape"):
             domain_from_json(spec)
+
+    # JSON admits NaN and Infinity: each used to build a node that failed
+    # later (an SVD that did not converge, a misleading interior-point error)
+    # or, for an infinite affine matrix, answered an "exact" distance
+    @pytest.mark.parametrize("build, name", [
+        (lambda x: RealPolynomial(1, {(2, 0): 1.0, (0, 0): x}), "coefficient"),
+        (lambda x: Disk(complex(0.0, x), 1.0), "center"),
+        (lambda x: Disk(0.0, x), "radius"),
+        (lambda x: Ball([0.0, 0.0], x), "radius"),
+        (lambda x: Polydisk([0.0, 0.0], [1.0, x]), "radius"),
+        (lambda x: HalfPlane(x, 1j), "boundary point"),
+        (lambda x: HalfPlane(0.0, complex(1.0, x)), "normal"),
+        (lambda x: Sector(complex(0.0, x), 0.0, 1.0), "vertex"),
+        (lambda x: AffineImage([[1.0, 0.0], [0.0, complex(0.0, x)]], [0.0, 0.0], ball2()), "matrix"),
+    ], ids=["polynomial-coefficient", "disk-center", "disk-radius", "ball-radius",
+            "polydisk-radius", "halfplane-point", "halfplane-normal", "sector-vertex",
+            "affine-matrix"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_refused(self, build, name, value):
+        with pytest.raises(InvalidDomain, match=name):
+            build(value)

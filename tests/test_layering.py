@@ -338,18 +338,22 @@ def test_graph_supports_take_their_normals_from_one_batched_gradient():
 def _static_calls(tree: ast.Module, cls: str | None, method: str) -> set[str]:
     """Names called from ``cls.method`` (the module function ``method`` when
     ``cls`` is None) and, transitively, from the module functions it calls
-    by name and the methods it calls on ``self``, looked up in ``cls`` and
-    then its bases in the module."""
+    by name, the methods it calls on ``self``, looked up in ``cls`` and
+    then its bases in the module, and the methods it calls on ``super()``,
+    looked up from the base of the class that defines the caller."""
     classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    owners = {id(f): c for c, node in classes.items() for f in node.body if isinstance(f, ast.FunctionDef)}
 
-    def lookup(name):
-        owner = cls
+    def base(owner):
+        return next((b.id for b in classes[owner].bases if isinstance(b, ast.Name)), None)
+
+    def lookup(name, owner=cls):
         while owner in classes:
             found = [f for f in classes[owner].body if isinstance(f, ast.FunctionDef) and f.name == name]
             if found:
                 return found[0]
-            owner = next((b.id for b in classes[owner].bases if isinstance(b, ast.Name)), None)
+            owner = base(owner)
         return None
 
     todo, seen, called = [lookup(method) if cls else functions.get(method)], set(), set()
@@ -364,8 +368,11 @@ def _static_calls(tree: ast.Module, cls: str | None, method: str) -> set[str]:
                 todo.append(functions.get(n.func.id))
             elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
                 called.add(n.func.attr)
-                if isinstance(n.func.value, ast.Name) and n.func.value.id == "self":
+                target = n.func.value
+                if isinstance(target, ast.Name) and target.id == "self":
                     todo.append(lookup(n.func.attr))
+                elif isinstance(target, ast.Call) and getattr(target.func, "id", None) == "super":
+                    todo.append(lookup(n.func.attr, base(owners[id(fn)])))
     return called
 
 
@@ -378,6 +385,23 @@ def test_least_ray_distances_run_no_optimizer(cls, method):
     called = _static_calls(_tree(SRC / "domains.py"), cls, method)
     assert "ray_min_batch" in called
     assert not {name for name in called if "minimize" in name}
+
+
+def test_static_calls_follow_super():
+    # a non-conformal affine image's delta is the base class's least ray
+    called = _static_calls(_tree(SRC / "domains.py"), "AffineImage", "delta_batch")
+    assert {"super", "ray_min_batch", "ray_exit_batch"} <= called
+
+
+def test_membership_only_answers_live_on_the_base_node():
+    # the least ray over C^d and the slice hull are ConvexDomain's defaults:
+    # graphs and oracle sets bind no metric of their own, an oracle set no
+    # delta, and an intersection's smoothed upper metric is its metric's hi
+    assert domains.ConvexDomain.metric_bounds is domains.ray_metric_bounds
+    assert [c.__name__ for c in (Graph, PlanarOracle) if "metric_bounds" in vars(c)] == []
+    assert "delta_batch" not in vars(PlanarOracle)
+    assert "metric_hi_smooth" not in vars(domains.Intersection)
+    assert "gradient" not in vars(RealPolynomial)
 
 
 def test_every_ray_shot_goes_through_a_node_exit():

@@ -85,7 +85,7 @@ class TestInfinitesimal:
         assert iv.is_exact and iv.lo == 0.0
 
     def test_intersection_interval_ratio(self):
-        # off a lens, hi is the generic |v| / delta_dir, and lo the largest
+        # off a lens, hi is |v| / delta_dir, and lo the largest
         # member metric, which dominates |v| / (2 delta_dir): here the first
         # ball's 5.528 against 5.263
         D = example36_domain()
@@ -98,7 +98,7 @@ class TestInfinitesimal:
 
     def test_intersection_lo_takes_the_members_metrics(self):
         # inclusion contracts: each member's metric bounds the intersection's
-        # from below; the generic |v| / (2 delta_dir) reads 2.8101 here
+        # from below; |v| / (2 delta_dir) reads only 2.8101 here
         D = example36_domain()
         z, v = [0.2, 0.2], [1.0, 0.3j]
         iv = infinitesimal(D, z, v)
@@ -117,6 +117,18 @@ class TestInfinitesimal:
             iv = infinitesimal(D, c, v)
             assert not iv.is_exact
             assert iv.lo <= iv.hi == pytest.approx(np.linalg.norm(v) / R, rel=1e-12)
+
+    def test_intersection_smooth_hi_is_its_metric_hi(self, rng):
+        # off a lens no max is softened: the path optimizer's upper metric is
+        # metric_bounds' hi to the bit, zero rows of V included
+        for D in (example36_domain(),
+                  intersection([Ball([0.5, 0], 1), Ball([0, 0.5], 1), Ball([0.3, 0.3], 0.9)])):
+            Z = np.array([sample_in(D, rng, scale=0.4) for _ in range(20)])
+            V = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
+            V[::7] = 0.0
+            hi = D.metric_bounds(Z, V)[1]
+            assert (hi[::7] == 0.0).all() and (np.delete(hi, np.s_[::7]) > 0).all()
+            assert D.metric_hi_smooth(Z, V, 12.0).tobytes() == hi.tobytes()
 
     def test_intersection_bounds_crossed_past_rounding_raise(self, monkeypatch):
         # a member lo above |v| / delta_dir past its pad is a bug, not clipped
