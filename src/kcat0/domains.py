@@ -16,7 +16,8 @@ is the product of its coordinate disks.  Every node answers:
                            each row pair, the one directional
                            implementation; ``delta_dir(z, v)`` is its
                            validated one-row view,
-* ``slice(p, v)``          the planar set ``{t : p + t v in D}``,
+* ``slice(p, v)``          the planar set ``{t : p + t v in D}``, the
+                           validated view of the unchecked ``_slice_set``,
 * ``support_upper_batch(A)`` an upper bound for ``sup Re<z, a>`` over
                            the domain for each row ``a`` of ``A`` (``+inf``
                            when unbounded in that direction), used to build
@@ -591,7 +592,8 @@ class ConvexDomain:
     # -- slices ---------------------------------------------------------------
 
     def slice(self, p, v) -> "ConvexDomain":
-        """The planar node {t in C : p + t v in D}."""
+        """The planar node {t in C : p + t v in D}; the validated view of
+        ``_slice_set``, which composites and the sandwich call on checked points."""
         p = as_point(p, self.dimension)
         v = as_point(v, self.dimension)
         if not np.any(v):
@@ -1292,8 +1294,10 @@ class AffineImage(ConvexDomain):
         return self._conformal_scale * self.inner.delta_batch(self._pull_back_rows(Z))
 
     def _slice_set(self, p, v):
-        # the parameter plane is preserved exactly under the pullback
-        return self.inner.slice(self.pull_back(p), self.inverse @ v)
+        # the parameter plane is preserved exactly under the pullback, which can round v to 0
+        if not (u := self.inverse @ v).any():
+            raise InvalidDomain("direction v must be nonzero")
+        return self.inner._slice_set(self.pull_back(p), u)
 
     def delta_dir_batch(self, Z, V):
         U = V @ self.inverse.T
@@ -1383,7 +1387,7 @@ class Intersection(ConvexDomain):
         return reduce(np.minimum, [m.delta_batch(Z) for m in self.members])
 
     def _slice_set(self, p, v):
-        return intersection([m.slice(p, v) for m in self.members])
+        return intersection([m._slice_set(p, v) for m in self.members])
 
     def delta_dir_batch(self, Z, V):
         out = self.members[0].delta_dir_batch(Z, V)
@@ -1418,10 +1422,17 @@ class Intersection(ConvexDomain):
                 "members": [m.to_spec() for m in self.members]}
 
     def chart(self):
+        return None if self._lens is None else self._lens_chart(self._lens[2].chart())
+
+    def _walk_chart(self, x, y):   # the sector's own, at T(x) and T(y): w^q stays finite
         if self._lens is None:
             return None
         P, Q, sec = self._lens
-        inner = sec.chart()   # of T(z) = (z - P) / (z - Q), whose inverse is Q + (P - Q) / (1 - w)
+        return self._lens_chart(sec._walk_chart((x - P) / (x - Q), (y - P) / (y - Q)))
+
+    def _lens_chart(self, inner: ConformalChart) -> ConformalChart:
+        """``inner``, a chart of the lens's sector, after T(z) = (z - P) / (z - Q)."""
+        P, Q, _ = self._lens
         return ConformalChart(lambda z: inner.forward((z - P) / (z - Q)),
                               lambda s: Q + (P - Q) / (1 - inner.inverse(s)), "lens")
 

@@ -153,7 +153,10 @@ def _slice_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray):
     parameters 0 and 1, else ``_inscribed_disk_upper`` on the slice.  The
     witness, a node of that length from 0 to 1, is the slice node when
     exact, else the winning disk or None."""
-    S = D.slice(x, y - x)
+    v = y - x   # x != y here, but a pull-back can merge two points
+    if not v.any():
+        raise InvalidDomain("direction v must be nonzero")
+    S = D._slice_set(x, v)
     exact = S.exact_distance(np.zeros(1, dtype=complex), np.ones(1, dtype=complex))
     if exact is not None:
         return exact.hi, True, {"slice-upper"}, S
@@ -196,6 +199,14 @@ def _inscribed_disk_upper(S: ConvexDomain):
     return chain, disk(*wins[0]) if len(wins) == 1 else None
 
 
+@functools.cache
+def _inclusion_growth(d: int) -> np.ndarray:
+    grow = np.ones((len(_INCLUSION_CENTERS) * len(_INCLUSION_RATIOS), d))
+    grow[:, 1:] = np.tile(_INCLUSION_RATIOS, len(_INCLUSION_CENTERS))[:, None]
+    grow.flags.writeable = False   # shared by every caller
+    return grow
+
+
 def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> float | None:
     """Upper bound from an inscribed polydisk through both points.
 
@@ -221,9 +232,7 @@ def _product_inclusion_upper(D: ConvexDomain, x: np.ndarray, y: np.ndarray) -> f
     ts = min(0.03 * sep / span, 0.5) ** _INCLUSION_CENTERS
     centers = np.repeat(mid + ts[:, None] * (anchor - mid), len(_INCLUSION_RATIOS), axis=0)
     base = np.maximum(np.abs(x - centers), np.abs(y - centers)) * 1.000001 + 1e-12
-    grow = np.ones((len(_INCLUSION_RATIOS), d))
-    grow[:, 1:] = _INCLUSION_RATIOS[:, None]
-    grow = np.tile(grow, (len(_INCLUSION_CENTERS), 1))
+    grow = _inclusion_growth(d)
     s = D.polydisk_growth(centers, base, grow)
     if s is None:
         return None

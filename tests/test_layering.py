@@ -230,6 +230,24 @@ def test_distance_checks_its_points_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _slice_calls(fn: ast.AST) -> list[int]:
+    """Lines in ``fn`` that call a ``.slice(`` method."""
+    return [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "slice"]
+
+
+def test_slices_check_their_points_once():
+    # ``slice`` is the validated view: composites recurse through the
+    # unchecked ``_slice_set``, and the sandwich, which holds checked points,
+    # calls it directly
+    inner = [f"{c}:{line}" for (c, name), fn in _domain_methods().items()
+             if name == "_slice_set" for line in _slice_calls(fn)]
+    assert inner == []
+    assert _slice_calls(_tree(SRC / "metric.py")) == []
+    assert "_slice_set" in {getattr(n.func, "attr", None) for n in ast.walk(_tree(SRC / "metric.py"))
+                            if isinstance(n, ast.Call)}
+
+
 def test_metric_holds_no_chart_arithmetic():
     # exact planar distances come from the nodes' own exact_distance
     text = (SRC / "metric.py").read_text()

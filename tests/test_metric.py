@@ -262,6 +262,24 @@ class TestDistance:
         assert crossed.lo == crossed.hi == pytest.approx(iv.hi, abs=1e-9)
         assert "bounds-crossed" in crossed.methods
 
+    def test_pair_merged_by_the_pull_back_has_no_direction(self):
+        # both points pull back to (0.5, 0.5): the slice bound, which checks
+        # the direction for every composite below it, refuses the pair
+        D = AffineImage(1e20 * np.eye(2), np.zeros(2), example36_domain())
+        x = 1e20 * np.array([0.5, 0.5], dtype=complex)
+        y = x + np.array([0.0, 1e4])
+        assert np.array_equal(D.pull_back(x), D.pull_back(y))
+        with pytest.raises(InvalidDomain, match="direction v must be nonzero"):
+            distance(D, x, y)
+
+    def test_direction_a_member_pulls_back_to_zero_is_refused(self):
+        # the slice direction 1e-200 reaches the affine member as 1e-350,
+        # which rounds to 0: a ball slice would divide by |v|^2 = 0
+        D = intersection([AffineImage(1e150 * np.eye(2), np.zeros(2), Ball([0, 0], 1.0)),
+                          Ball([0, 0], 1e149)])
+        with pytest.raises(InvalidDomain, match="direction v must be nonzero"):
+            distance(D, [0.0, 0.0], [1e-200, 0.0])
+
     def test_pseudo_distance_flag(self):
         poly = RealPolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
         G = Graph(DefiningFunction.from_polynomial(poly), interior_point=[0.0],
@@ -954,6 +972,23 @@ class TestMidpoint:
         m, eta = midpoint_search(D, x, y, tol=1e3)
         assert D.contains(m) and eta > 0.0
 
+    @pytest.mark.parametrize("turn", [-0.328125, -0.3125])
+    def test_thin_lens_midpoint_walks_the_sector_at_its_points(self, turn):
+        # the slice is a lens of opening 0.0118 (q = 266.6) with |T(0)| about
+        # 0.045: its sector's undilated chart took |T|^q to 0 and raised
+        # ZeroDivisionError, or (second pair) a non-finite midpoint
+        D = AffineImage(1e6 * np.eye(2), np.zeros(2), example36_domain())
+        x = np.array([1.34375 * cmath.exp(0.0625j), 1.6875 * cmath.exp(-0.5j)])
+        y = np.array([1.75 * cmath.exp(turn * 1j), 1.09375 * cmath.exp(-0.03125j)])
+        _, exact, _, lens = _slice_upper(D, x, y)
+        assert exact and isinstance(lens, Intersection)
+        zero, one = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+        t = lens.exact_midpoint(zero, one)
+        halves = lens.exact_distance(zero, t).lo, lens.exact_distance(t, one).lo
+        assert halves[0] == pytest.approx(halves[1], rel=1e-9)
+        m, eta = midpoint_search(D, x, y, tol=1e3)
+        assert D.contains(m) and 0.0 < eta <= 5e-2
+
     @pytest.mark.parametrize("D, x, y", [
         (upper_half_plane(), [-1j], [4j]),
         (Product(upper_half_plane(), unit_disk()), [-1j, 0.0], [4j, 0.0]),
@@ -1273,3 +1308,13 @@ def test_functional_grid_is_cached_read_only_and_unchanged(dim):
         e[j] = 1.0
         axes.extend([e, -e, 1j * e])
     assert grid[metric.FUNCTIONAL_GRID_SIZE:].tobytes() == np.array(axes).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inclusion_growth_is_cached_read_only_and_unchanged(dim):
+    # the inscribed-polydisk family's growth rows: (1, rho, ..., rho) for
+    # each of the 5 ratios, repeated for each of the 12 centres
+    grow = metric._inclusion_growth(dim)
+    assert grow is metric._inclusion_growth(dim) and not grow.flags.writeable
+    rows = [[1.0] + [rho] * (dim - 1) for rho in np.geomspace(0.25, 4.0, 5)]
+    assert grow.tobytes() == np.array(rows * 12).tobytes()
