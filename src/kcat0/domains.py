@@ -48,7 +48,8 @@ zero, for the same floats in about an eighth of the rounds.  ``ray_min_batch``,
 the least ray distance over a span of directions, is the one search built on
 them, behind the default ``delta_batch`` and ``delta_dir_batch``: its grid and
 each compass round are one ``ray_exit_batch`` call.  Graphs and their slices
-(``PlanarOracle``) take the default metric, disks inside a ray hull (``ray_hulls``).
+(``PlanarOracle``) take all three defaults: the least ray for ``delta_batch``
+and ``delta_dir_batch``, and the metric of disks inside a ray hull (``ray_hulls``).
 
 All values are immutable after construction (no node caches anything) and
 all queries are pure, so instances are safe to share between threads.
@@ -89,10 +90,6 @@ _SLICE_RAYS, _SLICE_REACH, _SLICE_ZOOMS = 96, 1e6, 3
 _SLICE_DIRS = np.exp(2j * math.pi * np.arange(_SLICE_RAYS) / _SLICE_RAYS)
 _SLICE_FRACTIONS = np.r_[np.geomspace(1e-6, 1 / 16, 8, endpoint=False), np.arange(1, 9) / 9]
 _ZOOM_GRID = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)).ravel()
-
-
-def _real_view(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
 
 
 def _from_real(x: np.ndarray) -> np.ndarray:
@@ -566,7 +563,9 @@ class ConvexDomain:
     def delta_batch(self, Z: np.ndarray) -> np.ndarray:
         """``delta`` of each interior row of Z; every node's one Euclidean
         implementation, and ``delta`` is its validated one-row view.  This
-        default, from membership alone, is the least ray over all of C^d."""
+        default, from membership alone, is the least ray over all of C^d: a
+        found ray, so an upper bound on delta to within its exit bracket
+        (``_bracket``), not a certified value."""
         unit = np.eye(self.dimension)
         return ray_min_batch(self, Z, np.concatenate([unit, 1j * unit]))
 
@@ -1585,8 +1584,9 @@ class Graph(ConvexDomain):
     """{z : r(z) < 0} for a smooth convex defining function r.
 
     C-properness is a user declaration; structural detection is out of
-    reach for oracle-defined boundaries.  Directional distances and the
-    infinitesimal metric are ``ConvexDomain``'s membership-only defaults.
+    reach for oracle-defined boundaries.  Euclidean and directional
+    distances and the infinitesimal metric are ``ConvexDomain``'s
+    membership-only defaults.
     """
 
     def __init__(self, r: DefiningFunction, interior_point, c_proper: bool = True):
@@ -1599,40 +1599,6 @@ class Graph(ConvexDomain):
 
     def contains_batch(self, Z):
         return self.r.value_batch(Z) < 0
-
-    def delta_batch(self, Z):
-        """One gradient ray shot for all rows, an SLSQP solve per row for the
-        nearest boundary point from its hit, and one polishing shot along
-        the solved directions."""
-        from scipy.optimize import minimize as _minimize
-
-        G = _from_real(self.r.grad_batch(Z))
-        flat = ~np.any(G, axis=1)
-        G[flat] = self._interior - Z[flat]
-        G[~np.any(G, axis=1)] = 1.0
-        U = G / np.linalg.norm(G, axis=1, keepdims=True)
-        t0 = self.ray_exit_batch(Z, U)
-        cons = {"type": "eq",
-                "fun": lambda xr: self.r.value(_from_real(xr)),
-                "jac": lambda xr: self.r.grad(_from_real(xr))}
-        polish = np.zeros_like(Z)
-        for k, z in enumerate(Z):
-            zr = _real_view(z)
-            res = _minimize(lambda xr: float(np.sum((xr - zr) ** 2)), _real_view(z + t0[k] * U[k]),
-                            jac=lambda xr: 2.0 * (xr - zr), method="SLSQP",
-                            constraints=[cons], options={"maxiter": 200, "ftol": 1e-16})
-            # any ray is at least delta long, so any finite direction is safe
-            # to polish along, even from a solve that stopped short
-            direction = _from_real(res.x) - z
-            norm = np.linalg.norm(direction)
-            if np.isfinite(norm) and norm > 0:
-                polish[k] = direction / norm
-        # along the optimal direction the distance is second order in the
-        # direction error, so this recovers ~1e-12 accuracy
-        ok = np.flatnonzero(np.any(polish, axis=1))
-        best = t0.copy()
-        best[ok] = np.minimum(t0[ok], self.ray_exit_batch(Z[ok], polish[ok]))
-        return best
 
     def _slice_set(self, p, v):   # r along the line
         level = lambda Z: self.r.value_batch(p + Z[:, :1] * v)

@@ -396,7 +396,7 @@ def _static_calls(tree: ast.Module, cls: str | None, method: str) -> set[str]:
 
 @pytest.mark.parametrize("cls, method", [
     ("PlanarOracle", "delta_batch"), ("PlanarOracle", "delta_dir_batch"),
-    ("AffineImage", "delta_batch"), ("ConvexDomain", "delta_dir_batch")])
+    ("AffineImage", "delta_batch"), ("Graph", "delta_batch"), ("ConvexDomain", "delta_dir_batch")])
 def test_least_ray_distances_run_no_optimizer(cls, method):
     # a boundary distance known only through membership is one search,
     # ray_min_batch, whatever the span of directions: no scipy optimizer
@@ -413,11 +413,11 @@ def test_static_calls_follow_super():
 
 def test_membership_only_answers_live_on_the_base_node():
     # the least ray over C^d and the slice hull are ConvexDomain's defaults:
-    # graphs and oracle sets bind no metric of their own, an oracle set no
-    # delta, and an intersection's smoothed upper metric is its metric's hi
+    # graphs and oracle sets bind no metric and no delta of their own, and an
+    # intersection's smoothed upper metric is its metric's hi
     assert domains.ConvexDomain.metric_bounds is domains.ray_metric_bounds
     assert [c.__name__ for c in (Graph, PlanarOracle) if "metric_bounds" in vars(c)] == []
-    assert "delta_batch" not in vars(PlanarOracle)
+    assert [c.__name__ for c in (Graph, PlanarOracle) if "delta_batch" in vars(c)] == []
     assert "metric_hi_smooth" not in vars(domains.Intersection)
     assert "gradient" not in vars(RealPolynomial)
 
