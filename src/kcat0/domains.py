@@ -51,8 +51,8 @@ each compass round are one ``ray_exit_batch`` call.  Graphs and their slices
 (``PlanarOracle``) take all three defaults: the least ray for ``delta_batch``
 and ``delta_dir_batch``, and the metric of disks inside a ray hull (``ray_hulls``).
 
-All values are immutable after construction (no node caches anything) and
-all queries are pure, so instances are safe to share between threads.
+All values are immutable after construction (an intersection keeps its first
+anchor) and all queries are pure, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +73,7 @@ from .errors import (
     OutsideDomain,
 )
 from .interval import DistanceInterval
-from .planar import ConformalChart
+from .planar import _SCALE, _TINY, ConformalChart
 from .points import as_point, point_from_json, point_to_json
 
 _TWO_PI = 2.0 * math.pi
@@ -103,6 +103,15 @@ def unit_rows(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     raw = rng.normal(size=(count, 2 * d))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     return _from_real(raw)
+
+
+@lru_cache(maxsize=16)
+def seeded_unit_rows(seed: int, count: int, d: int) -> np.ndarray:
+    """``unit_rows`` of a generator seeded with ``seed``, kept for the last 16
+    (seed, count, d) and shared read-only."""
+    U = unit_rows(np.random.default_rng(seed), count, d)
+    U.flags.writeable = False
+    return U
 
 
 def _bracket(t: np.ndarray) -> np.ndarray:
@@ -189,43 +198,52 @@ def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
     where the zero e of the parabola through a, b and b's (else a's) last end lies
     in [c, z] and the row had an e last round, at e -+ its move, within [c, z];
     a row whose last round did not halve its bracket is cut about its middle
-    (its grid points next to (a + b) / 2)."""
+    (its grid points next to (a + b) / 2).
+
+    The state holds only the running rows, in row order; a row writes (a, b) out
+    when it stops.  A round with no finite bracket (the halving and doubling:
+    a = 0 or b = inf, so e is nan) sends one point per row and skips the cuts."""
     n = directions.shape[0]
+    out, rows, S, D = np.empty((2, n)), np.arange(n), np.broadcast_to(start, directions.shape), directions
     a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
     fa, fb, fqa, fqb, ep, wp = (np.full(n, math.nan) for _ in range(6))
-
-    def file(rows, t, v):   # a point inside [a, b] becomes its side's end, and
-        ok = (t > a[rows]) & (t < b[rows])   # the end it replaces that side's q
-        rows, t, v, ins = rows[ok], t[ok], v[ok], v[ok] < 0
-        i, o = rows[ins], rows[~ins]
-        qa[i], fqa[i], a[i], fa[i] = a[i], fa[i], t[ins], v[ins]
-        qb[o], fqb[o], b[o], fb[o] = b[o], fb[o], t[~ins], v[~ins]
-
-    run = np.arange(n)
-    while (run := run[np.where(a[run] == 0, 0.5 * b[run] >= 1e-300, np.where(
-            b[run] == math.inf, 2.0 * a[run] <= t_max,
-            (b[run] <= t_max) & (b[run] - a[run] > _cell(a[run]))))]).size:
-        A, B, W, FA, FB = a[run], b[run], _cell(a[run]), fa[run], fb[run]
-        cut, slow, wp[run] = (A > 0) & (B < math.inf), B - A > 0.5 * wp[run], B - A
-        with np.errstate(all="ignore"):   # a nan cut falls back to a cell end
-            c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
-                (A, FA, B, FB), (A, FA, qa[run], fqa[run]), (B, FB, qb[run], fqb[run]))]
-            z = np.minimum.reduce([np.where(x > c, x, math.inf) for x in z] + [0.5 * (c + B)])
-            Q, FQ = (np.where(np.isnan(fqb[run]), x[run], y[run]) for x, y in ((qa, qb), (fqa, fqb)))
-            f1 = (FB - FA) / (B - A)   # divided differences of the parabola through A, B, Q
-            f2 = ((FQ - FB) / (Q - B) - f1) / (Q - A)
-            p = f1 - f2 * (B - A)
-            e = A - 2.0 * FA / (p + np.sqrt(p * p - 4.0 * f2 * FA))   # its zero in (A, B), stably
-            h, ep[run] = np.abs(e - ep[run]), e   # e's move since last round; nan keeps c, z
-            lo, hi = np.where((c <= e) & (e <= z), [np.fmax(c, e - h), np.fmin(z, e + h)], [c, z]) / W
-            lo, hi = np.where(slow, 0.5 * (A + B) / W, [lo, hi])   # last round did not halve
-            t = np.fmin(np.fmax([np.floor(lo), np.fmax(np.ceil(hi), np.floor(lo) + 1)] * W, A + W), B - W)
-        t[0] = np.where(cut, t[0], np.where(A > 0, 2.0 * A, np.minimum(1.0, 0.5 * B)))
-        rows, t = np.r_[run, run[cut]], np.r_[t[0], t[1, cut]]
-        v = level(start[rows] + t[:, None] * directions[rows])
-        for k in (slice(None, run.size), slice(run.size, None)):   # chord first
-            file(rows[k], t[k], v[k])
-    return a, b
+    while True:
+        W, w = _cell(a), b - a
+        go = np.where(a == 0, 0.5 * b >= 1e-300, np.where(
+            b == math.inf, 2.0 * a <= t_max, (b <= t_max) & (w > W)))
+        if not go.all():
+            out[:, rows[~go]] = a[~go], b[~go]
+            rows, S, D, W, w, a, b, qa, qb, fa, fb, fqa, fqb, ep, wp = (
+                x[go] for x in (rows, S, D, W, w, a, b, qa, qb, fa, fb, fqa, fqb, ep, wp))
+        if not rows.size:
+            return out[0], out[1]
+        cut, t = (a > 0) & (b < math.inf), np.where(a > 0, 2.0 * a, np.minimum(1.0, 0.5 * b))
+        if not cut.any():   # halve or double alone
+            wp, points = w, [(t, level(S + t[:, None] * D))]
+        else:   # the chord's cut (else the halving or doubling) first, then the cut rows' second
+            slow, wp, fu = w > 0.5 * wp, w, np.zeros(rows.size)
+            with np.errstate(all="ignore"):   # a nan cut falls back to a cell end
+                c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
+                    (a, fa, b, fb), (a, fa, qa, fqa), (b, fb, qb, fqb))]
+                z = reduce(np.minimum, [np.where(x > c, x, math.inf) for x in z], 0.5 * (c + b))
+                Q, FQ = (np.where(np.isnan(fqb), x, y) for x, y in ((qa, qb), (fqa, fqb)))
+                f1 = (fb - fa) / w   # divided differences of the parabola through a, b, Q
+                f2 = ((FQ - fb) / (Q - b) - f1) / (Q - a)
+                p = f1 - f2 * w
+                e = a - 2.0 * fa / (p + np.sqrt(p * p - 4.0 * f2 * fa))   # its zero in (a, b), stably
+                h, ep = np.abs(e - ep), e   # e's move since last round; nan keeps c, z
+                mid, near = 0.5 * (a + b), (c <= e) & (e <= z)   # mid where the last round did not halve
+                lo = np.floor(np.where(slow, mid, np.where(near, np.fmax(c, e - h), c)) / W)
+                hi = np.where(slow, mid, np.where(near, np.fmin(z, e + h), z)) / W
+                t = np.where(cut, np.fmin(np.fmax(lo * W, a + W), b - W), t)
+                u = np.where(cut, np.fmin(np.fmax(np.fmax(np.ceil(hi), lo + 1) * W, a + W), b - W), math.nan)
+            v = level(np.concatenate([S + t[:, None] * D, S[cut] + u[cut, None] * D[cut]]))
+            fu[cut], points = v[rows.size:], [(t, v[:rows.size]), (u, fu)]
+        for s, f in points:   # a point inside [a, b] becomes its side's end, and
+            ok = (s > a) & (s < b)   # the end it replaces that side's q
+            i, o = ok & (f < 0), ok & ~(f < 0)
+            for x, y in ((qa, a), (fqa, fa), (a, s), (fa, f)): np.copyto(x, y, where=i)
+            for x, y in ((qb, b), (fqb, fb), (b, s), (fb, f)): np.copyto(x, y, where=o)
 
 
 def ray_min_batch(D: ConvexDomain, Z: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -548,7 +566,8 @@ class ConvexDomain:
         """Distance from rows Z (or one start) along U to the boundary, 0.0 from a start
         not inside, inf past ``t_max``: ``ray_boundary_batch``, led by ``level_batch``.
         This bisection reads inf past the largest power of two not above ``t_max``,
-        a closed form (``_exits``) past ``t_max`` itself; both agree at a power of two."""
+        a closed form (``_exits``) past ``t_max`` itself; both agree at a power of two.
+        Z and U may be read-only: no node writes into them."""
         return ray_boundary_batch(self.contains_batch, Z, U, t_max, level=self.level_batch)
 
     # -- boundary distances --------------------------------------------------
@@ -1026,14 +1045,16 @@ class Ball(ConvexDomain):
 
     def _slice_set(self, p, v):
         # the slice of a ball is always a disk in the parameter plane
-        w = p - self.center
-        nv2 = float(np.vdot(v, v).real)
+        w, s, nv2 = p - self.center, 1.0, float(np.vdot(v, v).real)
+        if nv2 < _TINY:   # |v|^2 could underflow: the disk along v 2^600, scaled back (exact)
+            v, s = v * _SCALE, _SCALE
+            nv2 = float(np.vdot(v, v).real)
         wv = complex(np.sum(w * np.conj(v)))  # <w, v>, holomorphic in w
         center = -wv / nv2   # |center|^2, not |<w, v>|^2 / |v|^4, which underflows
         rho2 = (self.radius ** 2 - float(np.vdot(w, w).real)) / nv2 + abs(center) ** 2
         if rho2 <= 0:
             raise OutsideDomain("complex line does not meet the ball")
-        return Disk(center, math.sqrt(rho2))
+        return Disk(center * s, math.sqrt(rho2) * s)
 
     def delta_dir_batch(self, Z, V):
         W = Z - self.center[None, :]
@@ -1400,6 +1421,10 @@ class Intersection(ConvexDomain):
         return any(m.c_proper for m in self.members)
 
     def anchor(self):
+        return self._anchor.copy()
+
+    @cached_property
+    def _anchor(self):   # found on first use and kept: the members do not change
         candidates = [m.anchor() for m in self.members]
         candidates.append(np.mean(candidates, axis=0))
         inside = np.flatnonzero(self.contains_batch(np.array(candidates)))
@@ -1623,8 +1648,7 @@ class Graph(ConvexDomain):
         but round-off for a polynomial's, and for ``DefiningFunction.grad``'s
         central differences a second-order effect of the normal's angle error.
         """
-        U = np.tile(unit_rows(np.random.default_rng(_FALLBACK_SEED), _TANGENT_RAYS, self.dimension),
-                    (3, 1))
+        U = np.tile(seeded_unit_rows(_FALLBACK_SEED, _TANGENT_RAYS, self.dimension), (3, 1))
         starts = np.repeat([x, y, 0.5 * (x + y)], _TANGENT_RAYS, axis=0)
         t = self.ray_exit_batch(starts, U)
         hit = np.isfinite(t)

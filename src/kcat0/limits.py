@@ -38,8 +38,8 @@ from .domains import (
     intersection,
     right_half_plane,
     sector,
+    seeded_unit_rows,
     unit_disk,
-    unit_rows,
 )
 from .errors import (DimensionMismatch, EmptyWindow, GridBoundary, InvalidDomain, KCat0Error,
                      OutsideDomain, PowerUnderflow)
@@ -134,10 +134,6 @@ def _window_anchor(D: ConvexDomain, R: float) -> np.ndarray:
     raise EmptyWindow(f"no interior point of the domain found inside B(0, {R})")
 
 
-def _sphere_directions(dim: int, count: int) -> np.ndarray:
-    return unit_rows(np.random.default_rng(_DIRECTION_SEED), count, dim)
-
-
 def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.ndarray:
     """Samples of the boundary of (closure of D) intersected with B(0, R): rays
     from an anchor inside both, to the nearer of D's own exit and the ball's.
@@ -174,7 +170,7 @@ def hausdorff(A: ConvexDomain, B: ConvexDomain, R: float,
         raise InvalidDomain(f"the window radius must be positive, got {R}")
     if not math.isfinite(R):
         raise InvalidDomain(f"the window radius must be finite, got {R}")
-    dirs = _sphere_directions(A.dimension, directions)
+    dirs = seeded_unit_rows(_DIRECTION_SEED, directions, A.dimension)
     cloud_a = _boundary_cloud(A, R, dirs)
     cloud_b = _boundary_cloud(B, R, dirs)
 

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InvalidDomain, OutsideDomain
 from .points import as_point
 
+# a power of two that moves a square out of underflow or overflow, and where to use it
+_SCALE, _TINY, _HUGE = 2.0 ** 600, 1e-250, 2.0 ** 500
+
 
 @dataclass(frozen=True)
 class ConformalChart:
@@ -44,6 +47,9 @@ def _square(x: float) -> tuple[float, float]:
 def ball_gap(z: list[complex], center: list[complex], radius: float) -> float:
     """1 - |z - center|^2 / radius^2 to the last bits: each difference is s
     plus its exact error (TwoSum), s^2 is split exactly, fsum adds up."""
+    if radius > _HUGE:   # a square could overflow: the same gap in units of 2^600, exact
+        # up to terms that underflow, which lie far below the gap's last bit
+        return ball_gap(*([x / _SCALE for x in p] for p in (z, center)), radius / _SCALE)
     terms = list(_square(radius))
     for v, c in zip(z, center):
         for a, b in ((v.real, c.real), (v.imag, c.imag)):
@@ -67,13 +73,16 @@ def ball_distance(z, w, center, radius: float) -> float:
     gz, gw = ball_gap(z, center, radius), ball_gap(w, center, radius)
     if not (gz > 0 and gw > 0):  # also rejects nan
         raise OutsideDomain("ball_distance arguments must be interior to the ball")
-    hh, mh = 0.0, 0.0j   # |h|^2 and conj(<m, h>), in unit coordinates
-    for a, b, c in zip(z, w, center):
-        h = (b - a) / radius
-        hh += h.real * h.real + h.imag * h.imag
-        mh += h.conjugate() * ((a - c) + (b - c)) / (2.0 * radius)
-    num2 = hh * (0.5 * (gz + gw) + 0.25 * hh) + mh.real * mh.real + mh.imag * mh.imag
-    return math.asinh(math.sqrt(num2) / (math.sqrt(gz) * math.sqrt(gw)))
+    for s in (1.0, _SCALE):   # |h|^2 could underflow: h in units of 2^-600 (exact for normal h)
+        hh, mh = 0.0, 0.0j   # |h|^2 and conj(<m, h>), in unit coordinates
+        for a, b, c in zip(z, w, center):
+            h = (b - a) / radius * s
+            hh += h.real * h.real + h.imag * h.imag
+            mh += h.conjugate() * ((a - c) + (b - c)) / (2.0 * radius)
+        if hh > _TINY:
+            break
+    num2 = hh * (0.5 * (gz + gw) + 0.25 * hh / s / s) + mh.real * mh.real + mh.imag * mh.imag
+    return math.asinh(math.sqrt(num2) / s / (math.sqrt(gz) * math.sqrt(gw)))
 
 
 def disk_distance(z: complex, w: complex) -> float:

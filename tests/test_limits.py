@@ -24,6 +24,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
+from kcat0.domains import seeded_unit_rows
 from kcat0.errors import EmptyWindow, GridBoundary, InvalidDomain, OutsideDomain, PowerUnderflow
 
 
@@ -170,7 +171,7 @@ class TestHausdorff:
             doms = [seq.domain(n) for n in (2, 3, 4)]
         else:
             doms = [AffineImage(n * np.eye(2), np.zeros(2), example36_domain()) for n in (1, 10, 100)]
-        dirs = limits._sphere_directions(2, 512)
+        dirs = seeded_unit_rows(limits._DIRECTION_SEED, 512, 2)
         for D in doms:
             anchor = limits._window_anchor(D, 1.0)
             far = np.minimum(D.ray_exit_batch(anchor, dirs, 1e9),

@@ -198,6 +198,19 @@ class TestDistance:
             iv = distance(D, x, y, force_sandwich=force_sandwich)
             assert 0.0 < iv.lo <= exact * (1 + 1e-12) and exact * (1 - 1e-12) <= iv.hi < math.inf
 
+    @pytest.mark.parametrize("chord", [1e-160, 1e-170, 1e-200])
+    def test_ball_slice_of_a_chord_whose_square_underflows(self, chord):
+        # |v|^2 underflows below a chord of about 1e-162, so a ball's slice
+        # takes it along v scaled by a power of two, and a disk's distance
+        # squares its radius and h in units of one; both nodes keep the unit
+        # ball's closed form, chord / sqrt(0.91), to its rounding
+        x, y = [0.3, 0.0], [0.3, chord]
+        for D in (intersection([Ball([0, 0], 1), Ball([0.5, 0], 1)]), ball2()):
+            for force_sandwich in (False, True):
+                iv = distance(D, x, y, force_sandwich=force_sandwich)
+                assert iv.lo <= iv.hi
+                assert [iv.lo, iv.hi] == pytest.approx([1.0482848367219183 * chord] * 2, rel=1e-12)
+
     def test_sandwich_quality_on_intersection(self):
         iv = distance(example36_domain(), [0.2, 0.2], [0.4, 0.3])
         assert iv.lo <= iv.hi
