@@ -5,8 +5,9 @@ A C-proper convex domain is locally m-convex on a window when
 directions v.  The checks here are empirical: they sample, fit the
 log-log exponent, track the best constant per boundary-distance decade,
 and flag divergence (the polydisk's flat face is the canonical failure).
-Samples are drawn in blocks, and all (point, direction) rows are measured
-in one ``delta_dir_batch`` call, of which ``delta_dir`` is the one-row view.
+Samples are drawn in blocks, all (point, direction) rows are measured in
+one ``delta_dir_batch`` call, and the report is built from those arrays:
+each point's decade is keyed once, and ``samples`` is materialized on read.
 
 Line type is the sup of the vanishing order of ``r o l`` over complex
 affine lines l through a boundary point.  A polynomial defining function
@@ -56,7 +57,8 @@ class MConvexitySample:
 
 @dataclass
 class MConvexityReport:
-    samples: list
+    rows: tuple                       # (z, v, delta, delta_dir) arrays, a row per (point, direction)
+    window_samples: tuple             # (requested, kept)
     fitted_exponent: float
     fitted_constant: float
     window_radius: float
@@ -65,6 +67,10 @@ class MConvexityReport:
     verdict: str                      # pass | fail
     diverging: bool = False
     decade_constants: dict = field(default_factory=dict)
+
+    @property
+    def samples(self) -> list[MConvexitySample]:
+        return [MConvexitySample(z, v, float(dl), float(dd)) for z, v, dl, dd in zip(*self.rows)]
 
     def to_json(self) -> dict:
         return {
@@ -81,7 +87,8 @@ class MConvexityReport:
             "verdict": self.verdict,
             "diverging": self.diverging,
             "decade_constants": {str(k): v for k, v in sorted(self.decade_constants.items())},
-            "sample_count": len(self.samples),
+            "sample_count": len(self.rows[2]),
+            "window_samples": dict(zip(("requested", "kept"), self.window_samples)),
         }
 
 
@@ -108,23 +115,24 @@ class LineTypeResult:
         }
 
 
-def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> list[np.ndarray]:
+def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> np.ndarray:
     """Uniform interior samples of B(0, R) intersected with the domain, kept
     in draw order from at most 200 blocks of ``count`` tries (a direction,
     then a radius, per try)."""
     d = D.dimension
-    out: list[np.ndarray] = []
+    blocks, kept = [], 0
     for _ in range(200):
-        if len(out) >= count:
+        if kept >= count:
             break
         Z = unit_rows(rng, count, d) * (R * rng.uniform(size=count) ** (1.0 / (2 * d)))[:, None]
-        out.extend(Z[D.contains_batch(Z)][:count - len(out)])
-    if not out:
+        blocks.append(Z[D.contains_batch(Z)][:count - kept])
+        kept += len(blocks[-1])
+    if not kept:
         raise EmptyWindow("no interior samples found in the window")
-    return out
+    return np.concatenate(blocks)
 
 
-def _boundary_probes(D: ConvexDomain, R: float, rng) -> list[np.ndarray]:
+def _boundary_probes(D: ConvexDomain, R: float, rng) -> np.ndarray:
     """Points marching toward boundary pieces inside the window."""
     anchor = D.anchor()
     dirs = unit_rows(rng, PROBE_RAYS, D.dimension)
@@ -134,7 +142,7 @@ def _boundary_probes(D: ConvexDomain, R: float, rng) -> list[np.ndarray]:
     B = B[np.linalg.norm(B, axis=1) <= R]   # boundary met inside the window
     eps = np.geomspace(1e-1, 1e-6, 6)[None, :, None]
     Z = (B[:, None, :] + eps * (anchor - B[:, None, :])).reshape(-1, D.dimension)
-    return list(Z[D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) <= R)])
+    return Z[D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) <= R)]
 
 
 def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
@@ -158,33 +166,33 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     if not sample_count >= 1:
         raise InvalidDomain(f"the sample count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    zs = _window_samples(D, window_radius, sample_count, rng)
-    zs += _boundary_probes(D, window_radius, rng)
+    window = _window_samples(D, window_radius, sample_count, rng)
+    points = np.concatenate([window, _boundary_probes(D, window_radius, rng)])
 
     # each point with the d coordinate axes, then one random direction
-    n, d = len(zs), D.dimension
-    Z = np.repeat(np.array(zs), d + 1, axis=0)
+    n, d = len(points), D.dimension
+    Z = np.repeat(points, d + 1, axis=0)
     V = np.empty((n, d + 1, d), dtype=complex)
     V[:, :d] = np.eye(d)
     V[:, d] = unit_rows(rng, n, d)
     V = V.reshape(-1, d)
-    deltas = np.repeat(D.delta_batch(np.array(zs)), d + 1)
+    deltas = np.repeat(D.delta_batch(points), d + 1)
     dirs = D.delta_dir_batch(Z, V)
-    samples = [MConvexitySample(*row) for row in zip(Z, V, deltas.tolist(), dirs.tolist())]
 
     ratios = dirs / deltas ** (1.0 / m)
     empirical_c = float(np.max(ratios))
 
-    decades: dict[int, float] = {}
-    for r, dl in zip(ratios, deltas):
-        k = int(math.floor(math.log10(dl)))
-        decades[k] = max(decades.get(k, 0.0), float(r))
-    keys = sorted(decades)
-    diverging = len(keys) >= 3 and decades[keys[0]] > DIVERGENCE_FACTOR * decades[keys[-1]]
+    # one decade per point, floor(log10 delta) by libm's log10, exact at powers of ten
+    keys = [math.floor(math.log10(dl)) for dl in deltas[::d + 1].tolist()]
+    found, group = np.unique(np.repeat(keys, d + 1), return_inverse=True)
+    top = np.zeros(len(found))
+    np.maximum.at(top, group, np.where(ratios > 0, ratios, 0.0))   # NaN never wins
+    decades = dict(zip(found.tolist(), top.tolist()))
+    diverging = len(found) >= 3 and bool(top[0] > DIVERGENCE_FACTOR * top[-1])
     slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
     failed = diverging or (target_c is not None and empirical_c > target_c)
     return MConvexityReport(
-        samples=samples,
+        rows=(Z, V, deltas, dirs), window_samples=(sample_count, len(window)),
         fitted_exponent=slope,
         fitted_constant=empirical_c,
         window_radius=window_radius,

@@ -37,6 +37,7 @@ from .errors import (
     PseudoDistanceOnly,
 )
 from .interval import DistanceInterval
+from .planar import _SCALE, _TINY
 from .points import as_point
 
 FUNCTIONAL_GRID_SIZE = 64
@@ -108,6 +109,7 @@ def _functional_grid(dim: int) -> np.ndarray:
 
 
 def _functionals(dim: int, chord: np.ndarray) -> np.ndarray:
+    chord = chord * _SCALE if np.vdot(chord, chord).real < _TINY else chord   # |chord|^2 could underflow
     chord = chord / np.linalg.norm(chord)
     return np.vstack([_functional_grid(dim), chord[None, :], -chord[None, :]])
 

@@ -25,7 +25,14 @@ from kcat0 import (
     vanishing_order,
 )
 from kcat0 import convexity
-from kcat0.convexity import GRID_SIZE, _exact_order, _numeric_order_estimate, _tangent_basis
+from kcat0.convexity import (
+    GRID_SIZE,
+    MConvexitySample,
+    _exact_order,
+    _numeric_order_estimate,
+    _tangent_basis,
+)
+from kcat0.domains import unit_rows
 from kcat0.errors import InvalidDomain, OrderNotResolved
 
 
@@ -43,6 +50,89 @@ def quartic_poly():
     # -Im z1 + |z2|^4 in real coordinates
     return RealPolynomial(2, {(0, 1, 0, 0): -1.0, (0, 0, 4, 0): 1.0,
                               (0, 0, 0, 4): 1.0, (0, 0, 2, 2): 2.0})
+
+
+def ellipsoid_graph():
+    # {|z1|^2 + 2|z2|^2 < 1}, known only through its polynomial r
+    r = DefiningFunction.from_polynomial(RealPolynomial(2, {
+        (2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 2.0, (0, 0, 0, 2): 2.0,
+        (0, 0, 0, 0): -1.0}))
+    return Graph(r, interior_point=[0, 0])
+
+
+def _per_row_samples(D, R, count, seed):
+    """The window draw as a list of rows and one sample object per
+    (point, direction) row: the reference for the array-form report."""
+    rng = np.random.default_rng(seed)
+    d = D.dimension
+    zs = []
+    for _ in range(200):
+        if len(zs) >= count:
+            break
+        Z = unit_rows(rng, count, d) * (R * rng.uniform(size=count) ** (1.0 / (2 * d)))[:, None]
+        zs.extend(Z[D.contains_batch(Z)][:count - len(zs)])
+    kept = len(zs)
+    zs += list(convexity._boundary_probes(D, R, rng))
+    n = len(zs)
+    Z = np.repeat(np.array(zs), d + 1, axis=0)
+    V = np.empty((n, d + 1, d), dtype=complex)
+    V[:, :d] = np.eye(d)
+    V[:, d] = unit_rows(rng, n, d)
+    V = V.reshape(-1, d)
+    deltas = np.repeat(D.delta_batch(np.array(zs)), d + 1)
+    dirs = D.delta_dir_batch(Z, V)
+    return kept, [MConvexitySample(*row) for row in zip(Z, V, deltas.tolist(), dirs.tolist())]
+
+
+def _per_row_summary(samples, m, target_c=None):
+    """The report's figures from sample objects by a per-row decade loop."""
+    deltas = np.array([s.delta for s in samples])
+    dirs = np.array([s.delta_dir for s in samples])
+    ratios = dirs / deltas ** (1.0 / m)
+    empirical_c = float(np.max(ratios))
+    decades = {}
+    for r, dl in zip(ratios, deltas):
+        k = int(math.floor(math.log10(dl)))
+        decades[k] = max(decades.get(k, 0.0), float(r))
+    keys = sorted(decades)
+    diverging = (len(keys) >= 3
+                 and decades[keys[0]] > convexity.DIVERGENCE_FACTOR * decades[keys[-1]])
+    slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
+    failed = diverging or (target_c is not None and empirical_c > target_c)
+    return (sorted(decades.items()), repr(empirical_c), repr(slope), diverging,
+            "fail" if failed else "pass")
+
+
+def _summary(rep):
+    # repr, so that a NaN constant compares equal to itself
+    return (sorted(rep.decade_constants.items()), repr(rep.empirical_c),
+            repr(rep.fitted_exponent), rep.diverging, rep.verdict)
+
+
+class _RowsDomain:
+    """Hand-built rows in C^1: every draw lies inside, no ray leaves, and the
+    i-th point has boundary distance deltas[i] and, along its two
+    directions, the two entries of dirs[i]."""
+
+    dimension = 1
+
+    def __init__(self, deltas, dirs):
+        self.deltas, self.dirs = np.array(deltas), np.array(dirs)
+
+    def contains_batch(self, Z):
+        return np.ones(len(Z), dtype=bool)
+
+    def anchor(self):
+        return np.zeros(1, dtype=complex)
+
+    def ray_exit_batch(self, z, U):
+        return np.full(len(U), np.inf)
+
+    def delta_batch(self, Z):
+        return self.deltas[:len(Z)]
+
+    def delta_dir_batch(self, Z, V):
+        return self.dirs.ravel()
 
 
 class TestLocalMConvex:
@@ -102,6 +192,52 @@ class TestLocalMConvex:
         rep = local_m_convex_check(ball2(), 2.0, 2, sample_count=100, seed=1,
                                    target_c=0.5)
         assert rep.verdict == "fail"  # sqrt(2)-ish constant exceeds 0.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("domain, window, count", [
+        (ball2, 2.0, 300),
+        (lambda: Polydisk(np.zeros(2, dtype=complex), np.ones(2)), 2.0, 300),
+        (example36_domain, 2.0, 300),
+        (ellipsoid_graph, 0.8, 12),
+    ], ids=["ball", "polydisk", "omega", "graph-ellipsoid"])
+    def test_array_report_matches_the_per_row_loop(self, domain, window, count, seed):
+        D = domain()
+        rep = local_m_convex_check(D, window, 2, sample_count=count, seed=seed, target_c=1.2)
+        kept, samples = _per_row_samples(D, window, count, seed)
+        assert _summary(rep) == _per_row_summary(samples, 2, target_c=1.2)
+        assert rep.window_samples == (count, kept)
+        assert rep.to_json()["sample_count"] == len(rep.samples) == len(samples)
+        for got, want in zip(rep.samples, samples):
+            assert type(got) is MConvexitySample and type(got.delta) is float
+            assert np.array_equal(got.z, want.z) and np.array_equal(got.v, want.v)
+            assert (got.delta, got.delta_dir) == (want.delta, want.delta_dir)
+
+    def test_hand_built_rows_key_each_decade_by_libm(self):
+        # exact powers of ten key to their own decade and one ulp below one
+        # to the decade below; NaN and negative ratios never win a decade,
+        # which then reads 0.0, and a NaN ratio makes the constant NaN
+        deltas = [1000.0, 100.0, 10.0, 1.0, math.nextafter(1.0, 0.0), 0.1, 1e-3, 1e-3]
+        dirs = [[2.0, 1.0], [math.nan, 0.5], [-1.0, math.nan], [0.25, 0.75],
+                [0.5, 3.0], [0.1, 0.2], [1e-3, 2e-3], [math.nan, 5e-4]]
+        with np.errstate(invalid="ignore"):
+            rep = local_m_convex_check(_RowsDomain(deltas, dirs), 1.0, 2, sample_count=8)
+            want = _per_row_summary(rep.samples, 2)
+        assert _summary(rep) == want
+        assert sorted(rep.decade_constants) == [-3, -1, 0, 1, 2, 3]
+        assert rep.decade_constants[1] == 0.0
+        assert rep.decade_constants[-1] == 3.0 / math.sqrt(math.nextafter(1.0, 0.0))
+        assert math.isnan(rep.empirical_c)
+        assert [s.delta for s in rep.samples] == list(np.repeat(deltas, 2))
+
+    def test_report_counts_the_window_samples_kept(self):
+        # omega spends all 200 blocks short of the count; the polydisk fills it
+        omega = local_m_convex_check(example36_domain(), 2.0, 2, sample_count=300, seed=1)
+        requested, kept = omega.window_samples
+        assert requested == 300 and kept < requested
+        assert omega.to_json()["window_samples"] == {"requested": 300, "kept": kept}
+        P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
+        flat = local_m_convex_check(P, 2.0, 2, sample_count=300, seed=1)
+        assert flat.to_json()["window_samples"] == {"requested": 300, "kept": 300}
 
 
 class TestFiniteTypeConsistency:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -535,6 +536,21 @@ class TestHalfPlaneLower:
             x, y = _deep_point(unit, rng), _deep_point(unit, rng)
             assert _half_plane_lower(big, 1e6 * x, 1e6 * y) == pytest.approx(
                 _half_plane_lower_loop(unit, x, y), rel=1e-12)
+
+    @pytest.mark.parametrize("chord", [1e-170, 1e-200])
+    @pytest.mark.parametrize("x, u", [([0.3, 0.0], [0.0, 1.0]), ([0.0, 0.0], [0.6, 0.8j])],
+                             ids=["axis", "oblique"])
+    def test_chord_functional_whose_norm_underflows(self, x, u, chord):
+        # |y - x| underflows below a chord of about 1e-162, so the chord is
+        # normalised along itself scaled by a power of two: no warning, and
+        # on the oblique chord, which no grid functional lies along, the
+        # bound keeps its value at a normal-range chord
+        x, u = np.array(x, dtype=complex), np.array(u, dtype=complex)
+        ref = distance(ball2(), x, x + 1e-70 * u, force_sandwich=True).lo / 1e-70
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iv = distance(ball2(), x, x + chord * u, force_sandwich=True)
+        assert iv.lo / chord == pytest.approx(ref, rel=1e-12)
 
     @staticmethod
     def _forced_case(data):
