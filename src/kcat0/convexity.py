@@ -5,9 +5,10 @@ A C-proper convex domain is locally m-convex on a window when
 directions v.  The checks here are empirical: they sample, fit the
 log-log exponent, track the best constant per boundary-distance decade,
 and flag divergence (the polydisk's flat face is the canonical failure).
-Samples are drawn in blocks, all (point, direction) rows are measured in
-one ``delta_dir_batch`` call, and the report is built from those arrays:
-each point's decade is keyed once, and ``samples`` is materialized on read.
+Samples and probes lie on the Hausdorff clouds' ``window_shot`` (a window
+missing D raises ``EmptyWindow`` at its anchor), all (point, direction) rows
+take one ``delta_dir_batch`` call, and the report is built from those
+arrays: each point's decade is keyed once, ``samples`` is built on read.
 
 Line type is the sup of the vanishing order of ``r o l`` over complex
 affine lines l through a boundary point.  A polynomial defining function
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import ConvexDomain, DefiningFunction, RealPolynomial, unit_rows
+from .domains import ConvexDomain, DefiningFunction, RealPolynomial, _bracket, unit_rows, window_shot
 from .errors import DegenerateInput, EmptyWindow, InvalidDomain, OrderNotResolved
 from .points import as_point, point_to_json
 
@@ -33,7 +34,7 @@ ORDER_CAP = 16
 GRID_SIZE = 256
 SLOPE_RESIDUAL_TOL = 0.1
 DIVERGENCE_FACTOR = 4.0
-PROBE_RAYS = 12   # rays from the anchor towards boundary pieces
+PROBE_RAYS = 12   # rays from the window anchor towards boundary pieces
 
 
 @dataclass(frozen=True)
@@ -115,34 +116,25 @@ class LineTypeResult:
         }
 
 
-def _window_samples(D: ConvexDomain, R: float, count: int, rng) -> np.ndarray:
-    """Uniform interior samples of B(0, R) intersected with the domain, kept
-    in draw order from at most 200 blocks of ``count`` tries (a direction,
-    then a radius, per try)."""
-    d = D.dimension
-    blocks, kept = [], 0
-    for _ in range(200):
-        if kept >= count:
-            break
-        Z = unit_rows(rng, count, d) * (R * rng.uniform(size=count) ** (1.0 / (2 * d)))[:, None]
-        blocks.append(Z[D.contains_batch(Z)][:count - kept])
-        kept += len(blocks[-1])
+def _sample_points(D: ConvexDomain, R: float, count: int, rng) -> tuple[np.ndarray, int]:
+    """(points, kept): ``count`` window samples on one ``window_shot``, each at
+    fraction u^(1/(2d)) of its ray's inner end (the window's exit, or D's less
+    ``_bracket``), then probes at fractions 1 - 10^-1, ..., 1 - 10^-6 of each
+    exit of D met in the window by ``PROBE_RAYS`` more rays, all in the one
+    membership call that guards the rounding and keeps ``kept`` samples."""
+    dirs = unit_rows(rng, count + PROBE_RAYS, D.dimension)
+    anchor, t, window = window_shot(D, R, dirs)
+    end = np.minimum(t[:count], window[:count])
+    end -= _bracket(end) * (t[:count] < window[:count])
+    probe = t[count:] <= window[count:]
+    radii = np.concatenate([end * rng.uniform(size=count) ** (1.0 / (2 * D.dimension)),
+                            (t[count:][probe, None] * (1.0 - np.geomspace(1e-1, 1e-6, 6))).ravel()])
+    Z = anchor + radii[:, None] * np.concatenate([dirs[:count], np.repeat(dirs[count:][probe], 6, axis=0)])
+    inside = D.contains_batch(Z)
+    kept = int(np.count_nonzero(inside[:count]))
     if not kept:
-        raise EmptyWindow("no interior samples found in the window")
-    return np.concatenate(blocks)
-
-
-def _boundary_probes(D: ConvexDomain, R: float, rng) -> np.ndarray:
-    """Points marching toward boundary pieces inside the window."""
-    anchor = D.anchor()
-    dirs = unit_rows(rng, PROBE_RAYS, D.dimension)
-    ts = D.ray_exit_batch(anchor, dirs)
-    hit = np.isfinite(ts)
-    B = anchor + ts[hit, None] * dirs[hit]
-    B = B[np.linalg.norm(B, axis=1) <= R]   # boundary met inside the window
-    eps = np.geomspace(1e-1, 1e-6, 6)[None, :, None]
-    Z = (B[:, None, :] + eps * (anchor - B[:, None, :])).reshape(-1, D.dimension)
-    return Z[D.contains_batch(Z) & (np.linalg.norm(Z, axis=1) <= R)]
+        raise EmptyWindow("no window sample lies inside the domain")
+    return Z[inside], kept
 
 
 def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
@@ -166,8 +158,7 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     if not sample_count >= 1:
         raise InvalidDomain(f"the sample count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
-    window = _window_samples(D, window_radius, sample_count, rng)
-    points = np.concatenate([window, _boundary_probes(D, window_radius, rng)])
+    points, kept = _sample_points(D, window_radius, sample_count, rng)
 
     # each point with the d coordinate axes, then one random direction
     n, d = len(points), D.dimension
@@ -192,7 +183,7 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
     failed = diverging or (target_c is not None and empirical_c > target_c)
     return MConvexityReport(
-        rows=(Z, V, deltas, dirs), window_samples=(sample_count, len(window)),
+        rows=(Z, V, deltas, dirs), window_samples=(sample_count, kept),
         fitted_exponent=slope,
         fitted_constant=empirical_c,
         window_radius=window_radius,

@@ -333,6 +333,37 @@ def ray_hulls(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, origin: complex = 0
     return t, [hull(row) for row in t]
 
 
+def _window_anchor(D: ConvexDomain, R: float) -> np.ndarray:
+    anchor = D.anchor()
+    norm = float(np.linalg.norm(anchor))
+    if norm < 0.9 * R:
+        return anchor
+    # probe the segment from the anchor toward the window center; geometric
+    # spacing copes with extreme anisotropy of rescaled domains
+    for s in np.geomspace(0.85 * R / norm, 1e-14, 120):
+        cand = anchor * s
+        if np.linalg.norm(cand) < R and D.contains(cand):
+            return cand
+    for t in np.linspace(0.0, 1.0, 257)[1:]:
+        cand = anchor * (1.0 - t)
+        if np.linalg.norm(cand) < R and D.contains(cand):
+            return cand
+    raise EmptyWindow(f"no interior point of the domain found inside B(0, {R})")
+
+
+def window_shot(D: ConvexDomain, R: float, U: np.ndarray):
+    """(anchor, t, window): rays along the unit rows of U from an anchor inside
+    both D and the window B(0, R), with D's exits t and the window ball's.
+
+    D is shot only as far as the least power of two at or above the longest
+    window exit: past such a reach every node reads inf exactly where its exit
+    lies beyond it, so min(t, window) is the float an unbounded shot gives."""
+    anchor = _window_anchor(D, R)
+    window = Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, U, 1e9)
+    frac, exp = math.frexp(float(np.max(window)))
+    return anchor, D.ray_exit_batch(anchor, U, math.ldexp(1.0, exp - (frac == 0.5))), window
+
+
 def hull_disk_search(ends: np.ndarray, rho: Callable, points: np.ndarray, value: Callable,
                      fractions: np.ndarray = _SLICE_FRACTIONS):
     """(value, (centre, radius)): the least ``value(centres, radii)`` over disks

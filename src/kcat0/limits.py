@@ -2,12 +2,13 @@
 intersection-of-balls pipeline.
 
 Windowed Hausdorff distances are estimated by ray shooting boundary
-samples from interior anchors over a fixed direction grid, each ray ending at
-the nearer of the domain's own exit and the window ball's; every reading
-carries its sampling mesh.  Scaling sequences cover the two concrete
-constructions the proofs use: the first-coordinate dilation onto a cone
-times the untouched remainder, and the graph-function rescaling
-``diag(1/f(0, z_n), 1/z_n)`` anchored at the argmax of ``f(0, w)/|w|^n``.
+samples over a fixed direction grid (``window_shot``, as the m-convexity
+samples), each ray ending at the nearer of the domain's own exit and the
+window ball's; every reading carries its sampling mesh.  Scaling sequences
+cover the two concrete constructions the proofs use: the first-coordinate
+dilation onto a cone times the untouched remainder, and the graph-function
+rescaling ``diag(1/f(0, z_n), 1/z_n)`` anchored at the argmax of
+``f(0, w)/|w|^n``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .domains import (
     sector,
     seeded_unit_rows,
     unit_disk,
+    window_shot,
 )
 from .errors import (DimensionMismatch, EmptyWindow, GridBoundary, InvalidDomain, KCat0Error,
                      OutsideDomain, PowerUnderflow)
@@ -116,36 +118,11 @@ def dilation_sequence(source: ConvexDomain, claimed_limit: ConvexDomain,
 # ---------------------------------------------------------------------------
 
 
-def _window_anchor(D: ConvexDomain, R: float) -> np.ndarray:
-    anchor = D.anchor()
-    norm = float(np.linalg.norm(anchor))
-    if norm < 0.9 * R:
-        return anchor
-    # probe the segment from the anchor toward the window center; geometric
-    # spacing copes with extreme anisotropy of rescaled domains
-    for s in np.geomspace(0.85 * R / norm, 1e-14, 120):
-        cand = anchor * s
-        if np.linalg.norm(cand) < R and D.contains(cand):
-            return cand
-    for t in np.linspace(0.0, 1.0, 257)[1:]:
-        cand = anchor * (1.0 - t)
-        if np.linalg.norm(cand) < R and D.contains(cand):
-            return cand
-    raise EmptyWindow(f"no interior point of the domain found inside B(0, {R})")
-
-
 def _boundary_cloud(D: ConvexDomain, R: float, directions: np.ndarray) -> np.ndarray:
-    """Samples of the boundary of (closure of D) intersected with B(0, R): rays
-    from an anchor inside both, to the nearer of D's own exit and the ball's.
-
-    D is shot only as far as the least power of two at or above the longest
-    ball exit: past such a reach every node reads inf exactly where its exit
-    lies beyond it, so each ray ends at the float an unbounded shot gives."""
-    anchor = _window_anchor(D, R)
-    window = Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, directions, 1e9)
-    frac, exp = math.frexp(float(np.max(window)))
-    ts = np.minimum(D.ray_exit_batch(anchor, directions, math.ldexp(1.0, exp - (frac == 0.5))), window)
-    return anchor[None, :] + ts[:, None] * directions
+    """Samples of the boundary of (closure of D) intersected with B(0, R): the
+    ``window_shot`` rays, each to the nearer of D's own exit and the ball's."""
+    anchor, t, window = window_shot(D, R, directions)
+    return anchor[None, :] + np.minimum(t, window)[:, None] * directions
 
 
 def _as_real(P: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import kcat0
 from kcat0 import (
+    AffineImage,
     AffineLine,
     Ball,
     DefiningFunction,
@@ -24,7 +25,7 @@ from kcat0 import (
     local_m_convex_check,
     vanishing_order,
 )
-from kcat0 import convexity
+from kcat0 import convexity, domains
 from kcat0.convexity import (
     GRID_SIZE,
     MConvexitySample,
@@ -60,19 +61,36 @@ def ellipsoid_graph():
     return Graph(r, interior_point=[0, 0])
 
 
+def affine_lens():
+    # the thin intersection of the CI step: a non-conformal image of the ball and a ball
+    return intersection([AffineImage([[2, 0.5], [0, 1]], [0, 0], Ball([0, 0], 1)),
+                         Ball([2.2, 0], 1)])
+
+
 def _per_row_samples(D, R, count, seed):
-    """The window draw as a list of rows and one sample object per
+    """The window shot one ray at a time, and one sample object per
     (point, direction) row: the reference for the array-form report."""
     rng = np.random.default_rng(seed)
     d = D.dimension
-    zs = []
-    for _ in range(200):
-        if len(zs) >= count:
-            break
-        Z = unit_rows(rng, count, d) * (R * rng.uniform(size=count) ** (1.0 / (2 * d)))[:, None]
-        zs.extend(Z[D.contains_batch(Z)][:count - len(zs)])
-    kept = len(zs)
-    zs += list(convexity._boundary_probes(D, R, rng))
+    dirs = unit_rows(rng, count + convexity.PROBE_RAYS, d)
+    fractions = rng.uniform(size=count) ** (1.0 / (2 * d))
+    anchor = domains._window_anchor(D, R)
+    window = Ball(np.zeros(d), R)
+    zs, kept = [], 0
+    for k, u in enumerate(dirs):
+        # each ray shot alone and as far as 1e9, which gives the capped shot's floats
+        t = float(D.ray_exit_batch(anchor, u[None, :], 1e9)[0])
+        w = float(window.ray_exit_batch(anchor, u[None, :], 1e9)[0])
+        if k < count:
+            # the window's closed-form exit, or D's pulled in by its bracket
+            end = t - 1e-13 * max(1.0, t) if t < w else w
+            z = anchor + end * fractions[k] * u
+            if D.contains(z):
+                zs.append(z)
+                kept += 1
+        elif t <= w:
+            zs += [z for z in (anchor + t * (1.0 - eps) * u for eps in np.geomspace(1e-1, 1e-6, 6))
+                   if D.contains(z)]
     n = len(zs)
     Z = np.repeat(np.array(zs), d + 1, axis=0)
     V = np.empty((n, d + 1, d), dtype=complex)
@@ -125,7 +143,7 @@ class _RowsDomain:
     def anchor(self):
         return np.zeros(1, dtype=complex)
 
-    def ray_exit_batch(self, z, U):
+    def ray_exit_batch(self, z, U, t_max=1e12):
         return np.full(len(U), np.inf)
 
     def delta_batch(self, Z):
@@ -229,15 +247,66 @@ class TestLocalMConvex:
         assert math.isnan(rep.empirical_c)
         assert [s.delta for s in rep.samples] == list(np.repeat(deltas, 2))
 
-    def test_report_counts_the_window_samples_kept(self):
-        # omega spends all 200 blocks short of the count; the polydisk fills it
-        omega = local_m_convex_check(example36_domain(), 2.0, 2, sample_count=300, seed=1)
-        requested, kept = omega.window_samples
-        assert requested == 300 and kept < requested
-        assert omega.to_json()["window_samples"] == {"requested": 300, "kept": kept}
-        P = Polydisk(np.zeros(2, dtype=complex), np.ones(2))
-        flat = local_m_convex_check(P, 2.0, 2, sample_count=300, seed=1)
-        assert flat.to_json()["window_samples"] == {"requested": 300, "kept": 300}
+    @pytest.mark.parametrize("domain, window, count", [
+        (example36_domain, 2.0, 300),
+        (lambda: Polydisk(np.zeros(2, dtype=complex), np.ones(2)), 2.0, 300),
+        (affine_lens, 3.0, 60),
+    ], ids=["omega", "polydisk", "affine-lens"])
+    def test_report_keeps_every_window_sample(self, domain, window, count):
+        # the window shot samples inside D and the window only; omega used to
+        # keep 246-300 of 300 and the lens 12-19 of 60 from the rejection draw
+        rep = local_m_convex_check(domain(), window, 2, sample_count=count, seed=1)
+        assert rep.window_samples == (count, count)
+        assert rep.to_json()["window_samples"] == {"requested": count, "kept": count}
+
+    @pytest.mark.parametrize("window", [1e-14, 1e-300])
+    def test_a_window_below_the_exit_bracket_keeps_its_samples(self, window):
+        # a 1e-13 bracket taken off the window's own exit would put every
+        # sample behind the anchor, outside the window
+        points, kept = convexity._sample_points(ball2(), window, 50, np.random.default_rng(0))
+        assert kept == 50
+        assert (np.linalg.norm(points[:kept], axis=1) <= window).all()
+
+    def test_sampling_omega_shoots_once_and_checks_membership_once(self):
+        # the rejection draw made 200 membership calls here; the window anchor
+        # is omega's own (an intersection finds it once and keeps it)
+        D = example36_domain()
+        assert np.linalg.norm(domains._window_anchor(D, 2.0)) < 0.9 * 2.0
+        calls = {"ray_exit_batch": 0, "contains_batch": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(D, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            setattr(D, name, counted)
+        points, kept = convexity._sample_points(D, 2.0, 300, np.random.default_rng(1))
+        assert calls == {"ray_exit_batch": 1, "contains_batch": 1}
+        assert kept == 300 and len(points) > kept
+
+
+@settings(max_examples=25, deadline=None)
+@given(which=st.sampled_from(["ball", "polydisk", "omega", "affine-lens", "shifted-ball"]),
+       window=st.floats(0.05, 4.0), count=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_window_samples_and_probes_lie_where_they_should(which, window, count, seed):
+    D, least = {"ball": (ball2(), 0.0),
+                "polydisk": (Polydisk(np.zeros(2, dtype=complex), np.ones(2)), 0.0),
+                "omega": (example36_domain(), 0.0),
+                "affine-lens": (affine_lens(), 1.5),   # the lens lies beyond |z| = 1.2
+                "shifted-ball": (Ball(np.array([0.8, 0.5j]), 1.0), 0.0)}[which]
+    window += least
+    # every window sample lies in D and in the closed window; every probe lies
+    # on a shot ray whose D exit is inside the window
+    points, kept = convexity._sample_points(D, window, count, np.random.default_rng(seed))
+    assert 1 <= kept <= count
+    assert D.contains_batch(points).all()
+    assert (np.linalg.norm(points[:kept], axis=1) <= window).all()
+    rng = np.random.default_rng(seed)
+    dirs = unit_rows(rng, count + convexity.PROBE_RAYS, D.dimension)
+    anchor, t, ends = domains.window_shot(D, window, dirs)
+    rel = points[kept:, None, :] - anchor
+    along = np.sum(rel * dirs[count:].conj(), axis=2).real   # (probe, probe ray)
+    off = np.linalg.norm(rel - along[..., None] * dirs[count:], axis=2)
+    on = (off <= 1e-12 * (1 + along)) & (along > 0) & (along < t[count:]) & (t[count:] <= ends[count:])
+    assert on.any(axis=1).all()
 
 
 class TestFiniteTypeConsistency:

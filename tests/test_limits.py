@@ -24,7 +24,7 @@ from kcat0 import (
     unit_disk,
     upper_half_plane,
 )
-from kcat0.domains import seeded_unit_rows
+from kcat0.domains import _window_anchor, seeded_unit_rows
 from kcat0.errors import EmptyWindow, GridBoundary, InvalidDomain, OutsideDomain, PowerUnderflow
 
 
@@ -173,7 +173,7 @@ class TestHausdorff:
             doms = [AffineImage(n * np.eye(2), np.zeros(2), example36_domain()) for n in (1, 10, 100)]
         dirs = seeded_unit_rows(limits._DIRECTION_SEED, 512, 2)
         for D in doms:
-            anchor = limits._window_anchor(D, 1.0)
+            anchor = _window_anchor(D, 1.0)
             far = np.minimum(D.ray_exit_batch(anchor, dirs, 1e9),
                              Ball(np.zeros(2), 1.0).ray_exit_batch(anchor, dirs, 1e9))
             want = anchor[None, :] + far[:, None] * dirs

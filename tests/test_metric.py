@@ -204,13 +204,18 @@ class TestDistance:
         # |v|^2 underflows below a chord of about 1e-162, so a ball's slice
         # takes it along v scaled by a power of two, and a disk's distance
         # squares its radius and h in units of one; both nodes keep the unit
-        # ball's closed form, chord / sqrt(0.91), to its rounding
+        # ball's closed form, chord / sqrt(0.91), to its rounding.  Compared
+        # over the chord: near 1e-170 pytest's default abs=1e-12 admits anything
+        exact = 1.0482848367219183
         x, y = [0.3, 0.0], [0.3, chord]
-        for D in (intersection([Ball([0, 0], 1), Ball([0.5, 0], 1)]), ball2()):
+        # the forced sandwich on the ball reads lo from its half-plane bound
+        for D, forced_lo in ((intersection([Ball([0, 0], 1), Ball([0.5, 0], 1)]), exact),
+                             (ball2(), 0.5151755315016)):
             for force_sandwich in (False, True):
                 iv = distance(D, x, y, force_sandwich=force_sandwich)
+                lo = forced_lo if force_sandwich else exact
                 assert iv.lo <= iv.hi
-                assert [iv.lo, iv.hi] == pytest.approx([1.0482848367219183 * chord] * 2, rel=1e-12)
+                assert [iv.lo / chord, iv.hi / chord] == pytest.approx([lo, exact], rel=1e-12)
 
     def test_sandwich_quality_on_intersection(self):
         iv = distance(example36_domain(), [0.2, 0.2], [0.4, 0.3])
