@@ -2,7 +2,7 @@
 
 Subcommands: certify, distance, mconvex, linetype, limits, example36,
 selftest.  Reports are JSON (schema ``kcat0/1``) with every numeric
-carrying its method tags; convergence tables can also be written as CSV.
+carrying its method tags; convergence tables alone can also be CSV.
 Identical argv and seed produce byte-identical reports, so no wall-clock
 data ever goes into a report.
 
@@ -93,8 +93,9 @@ def point_option(flag: str, text: str | None):
 
 
 def write_report(report, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and hasattr(report, "to_csv"):
+    if getattr(args, "format", "json") == "csv":
+        if not hasattr(report, "to_csv"):
+            raise KCat0Error("--format csv: this report has no CSV form; use --format json")
         payload = report.to_csv()
     else:
         data = report if isinstance(report, dict) else report.to_json()

@@ -151,10 +151,8 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
         raise InvalidDomain(f"m must be finite and at least 1, got {m}")
     if target_c is not None and not (math.isfinite(target_c) and target_c > 0):
         raise InvalidDomain(f"the target constant must be finite and positive, got {target_c}")
-    if not window_radius > 0:
-        raise InvalidDomain(f"the window radius must be positive, got {window_radius}")
-    if not math.isfinite(window_radius):
-        raise InvalidDomain(f"the window radius must be finite, got {window_radius}")
+    if not isinstance(sample_count, (int, np.integer)):
+        raise InvalidDomain(f"sample_count must be an integer, got {sample_count!r}")
     if not sample_count >= 1:
         raise InvalidDomain(f"the sample count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
@@ -180,12 +178,12 @@ def local_m_convex_check(D: ConvexDomain, window_radius: float, m: float,
     np.maximum.at(top, group, np.where(ratios > 0, ratios, 0.0))   # NaN never wins
     decades = dict(zip(found.tolist(), top.tolist()))
     diverging = len(found) >= 3 and bool(top[0] > DIVERGENCE_FACTOR * top[-1])
-    slope = float(np.polyfit(np.log(deltas), np.log(dirs), 1)[0])
+    slope, intercept = np.polyfit(np.log(deltas), np.log(dirs), 1)
     failed = diverging or (target_c is not None and empirical_c > target_c)
     return MConvexityReport(
         rows=(Z, V, deltas, dirs), window_samples=(sample_count, kept),
-        fitted_exponent=slope,
-        fitted_constant=empirical_c,
+        fitted_exponent=float(slope),
+        fitted_constant=math.exp(intercept),
         window_radius=window_radius,
         target_m=int(m) if float(m).is_integer() else None,
         empirical_c=empirical_c,

@@ -334,20 +334,22 @@ def ray_hulls(D: ConvexDomain, Z: np.ndarray, U: np.ndarray, origin: complex = 0
 
 
 def _window_anchor(D: ConvexDomain, R: float) -> np.ndarray:
+    """A point in D and B(0, R): D's anchor, else the point at 0.85 R on the segment
+    from it to 0, else the middle of the segment's part in both, whose end in the
+    convex D is one ``ray_exit_batch``; only an empty part raises ``EmptyWindow``."""
     anchor = D.anchor()
     norm = float(np.linalg.norm(anchor))
     if norm < 0.9 * R:
         return anchor
-    # probe the segment from the anchor toward the window center; geometric
-    # spacing copes with extreme anisotropy of rescaled domains
-    for s in np.geomspace(0.85 * R / norm, 1e-14, 120):
-        cand = anchor * s
-        if np.linalg.norm(cand) < R and D.contains(cand):
-            return cand
-    for t in np.linspace(0.0, 1.0, 257)[1:]:
-        cand = anchor * (1.0 - t)
-        if np.linalg.norm(cand) < R and D.contains(cand):
-            return cand
+    cand = anchor * (0.85 * R / norm)
+    if D.contains(cand):
+        return cand
+    # the segment lies in D at distances from 0 above norm - t, in the window below R
+    t = float(D.ray_exit_batch(anchor, -anchor[None, :] / norm)[0])
+    lo, hi = max(norm - t, 0.0), min(norm, R)
+    cand = anchor * (0.5 * (lo + hi) / norm)
+    if lo < hi and D.contains(cand):
+        return cand
     raise EmptyWindow(f"no interior point of the domain found inside B(0, {R})")
 
 
@@ -358,6 +360,10 @@ def window_shot(D: ConvexDomain, R: float, U: np.ndarray):
     D is shot only as far as the least power of two at or above the longest
     window exit: past such a reach every node reads inf exactly where its exit
     lies beyond it, so min(t, window) is the float an unbounded shot gives."""
+    if not R > 0:   # written so that NaN fails
+        raise InvalidDomain(f"the window radius must be positive, got {R}")
+    if not math.isfinite(R):
+        raise InvalidDomain(f"the window radius must be finite, got {R}")
     anchor = _window_anchor(D, R)
     window = Ball(np.zeros(D.dimension), R).ray_exit_batch(anchor, U, 1e9)
     frac, exp = math.frexp(float(np.max(window)))

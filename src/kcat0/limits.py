@@ -3,12 +3,13 @@ intersection-of-balls pipeline.
 
 Windowed Hausdorff distances are estimated by ray shooting boundary
 samples over a fixed direction grid (``window_shot``, as the m-convexity
-samples), each ray ending at the nearer of the domain's own exit and the
-window ball's; every reading carries its sampling mesh.  Scaling sequences
-cover the two concrete constructions the proofs use: the first-coordinate
-dilation onto a cone times the untouched remainder, and the graph-function
-rescaling ``diag(1/f(0, z_n), 1/z_n)`` anchored at the argmax of
-``f(0, w)/|w|^n``.
+samples, from an anchor that convexity finds on one segment), each ray
+ending at the nearer of the domain's own exit and the window ball's; every
+reading carries its sampling mesh.  Scaling sequences cover the two
+concrete constructions the proofs use: the first-coordinate dilation onto
+the slice's tangent cone (each edge one bisection) times the untouched
+remainder, and the graph-function rescaling ``diag(1/f(0, z_n), 1/z_n)``
+anchored at the argmax of ``f(0, w)/|w|^n``.
 """
 
 from __future__ import annotations
@@ -141,12 +142,10 @@ def hausdorff(A: ConvexDomain, B: ConvexDomain, R: float,
     """
     if A.dimension != B.dimension:
         raise InvalidDomain("both domains must share a dimension")
+    if not isinstance(directions, (int, np.integer)):
+        raise InvalidDomain(f"directions must be an integer, got {directions!r}")
     if directions < 2:
         raise InvalidDomain(f"a Hausdorff reading needs at least two directions, got {directions}")
-    if not R > 0:
-        raise InvalidDomain(f"the window radius must be positive, got {R}")
-    if not math.isfinite(R):
-        raise InvalidDomain(f"the window radius must be finite, got {R}")
     dirs = seeded_unit_rows(_DIRECTION_SEED, directions, A.dimension)
     cloud_a = _boundary_cloud(A, R, dirs)
     cloud_b = _boundary_cloud(B, R, dirs)
@@ -191,35 +190,21 @@ def _cone_hull_angles(S: ConvexDomain) -> tuple[float, float]:
         rays = np.array([1e-2, 1e-4, 1e-6])[:, None] * np.exp(1j * phis)
         return S.contains_batch(rays.reshape(-1, 1)).reshape(rays.shape).any(axis=0)
 
-    grid = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
-    flags = enters(grid)
-    if not flags.any():
+    # the anchor's direction enters S (its segment from 0 lies in S), the opposite
+    # one cannot (0 is on the boundary of the convex S); each cone edge is one
+    # bisection between them, both per call, 64 halvings of pi to the float grid
+    a = float(np.angle(S.anchor()[0]))
+    flags = enters(np.array([a, a + math.pi]))
+    if not flags[0]:
         raise EmptyWindow("the slice has no interior near 0")
-    if flags.all():
+    if flags[1]:
         raise InvalidDomain("0 is interior to the slice, not on its boundary")
-    # locate the maximal circular arc of True values
-    idx = np.arange(len(grid))
-    false_idx = idx[~flags]
-    gaps = np.diff(np.r_[false_idx, false_idx[0] + len(grid)])
-    k = int(np.argmax(gaps))
-    start = (false_idx[k] + 1) % len(grid)
-    run = int(gaps[k] - 1)
-    step = grid[1] - grid[0]
-    alpha_coarse = grid[start]
-    beta_coarse = grid[start] + run * step
-
-    def refine(lo: float, hi: float, want_inside_hi: bool) -> float:
-        for _ in range(45):
-            mid = 0.5 * (lo + hi)
-            if enters(np.array([mid]))[0] == want_inside_hi:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    alpha = refine(alpha_coarse - step, alpha_coarse, True)
-    beta = refine(beta_coarse + step, beta_coarse, True)
-    return alpha, beta
+    inner, outer = np.array([a, a]), np.array([a - math.pi, a + math.pi])
+    for _ in range(64):
+        mid = 0.5 * (inner + outer)
+        hit = enters(mid)
+        inner, outer = np.where(hit, mid, inner), np.where(hit, outer, mid)
+    return tuple((0.5 * (inner + outer)).tolist())
 
 
 def scaling_lemma32(D: ConvexDomain) -> ScalingSequence:

@@ -209,6 +209,9 @@ class TestBadInput:
         # fail in the large-n certificate
         (["example36", "--big-n", "0"], "error: --big-n must be at least 1, got 0\n"),
         (["example36", "--big-n", "-1"], "error: --big-n must be at least 1, got -1\n"),
+        # a report with no CSV form used to be written as JSON, exiting 0
+        (["--format", "csv", "mconvex", "--builtin", "ball2", "--samples", "10"],
+         "error: --format csv: this report has no CSV form; use --format json\n"),
     ], ids=["lemma32-directions", "lemma32-one-direction", "lemma32-window", "frankel-directions",
             "example36-directions", "dilation-n", "mconvex-window-0", "mconvex-window-negative",
             "mconvex-window-inf",
@@ -218,7 +221,7 @@ class TestBadInput:
             "frankel-window-inf", "limits-seed-negative", "mconvex-seed-negative",
             "certify-mode-comparison", "unknown-flag", "no-subcommand", "seed-not-int",
             "mconvex-samples-0", "example36-samples-negative", "example36-big-n-0",
-            "example36-big-n-negative"])
+            "example36-big-n-negative", "mconvex-format-csv"])
     def test_bad_parameter_is_one_line(self, argv, message, capsys):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")

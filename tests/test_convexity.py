@@ -198,6 +198,26 @@ class TestLocalMConvex:
         with pytest.raises(InvalidDomain, match=f"the sample count must be at least 1, got {count}"):
             local_m_convex_check(ball2(), 2.0, 2, sample_count=count)
 
+    @pytest.mark.parametrize("count", [2.5, 10.0])
+    def test_sample_count_must_be_an_integer(self, count):
+        # a float count used to pass the check and fail inside numpy
+        with pytest.raises(InvalidDomain, match="sample_count must be an integer"):
+            local_m_convex_check(ball2(), 2.0, 2, sample_count=count)
+
+    def test_numpy_integer_sample_count_is_accepted(self):
+        rep = local_m_convex_check(ball2(), 2.0, 2, sample_count=np.int64(10))
+        assert rep.window_samples == (10, 10)
+
+    def test_fitted_constant_is_the_fit_intercept(self):
+        # it used to repeat empirical_c, the sample maximum: 1.2836439948
+        # against the fit's 1.3016955936 on this draw
+        rep = local_m_convex_check(ball2(), 2.0, 2, sample_count=300, seed=0)
+        _, _, deltas, dirs = rep.rows
+        slope, intercept = np.polyfit(np.log(deltas), np.log(dirs), 1)
+        assert (rep.fitted_exponent, rep.fitted_constant) == (slope, math.exp(intercept))
+        assert rep.fitted_constant == pytest.approx(1.3016955936, rel=1e-9)
+        assert rep.to_json()["fitted_constant"]["value"] == rep.fitted_constant != rep.empirical_c
+
     def test_monotone_in_m_on_ball(self):
         # window covers the whole unit ball, so delta <= 1 and the same
         # constant works for any larger m

@@ -21,10 +21,11 @@ from kcat0 import (
     limits,
     right_half_plane,
     scaling_lemma32,
+    sector,
     unit_disk,
     upper_half_plane,
 )
-from kcat0.domains import _window_anchor, seeded_unit_rows
+from kcat0.domains import PlanarOracle, _window_anchor, seeded_unit_rows
 from kcat0.errors import EmptyWindow, GridBoundary, InvalidDomain, OutsideDomain, PowerUnderflow
 
 
@@ -121,6 +122,39 @@ class TestHausdorff:
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
             hausdorff(Disk(10.0, 1.0), Disk(0, 1), 1.0, directions=256)
+
+    def test_empty_window_takes_one_exit_and_at_most_two_probes(self):
+        # the segment from the anchor 10 leaves the disk at 9, past the window:
+        # 146 scalar membership calls when the segment was scanned
+        D = Disk(10.0, 1.0)
+        calls = {"ray_exit_batch": 0, "contains_batch": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(D, name), **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            setattr(D, name, counted)
+        with pytest.raises(EmptyWindow):
+            _window_anchor(D, 1.0)
+        assert calls["ray_exit_batch"] == 1 and calls["contains_batch"] <= 2
+
+    def test_sliver_window_finds_its_anchor(self):
+        # the disk meets the unit window in (0.9, 1): the segment scan's
+        # geometric and uniform steps all missed it, and it raised EmptyWindow
+        D = Disk(1e6, 1e6 - 0.9)
+        anchor = _window_anchor(D, 1.0)
+        assert D.contains(anchor) and np.linalg.norm(anchor) < 1.0
+        r = hausdorff(D, Disk(0, 1), 1.0, directions=256)
+        assert math.isfinite(r.value) and r.value > 0.0
+
+    @pytest.mark.parametrize("directions", [64.0, 2.5])
+    def test_directions_must_be_an_integer(self, directions):
+        # a float count used to pass the check and fail inside numpy
+        with pytest.raises(InvalidDomain, match="directions must be an integer"):
+            hausdorff(Disk(0, 1), Disk(0, 2), 3.0, directions=directions)
+
+    def test_numpy_integer_directions_are_accepted(self):
+        r = hausdorff(Disk(0, 1), Disk(0, 1), 1.5, directions=np.int64(64))
+        assert (r.directions, r.value) == (64, 0.0)
 
     def test_clouds_take_the_nodes_own_exits(self, monkeypatch):
         # each ray ends at its closed-form exit: the balls' membership checks
@@ -220,6 +254,16 @@ class TestLemma32:
         left = seq.claimed_limit.factors[0]
         assert isinstance(left, HalfPlane)  # opening pi canonicalizes
         assert left.inward_normal == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("width", [0.02, 0.004])
+    def test_thin_wedge_known_by_membership_reads_its_edges(self, width):
+        # the 2,048-angle grid placed beta one step past the arc: 0.5215535
+        # and 0.5062137 here
+        wedge = sector(0.0, 0.5, 0.5 + width)
+        S = PlanarOracle(lambda T: wedge.contains_batch(T.reshape(-1, 1)))
+        alpha, beta = limits._cone_hull_angles(S)
+        assert alpha == pytest.approx(0.5, abs=1e-12)
+        assert beta == pytest.approx(0.5 + width, abs=1e-12)
 
     def test_interior_origin_rejected(self):
         D = Product(Disk(0.0, 1.0), unit_disk())  # 0 interior to the slice
