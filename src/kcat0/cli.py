@@ -93,9 +93,7 @@ def point_option(flag: str, text: str | None):
 
 
 def write_report(report, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        if not hasattr(report, "to_csv"):
-            raise KCat0Error("--format csv: this report has no CSV form; use --format json")
+    if args.format == "csv":
         payload = report.to_csv()
     else:
         data = report if isinstance(report, dict) else report.to_json()
@@ -403,6 +401,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.seed = seed_option(args.seed)
+        # refused before the subcommand runs: only this report has a CSV form
+        if args.format == "csv" and getattr(args, "experiment", None) != "dilation-disk":
+            raise KCat0Error("--format csv: this report has no CSV form; use --format json")
         return args.fn(args)
     except KCat0Error as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -42,9 +42,11 @@ form (a disk or ball at a quadratic root, a half-plane or sector at its
 sides' linear ones, a composite at its parts' least exit, an affine image
 along the pulled-back ray); graph domains and their slices, known only
 through membership, by the one ray shooter ``ray_boundary_batch``, which
-hands each batched membership call all the rays still running, after cutting
-each bracket on r's values (also inside an affine image) about a parabola's
-zero, for the same floats in about an eighth of the rounds.  ``ray_min_batch``,
+hands each batched membership call all the rays still running, or reads r's
+values in its place (also inside an affine image): r at each start and at
+t = 1, then cuts about parabolas' zeros down to the cold bisection's last
+cell, for the same floats in 3 rounds, not 48, where r is quadratic along the
+rays.  ``ray_min_batch``,
 the least ray distance over a span of directions, is the one search built on
 them, behind the default ``delta_batch`` and ``delta_dir_batch``: its grid and
 each compass round are one ``ray_exit_batch`` call.  Graphs and their slices
@@ -130,30 +132,29 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
     still inside at the largest power of two not above ``t_max``, its reach),
     then bisects its bracket [2^(k-1), 2^k] until it is at most ``_bracket(hi)``
     wide, hi its outer end (absolute below t = 1; at most 200 steps), and
-    returns its midpoint.  Membership sees running rows.  A ``level`` starts
-    each row from the cell of that bisection that ``_level_cells`` finds, so
+    returns its midpoint.  Membership sees running rows.  A ``level`` replaces
+    membership: ``_level_cells`` ends each row on that bisection's last cell (in
+    3 rounds of about 6 rows a ray where the level is quadratic along it), so
     where its sign agrees with membership every row returns its cold float.
     With a power of two ``t_max``, a finite row returns any larger one's float.
     """
+    if level is not None:
+        a, b = _level_cells(level, start, directions, t_max)
+        return np.where(a > 0, 0.5 * (a + b), 0.0)
     n = directions.shape[0]
-    out, lo, w = np.empty(n), np.empty(n), np.full(n, math.inf)   # brackets [lo, lo + w]
-    start = np.broadcast_to(start, directions.shape)
+    out, start = np.empty(n), np.broadcast_to(start, directions.shape)
 
     def inside(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.asarray(contains_batch(start[rows] + t[:, None] * directions[rows]), dtype=bool)
 
-    if level is not None:   # checked cells; w is nan where a row ends at 0.0 or inf
-        lo[:], b = _level_cells(level, start, directions, t_max)
-        out[:], w[:] = np.where(lo > 0, math.inf, 0.0), np.where((lo > 0) & (b <= t_max), b - lo, math.nan)
-
     t = np.ones(n)
-    run = cold = np.flatnonzero(w == math.inf)
+    run = np.arange(n)
     while run.size:  # shrink first in case the boundary is very close
         run = run[~inside(run, t[run])]
         t[run] *= 0.5
         out[run[t[run] < 1e-300]] = 0.0
         run = run[t[run] >= 1e-300]
-    run = cold[t[cold] >= 1e-300]
+    run = np.flatnonzero(t >= 1e-300)
     hi = 2.0 * t  # t is inside, so doubling starts from 2t; a row that halved read 2t outside
     grow = run[(t[run] == 1.0) & (hi[run] <= t_max)]
     while grow.size:
@@ -162,9 +163,7 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
         grow = grow[hi[grow] <= t_max]
     out[run[hi[run] > t_max]] = math.inf
     run = run[hi[run] <= t_max]
-    lo[run] = w[run] = hi[run] / 2.0
-    run = np.flatnonzero(w < math.inf)
-    lo, hi, dirs, starts = lo[run], lo[run] + w[run], directions[run], start[run]
+    lo, hi, dirs, starts = 0.5 * hi[run], hi[run], directions[run], start[run]
     for _ in range(200):
         going = hi - lo > _bracket(hi)
         if not going.all():  # drop converged rows
@@ -181,69 +180,133 @@ def ray_boundary_batch(contains_batch: Callable[[np.ndarray], np.ndarray],
 
 
 def _cell(g: np.ndarray) -> np.ndarray:
-    """Width of the least dyadic cell of g's binade [2^(k-1), 2^k] above the stop."""
-    base = np.ldexp(0.5, np.frexp(g)[1])
-    width = _bracket(2.0 * base)   # no finer cell is bisected
-    return np.minimum(np.ldexp(1.0, np.frexp(width)[1]), base)
+    """Width W of the least dyadic cell of g's binade [2^(k-1), 2^k] that the cold
+    bisection still halves (the binade itself where it halves none): the power of
+    two just above ``_bracket(2^k)``, 2^(k-43) from t = 1 up and 2^-43 below.  The
+    bisection halves a W-cell once or twice, as its stop at each half's upper end
+    decides, so its last cell is W/2 or W/4 wide."""
+    k = np.frexp(g)[1]
+    return np.ldexp(1.0, np.maximum(k - 43, np.minimum(-43, k - 1)))
+
+
+# the least power of two the cold shot's halving tries: a row whose exit lies
+# below it reads 0.0
+_LEAST_HALVING = math.ldexp(1.0, math.frexp(1e-300)[1])
 
 
 def _level_cells(level: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
                  directions: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) per row, a inside and b outside by the sign of a level of the rows
-    convex along each ray: the cold shot's halving and doubling, then cuts on the
-    cold bisection's grid down to one of its cells (a = 0 or b > t_max: 0.0 or
-    inf, so a row reads inf past the largest power of two not above t_max, as the
-    cold shot), at the chord's zero c (inside) and the least z of its mean with b
-    and the zeros of the lines through each side's last two points (outside), or,
-    where the zero e of the parabola through a, b and b's (else a's) last end lies
-    in [c, z] and the row had an e last round, at e -+ its move, within [c, z];
-    a row whose last round did not halve its bracket is cut about its middle
-    (its grid points next to (a + b) / 2).
+    """(a, b) per row, the last cell of ``ray_boundary_batch``'s cold bisection,
+    where it reads a level of the rows, convex along each ray, in place of
+    membership (a = 0: 0.0; b = inf: inf past the reach, the largest power of two
+    not above t_max).
 
-    The state holds only the running rows, in row order; a row writes (a, b) out
-    when it stops.  A round with no finite bracket (the halving and doubling:
-    a = 0 or b = inf, so e is nan) sends one point per row and skips the cuts."""
-    n = directions.shape[0]
-    out, rows, S, D = np.empty((2, n)), np.arange(n), np.broadcast_to(start, directions.shape), directions
-    a, b, qa, qb = np.zeros(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
-    fa, fb, fqa, fqb, ep, wp = (np.full(n, math.nan) for _ in range(6))
-    while True:
-        W, w = _cell(a), b - a
-        go = np.where(a == 0, 0.5 * b >= 1e-300, np.where(
-            b == math.inf, 2.0 * a <= t_max, (b <= t_max) & (w > W)))
-        if not go.all():
-            out[:, rows[~go]] = a[~go], b[~go]
-            rows, S, D, W, w, a, b, qa, qb, fa, fb, fqa, fqb, ep, wp = (
-                x[go] for x in (rows, S, D, W, w, a, b, qa, qb, fa, fb, fqa, fqb, ep, wp))
-        if not rows.size:
-            return out[0], out[1]
-        cut, t = (a > 0) & (b < math.inf), np.where(a > 0, 2.0 * a, np.minimum(1.0, 0.5 * b))
-        if not cut.any():   # halve or double alone
-            wp, points = w, [(t, level(S + t[:, None] * D))]
-        else:   # the chord's cut (else the halving or doubling) first, then the cut rows' second
-            slow, wp, fu = w > 0.5 * wp, w, np.zeros(rows.size)
-            with np.errstate(all="ignore"):   # a nan cut falls back to a cell end
-                c, *z = [x - f * (y - x) / (g - f) for x, f, y, g in (
-                    (a, fa, b, fb), (a, fa, qa, fqa), (b, fb, qb, fqb))]
-                z = reduce(np.minimum, [np.where(x > c, x, math.inf) for x in z], 0.5 * (c + b))
-                Q, FQ = (np.where(np.isnan(fqb), x, y) for x, y in ((qa, qb), (fqa, fqb)))
-                f1 = (fb - fa) / w   # divided differences of the parabola through a, b, Q
-                f2 = ((FQ - fb) / (Q - b) - f1) / (Q - a)
-                p = f1 - f2 * w
-                e = a - 2.0 * fa / (p + np.sqrt(p * p - 4.0 * f2 * fa))   # its zero in (a, b), stably
-                h, ep = np.abs(e - ep), e   # e's move since last round; nan keeps c, z
-                mid, near = 0.5 * (a + b), (c <= e) & (e <= z)   # mid where the last round did not halve
-                lo = np.floor(np.where(slow, mid, np.where(near, np.fmax(c, e - h), c)) / W)
-                hi = np.where(slow, mid, np.where(near, np.fmin(z, e + h), z)) / W
-                t = np.where(cut, np.fmin(np.fmax(lo * W, a + W), b - W), t)
-                u = np.where(cut, np.fmin(np.fmax(np.fmax(np.ceil(hi), lo + 1) * W, a + W), b - W), math.nan)
-            v = level(np.concatenate([S + t[:, None] * D, S[cut] + u[cut, None] * D[cut]]))
-            fu[cut], points = v[rows.size:], [(t, v[:rows.size]), (u, fu)]
-        for s, f in points:   # a point inside [a, b] becomes its side's end, and
-            ok = (s > a) & (s < b)   # the end it replaces that side's q
-            i, o = ok & (f < 0), ok & ~(f < 0)
-            for x, y in ((qa, a), (fqa, fa), (a, s), (fa, f)): np.copyto(x, y, where=i)
-            for x, y in ((qb, b), (fqb, fb), (b, s), (fb, f)): np.copyto(x, y, where=o)
+    The first round reads the level at each start (once per run of equal starts)
+    and at t = 1, so a row whose start is inside has a bracket at once: [0, 1],
+    or where t = 1 is inside, [1, inf) cut next round at the zero z of the line
+    through t = 0 and t = 1 (outside where the level rises) and at the middle of
+    [1, z], else at 1.5 and 2.  Only a row whose start is not inside halves from
+    t = 1, as the cold shot.  Each later round cuts a bracket [a, b] twice on its
+    binades' grids of ``_cell`` widths W, within [a + W, b - W] and the reach:
+    about the zeros of the parabolas through a, b and each earlier point, widened
+    by half their spread, within [c, z] (c the chord's zero, inside, and z the
+    least of its mean with b and the zeros of the lines through each side's last
+    two points, outside); at c and z where those zeros miss [c, z]; and next to
+    the middle where the last round did not halve the bracket or its cuts meet.
+    When the cuts are one W-cell, the round also reads the midpoints that the
+    cold bisection reads in it (its middle, and the middle of the estimate's half
+    where the stop halves that), so a row whose estimate holds ends that round; a
+    row left on a W-cell bisects it as the cold shot, one midpoint a round.
+
+    The state holds the running rows, in row order, compacted once a round; a
+    row writes (a, b) out when it stops."""
+    n, nan, inf = directions.shape[0], math.nan, math.inf
+    S, D = np.broadcast_to(start, directions.shape), directions
+    new = np.ones(n, dtype=bool)   # ray_min_batch repeats each start over its rays
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    v = level(np.concatenate([S[new], S + D]))
+    f0, f1 = v[np.cumsum(new) - 1], v[-n:]
+    led, far = f0 < 0, f1 < 0
+    # points qqa, qa, a, b, qb, qqb (each end and the two it replaced last) over
+    # their level values; the last round's bracket widths; the rows
+    X, wp, rows = np.full((2, 6, n), nan), np.full(n, nan), np.arange(n)
+    X[0, 2], X[0, 3] = far, np.where(far, inf, 1.0)
+    X[1, 2], X[1, 3] = np.where(far, f1, np.where(led, f0, nan)), np.where(far, nan, f1)   # fa nan: halve
+    X[:, 1] = np.where(led & far, [np.zeros(n), f0], nan)   # qa at t = 0
+    reach, out = math.ldexp(0.5, math.frexp(t_max)[1]), np.empty((2, n))
+    with np.errstate(all="ignore"):   # nan where a row has too few points; a nan cut falls back
+        while True:
+            a, b = X[0, 2], X[0, 3]
+            w, pos = b - a, a > 0
+            # a last cell is at most _bracket(b) wide and within a binade (so b <= 2a)
+            go = (a < reach) & np.where(pos, (w > _bracket(b)) | (b > 2.0 * a), b > _LEAST_HALVING)
+            if not go.all():
+                stop = rows[~go]
+                out[0, stop], out[1, stop] = a[~go], np.where(a[~go] < reach, b[~go], inf)
+                X, wp, rows, w, pos = X[..., go], wp[go], rows[go], w[go], pos[go]
+                if not rows.size:
+                    return out[0], out[1]
+                a, b = X[0, 2], X[0, 3]
+            fa, fb, mid = X[1, 2], X[1, 3], 0.5 * (a + b)
+            (x, f), (y, g) = X[:, [2, 2, 3]], X[:, [3, 1, 4]]
+            Z = x - f * (y - x) / (g - f)   # the chord's and the secants' zeros
+            c, z = Z[0], np.fmin(np.fmin.reduce(np.where(Z[1:] > Z[0], Z[1:], inf)), 0.5 * (Z[0] + b))
+            Q, FQ = X[:, [1, 0, 4, 5]]
+            f1 = (fb - fa) / w   # the parabolas' divided differences and slopes at a
+            f2 = ((FQ - fb) / (Q - b) - f1) / (Q - a)
+            p = f1 - f2 * w
+            E = a - 2.0 * fa / (p + np.sqrt(p * p - 4.0 * f2 * fa))   # their zeros in (a, b), stably
+            em, eM = np.fmin.reduce(E), np.fmax.reduce(E)
+            lo, hi = np.fmax(c, 1.5 * em - 0.5 * eM), np.fmin(z, 1.5 * eM - 0.5 * em)
+            miss = lo > hi
+            lo, hi = np.where(miss, c, lo), np.where(miss, z, hi)
+            slow = w > 0.5 * wp
+            if slow.any():
+                lo, hi = np.where(slow, mid, lo), np.where(slow, mid, hi)
+            grow = b == inf
+            if grow.any():   # z from the line through the last two points where it rises, else 2a
+                rise = fa > X[1, 1]
+                lo = np.where(grow, np.where(rise, 0.5 * (a + Z[1]), 1.5 * a), lo)
+                hi = np.where(grow, np.where(rise, Z[1], 2.0 * a), hi)
+            G = np.array([lo, mid, hi, np.nextafter(b, 0.0), a])
+            C = _cell(G)
+            W, t0, m0 = C[4], *(np.floor(G[:2] / C[:2]) * C[:2])
+            u0 = np.fmax(np.ceil(hi / C[2]) * C[2], t0 + C[0])
+            T = np.minimum(np.maximum([t0, u0, m0], np.where(pos, a + W, _LEAST_HALVING)),
+                           np.fmin(b - C[3], reach))
+            t, u = T[0], T[1]
+            meet = u <= t
+            if meet.any():   # the cuts met at an end of the bracket: cut next to its middle too
+                t, u = np.fmin(t, np.where(meet, T[2], u)), np.fmax(t, np.where(meet, T[2], u))
+            P = [t, np.where(u > t, u, nan)]
+            odd = np.isnan(fa) | (pos & (w <= W))   # a halving row, and a row bisecting its W-cell
+            if odd.any():
+                P = [np.where(odd, np.where(pos, mid, 0.5 * b), t), np.where(odd, nan, P[1])]
+            # the W-cell [t, u] about the estimate: its middle, and the middle of the
+            # estimate's half where the stop halves that
+            one = (t == t0) & (u == u0) & (u0 == t0 + C[0]) & (C[0] > _bracket(u)) & ~odd
+            if one.any():
+                m, e = t + 0.5 * C[0], 0.5 * (em + eM)
+                side = np.where(e < m, m, u)
+                P += [np.where(one, m, nan),
+                      np.where(one & (0.5 * C[0] > _bracket(side)), side - 0.25 * C[0], nan)]
+            P = np.array(P)
+            k, r = np.nonzero(~np.isnan(P))
+            F = np.full(P.shape, nan)
+            F[k, r] = level(S[rows[r]] + P[k, r, None] * D[rows[r]])
+            wp = w
+            # a takes the larger inside cut, b the least outside one above it (a nan
+            # level reads outside, as membership); each end keeps the two it replaced
+            ins, read = F[:2] < 0, ~np.isnan(P[:2])
+            V = np.concatenate([X[:, :3], [P[:2], F[:2]], X[:, 3:]], axis=1)
+            X[:, :3] = np.where(ins[1], V[:, 2:5], np.where(ins[0], V[:, 1:4], V[:, :3]))
+            X[:, 3:] = np.where(read[0] & ~ins[0] & ~ins[1], V[:, 3:6],
+                                np.where(read[1] & ~ins[1], V[:, 4:7], V[:, 5:]))
+            for j in range(2, len(P)):   # the cold bisection's steps in that cell
+                step = P[j] == 0.5 * (X[0, 2] + X[0, 3])
+                i = F[j] < 0
+                np.copyto(X[:, 2], [P[j], F[j]], where=step & i)
+                np.copyto(X[:, 3], [P[j], F[j]], where=step & ~i)
 
 
 def ray_min_batch(D: ConvexDomain, Z: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from kcat0 import cli
 from kcat0.cli import main
 
 
@@ -249,6 +250,19 @@ class TestBadInput:
         path.write_text(text)
         code, out, err = run([a.format(path=path) for a in argv], capsys)
         assert (code, out, err) == (1, "", message)
+
+    # both used to run their whole pipeline (about 0.8 s for example36) before
+    # finding that the report has no CSV form
+    @pytest.mark.parametrize("argv, module, entry", [
+        (["--format", "csv", "mconvex", "--builtin", "ball2"], "convexity", "local_m_convex_check"),
+        (["--format", "csv", "example36"], "limits", "example36"),
+    ], ids=["mconvex", "example36"])
+    def test_csv_is_refused_before_the_pipeline_runs(self, argv, module, entry, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{entry} ran")
+        monkeypatch.setattr(getattr(cli, module), entry, fail)
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", "error: --format csv: this report has no CSV form; use --format json\n")
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -673,30 +673,83 @@ def test_graph_delta_dir_matches_the_closed_form_disk():
     np.testing.assert_allclose(_ellipsoid_graph().delta_dir_batch(Z, V), exact, rtol=0.0, atol=1e-12)
 
 
+def _level_led(D) -> bool:
+    """A graph, a graph's slice, or an affine image of a graph: shot by r's values."""
+    return (D.inner if isinstance(D, AffineImage) else D).level_batch is not None
+
+
+def _cold_shot(D, start, dirs, t_max=1e12):
+    """The membership-only bisection of D's rays (of the inner node's pulled-back
+    rays on an affine image, whose exit shoots those)."""
+    if isinstance(D, AffineImage):
+        start, dirs, D = D._pull_back_rows(np.broadcast_to(start, dirs.shape)), dirs @ D.inverse.T, D.inner
+    return ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max)
+
+
+def _shaped_rays(D, start, dirs, shape, rng):
+    """(start, dirs) of a draw on a level-led node, reshaped: per-row starts, each
+    repeated over its rays as ``ray_min_batch`` repeats them; a start 1e-6 to
+    1e-9 (relative) short of an exit, as the m-convexity samples lie, with rays
+    of length 1 to 100 within 0.3 of that ray's line, so that each meets the
+    boundary transversally and r moves by more than its rounding across the cold
+    bisection's last cell (where it does not, its sign flips at random there, and
+    no two bisections need agree); exits just below and above powers of two from
+    1/8 to 8 (where the stop turns from absolute to relative at t = 1, and where
+    the last cell is a quarter of ``_cell``'s width, just above 2^k for k >= 1,
+    or a half, just below); or the rays as drawn."""
+    d = D.dimension
+    if shape == "repeated":
+        Z = start + 0.1 * (rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d)))
+        Z = np.concatenate([Z[D.contains_batch(Z)], start[None, :]])
+        return np.repeat(Z, -(-24 // len(Z)), axis=0)[:24], dirs
+    if shape == "deep":
+        u = dirs[0] / np.linalg.norm(dirs[0])
+        t = D.ray_exit_batch(start, u[None, :])[0]
+        near = start + t * (1.0 - 10.0 ** -rng.uniform(6, 9)) * u
+        if math.isfinite(t) and D.contains(near):
+            tilt = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs = (rng.choice([-1.0, 1.0], size=(24, 1)) * u + 0.3 * rng.uniform(size=(24, 1)) * tilt)
+            return near, dirs * 10.0 ** rng.uniform(0, 2, size=(24, 1))
+        return start, dirs
+    if shape == "binade":
+        t = D.ray_exit_batch(start, dirs)
+        ok = np.isfinite(t) & (t > 0)
+        target = 2.0 ** rng.integers(-3, 4, size=24) * (
+            1.0 + rng.choice([-1.0, 1.0], size=24) * 10.0 ** -rng.uniform(3, 15, size=24))
+        dirs[ok] *= (t[ok] / target[ok])[:, None]
+    return start, dirs
+
+
 @st.composite
 def _exit_float_cases(draw):
     """A domain known through membership, a start, rays whose boundary
     distances span many binades and a t_max (2.0, a power-of-two reach that
-    ``limits._boundary_cloud`` passes)."""
+    ``limits._boundary_cloud`` passes); on a level-led node, the rays may be
+    reshaped by ``_shaped_rays``."""
     G = _ellipsoid_graph()
     D, start = draw(st.sampled_from([
         (Disk(0.2, 1.5), [0.1j]), (HalfPlane(0.0, 1j), [0.5j]), (HalfPlane(0.0, 1j), [0.5]),
         (G, [0.1, -0.2j]), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05]),
         (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j]),
-        (_quartic_graph(), [0.1, -0.2j]), (_log_sum_exp_graph(), [0.1, -0.2j])]))
+        (_quartic_graph(), [0.1, -0.2j]), (_log_sum_exp_graph(), [0.1, -0.2j]),
+        (_log_sum_exp_graph().slice([0.1, -0.2j], [0.5j, 1]), [0.2]),
+        (AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], G), [0.1, 0.2])]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     raw = rng.normal(size=(24, 2 * D.dimension)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
-    return (D, np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:],
-            draw(st.sampled_from([1e12, 2.0, 0.6])))
+    start, dirs = np.asarray(start, dtype=complex), raw[:, :D.dimension] + 1j * raw[:, D.dimension:]
+    if _level_led(D):
+        start, dirs = _shaped_rays(D, start, dirs, draw(st.sampled_from(
+            ["drawn", "repeated", "deep", "binade"])), rng)
+    return D, start, dirs, draw(st.sampled_from([1e12, 2.0, 0.6]))
 
 
 @given(_exit_float_cases())
 @settings(max_examples=120, deadline=None)
 def test_node_exits_return_the_cold_shots_floats(case):
     D, start, dirs, t_max = case
-    cold = ray_boundary_batch(D.contains_batch, start, dirs, t_max=t_max)
+    cold = _cold_shot(D, start, dirs, t_max)
     shot = D.ray_exit_batch(start, dirs, t_max)
-    if D.level_batch is not None:   # the graph and its slices, led by r's values
+    if _level_led(D):   # a graph, its slices and its affine images, led by r's values
         assert shot.tolist() == cold.tolist()
         return
     # a closed form: 0.0 from a start on the boundary, which the cold shot
@@ -768,7 +821,8 @@ def test_closed_form_exits_keep_the_ray_contract(case):
 @st.composite
 def _reach_cases(draw):
     """A node (catalog, graph, graph slice or affine image of a graph), a start
-    inside, rays whose exits span many binades and a power-of-two t_max."""
+    inside, rays whose exits span many binades (reshaped by ``_shaped_rays`` on
+    a level-led node) and a power-of-two t_max."""
     G = _ellipsoid_graph()
     graphs = [(G, [0.1, -0.2j]),
               (Graph(DefiningFunction(2, G.r.value), interior_point=[0, 0]), [0.1, -0.2j]),
@@ -788,7 +842,11 @@ def _reach_cases(draw):
         start = Z[np.argmax(inside)]
     d = D.dimension
     raw = rng.normal(size=(24, 2 * d)) * 10.0 ** rng.uniform(-2, 2, size=(24, 1))
-    return D, start, raw[:, :d] + 1j * raw[:, d:], 2.0 ** draw(st.integers(-4, 12))
+    dirs = raw[:, :d] + 1j * raw[:, d:]
+    if _level_led(D):
+        start, dirs = _shaped_rays(D, start, dirs, draw(st.sampled_from(
+            ["drawn", "repeated", "deep", "binade"])), rng)
+    return D, start, dirs, 2.0 ** draw(st.integers(-4, 12))
 
 
 @given(_reach_cases())
@@ -822,8 +880,51 @@ def test_compass_rounds_shoot_one_exit_batch_each(monkeypatch):
                         lambda *args, **kw: bisections.append(1) or shooter(*args, **kw))
     G.delta_dir_batch(np.array([[0.2 + 0.1j, -0.3j]]), np.array([[1.0, 0.5j]]))
     assert shots[0] == 96 and all(s in (2, 4, 6) for s in shots[1:])
-    # each level-led shot ends in one membership call of its last cells
-    assert len(shots) == len(bisections) == len(calls) == 36
+    # each level-led shot ends on its last cells by r alone (36 membership
+    # calls when each bisected its last cells by membership)
+    assert len(shots) == len(bisections) == 36 and not calls
+
+
+def test_level_led_shots_make_no_membership_call(monkeypatch):
+    # a graph, its slice and an affine image of it end every ray on the cold
+    # bisection's last cell by r's values alone
+    calls, G = [], _ellipsoid_graph()
+    shooter = domains.ray_boundary_batch
+    monkeypatch.setattr(domains, "ray_boundary_batch", lambda contains, *args, **kw: shooter(
+        lambda Z: calls.append(len(Z)) or contains(Z), *args, **kw))
+    U = unit_rows(np.random.default_rng(3), 32, 2)
+    for D, z, V in [(G, [0.1, -0.2j], U), (G.slice([0.1, 0.2j], [1, 0.3 + 0.1j]), [0.05], U[:, :1]),
+                    (AffineImage([[1, 0.3], [0.1j, 3]], [0.1, 0.2], G), [0.1, 0.2], U)]:
+        t = D.ray_exit_batch(np.array(z, dtype=complex), V)
+        assert np.isfinite(t).all() and (t > 0).all()
+    assert not calls
+
+
+def test_level_cells_end_on_half_and_quarter_cells():
+    # exits just above 2^k (k >= 1) end on a quarter of _cell's width, others
+    # on a half; each led row ends on the cold bisection's last cell
+    G, z = _ellipsoid_graph(), np.array([0.1, -0.2j])
+    U = unit_rows(np.random.default_rng(5), 40, 2)
+    t = G.ray_exit_batch(z, U)
+    target = 2.0 ** np.arange(-2, 3).repeat(8) * np.tile([1 + 1e-3, 1.1, 1.5, 1.9, 1 - 1e-3, 0.9, 0.7, 0.55], 5)
+    U = U * (t / target)[:, None]
+    a, b = domains._level_cells(G.level_batch, z, U, 1e12)
+    assert set((b - a) / domains._cell(a)) == {0.5, 0.25}
+    assert (0.5 * (a + b)).tolist() == ray_boundary_batch(G.contains_batch, z, U).tolist()
+
+
+def test_graph_m_convexity_check_keeps_a_level_round_budget(monkeypatch):
+    # CI's graph mconvex step: window 2, m = 2, 60 samples, seed 0, whose
+    # samples lie 1e-6 to 1e-9 inside; 2,359 level rounds and 125 membership
+    # rounds when each shot halved or doubled from t = 1 and bisected its last
+    # cell by membership, 549 level rounds and none since
+    from kcat0 import convexity
+    rounds, calls, shooter = _count_level_rounds(monkeypatch), [], domains.ray_boundary_batch
+    monkeypatch.setattr(domains, "ray_boundary_batch", lambda contains, *args, **kw: shooter(
+        lambda Z: calls.append(len(Z)) or contains(Z), *args, **kw))
+    report = convexity.local_m_convex_check(_ellipsoid_graph(), window_radius=2.0, m=2.0,
+                                            sample_count=60, seed=0)
+    assert report.verdict == "pass" and len(rounds) <= 600 and not calls
 
 
 def test_affine_ball_compass_rounds_take_closed_form_exits(monkeypatch):
@@ -888,21 +989,26 @@ def _count_level_rounds(monkeypatch) -> list:
 def test_level_led_rays_cut_the_r_rows(monkeypatch):
     # one infinitesimal row on the ellipsoid known through a callable r,
     # evaluated once per row: 4418 rows when its 96 rays bisected membership,
-    # 1256 in 8 level rounds when each cut took a chord and one-sided secants;
-    # the parabola through three of r's values is exact on this quadratic r
+    # 1256 in 8 level rounds when each cut took a chord and one-sided secants,
+    # 768 in 5 (then a membership round) when each ray halved or doubled from
+    # t = 1; the parabola through three of r's values is exact on this quadratic r
     rows, rounds = [], _count_level_rounds(monkeypatch)
     r = DefiningFunction(2, lambda z: rows.append(1) or abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1)
     iv = infinitesimal(Graph(r, interior_point=[0.0, 0.0]), [0.3 + 0.1j, -0.2j], [1.0, 0.5j])
-    assert 0.0 < iv.lo < iv.hi and len(rows) <= 900
-    assert rounds == [96, 96, 192, 192, 192]   # halve, double, then chord and second cuts
+    assert 0.0 < iv.lo < iv.hi and len(rows) <= 600
+    # the start and t = 1, chord and second cuts, then the cell about the
+    # parabolas' zero and its middle
+    assert rounds == [97, 192, 288]
 
 
 def test_level_led_rays_on_a_quartic_take_no_more_rounds(monkeypatch):
     # one 96-ray shot on |z1|^4 + |z2|^4 < 1, whose level is no parabola along
-    # a ray: 10 level rounds (1352 rows) with chord and secant cuts alone
+    # a ray: 10 level rounds (1352 rows) with chord and secant cuts alone, 9
+    # (1336 rows, then a membership round) when each ray halved or doubled
+    # from t = 1, 10 (1245 rows) and no membership round since
     rounds = _count_level_rounds(monkeypatch)
     _quartic_graph().ray_exit_batch(np.array([0.1, -0.2j]), unit_rows(np.random.default_rng(0), 96, 2))
-    assert rounds == [96, 96, 192, 192, 192, 192, 180, 136, 60]
+    assert rounds == [97, 192, 192, 198, 221, 187, 103, 50, 4, 1]
 
 
 def test_level_cuts_on_dilated_graphs_halve_their_brackets(monkeypatch):
